@@ -499,6 +499,10 @@ const RunStats& SssjEngine::stats() const {
 
 size_t SssjEngine::MemoryBytes() const { return core_->MemoryBytes(); }
 
+size_t SssjEngine::RecountMemoryBytes() const {
+  return core_->RecountMemoryBytes();
+}
+
 bool SssjEngine::MigrationEnabled() const {
   return config_.adaptive.enable_migration ||
          config_.index == IndexScheme::kAuto;

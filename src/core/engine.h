@@ -325,8 +325,13 @@ class SssjEngine {
   // (posting-list columns + residual store). MB: the buffered windows plus
   // the peak per-window index footprint seen this run (the window index
   // only lives inside a close, so its high-water mark is the capacity
-  // signal).
+  // signal). O(1): every core keeps it as running totals at the sites
+  // that change its state, so it is cheap enough to read after each push.
   size_t MemoryBytes() const;
+  // Test oracle for MemoryBytes(): the same number recomputed by walking
+  // every posting list, residual and buffered item, O(live state). No
+  // production caller.
+  size_t RecountMemoryBytes() const;
 
   const RunStats& stats() const;
   const DecayParams& params() const { return params_; }

@@ -14,7 +14,9 @@
 // Contract (see ARCHITECTURE.md "Adaptive runtime layer" for the table):
 //   Push/PushBatch/Flush  the join itself; Push returns false only on a
 //                         time-order violation, with state unchanged.
-//   stats/MemoryBytes     work counters and resident footprint.
+//   stats/MemoryBytes     work counters and resident footprint (O(1):
+//                         running totals; RecountMemoryBytes is the
+//                         walk they are tested against).
 //   last_ts/started/      the stream clock, exposed so the engine can
 //   RestoreClock          diagnose regressions and restore checkpoints.
 //   AtBoundary            true when the core sits between reporting units
@@ -81,6 +83,8 @@ class JoinCore {
 
   virtual const RunStats& stats() const = 0;
   virtual size_t MemoryBytes() const = 0;
+  // Test oracle: MemoryBytes() recomputed by walking the live state.
+  virtual size_t RecountMemoryBytes() const = 0;
 
   // Stream clock, for regression diagnostics and checkpoint restore.
   virtual Timestamp last_ts() const = 0;

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/sinks.h"
+
 namespace sssj {
 
 namespace {
@@ -171,10 +173,28 @@ void JoinService::NoteActivity(Session* session) const {
       std::memory_order_relaxed);
 }
 
+RunStats JoinService::CountersLocked(const Session* session) {
+  RunStats stats = session->engine->stats();
+  stats.vectors_processed += session->carried_vectors;
+  stats.pairs_emitted += session->carried_pairs;
+  return stats;
+}
+
 Status JoinService::EnsureResident(Session* session) const {
   if (!session->evicted) return Status::Ok();
+  // A portable reload replays the checkpoint's live items through a fresh
+  // core, which counts them (and the pairs among them) again; only the
+  // pairs the replay actually delivers — pending MB pairs — are new to
+  // the session. Count those on the way to the session's sink.
+  CountingSink delivered;
+  TeeSink tee{session->bound_sink, &delivered};
+  session->engine->BindSink(&tee);
   Status status = session->engine->LoadCheckpoint(session->spill_path);
+  session->engine->BindSink(session->bound_sink);
   if (!status.ok()) return status;
+  const RunStats& replayed = session->engine->stats();
+  session->carried_vectors -= replayed.vectors_processed;
+  session->carried_pairs -= replayed.pairs_emitted - delivered.count();
   std::remove(ManifestFor(session->spill_path).c_str());
   std::remove(session->spill_path.c_str());
   session->evicted = false;
@@ -212,6 +232,9 @@ Status JoinService::EvictLocked(Session* victim) {
     std::remove(path.c_str());
     return fresh.status();
   }
+  const RunStats& spilled = victim->engine->stats();
+  victim->carried_vectors += spilled.vectors_processed;
+  victim->carried_pairs += spilled.pairs_emitted;
   victim->engine = *std::move(fresh);
   victim->evicted = true;
   victim->spill_path = path;
@@ -519,7 +542,12 @@ Status JoinService::Flush(SessionHandle handle) {
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
+  // As in CloseSession: an evicted MB session's pending pairs live in its
+  // spill, and flushing the empty stand-in would emit none of them.
+  Status resident = EnsureResident(session.get());
+  if (!resident.ok()) return resident;
   session->engine->Flush();
+  NoteActivity(session.get());
   return Status::Ok();
 }
 
@@ -602,7 +630,7 @@ StatusOr<RunStats> JoinService::SessionStats(SessionHandle handle) const {
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  return session->engine->stats();
+  return CountersLocked(session.get());
 }
 
 StatusOr<IngestStats> JoinService::SessionIngestStats(
@@ -714,8 +742,9 @@ ServiceStats JoinService::Stats() const {
     if (session->closed) continue;
     ServiceStats::SessionEntry entry;
     entry.name = session->name;
-    entry.vectors_processed = session->engine->stats().vectors_processed;
-    entry.pairs_emitted = session->engine->stats().pairs_emitted;
+    const RunStats counters = CountersLocked(session.get());
+    entry.vectors_processed = counters.vectors_processed;
+    entry.pairs_emitted = counters.pairs_emitted;
     entry.memory_bytes = session->engine->MemoryBytes();
     entry.evicted = session->evicted;
     entry.ingest = session->engine->ingest_stats();

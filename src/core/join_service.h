@@ -269,12 +269,21 @@ class JoinService {
     EngineConfig config;             // resolved config, for engine rebuild
     ResultSink* bound_sink = nullptr;  // sink the engine was built with
     // Cached accounting, atomic so EnforceBudget can total the service
-    // without taking every session's lock: refreshed after each locked
-    // operation from engine->MemoryBytes().
+    // without taking every session's lock. Refreshed from
+    // engine->MemoryBytes() — O(1), a running total the indexes keep —
+    // after every locked operation that can change the engine's state
+    // (push, batch, flush, load, scheme switch, evict, reload). Async
+    // sessions apply on the pump without this refresh.
     std::atomic<size_t> mem_bytes{0};
     std::atomic<uint64_t> last_active{0};  // service activity clock tick
     bool evicted SSSJ_GUARDED_BY(mu) = false;
     std::string spill_path SSSJ_GUARDED_BY(mu);  // set iff evicted
+    // Session-lifetime counters survive eviction: what the engines that
+    // eviction swapped out had counted, net of what a reload's replay
+    // counts again. Added to the engine's own counters on every read
+    // (CountersLocked); unsigned wrap-around makes the subtraction exact.
+    uint64_t carried_vectors SSSJ_GUARDED_BY(mu) = 0;
+    uint64_t carried_pairs SSSJ_GUARDED_BY(mu) = 0;
   };
 
   // Registry lookup; returns null after CloseSession erased the id.
@@ -289,6 +298,9 @@ class JoinService {
   static bool Evictable(const Session& session);
   // Refreshes the session's cached accounting + LRU clock.
   void NoteActivity(Session* session) const SSSJ_REQUIRES(session->mu);
+  // The engine's counters plus what the session carried across evictions.
+  static RunStats CountersLocked(const Session* session)
+      SSSJ_REQUIRES(session->mu);
   // Brings an evicted session back (LoadCheckpoint from its spill file,
   // which is then deleted).
   Status EnsureResident(Session* session) const SSSJ_REQUIRES(session->mu);

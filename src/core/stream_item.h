@@ -2,6 +2,7 @@
 #ifndef SSSJ_CORE_STREAM_ITEM_H_
 #define SSSJ_CORE_STREAM_ITEM_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "core/sparse_vector.h"
@@ -18,6 +19,12 @@ struct StreamItem {
 // A finite prefix of a stream, time-ordered (non-decreasing ts). Used by
 // tests, generators, and the mini-batch window buffers.
 using Stream = std::vector<StreamItem>;
+
+// Resident bytes of one buffered item (the header plus its coordinates),
+// as the cores that buffer items count them in MemoryBytes().
+inline size_t StreamItemBytes(const StreamItem& item) {
+  return sizeof(StreamItem) + item.vec.nnz() * sizeof(Coord);
+}
 
 // True iff timestamps are non-decreasing and ids strictly increasing.
 inline bool IsTimeOrdered(const Stream& s) {

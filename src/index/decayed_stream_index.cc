@@ -38,11 +38,11 @@ void GeneralDecayInvIndex::ProcessArrival(const StreamItem& x,
   ++stats_.vectors_processed;
   cands_.Reset();
   for (const Coord& c : x.vec) {
-    auto it = lists_.find(c.dim);
-    if (it == lists_.end()) continue;
-    PostingList& list = it->second;
+    PostingList* found = lists_.Find(c.dim);
+    if (found == nullptr) continue;
+    PostingList& list = *found;
     list.NoteScanned(stats_.vectors_processed);
-    NotePruned(list.TruncateFront(list.LowerBoundTs(cutoff)));
+    NotePruned(lists_.TruncateFront(&list, list.LowerBoundTs(cutoff)));
     list.ForEachNewestFirst(0, list.size(), &posting_,
                             [&](const PostingSpan& sp, size_t k) {
       ++stats_.entries_traversed;
@@ -72,15 +72,14 @@ void GeneralDecayInvIndex::ProcessArrival(const StreamItem& x,
     }
   });
   for (const Coord& c : x.vec) {
-    PostingList& list = lists_[c.dim];
-    list.Append(x.id, c.value, 0.0, x.ts);
-    list.MaybeFreeze(tiered_, stats_.vectors_processed);
+    lists_.Append(c.dim, x.id, c.value, 0.0, x.ts, tiered_,
+                  stats_.vectors_processed);
   }
   NoteIndexed(x.vec.nnz());
 }
 
 void GeneralDecayInvIndex::Clear() {
-  lists_.clear();
+  lists_.Clear();
   live_entries_ = 0;
 }
 
@@ -107,11 +106,11 @@ void GeneralDecayL2Index::ProcessArrival(const StreamItem& x,
   for (size_t i = n; i-- > 0;) {
     const Coord& c = v.coord(i);
     const double rs2 = std::sqrt(std::max(rst, 0.0));
-    auto it = lists_.find(c.dim);
-    if (it != lists_.end()) {
-      PostingList& list = it->second;
+    PostingList* found = lists_.Find(c.dim);
+    if (found != nullptr) {
+      PostingList& list = *found;
       list.NoteScanned(stats_.vectors_processed);
-      NotePruned(list.TruncateFront(list.LowerBoundTs(cutoff)));
+      NotePruned(lists_.TruncateFront(&list, list.LowerBoundTs(cutoff)));
       list.ForEachNewestFirst(0, list.size(), &posting_,
                               [&](const PostingSpan& sp, size_t k) {
         ++stats_.entries_traversed;
@@ -178,9 +177,8 @@ void GeneralDecayL2Index::ProcessArrival(const StreamItem& x,
         residuals_.Insert(x.id, std::move(rec));
         first_indexed = false;
       }
-      PostingList& list = lists_[c.dim];
-      list.Append(x.id, c.value, prefix_norms_[i], x.ts);
-      list.MaybeFreeze(tiered_, stats_.vectors_processed);
+      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_,
+                    stats_.vectors_processed);
       ++appended;
     }
   }
@@ -188,7 +186,7 @@ void GeneralDecayL2Index::ProcessArrival(const StreamItem& x,
 }
 
 void GeneralDecayL2Index::Clear() {
-  lists_.clear();
+  lists_.Clear();
   residuals_.Clear();
   live_entries_ = 0;
 }

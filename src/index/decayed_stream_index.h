@@ -17,7 +17,6 @@
 #ifndef SSSJ_INDEX_DECAYED_STREAM_INDEX_H_
 #define SSSJ_INDEX_DECAYED_STREAM_INDEX_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/decay.h"
@@ -46,8 +45,9 @@ class GeneralDecayInvIndex : public StreamIndex {
   void Clear() override;
   const char* name() const override { return "INV(gen)"; }
   size_t live_posting_entries() const override { return live_entries_; }
-  size_t MemoryBytes() const override {
-    return PostingMapMemoryBytes(lists_);
+  size_t MemoryBytes() const override { return lists_.MemoryBytes(); }
+  size_t RecountMemoryBytes() const override {
+    return lists_.RecountMemoryBytes();
   }
   double horizon() const { return tau_; }
 
@@ -56,7 +56,7 @@ class GeneralDecayInvIndex : public StreamIndex {
   DecayFunction decay_;
   double tau_;
   TieredStorageOptions tiered_;
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   CandidateMap cands_;
   FrozenColumns posting_;  // frozen-block decode scratch
 };
@@ -75,7 +75,10 @@ class GeneralDecayL2Index : public StreamIndex {
   const char* name() const override { return "L2(gen)"; }
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override {
-    return residuals_.ApproxBytes() + PostingMapMemoryBytes(lists_);
+    return residuals_.ApproxBytes() + lists_.MemoryBytes();
+  }
+  size_t RecountMemoryBytes() const override {
+    return residuals_.RecountApproxBytes() + lists_.RecountMemoryBytes();
   }
   double horizon() const { return tau_; }
 
@@ -84,7 +87,7 @@ class GeneralDecayL2Index : public StreamIndex {
   DecayFunction decay_;
   double tau_;
   TieredStorageOptions tiered_;
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   ResidualStore residuals_;
   CandidateMap cands_;
   std::vector<double> prefix_norms_;

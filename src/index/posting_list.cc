@@ -37,7 +37,8 @@ size_t PostingList::LowerBoundTsTiered(Timestamp cutoff) const {
   return expired + LowerBoundTsSlow(cutoff);
 }
 
-size_t PostingList::TruncateFront(size_t n) {
+size_t PostingList::TruncateFront(size_t n, size_t* footprint) {
+  FootprintScope scope(this, footprint);
   size_t left = n;
   size_t drop = 0;
   size_t skip = first_skip_;
@@ -46,6 +47,7 @@ size_t PostingList::TruncateFront(size_t n) {
     if (left >= live) {
       left -= live;
       frozen_live_ -= live;
+      scope.Drop(frozen_[drop]);
       ++drop;
       skip = 0;
     } else {
@@ -66,13 +68,14 @@ size_t PostingList::TruncateFront(size_t n) {
   // amortizes to O(1) per consumed entry, and no list ever retains more
   // dead frozen entries than live ones in its front block.
   if (first_skip_ > 0 && first_skip_ * 2 >= frozen_.front().count()) {
-    CompactFrontBlock();
+    CompactFrontBlock(&scope);
   }
   return n;
 }
 
-void PostingList::CompactFrontBlock() {
+void PostingList::CompactFrontBlock(FootprintScope* scope) {
   FrozenBlock& blk = frozen_.front();
+  scope->Drop(blk);
   FrozenColumns cols;
   blk.Thaw(&cols);
   FrozenSourceRun run;
@@ -82,6 +85,7 @@ void PostingList::CompactFrontBlock() {
   run.ts = cols.ts.data() + first_skip_;
   run.len = blk.count() - first_skip_;
   blk = FrozenBlock::Freeze(&run, 1, blk.tier(), blk.compressed());
+  scope->Add(blk);
   first_skip_ = 0;
 }
 
@@ -99,7 +103,9 @@ size_t PostingList::CompactExpiredTail(Timestamp cutoff) {
   return removed;
 }
 
-size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch) {
+size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch,
+                                   size_t* footprint) {
+  FootprintScope scope(this, footprint);
   size_t removed = 0;
   if (!frozen_.empty()) {
     FrozenColumns local;
@@ -113,6 +119,7 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch) {
         kept.push_back(std::move(blk));  // fully live
       } else if (blk.max_ts() < cutoff) {
         removed += live;  // fully expired: drop without touching bytes
+        scope.Drop(blk);
       } else {
         // Straddling block (or a fully-live one carrying a skip): thaw,
         // filter survivors in order, re-freeze at the block's own tier
@@ -130,6 +137,7 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch) {
         }
         const size_t survivors = w - skip;
         removed += live - survivors;
+        scope.Drop(blk);
         if (survivors > 0) {
           FrozenSourceRun run;
           run.id = cols->id.data() + skip;
@@ -139,6 +147,7 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch) {
           run.len = survivors;
           kept.push_back(
               FrozenBlock::Freeze(&run, 1, blk.tier(), blk.compressed()));
+          scope.Add(kept.back());
         }
       }
       skip = 0;
@@ -170,7 +179,8 @@ PostingEntry PostingList::FrozenGet(size_t i) const {
 }
 
 void PostingList::FreezeQuantum(size_t n, size_t block_entries,
-                                ValueTier tier, bool compress) {
+                                ValueTier tier, bool compress,
+                                FootprintScope* scope) {
   // Amend path: extend the newest block with the oldest tail entries
   // (thaw + concatenate + re-freeze) until it holds block_entries, then
   // start fresh blocks. Keeps the freeze quantum small without a header
@@ -188,7 +198,7 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
         last != nullptr && last->count() - drop < block_entries;
     if (!amend) {
       const size_t take = n < block_entries ? n : block_entries;
-      FreezeFront(take, tier, compress);
+      FreezeFront(take, tier, compress, scope);
       n -= take;
       continue;
     }
@@ -213,7 +223,9 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
     run.prefix_norm = cols.prefix_norm.data() + drop;
     run.ts = cols.ts.data() + drop;
     run.len = old + take;
+    scope->Drop(*last);
     *last = FrozenBlock::Freeze(&run, 1, tier, compress);
+    scope->Add(*last);
     if (drop > 0) first_skip_ = 0;
     frozen_live_ += take;
     store_.TruncateFront(take);
@@ -221,7 +233,8 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
   }
 }
 
-void PostingList::FreezeFront(size_t n, ValueTier tier, bool compress) {
+void PostingList::FreezeFront(size_t n, ValueTier tier, bool compress,
+                              FootprintScope* scope) {
   ColumnStore::Segment segs[2];
   const size_t nsegs = store_.Segments(0, n, segs);
   FrozenSourceRun runs[2];
@@ -233,6 +246,7 @@ void PostingList::FreezeFront(size_t n, ValueTier tier, bool compress) {
     runs[s].len = segs[s].len;
   }
   frozen_.push_back(FrozenBlock::Freeze(runs, nsegs, tier, compress));
+  scope->Add(frozen_.back());
   frozen_live_ += n;
   store_.TruncateFront(n);
 }

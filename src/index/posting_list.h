@@ -34,6 +34,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -102,9 +103,16 @@ class PostingList {
                         store_.Get<3>(t)};
   }
 
-  void Append(VectorId id, double value, double prefix_norm, Timestamp ts) {
+  // Every mutator that can change memory_bytes() takes an optional
+  // `footprint`: a running total that includes this list's
+  // memory_bytes(), which the mutator keeps current in time proportional
+  // to its own work (PostingMap passes its total). Null skips the upkeep.
+  void Append(VectorId id, double value, double prefix_norm, Timestamp ts,
+              size_t* footprint = nullptr) {
+    const size_t before = store_.capacity_bytes();
     store_.PushBack(id, value, prefix_norm, ts);
     ++appends_since_scan_;
+    if (footprint != nullptr) *footprint += store_.capacity_bytes() - before;
   }
   void Append(const PostingEntry& e) {
     Append(e.id, e.value, e.prefix_norm, e.ts);
@@ -151,7 +159,8 @@ class PostingList {
   //
   // No-op unless opts.enabled. Raw blocks are always exact; with the
   // exact value tier freeze timing is unobservable in engine output.
-  void MaybeFreeze(const TieredStorageOptions& opts, uint64_t tick = 0) {
+  void MaybeFreeze(const TieredStorageOptions& opts, uint64_t tick = 0,
+                   size_t* footprint = nullptr) {
     if (!opts.enabled || opts.block_entries == 0) return;
     const bool scan_cold =
         appends_since_scan_ >= opts.dormant_after_appends ||
@@ -181,15 +190,18 @@ class PostingList {
       }
       const size_t keep = opts.dormant_tail_entries;
       if (store_.size() >= keep + quantum) {
+        FootprintScope scope(this, footprint);
         FreezeQuantum(store_.size() - keep, opts.block_entries,
-                      opts.value_tier, compress);
+                      opts.value_tier, compress, &scope);
       }
       return;
     }
     // Untracked non-dormant lists: legacy behavior — large hot tail,
     // compressed whole blocks.
+    FootprintScope scope(this, footprint);
     while (store_.size() >= opts.hot_tail_entries + opts.block_entries) {
-      FreezeFront(opts.block_entries, opts.value_tier, /*compress=*/true);
+      FreezeFront(opts.block_entries, opts.value_tier, /*compress=*/true,
+                  &scope);
     }
   }
 
@@ -328,7 +340,7 @@ class PostingList {
   // only). Returns n for convenience. Wholly expired frozen blocks are
   // dropped without touching their bytes; a partially expired boundary
   // block just advances the list's skip offset.
-  size_t TruncateFront(size_t n);
+  size_t TruncateFront(size_t n, size_t* footprint = nullptr);
 
   // Removes every entry with ts < cutoff, preserving order (forward
   // compaction, used by L2AP whose lists are not time-sorted). Returns
@@ -336,7 +348,8 @@ class PostingList {
   // than the cutoff are dropped whole; straddling blocks are thawed
   // (into `scratch` when given), filtered, and re-frozen at their own
   // tier.
-  size_t CompactExpired(Timestamp cutoff, FrozenColumns* scratch = nullptr);
+  size_t CompactExpired(Timestamp cutoff, FrozenColumns* scratch = nullptr,
+                        size_t* footprint = nullptr);
 
   void Clear() {
     store_.Clear();
@@ -354,30 +367,69 @@ class PostingList {
 
   // Full allocated footprint: the list object itself (classifier state,
   // buffer headers), mutable-tail capacity, compressed frozen blocks, and
-  // per-block bookkeeping. What the index-level MemoryBytes() accounting
-  // sums — strictly larger than capacity_bytes(), never payload-only.
+  // per-block bookkeeping — strictly larger than capacity_bytes(), never
+  // payload-only. A walk over the frozen blocks: indexes keep the sum
+  // over their lists as a running total instead (the mutators'
+  // `footprint`), and this is the oracle that total is tested against.
   size_t memory_bytes() const {
-    size_t bytes = sizeof(PostingList) + store_.capacity_bytes() +
-                   frozen_.capacity() * sizeof(FrozenBlock);
-    for (const FrozenBlock& blk : frozen_) {
-      bytes += blk.memory_bytes() - sizeof(FrozenBlock);  // payload only
-    }
+    size_t bytes = FixedBytes();
+    for (const FrozenBlock& blk : frozen_) bytes += PayloadBytes(blk);
     return bytes;
   }
 
  private:
   using ColumnStore = ColumnarBuffer<VectorId, double, double, Timestamp>;
 
+  // The O(1) part of memory_bytes(): object, tail capacity, block slots.
+  size_t FixedBytes() const {
+    return sizeof(PostingList) + store_.capacity_bytes() +
+           frozen_.capacity() * sizeof(FrozenBlock);
+  }
+  // A frozen block's allocation beyond its slot in frozen_.
+  static size_t PayloadBytes(const FrozenBlock& blk) {
+    return blk.memory_bytes() - sizeof(FrozenBlock);
+  }
+
+  // Keeps a caller's running footprint in step with one mutation without
+  // re-walking the frozen blocks: the O(1) part is diffed when the scope
+  // ends, and the mutation reports each block it adds or drops. Unsigned
+  // wrap-around turns a shrink into a subtraction. A null total makes
+  // every call a no-op.
+  class FootprintScope {
+   public:
+    FootprintScope(const PostingList* list, size_t* total)
+        : list_(list), total_(total),
+          fixed_(total != nullptr ? list->FixedBytes() : 0) {}
+    ~FootprintScope() {
+      if (total_ != nullptr) *total_ += list_->FixedBytes() - fixed_;
+    }
+    FootprintScope(const FootprintScope&) = delete;
+    FootprintScope& operator=(const FootprintScope&) = delete;
+
+    void Add(const FrozenBlock& blk) {
+      if (total_ != nullptr) *total_ += PayloadBytes(blk);
+    }
+    void Drop(const FrozenBlock& blk) {
+      if (total_ != nullptr) *total_ -= PayloadBytes(blk);
+    }
+
+   private:
+    const PostingList* list_;
+    size_t* total_;
+    size_t fixed_;
+  };
+
   size_t LowerBoundTsSlow(Timestamp cutoff) const;  // tail-relative
   size_t LowerBoundTsTiered(Timestamp cutoff) const;
   PostingEntry FrozenGet(size_t i) const;
-  void FreezeFront(size_t n, ValueTier tier, bool compress);
+  void FreezeFront(size_t n, ValueTier tier, bool compress,
+                   FootprintScope* scope);
   // Rewrites the front block without its consumed (first_skip_) prefix,
   // reclaiming the dead bytes. Requires a non-empty frozen_ and
   // first_skip_ > 0.
-  void CompactFrontBlock();
+  void CompactFrontBlock(FootprintScope* scope);
   void FreezeQuantum(size_t n, size_t block_entries, ValueTier tier,
-                     bool compress);
+                     bool compress, FootprintScope* scope);
   size_t CompactExpiredTail(Timestamp cutoff);
 
   // Tail-relative span mapping; out[s].begin is reported in full logical
@@ -506,9 +558,8 @@ class BatchPostingList {
 // to miss: the PostingList object headers inside the map nodes, the
 // node-overhead of the chaining hash map (hash link + bucket chain
 // pointer per node, approximated at two pointers), and the bucket
-// array. Shared by every stream index's MemoryBytes() so the mem(MB)
-// bench column — the signal the tiering budget acts on — reports
-// capacity, not payload.
+// array — capacity, not payload. A walk over every list: PostingMap
+// keeps the same number as a running total, and this is its oracle.
 template <typename Map>
 size_t PostingMapMemoryBytes(const Map& lists) {
   size_t bytes = lists.bucket_count() * sizeof(void*);
@@ -521,6 +572,72 @@ size_t PostingMapMemoryBytes(const Map& lists) {
   }
   return bytes;
 }
+
+// The dim -> PostingList container of every stream index, with its
+// footprint kept as a running total: each list mutation goes through
+// here and hands the list the total to update, so MemoryBytes() is O(1)
+// and equals the PostingMapMemoryBytes walk byte for byte. Lists are
+// created on first append and never erased individually.
+class PostingMap {
+ public:
+  using Map = std::unordered_map<DimId, PostingList>;
+
+  PostingList* Find(DimId dim) {
+    auto it = lists_.find(dim);
+    return it == lists_.end() ? nullptr : &it->second;
+  }
+
+  // dim's list, created empty on first use.
+  PostingList* FindOrCreate(DimId dim) {
+    auto [it, inserted] = lists_.try_emplace(dim);
+    if (inserted) bytes_ += kNodeBytes + it->second.memory_bytes();
+    return &it->second;
+  }
+
+  // Appends one posting to dim's list, then lets the list freeze per
+  // `tiered` (PostingList::MaybeFreeze; `tick` is the arrival counter).
+  void Append(DimId dim, VectorId id, double value, double prefix_norm,
+              Timestamp ts, const TieredStorageOptions& tiered,
+              uint64_t tick = 0) {
+    PostingList* list = FindOrCreate(dim);
+    list->Append(id, value, prefix_norm, ts, &bytes_);
+    list->MaybeFreeze(tiered, tick, &bytes_);
+  }
+
+  // Expiry on a list of this map (from Find), with the total attached.
+  size_t TruncateFront(PostingList* list, size_t n) {
+    return list->TruncateFront(n, &bytes_);
+  }
+  size_t CompactExpired(PostingList* list, Timestamp cutoff,
+                        FrozenColumns* scratch) {
+    return list->CompactExpired(cutoff, scratch, &bytes_);
+  }
+
+  void Clear() {
+    lists_.clear();
+    bytes_ = 0;
+  }
+
+  size_t size() const { return lists_.size(); }
+  Map::const_iterator begin() const { return lists_.begin(); }
+  Map::const_iterator end() const { return lists_.end(); }
+
+  // The bucket array is sized by the map itself, so it is read here
+  // rather than tracked; everything else is the running total.
+  size_t MemoryBytes() const {
+    return lists_.bucket_count() * sizeof(void*) + bytes_;
+  }
+  // Test oracle: the same number by walking every list.
+  size_t RecountMemoryBytes() const { return PostingMapMemoryBytes(lists_); }
+
+ private:
+  // Per-node overhead the walk adds on top of each list's memory_bytes().
+  static constexpr size_t kNodeBytes =
+      sizeof(Map::value_type) - sizeof(PostingList) + 2 * sizeof(void*);
+
+  Map lists_;
+  size_t bytes_ = 0;  // node overhead + memory_bytes() over every list
+};
 
 }  // namespace sssj
 

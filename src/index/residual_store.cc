@@ -2,14 +2,26 @@
 
 namespace sssj {
 
-ResidualRecord& ResidualStore::Insert(VectorId id, ResidualRecord rec) {
-  ResidualRecord& stored = map_.insert(id, std::move(rec));
+void ResidualStore::Insert(VectorId id, ResidualRecord rec) {
+  if (const ResidualRecord* old = map_.find(id)) bytes_ -= RecordBytes(*old);
+  bytes_ += RecordBytes(rec);
+  const ResidualRecord& stored = map_.insert(id, std::move(rec));
   if (track_prefix_dims_) RegisterPrefixDims(id, stored.prefix);
-  return stored;
+}
+
+void ResidualStore::UpdatePrefix(VectorId id, size_t keep, double q) {
+  ResidualRecord* rec = map_.find(id);
+  if (rec == nullptr) return;
+  if (keep < rec->prefix.nnz()) {
+    bytes_ -= (rec->prefix.nnz() - keep) * sizeof(Coord);
+    rec->prefix = rec->prefix.Prefix(keep);
+  }
+  rec->q = q;
 }
 
 void ResidualStore::ExpireOlderThan(Timestamp cutoff) {
   while (!map_.empty() && map_.front().second.ts < cutoff) {
+    bytes_ -= RecordBytes(map_.front().second);
     map_.pop_front();
   }
   // prefix_dims_ entries pointing at dropped ids are cleaned lazily.
@@ -18,24 +30,24 @@ void ResidualStore::ExpireOlderThan(Timestamp cutoff) {
 void ResidualStore::Clear() {
   map_.clear();
   prefix_dims_.clear();
+  bytes_ = 0;
 }
 
-size_t ResidualStore::ApproxBytes() const {
+size_t ResidualStore::RecountApproxBytes() const {
   size_t bytes = 0;
-  for (const auto& [id, rec] : map_) {
-    bytes += sizeof(VectorId) + sizeof(ResidualRecord) +
-             rec.prefix.nnz() * sizeof(Coord);
-  }
-  for (const auto& [dim, ids] : prefix_dims_) {
-    bytes += sizeof(DimId) + ids.capacity() * sizeof(VectorId);
-  }
+  for (const auto& [id, rec] : map_) bytes += RecordBytes(rec);
+  for (const auto& [dim, ids] : prefix_dims_) bytes += PrefixDimBytes(ids);
   return bytes;
 }
 
 void ResidualStore::RegisterPrefixDims(VectorId id,
                                        const SparseVector& prefix) {
   for (const Coord& c : prefix) {
-    prefix_dims_[c.dim].push_back(id);
+    auto [it, inserted] = prefix_dims_.try_emplace(c.dim);
+    std::vector<VectorId>& ids = it->second;
+    const size_t before = inserted ? 0 : PrefixDimBytes(ids);
+    ids.push_back(id);
+    bytes_ += PrefixDimBytes(ids) - before;
   }
 }
 

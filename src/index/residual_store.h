@@ -16,6 +16,9 @@
 // dimension j can locate exactly the residuals that may need re-indexing
 // (§5.3 "we can keep an inverted index of R to avoid scanning every
 // vector"). Entries in that inverted index are cleaned lazily.
+//
+// Records are read-only outside the store: every change goes through a
+// store method, which keeps ApproxBytes() as a running total.
 #ifndef SSSJ_INDEX_RESIDUAL_STORE_H_
 #define SSSJ_INDEX_RESIDUAL_STORE_H_
 
@@ -45,19 +48,25 @@ class ResidualStore {
   explicit ResidualStore(bool track_prefix_dims = false)
       : track_prefix_dims_(track_prefix_dims) {}
 
-  // Inserts a record; `id`s must arrive in non-decreasing `rec.ts` order.
-  // Returns the stored record.
-  ResidualRecord& Insert(VectorId id, ResidualRecord rec);
+  // Inserts a record (replacing any record under `id`); `id`s must
+  // arrive in non-decreasing `rec.ts` order.
+  void Insert(VectorId id, ResidualRecord rec);
 
-  ResidualRecord* Find(VectorId id) { return map_.find(id); }
   const ResidualRecord* Find(VectorId id) const { return map_.find(id); }
+
+  // Re-indexing (STR-L2AP): keeps the first `keep` coordinates of id's
+  // prefix y' — the rest moved into the posting lists — and sets
+  // Q[y] = q. keep == y'.nnz() refreshes Q alone. Only dims still in the
+  // new prefix stay discoverable; ForEachWithPrefixDim drops the stale
+  // inverted-index entries lazily. No-op for an unknown id.
+  void UpdatePrefix(VectorId id, size_t keep, double q);
 
   // Drops all records with ts < cutoff (amortized O(1) per drop).
   void ExpireOlderThan(Timestamp cutoff);
 
   // Iterates over the ids whose stored prefix (still) contains `dim`,
   // compacting stale entries along the way. Fn: void(VectorId,
-  // ResidualRecord&). Requires track_prefix_dims.
+  // const ResidualRecord&). Requires track_prefix_dims.
   template <typename Fn>
   void ForEachWithPrefixDim(DimId dim, Fn&& fn) {
     auto it = prefix_dims_.find(dim);
@@ -65,28 +74,28 @@ class ResidualStore {
     std::vector<VectorId>& ids = it->second;
     size_t w = 0;
     for (size_t i = 0; i < ids.size(); ++i) {
-      ResidualRecord* rec = map_.find(ids[i]);
+      const ResidualRecord* rec = map_.find(ids[i]);
       if (rec == nullptr || rec->prefix.ValueAt(dim) == 0.0) continue;  // stale
       ids[w++] = ids[i];
       fn(ids[i], *rec);
     }
-    ids.resize(w);
-    if (ids.empty()) prefix_dims_.erase(it);
+    ids.resize(w);  // keeps the capacity, so the byte total is unchanged
+    if (ids.empty()) {
+      bytes_ -= PrefixDimBytes(ids);
+      prefix_dims_.erase(it);
+    }
   }
-
-  // Re-registers prefix dims after a record's prefix shrank (re-indexing).
-  // Only dims still present in the new prefix remain discoverable; stale
-  // entries are cleaned lazily by ForEachWithPrefixDim.
-  void NotePrefixShrunk(VectorId) {}  // nothing to do: cleanup is lazy
 
   size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
   void Clear();
 
   // Approximate resident bytes (records + stored prefix coordinates +
-  // prefix-dim inverted index). O(records); intended for periodic
-  // sampling, not per-arrival calls.
-  size_t ApproxBytes() const;
+  // prefix-dim inverted index), kept as a running total by the mutators
+  // above: O(1).
+  size_t ApproxBytes() const { return bytes_; }
+  // Test oracle: the same number by walking every record and prefix dim.
+  size_t RecountApproxBytes() const;
 
   // Iterates records in insertion (time) order. Fn: void(VectorId,
   // const ResidualRecord&). Used by checkpointing, which must preserve
@@ -99,9 +108,19 @@ class ResidualStore {
  private:
   void RegisterPrefixDims(VectorId id, const SparseVector& prefix);
 
+  // What one record / one prefix-dim entry adds to ApproxBytes().
+  static size_t RecordBytes(const ResidualRecord& rec) {
+    return sizeof(VectorId) + sizeof(ResidualRecord) +
+           rec.prefix.nnz() * sizeof(Coord);
+  }
+  static size_t PrefixDimBytes(const std::vector<VectorId>& ids) {
+    return sizeof(DimId) + ids.capacity() * sizeof(VectorId);
+  }
+
   LinkedHashMap<VectorId, ResidualRecord> map_;
   std::unordered_map<DimId, std::vector<VectorId>> prefix_dims_;
   bool track_prefix_dims_;
+  size_t bytes_ = 0;  // ApproxBytes()
 };
 
 }  // namespace sssj

@@ -47,9 +47,7 @@ void ShardedStreamIndex::GeneratePhase(const StreamItem& x, Timestamp cutoff,
   L2GenerateCandidates(
       x, params_, options_, prefix_norms_, cutoff,
       [&](DimId dim) -> PostingList* {
-        auto& lists = shards_[dim % S].lists;
-        auto it = lists.find(dim);
-        return it == lists.end() ? nullptr : &it->second;
+        return shards_[dim % S].lists.Find(dim);
       },
       [&](VectorId id) { return id % S == w; },
       [](PostingList&, size_t) {},  // deferred: see phase 2
@@ -74,21 +72,20 @@ void ShardedStreamIndex::VerifyAndConstructPhase(const StreamItem& x,
   for (size_t i = 0; i < n; ++i) {
     const Coord& c = v.coord(i);
     if (c.dim % S != w) continue;
-    auto it = shard.lists.find(c.dim);
-    if (it != shard.lists.end()) {
+    PostingList* list = shard.lists.Find(c.dim);
+    if (list != nullptr) {
       // Same truncation the sequential backward scan performs: drop the
       // time-sorted expired run at the front of every touched list,
       // located by binary search on the ts column. NoteScanned here —
       // not in the phase-1 lookup — because phase 1 reads lists across
       // shards and the classifier counter is not synchronized.
-      PostingList& list = it->second;
-      list.NoteScanned(stats_.vectors_processed);
-      shard.pruned += list.TruncateFront(list.LowerBoundTs(cutoff));
+      list->NoteScanned(stats_.vectors_processed);
+      shard.pruned +=
+          shard.lists.TruncateFront(list, list->LowerBoundTs(cutoff));
     }
     if (i >= split.first_indexed) {
-      PostingList& list = shard.lists[c.dim];
-      list.Append(x.id, c.value, prefix_norms_[i], x.ts);
-      list.MaybeFreeze(tiered_, stats_.vectors_processed);
+      shard.lists.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts,
+                         tiered_, stats_.vectors_processed);
       ++shard.appended;
     }
   }
@@ -153,7 +150,7 @@ void ShardedStreamIndex::ProcessArrival(const StreamItem& x,
 void ShardedStreamIndex::Clear() {
   for (Shard& shard : shards_) {
     RoleLock owner(shard.owner);  // no arrival in flight: sole owner
-    shard.lists.clear();
+    shard.lists.Clear();
     shard.pairs.clear();
     shard.appended = 0;
     shard.pruned = 0;
@@ -164,9 +161,13 @@ void ShardedStreamIndex::Clear() {
 
 size_t ShardedStreamIndex::MemoryBytes() const {
   size_t bytes = residuals_.ApproxBytes();
-  for (const Shard& shard : shards_) {
-    bytes += PostingMapMemoryBytes(shard.lists);
-  }
+  for (const Shard& shard : shards_) bytes += shard.lists.MemoryBytes();
+  return bytes;
+}
+
+size_t ShardedStreamIndex::RecountMemoryBytes() const {
+  size_t bytes = residuals_.RecountApproxBytes();
+  for (const Shard& shard : shards_) bytes += shard.lists.RecountMemoryBytes();
   return bytes;
 }
 

@@ -30,7 +30,6 @@
 #define SSSJ_INDEX_SHARDED_STREAM_INDEX_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "index/candidate_map.h"
@@ -78,6 +77,7 @@ class ShardedStreamIndex : public StreamIndex {
   const char* name() const override { return "L2-SHARDED"; }
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override;
+  size_t RecountMemoryBytes() const override;
 
   size_t num_shards() const { return shards_.size(); }
   size_t residual_count() const { return residuals_.size(); }
@@ -94,7 +94,10 @@ class ShardedStreamIndex : public StreamIndex {
     // below carry the REQUIRES), so a guarded-by would outlaw the one
     // cross-shard access the schedule is built around.
     Role owner;
-    std::unordered_map<DimId, PostingList> lists;  // dims with dim % S == w
+    // Dims with dim % S == w. Its byte total is written only by the
+    // owning worker (phase 2) and read by the coordinator between
+    // arrivals, after the barrier.
+    PostingMap lists;
     // candidates with id % S == w (scratch)
     CandidateMap cands SSSJ_GUARDED_BY(owner);
     // kernel selection + worker-private scratch

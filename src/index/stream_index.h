@@ -29,10 +29,15 @@ class StreamIndex {
 
   // Approximate resident bytes of the index structures (posting-list
   // backing buffers + residual store). The paper reports that when STR
-  // fails it fails on memory (§7): this is the number to watch. Pure
-  // virtual on purpose: a defaulted `return 0` is a silent-zero trap —
-  // an index that forgets to implement it ships a lying mem(MB) column.
+  // fails it fails on memory (§7): this is the number to watch. O(1): the
+  // posting map and residual store keep it as running totals, so the
+  // service layer may read it after every push. Pure virtual on purpose:
+  // a defaulted `return 0` is a silent-zero trap — an index that forgets
+  // to implement it ships a lying mem(MB) column.
   virtual size_t MemoryBytes() const = 0;
+  // Test oracle for MemoryBytes(): the same number recomputed by walking
+  // every posting list and residual, O(live state). No production caller.
+  virtual size_t RecountMemoryBytes() const = 0;
 
   RunStats& stats() { return stats_; }
   const RunStats& stats() const { return stats_; }

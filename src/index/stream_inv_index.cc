@@ -16,11 +16,11 @@ void StreamInvIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   // raw column pointers (prefix_norm is never touched by INV).
   cands_.Reset();
   for (const Coord& c : x.vec) {
-    auto it = lists_.find(c.dim);
-    if (it == lists_.end()) continue;
-    PostingList& list = it->second;
+    PostingList* found = lists_.Find(c.dim);
+    if (found == nullptr) continue;
+    PostingList& list = *found;
     list.NoteScanned(stats_.vectors_processed);  // scan-rate classifier
-    NotePruned(list.TruncateFront(list.LowerBoundTs(cutoff)));
+    NotePruned(lists_.TruncateFront(&list, list.LowerBoundTs(cutoff)));
     list.ForSpansNewestFirst(0, list.size(), &posting_,
                              [&](const PostingSpan& sp) {
       // INV accumulates every entry, so the value column is dense either
@@ -65,15 +65,14 @@ void StreamInvIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
 
   // Index construction: append everything (no prefix filtering).
   for (const Coord& c : x.vec) {
-    PostingList& list = lists_[c.dim];
-    list.Append(x.id, c.value, 0.0, x.ts);
-    list.MaybeFreeze(tiered_, stats_.vectors_processed);
+    lists_.Append(c.dim, x.id, c.value, 0.0, x.ts, tiered_,
+                  stats_.vectors_processed);
   }
   NoteIndexed(x.vec.nnz());
 }
 
 void StreamInvIndex::Clear() {
-  lists_.clear();
+  lists_.Clear();
   live_entries_ = 0;
 }
 

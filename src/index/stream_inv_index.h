@@ -7,7 +7,6 @@
 #ifndef SSSJ_INDEX_STREAM_INV_INDEX_H_
 #define SSSJ_INDEX_STREAM_INV_INDEX_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "index/candidate_map.h"
@@ -31,15 +30,16 @@ class StreamInvIndex : public StreamIndex {
   void Clear() override;
   const char* name() const override { return "INV"; }
   size_t live_posting_entries() const override { return live_entries_; }
-  size_t MemoryBytes() const override {
-    return PostingMapMemoryBytes(lists_);
+  size_t MemoryBytes() const override { return lists_.MemoryBytes(); }
+  size_t RecountMemoryBytes() const override {
+    return lists_.RecountMemoryBytes();
   }
 
  private:
   DecayParams params_;
   bool use_simd_;
   TieredStorageOptions tiered_;
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   CandidateMap cands_;
   std::vector<double> contrib_;  // kernel scratch (SIMD path only)
   FrozenColumns posting_;        // frozen-block decode scratch

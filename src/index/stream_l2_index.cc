@@ -71,14 +71,15 @@ void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   L2GenerateCandidates(
       x, params_, options_, prefix_norms_, cutoff,
       [this](DimId dim) -> PostingList* {
-        auto it = lists_.find(dim);
-        if (it == lists_.end()) return nullptr;
-        it->second.NoteScanned(stats_.vectors_processed);  // scan-rate classifier
-        return &it->second;
+        PostingList* list = lists_.Find(dim);
+        if (list != nullptr) {
+          list->NoteScanned(stats_.vectors_processed);  // scan-rate classifier
+        }
+        return list;
       },
       [](VectorId) { return true; },
       [this](PostingList& list, size_t n) {
-        NotePruned(list.TruncateFront(n));
+        NotePruned(lists_.TruncateFront(&list, n));
       },
       &kernel_, &cands_, &phase_stats);
 
@@ -94,9 +95,8 @@ void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
     residuals_.Insert(x.id, L2MakeResidualRecord(x, split));
     for (size_t i = split.first_indexed; i < n; ++i) {
       const Coord& c = v.coord(i);
-      PostingList& list = lists_[c.dim];
-      list.Append(x.id, c.value, prefix_norms_[i], x.ts);
-      list.MaybeFreeze(tiered_, stats_.vectors_processed);
+      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_,
+                    stats_.vectors_processed);
     }
     NoteIndexed(n - split.first_indexed);
   }
@@ -104,7 +104,7 @@ void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
 }
 
 void StreamL2Index::Clear() {
-  lists_.clear();
+  lists_.Clear();
   residuals_.Clear();
   live_entries_ = 0;
 }
@@ -246,10 +246,9 @@ bool StreamL2Index::Deserialize(std::istream& is, std::string* error) {
       SetError(error, "truncated checkpoint (posting columns)");
       return false;
     }
-    PostingList& list = lists_[dim];
+    lists_.FindOrCreate(dim);  // empty lists round-trip too
     for (size_t i = 0; i < n; ++i) {
-      list.Append(ids[i], values[i], prefix_norms[i], tss[i]);
-      list.MaybeFreeze(tiered_);
+      lists_.Append(dim, ids[i], values[i], prefix_norms[i], tss[i], tiered_);
     }
   }
 

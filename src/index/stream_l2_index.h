@@ -12,7 +12,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "index/candidate_map.h"
@@ -55,7 +54,10 @@ class StreamL2Index : public StreamIndex {
   const char* name() const override { return "L2"; }
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override {
-    return residuals_.ApproxBytes() + PostingMapMemoryBytes(lists_);
+    return residuals_.ApproxBytes() + lists_.MemoryBytes();
+  }
+  size_t RecountMemoryBytes() const override {
+    return residuals_.RecountApproxBytes() + lists_.RecountMemoryBytes();
   }
 
   size_t residual_count() const { return residuals_.size(); }
@@ -81,7 +83,7 @@ class StreamL2Index : public StreamIndex {
   L2IndexOptions options_;
   TieredStorageOptions tiered_;
   L2KernelState kernel_;  // kernel selection + decay + thaw scratch
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   ResidualStore residuals_;
   CandidateMap cands_;
   std::vector<double> prefix_norms_;  // scratch

@@ -36,15 +36,15 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   for (size_t i = n; i-- > 0;) {  // reverse coordinate order
     const Coord& c = v.coord(i);
     const double rs2 = std::sqrt(std::max(rst, 0.0));
-    auto it = lists_.find(c.dim);
-    if (it != lists_.end()) {
-      PostingList& list = it->second;
+    PostingList* found = lists_.Find(c.dim);
+    if (found != nullptr) {
+      PostingList& list = *found;
       list.NoteScanned(stats_.vectors_processed);  // scan-rate classifier
       // Lists are not time-sorted (re-indexing): compact expired entries
       // column-wise, then scan forward — hot-tail segments directly,
       // frozen blocks thawed one at a time into the kernel scratch
       // (§6.2).
-      NotePruned(list.CompactExpired(cutoff, &kernel_.posting));
+      NotePruned(lists_.CompactExpired(&list, cutoff, &kernel_.posting));
       list.ForSpansOldestFirst(0, list.size(), &kernel_.posting,
                                [&](const PostingSpan& sp) {
         // SIMD path: one vectorized exp pass over the span's ts column;
@@ -158,9 +158,8 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
         residuals_.Insert(x.id, std::move(rec));
         first_indexed = false;
       }
-      PostingList& list = lists_[c.dim];
-      list.Append(x.id, c.value, prefix_norms_[i], x.ts);
-      list.MaybeFreeze(tiered_, stats_.vectors_processed);
+      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_,
+                    stats_.vectors_processed);
       ++appended;
     }
   }
@@ -173,7 +172,7 @@ void StreamL2apIndex::Reindex(const std::vector<DimId>& updated_dims,
   reindex_ids_.clear();
   for (DimId dim : updated_dims) {
     residuals_.ForEachWithPrefixDim(
-        dim, [&](VectorId id, ResidualRecord& rec) {
+        dim, [&](VectorId id, const ResidualRecord& rec) {
           if (rec.ts >= cutoff) reindex_ids_.push_back(id);
         });
   }
@@ -181,13 +180,13 @@ void StreamL2apIndex::Reindex(const std::vector<DimId>& updated_dims,
   reindex_ids_.erase(std::unique(reindex_ids_.begin(), reindex_ids_.end()),
                      reindex_ids_.end());
   for (VectorId id : reindex_ids_) {
-    ResidualRecord* rec = residuals_.Find(id);
-    if (rec != nullptr && ReindexOne(id, rec)) ++stats_.reindexed_vectors;
+    const ResidualRecord* rec = residuals_.Find(id);
+    if (rec != nullptr && ReindexOne(id, *rec)) ++stats_.reindexed_vectors;
   }
 }
 
-bool StreamL2apIndex::ReindexOne(VectorId id, ResidualRecord* rec) {
-  const SparseVector& prefix = rec->prefix;
+bool StreamL2apIndex::ReindexOne(VectorId id, const ResidualRecord& rec) {
+  const SparseVector& prefix = rec.prefix;
   const size_t p = prefix.nnz();
   if (p == 0) return false;
 
@@ -197,7 +196,7 @@ bool StreamL2apIndex::ReindexOne(VectorId id, ResidualRecord* rec) {
   double b1 = 0.0;
   double bt = 0.0;
   size_t boundary = p;  // first newly indexable position
-  double q_new = rec->q;
+  double q_new = rec.q;
   for (size_t i = 0; i < p; ++i) {
     const Coord& c = prefix.coord(i);
     const double pscore =
@@ -216,7 +215,8 @@ bool StreamL2apIndex::ReindexOne(VectorId id, ResidualRecord* rec) {
     // dot(z, y') for queries z dominated by the *current* m, and b1 over
     // the prefix just grew. Keeping the old (smaller) Q would make the CV
     // ps1 bound under-estimate and silently drop true pairs.
-    rec->q = use_l2_bounds_ ? std::min(b1, std::sqrt(bt)) : b1;
+    residuals_.UpdatePrefix(id, p,
+                            use_l2_bounds_ ? std::min(b1, std::sqrt(bt)) : b1);
     return false;
   }
 
@@ -231,21 +231,19 @@ bool StreamL2apIndex::ReindexOne(VectorId id, ResidualRecord* rec) {
     const Coord& c = prefix.coord(i);
     // No m̂λ update needed: all of this vector's coordinates were folded
     // into m̂λ when it first arrived.
-    PostingList& list = lists_[c.dim];
-    list.Append(id, c.value, std::sqrt(sq), rec->ts);
-    list.MaybeFreeze(tiered_, stats_.vectors_processed);
+    lists_.Append(c.dim, id, c.value, std::sqrt(sq), rec.ts, tiered_,
+                  stats_.vectors_processed);
     sq += c.value * c.value;
     ++appended;
     ++stats_.reindexed_coords;
   }
   NoteIndexed(appended);
-  rec->prefix = prefix.Prefix(boundary);
-  rec->q = q_new;
+  residuals_.UpdatePrefix(id, boundary, q_new);
   return true;
 }
 
 void StreamL2apIndex::Clear() {
-  lists_.clear();
+  lists_.Clear();
   residuals_.Clear();
   m_.Clear();
   mhat_.Clear();

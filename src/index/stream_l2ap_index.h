@@ -28,7 +28,6 @@
 #ifndef SSSJ_INDEX_STREAM_L2AP_INDEX_H_
 #define SSSJ_INDEX_STREAM_L2AP_INDEX_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "index/candidate_map.h"
@@ -77,7 +76,10 @@ class StreamL2apIndex : public StreamIndex {
   const char* name() const override { return use_l2_bounds_ ? "L2AP" : "AP"; }
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override {
-    return residuals_.ApproxBytes() + PostingMapMemoryBytes(lists_);
+    return residuals_.ApproxBytes() + lists_.MemoryBytes();
+  }
+  size_t RecountMemoryBytes() const override {
+    return residuals_.RecountApproxBytes() + lists_.RecountMemoryBytes();
   }
 
   size_t residual_count() const { return residuals_.size(); }
@@ -87,14 +89,14 @@ class StreamL2apIndex : public StreamIndex {
   void Reindex(const std::vector<DimId>& updated_dims, Timestamp cutoff);
   // Re-scans one residual under the current m; moves newly indexable
   // coordinates into the posting lists. Returns true if anything moved.
-  bool ReindexOne(VectorId id, ResidualRecord* rec);
+  bool ReindexOne(VectorId id, const ResidualRecord& rec);
 
   DecayParams params_;
   double ic_theta_;  // index-construction threshold (≤ params_.theta)
   bool use_l2_bounds_;
   TieredStorageOptions tiered_;
   L2KernelState kernel_;  // kernel selection + decay + thaw scratch
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   ResidualStore residuals_;
   MaxVector m_;
   DecayedMaxVector mhat_;

@@ -35,11 +35,9 @@ Timestamp WindowEndFor(Timestamp start, double tau) {
   return std::nextafter(start, std::numeric_limits<Timestamp>::infinity());
 }
 
-size_t StreamBytes(const Stream& window) {
+size_t WindowBytes(const Stream& window) {
   size_t bytes = 0;
-  for (const StreamItem& item : window) {
-    bytes += sizeof(StreamItem) + item.vec.nnz() * sizeof(Coord);
-  }
+  for (const StreamItem& item : window) bytes += StreamItemBytes(item);
   return bytes;
 }
 }  // namespace
@@ -70,6 +68,7 @@ bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
     }
   }
   cur_.push_back(x);
+  cur_bytes_ += StreamItemBytes(x);
   ++stats_.vectors_processed;
   return true;
 }
@@ -84,8 +83,8 @@ void MiniBatchJoin::Flush(ResultSink* sink) {
   last_ts_ = 0.0;
 }
 
-size_t MiniBatchJoin::MemoryBytes() const {
-  return StreamBytes(prev_) + StreamBytes(cur_) + peak_index_bytes_;
+size_t MiniBatchJoin::RecountMemoryBytes() const {
+  return WindowBytes(prev_) + WindowBytes(cur_) + peak_index_bytes_;
 }
 
 void MiniBatchJoin::CloseWindow(ResultSink* sink) {
@@ -128,6 +127,7 @@ void MiniBatchJoin::CloseWindow(ResultSink* sink) {
 
   prev_ = std::move(cur_);
   cur_.clear();
+  prev_bytes_ = std::exchange(cur_bytes_, 0);
 }
 
 void MiniBatchJoin::QueryWindowParallel(const BatchIndex& index,

@@ -96,8 +96,12 @@ class MiniBatchJoin final : public JoinCore {
   // Approximate resident bytes: the buffered windows W_{k−1} and W_k plus
   // the peak footprint of a per-window index seen this run (the index
   // itself only lives inside CloseWindow, so its high-water mark is the
-  // number that matters for capacity planning).
-  size_t MemoryBytes() const override;
+  // number that matters for capacity planning). O(1): the window bytes
+  // are running totals kept by Push and CloseWindow.
+  size_t MemoryBytes() const override {
+    return prev_bytes_ + cur_bytes_ + peak_index_bytes_;
+  }
+  size_t RecountMemoryBytes() const override;
 
   // Window sizes, exposed for tests.
   size_t pending_current() const { return cur_.size(); }
@@ -156,6 +160,8 @@ class MiniBatchJoin final : public JoinCore {
   double window_len_;  // window_factor · τ
   Stream prev_;  // W_{k−1}: awaiting indexing
   Stream cur_;   // W_k: accumulating
+  size_t prev_bytes_ = 0;  // WindowBytes(prev_)
+  size_t cur_bytes_ = 0;   // WindowBytes(cur_)
   Timestamp window_end_ = 0.0;
   Timestamp last_ts_ = 0.0;
   bool started_ = false;

@@ -54,6 +54,11 @@ class StreamingJoin final : public JoinCore {
   size_t MemoryBytes() const override {
     return index_->MemoryBytes() + live_bytes_;
   }
+  size_t RecountMemoryBytes() const override {
+    size_t bytes = index_->RecountMemoryBytes();
+    for (const StreamItem& item : live_) bytes += StreamItemBytes(item);
+    return bytes;
+  }
 
   // Clock state, exposed for checkpoint/restore (engine.cc).
   Timestamp last_ts() const override { return last_ts_; }
@@ -76,12 +81,11 @@ class StreamingJoin final : public JoinCore {
  private:
   void RetainItem(const StreamItem& x) {
     live_.push_back(x);
-    live_bytes_ += sizeof(StreamItem) + x.vec.nnz() * sizeof(Coord);
+    live_bytes_ += StreamItemBytes(x);
     // Prune strictly-out-of-horizon items only: at Δt == τ a dot of 1
     // still reaches θ exactly (sim = θ qualifies), so `>` not `>=`.
     while (!live_.empty() && x.ts - live_.front().ts > params_.tau) {
-      live_bytes_ -=
-          sizeof(StreamItem) + live_.front().vec.nnz() * sizeof(Coord);
+      live_bytes_ -= StreamItemBytes(live_.front());
       live_.pop_front();
     }
   }

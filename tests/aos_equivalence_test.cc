@@ -298,7 +298,7 @@ class AosL2apIndex {
     reindex_ids_.clear();
     for (DimId dim : updated_dims) {
       residuals_.ForEachWithPrefixDim(
-          dim, [&](VectorId id, ResidualRecord& rec) {
+          dim, [&](VectorId id, const ResidualRecord& rec) {
             if (rec.ts >= cutoff) reindex_ids_.push_back(id);
           });
     }
@@ -307,19 +307,19 @@ class AosL2apIndex {
         std::unique(reindex_ids_.begin(), reindex_ids_.end()),
         reindex_ids_.end());
     for (VectorId id : reindex_ids_) {
-      ResidualRecord* rec = residuals_.Find(id);
-      if (rec != nullptr) ReindexOne(id, rec);
+      const ResidualRecord* rec = residuals_.Find(id);
+      if (rec != nullptr) ReindexOne(id, *rec);
     }
   }
 
-  void ReindexOne(VectorId id, ResidualRecord* rec) {
-    const SparseVector& prefix = rec->prefix;
+  void ReindexOne(VectorId id, const ResidualRecord& rec) {
+    const SparseVector& prefix = rec.prefix;
     const size_t p = prefix.nnz();
     if (p == 0) return;
     double b1 = 0.0;
     double bt = 0.0;
     size_t boundary = p;
-    double q_new = rec->q;
+    double q_new = rec.q;
     for (size_t i = 0; i < p; ++i) {
       const Coord& c = prefix.coord(i);
       const double pscore = std::min(b1, std::sqrt(bt));
@@ -333,7 +333,7 @@ class AosL2apIndex {
       }
     }
     if (boundary == p) {
-      rec->q = std::min(b1, std::sqrt(bt));
+      residuals_.UpdatePrefix(id, p, std::min(b1, std::sqrt(bt)));
       return;
     }
     double sq = 0.0;
@@ -343,11 +343,10 @@ class AosL2apIndex {
     for (size_t i = boundary; i < p; ++i) {
       const Coord& c = prefix.coord(i);
       lists_[c.dim].push_back(
-          PostingEntry{id, c.value, std::sqrt(sq), rec->ts});
+          PostingEntry{id, c.value, std::sqrt(sq), rec.ts});
       sq += c.value * c.value;
     }
-    rec->prefix = prefix.Prefix(boundary);
-    rec->q = q_new;
+    residuals_.UpdatePrefix(id, boundary, q_new);
   }
 
   DecayParams params_;

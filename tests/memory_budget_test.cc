@@ -217,5 +217,199 @@ TEST(MemoryBudgetTest, SaveCheckpointOnEvictedSessionReloadsFirst) {
   std::remove(path.c_str());
 }
 
+// A migration-enabled MB-L2 session: evictable through the portable
+// checkpoint, and its pairs stay pending in the windows until a flush.
+EngineConfig MigratableMbConfig(double lambda) {
+  EngineConfig cfg = BudgetedEngineConfig();
+  cfg.framework = Framework::kMiniBatch;
+  cfg.lambda = lambda;
+  cfg.adaptive.enable_migration = true;
+  return cfg;
+}
+
+Stream TwoSegmentStream(uint64_t seed, size_t n = 500) {
+  RandomStreamSpec spec;
+  spec.n = n;
+  spec.dims = 25;
+  spec.min_nnz = 2;
+  spec.max_nnz = 6;
+  spec.max_gap = 0.4;
+  spec.seed = seed;
+  return RandomStream(spec);
+}
+
+// Pushes [begin, end) into session `h`, asserting every push succeeds.
+void PushAll(JoinService& service, JoinService::SessionHandle h,
+             Stream::const_iterator begin, Stream::const_iterator end) {
+  for (auto it = begin; it != end; ++it) {
+    const Status status = service.Push(h, it->ts, it->vec);
+    ASSERT_TRUE(status.ok()) << status.message();
+  }
+}
+
+// MemoryBytes() of a standalone engine after the first `n` items.
+size_t BytesAfter(const EngineConfig& cfg, const Stream& stream, size_t n) {
+  auto engine = SssjEngine::Make(cfg);
+  EXPECT_TRUE(engine.ok());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE((*engine)->Push(stream[i].ts, stream[i].vec).ok());
+  }
+  return (*engine)->MemoryBytes();
+}
+
+// Peak MemoryBytes() of a standalone engine over the whole of `stream`.
+size_t PeakBytes(const EngineConfig& cfg, const Stream& stream) {
+  auto engine = SssjEngine::Make(cfg);
+  EXPECT_TRUE(engine.ok());
+  size_t peak = 0;
+  for (const StreamItem& item : stream) {
+    EXPECT_TRUE((*engine)->Push(item.ts, item.vec).ok());
+    peak = std::max(peak, (*engine)->MemoryBytes());
+  }
+  return peak;
+}
+
+// The "other" session's stream: three times the victim's, so that it
+// alone outgrows anything the victim reaches.
+Stream OtherStream() { return TwoSegmentStream(/*seed=*/303, /*n=*/1500); }
+
+// A budget that holds the other session's peak plus half the victim's
+// first segment: pushing the other stream while the victim sits dormant
+// after its first segment must evict it, and the victim alone (a fraction
+// of the other's peak) is never refused.
+JoinServiceOptions OneSessionBudget(size_t victim_segment_bytes,
+                                    size_t other_peak) {
+  JoinServiceOptions options;
+  options.memory_budget_bytes = other_peak + victim_segment_bytes / 2;
+  options.spill_dir = ::testing::TempDir();
+  return options;
+}
+
+// Pushes `stream` into `other` and checks the budget evicted the victim.
+void EvictByBudget(JoinService& service, JoinService::SessionHandle other,
+                   const Stream& stream) {
+  PushAll(service, other, stream.begin(), stream.end());
+  const ServiceStats stats = service.Stats();
+  ASSERT_GT(stats.sessions_evicted, 0u);
+  bool victim_evicted = false;
+  for (const ServiceStats::SessionEntry& entry : stats.sessions) {
+    if (entry.name == "victim") victim_evicted = entry.evicted;
+  }
+  ASSERT_TRUE(victim_evicted);
+}
+
+void ExpectSamePairs(const std::vector<ResultPair>& got,
+                     const std::vector<ResultPair>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a) << i;
+    EXPECT_EQ(got[i].b, want[i].b) << i;
+    EXPECT_EQ(got[i].dot, want[i].dot) << i;
+    EXPECT_EQ(got[i].sim, want[i].sim) << i;
+  }
+}
+
+TEST(MemoryBudgetTest, FlushOnEvictedSessionReloadsFirst) {
+  // An evicted MB session's pending pairs live in its spill, not in the
+  // empty stand-in engine: Flush must reload before flushing, exactly as
+  // CloseSession does, or the pairs are lost and the stale windows later
+  // re-emit against the next segment.
+  const EngineConfig cfg = MigratableMbConfig(/*lambda=*/0.001);
+  const Stream stream = TwoSegmentStream(101);
+  const auto mid = stream.begin() + static_cast<ptrdiff_t>(stream.size() / 2);
+
+  // Reference: the same two segments through a standalone engine.
+  CollectorSink want;
+  size_t want_after_flush = 0;
+  {
+    auto engine = SssjEngine::Make(cfg, &want);
+    ASSERT_TRUE(engine.ok());
+    for (auto it = stream.begin(); it != mid; ++it) {
+      ASSERT_TRUE((*engine)->Push(it->ts, it->vec).ok());
+    }
+    (*engine)->Flush();
+    want_after_flush = want.pairs().size();
+    for (auto it = mid; it != stream.end(); ++it) {
+      ASSERT_TRUE((*engine)->Push(it->ts, it->vec).ok());
+    }
+    (*engine)->Flush();
+  }
+  ASSERT_GT(want_after_flush, 0u);
+
+  const Stream other_stream = OtherStream();
+  JoinService service(
+      OneSessionBudget(BytesAfter(cfg, stream, stream.size() / 2),
+                       PeakBytes(cfg, other_stream)));
+  CollectorSink got, other_sink;
+  auto victim = service.CreateSession({"victim", cfg, &got});
+  auto other = service.CreateSession({"other", cfg, &other_sink});
+  ASSERT_TRUE(victim.ok());
+  ASSERT_TRUE(other.ok());
+  PushAll(service, *victim, stream.begin(), mid);
+  EvictByBudget(service, *other, other_stream);
+
+  ASSERT_TRUE(service.Flush(*victim).ok());
+  ExpectSamePairs(got.pairs(),
+                  std::vector<ResultPair>(want.pairs().begin(),
+                                          want.pairs().begin() +
+                                              static_cast<ptrdiff_t>(
+                                                  want_after_flush)));
+  PushAll(service, *victim, mid, stream.end());
+  ASSERT_TRUE(service.CloseSession(*victim).ok());
+  ExpectSamePairs(got.pairs(), want.pairs());
+}
+
+TEST(MemoryBudgetTest, SessionCountersSurviveEvictionAndReload) {
+  // vectors_processed and pairs_emitted are session-lifetime counters:
+  // accepted pushes and delivered pairs, before eviction, while evicted
+  // (the stand-in engine has counted nothing) and after the reload (whose
+  // replay must not count the live items a second time). Covers the
+  // native STR-L2 spill and the portable MB spill, whose replay delivers
+  // pending pairs.
+  struct Case {
+    const char* name;
+    EngineConfig cfg;
+  };
+  const Case cases[] = {{"str-l2-native", BudgetedEngineConfig()},
+                        {"mb-l2-portable", MigratableMbConfig(0.02)}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Stream stream = TwoSegmentStream(202);
+    const auto mid =
+        stream.begin() + static_cast<ptrdiff_t>(stream.size() / 2);
+    const Stream other_stream = OtherStream();
+    JoinService service(
+        OneSessionBudget(BytesAfter(c.cfg, stream, stream.size() / 2),
+                         PeakBytes(c.cfg, other_stream)));
+    CollectorSink sink, other_sink;
+    auto victim = service.CreateSession({"victim", c.cfg, &sink});
+    auto other = service.CreateSession({"other", c.cfg, &other_sink});
+    ASSERT_TRUE(victim.ok());
+    ASSERT_TRUE(other.ok());
+
+    auto expect_counters = [&](uint64_t pushes, const char* when) {
+      auto stats = service.SessionStats(*victim);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats->vectors_processed, pushes) << when;
+      EXPECT_EQ(stats->pairs_emitted, sink.pairs().size()) << when;
+      for (const ServiceStats::SessionEntry& entry :
+           service.Stats().sessions) {
+        if (entry.name != "victim") continue;
+        EXPECT_EQ(entry.vectors_processed, pushes) << when;
+        EXPECT_EQ(entry.pairs_emitted, sink.pairs().size()) << when;
+      }
+    };
+
+    PushAll(service, *victim, stream.begin(), mid);
+    expect_counters(stream.size() / 2, "before eviction");
+    EvictByBudget(service, *other, other_stream);
+    expect_counters(stream.size() / 2, "while evicted");
+    PushAll(service, *victim, mid, stream.end());
+    EXPECT_GT(service.Stats().session_reloads, 0u);
+    expect_counters(stream.size(), "after reload");
+    EXPECT_GT(sink.pairs().size(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace sssj

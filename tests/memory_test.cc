@@ -2,9 +2,22 @@
 // that STR fails by memory while MB fails by time (§7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <unordered_map>
+#include <vector>
 
+#include "core/engine.h"
+#include "index/decayed_stream_index.h"
 #include "index/posting_list.h"
+#include "index/residual_store.h"
+#include "index/sharded_stream_index.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
@@ -14,6 +27,9 @@ namespace sssj {
 namespace {
 
 using ::sssj::testing::Item;
+using ::sssj::testing::RandomStream;
+using ::sssj::testing::RandomStreamSpec;
+using ::sssj::testing::RawVec;
 using ::sssj::testing::UnitVec;
 
 TEST(MemoryTest, EmptyIndexReportsNoEntries) {
@@ -173,6 +189,366 @@ TEST(MemoryTest, TieredEngineIndexReportsSmallerFootprintOnColdStream) {
   }
   EXPECT_LT(cold.MemoryBytes(), flat.MemoryBytes());
 }
+
+// ---- running totals == walk: the oracle for O(1) MemoryBytes() ----
+//
+// MemoryBytes() is kept as running totals at every mutation site; the
+// walk (RecountMemoryBytes) stays only as the test oracle. These pins
+// compare the two byte for byte after every state change, for every
+// index and core, untiered and tiered (exact and bf16).
+
+enum class Storage { kUntiered, kTieredExact, kTieredBf16 };
+
+const char* StorageName(Storage storage) {
+  switch (storage) {
+    case Storage::kUntiered:
+      return "Untiered";
+    case Storage::kTieredExact:
+      return "TieredExact";
+    case Storage::kTieredBf16:
+      return "TieredBf16";
+  }
+  return "?";
+}
+
+// Small blocks and tails so the test streams freeze, amend, expire and
+// compact frozen blocks many times over.
+TieredStorageOptions StorageOptions(Storage storage) {
+  TieredStorageOptions tiered;
+  if (storage == Storage::kUntiered) return tiered;
+  tiered.enabled = true;
+  tiered.block_entries = 8;
+  tiered.hot_tail_entries = 16;
+  tiered.dormant_tail_entries = 2;
+  tiered.dormant_after_appends = 4;
+  tiered.cold_freeze_quantum = 2;
+  tiered.value_tier = storage == Storage::kTieredBf16 ? ValueTier::kBf16
+                                                      : ValueTier::kExact;
+  return tiered;
+}
+
+// Few dims and a horizon of ~14 time units over a ~90-unit stream: lists
+// grow long enough to freeze, entries expire throughout, and the random
+// coordinate values keep raising L2AP's max vector (re-indexing).
+constexpr double kTheta = 0.5;
+constexpr double kLambda = 0.05;
+
+Stream OracleStream(uint64_t seed) {
+  RandomStreamSpec spec;
+  spec.n = 360;
+  spec.dims = 12;
+  spec.min_nnz = 2;
+  spec.max_nnz = 7;
+  spec.max_gap = 0.5;
+  spec.seed = seed;
+  return RandomStream(spec);
+}
+
+TEST(MemoryOracleTest, ResidualStoreTotalMatchesWalk) {
+  ResidualStore store(/*track_prefix_dims=*/true);
+  auto check = [&](const char* step) {
+    ASSERT_EQ(store.ApproxBytes(), store.RecountApproxBytes()) << step;
+  };
+  check("empty");
+  for (VectorId id = 0; id < 40; ++id) {
+    store.Insert(id, ResidualRecord{RawVec({{static_cast<DimId>(id % 5), 1.0},
+                                            {static_cast<DimId>(7 + id % 3), 2.0},
+                                            {20, 0.5}}),
+                                    0.1, static_cast<double>(id)});
+    check("insert");
+  }
+  store.Insert(39, ResidualRecord{RawVec({{1, 1.0}}), 0.2, 39.0});
+  check("replace");
+  store.UpdatePrefix(30, /*keep=*/1, /*q=*/0.3);
+  check("shrink prefix");
+  store.UpdatePrefix(31, /*keep=*/3, /*q=*/0.4);
+  check("refresh q");
+  store.ExpireOlderThan(20.0);
+  check("expire");
+  for (DimId dim : {0u, 1u, 7u, 20u}) {
+    store.ForEachWithPrefixDim(dim, [](VectorId, const ResidualRecord&) {});
+    check("prefix-dim cleanup");
+  }
+  store.ExpireOlderThan(100.0);
+  for (DimId dim = 0; dim < 21; ++dim) {
+    store.ForEachWithPrefixDim(dim, [](VectorId, const ResidualRecord&) {});
+  }
+  check("inverted index drained");
+  EXPECT_EQ(store.ApproxBytes(), 0u);
+  store.Insert(50, ResidualRecord{RawVec({{2, 1.0}}), 0.1, 50.0});
+  store.Clear();
+  check("clear");
+  EXPECT_EQ(store.ApproxBytes(), 0u);
+}
+
+TEST(MemoryOracleTest, PostingMapTotalMatchesWalkThroughFreezeAndExpiry) {
+  // Drives every list mutator directly: appends that grow the circular
+  // tail, freezes (new blocks and amends), front truncation that drops
+  // whole blocks and compacts a half-dead front block, and forward
+  // compaction over straddling blocks.
+  for (Storage storage : {Storage::kTieredExact, Storage::kTieredBf16}) {
+    SCOPED_TRACE(StorageName(storage));
+    const TieredStorageOptions tiered = StorageOptions(storage);
+    PostingMap sorted;    // time-sorted lists: TruncateFront expiry
+    PostingMap unsorted;  // out-of-order lists: CompactExpired expiry
+    FrozenColumns scratch;
+    size_t max_blocks = 0;
+    auto check = [&](uint64_t step) {
+      ASSERT_EQ(sorted.MemoryBytes(), sorted.RecountMemoryBytes()) << step;
+      ASSERT_EQ(unsorted.MemoryBytes(), unsorted.RecountMemoryBytes())
+          << step;
+    };
+    for (uint64_t i = 1; i <= 2000; ++i) {
+      const DimId dim = static_cast<DimId>(i % 3);
+      const double ts = static_cast<double>(i);
+      sorted.Append(dim, i, 0.25 + 0.001 * static_cast<double>(i % 97),
+                    0.5, ts, tiered, i % 5 == 0 ? i : 0);
+      // Every 7th posting carries an old timestamp, as L2AP re-indexing
+      // appends do.
+      unsorted.Append(dim, i, 0.5, 0.25, i % 7 == 0 ? ts - 150.0 : ts,
+                      tiered, i);
+      check(i);
+      if (i % 11 == 0) {
+        PostingList* list = sorted.Find(dim);
+        sorted.TruncateFront(list, list->LowerBoundTs(ts - 120.0));
+        max_blocks = std::max(max_blocks, list->frozen_blocks());
+        check(i);
+      }
+      if (i % 13 == 0) {
+        unsorted.CompactExpired(unsorted.Find(dim), ts - 100.0, &scratch);
+        check(i);
+      }
+    }
+    EXPECT_GT(max_blocks, 1u) << "the stream never froze";
+    sorted.Clear();
+    unsorted.Clear();
+    check(0);
+  }
+}
+
+// Every StreamIndex, built against one storage mode.
+struct IndexVariant {
+  const char* name;
+  std::function<std::unique_ptr<StreamIndex>(const DecayParams&,
+                                             const TieredStorageOptions&)>
+      make;
+};
+
+std::vector<IndexVariant> IndexVariants() {
+  return {
+      {"INV",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<StreamInvIndex>(p, false, t);
+       }},
+      {"L2",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<StreamL2Index>(p, L2IndexOptions{}, false,
+                                                t);
+       }},
+      {"L2AP",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<StreamL2apIndex>(p, 0.0, true, false, t);
+       }},
+      {"AP",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<StreamL2apIndex>(p, 0.0, false, false, t);
+       }},
+      {"L2-SHARDED-2",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<ShardedStreamIndex>(p, 2, L2IndexOptions{},
+                                                     false, t);
+       }},
+      {"L2-SHARDED-4",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<ShardedStreamIndex>(p, 4, L2IndexOptions{},
+                                                     false, t);
+       }},
+      {"INV(gen)",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<GeneralDecayInvIndex>(
+             p.theta, DecayFunction::Exponential(p.lambda), t);
+       }},
+      {"L2(gen)",
+       [](const DecayParams& p, const TieredStorageOptions& t) {
+         return std::make_unique<GeneralDecayL2Index>(
+             p.theta, DecayFunction::Polynomial(2.0, 2.0), t);
+       }},
+  };
+}
+
+class IndexMemoryOracleTest : public ::testing::TestWithParam<Storage> {};
+
+TEST_P(IndexMemoryOracleTest, CounterEqualsWalkAfterEveryArrival) {
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(kTheta, kLambda, &params));
+  const TieredStorageOptions tiered = StorageOptions(GetParam());
+  const Stream stream = OracleStream(17);
+  for (const IndexVariant& variant : IndexVariants()) {
+    SCOPED_TRACE(variant.name);
+    std::unique_ptr<StreamIndex> index = variant.make(params, tiered);
+    CountingSink sink;
+    ASSERT_EQ(index->MemoryBytes(), index->RecountMemoryBytes());
+    for (const StreamItem& item : stream) {
+      index->ProcessArrival(item, &sink);
+      ASSERT_EQ(index->MemoryBytes(), index->RecountMemoryBytes())
+          << "after item " << item.id;
+    }
+    // The stream exercised the paths the totals must follow.
+    EXPECT_GT(index->stats().entries_pruned, 0u);
+    EXPECT_GT(sink.count(), 0u);
+    if (std::string(variant.name) == "L2AP" ||
+        std::string(variant.name) == "AP") {
+      EXPECT_GT(index->stats().reindexed_coords, 0u);
+    }
+    index->Clear();
+    EXPECT_EQ(index->MemoryBytes(), index->RecountMemoryBytes());
+  }
+}
+
+TEST_P(IndexMemoryOracleTest, CounterEqualsWalkAcrossSerializeAndMove) {
+  // The native restore path: Deserialize rebuilds the lists and residuals
+  // through the tracked mutators, and the engine's LoadNative swaps the
+  // scratch index in by move-assignment.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(kTheta, kLambda, &params));
+  const TieredStorageOptions tiered = StorageOptions(GetParam());
+  StreamL2Index source(params, L2IndexOptions{}, false, tiered);
+  CountingSink sink;
+  for (const StreamItem& item : OracleStream(23)) {
+    source.ProcessArrival(item, &sink);
+  }
+  std::stringstream blob;
+  ASSERT_TRUE(source.Serialize(blob));
+  StreamL2Index restored(params, L2IndexOptions{}, false, tiered);
+  std::string error;
+  ASSERT_TRUE(restored.Deserialize(blob, &error)) << error;
+  EXPECT_EQ(restored.MemoryBytes(), restored.RecountMemoryBytes());
+  StreamL2Index live(params, L2IndexOptions{}, false, tiered);
+  live.ProcessArrival(Item(0, 0.0, UnitVec({{1, 1.0}})), &sink);
+  live = std::move(restored);
+  EXPECT_EQ(live.MemoryBytes(), live.RecountMemoryBytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Storages, IndexMemoryOracleTest,
+    ::testing::Values(Storage::kUntiered, Storage::kTieredExact,
+                      Storage::kTieredBf16),
+    [](const ::testing::TestParamInfo<Storage>& info) {
+      return std::string(StorageName(info.param));
+    });
+
+// Engine level: every framework x scheme (and the sharded STR-L2), through
+// the whole engine surface — push, batch, flush, evict + reload (save to
+// a file, fresh stand-in engine, load), in-place checkpoint restore and
+// live scheme migration.
+struct EngineVariant {
+  const char* name;
+  Framework framework;
+  IndexScheme scheme;
+  size_t threads;
+  bool migration;  // false: the native (SSSJENG2) checkpoint path
+};
+
+const EngineVariant kEngineVariants[] = {
+    {"StrInv", Framework::kStreaming, IndexScheme::kInv, 1, true},
+    {"StrL2", Framework::kStreaming, IndexScheme::kL2, 1, true},
+    {"StrL2Native", Framework::kStreaming, IndexScheme::kL2, 1, false},
+    {"StrL2ap", Framework::kStreaming, IndexScheme::kL2ap, 1, true},
+    {"StrL2Sharded2", Framework::kStreaming, IndexScheme::kL2, 2, true},
+    {"StrL2Sharded4", Framework::kStreaming, IndexScheme::kL2, 4, true},
+    {"MbInv", Framework::kMiniBatch, IndexScheme::kInv, 1, true},
+    {"MbAp", Framework::kMiniBatch, IndexScheme::kAp, 1, true},
+    {"MbL2ap", Framework::kMiniBatch, IndexScheme::kL2ap, 1, true},
+    {"MbL2", Framework::kMiniBatch, IndexScheme::kL2, 2, true},
+};
+
+class EngineMemoryOracleTest
+    : public ::testing::TestWithParam<std::tuple<size_t, Storage>> {};
+
+TEST_P(EngineMemoryOracleTest, CounterEqualsWalkThroughEngineSurface) {
+  const EngineVariant& variant = kEngineVariants[std::get<0>(GetParam())];
+  EngineConfig cfg;
+  cfg.framework = variant.framework;
+  cfg.index = variant.scheme;
+  cfg.num_threads = variant.threads;
+  cfg.theta = kTheta;
+  cfg.lambda = kLambda;
+  cfg.tiered = StorageOptions(std::get<1>(GetParam()));
+  cfg.adaptive.enable_migration = variant.migration;
+
+  CountingSink sink;
+  auto made = SssjEngine::Make(cfg, &sink);
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  std::unique_ptr<SssjEngine> engine = *std::move(made);
+  auto check = [&](const std::string& step) {
+    ASSERT_EQ(engine->MemoryBytes(), engine->RecountMemoryBytes()) << step;
+  };
+
+  const Stream stream = OracleStream(29);
+  const size_t third = stream.size() / 3;
+  for (size_t i = 0; i < third; ++i) {
+    ASSERT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
+    check("push " + std::to_string(i));
+  }
+  for (size_t i = third; i < 2 * third; i += 16) {
+    const size_t end = std::min(i + 16, 2 * third);
+    const Stream batch(stream.begin() + static_cast<ptrdiff_t>(i),
+                       stream.begin() + static_cast<ptrdiff_t>(end));
+    EXPECT_EQ(engine->PushBatch(batch).accepted, batch.size());
+    check("batch at " + std::to_string(i));
+  }
+
+  // Evict + reload, exactly as JoinService does it: checkpoint to a file,
+  // swap in a fresh stand-in engine, later load the file into it.
+  const std::string path = ::testing::TempDir() + "memory_oracle_" +
+                           variant.name + "_" +
+                           StorageName(std::get<1>(GetParam())) + ".ckpt";
+  ASSERT_TRUE(engine->SaveCheckpoint(path).ok());
+  check("save");
+  made = SssjEngine::Make(cfg, &sink);
+  ASSERT_TRUE(made.ok());
+  engine = *std::move(made);
+  check("stand-in");
+  ASSERT_TRUE(engine->LoadCheckpoint(path).ok());
+  check("reload");
+  std::remove(path.c_str());
+
+  // In-place restore over live state.
+  std::stringstream blob;
+  ASSERT_TRUE(engine->SaveCheckpoint(blob).ok());
+  ASSERT_TRUE(engine->LoadCheckpoint(blob).ok());
+  check("in-place restore");
+
+  if (variant.migration) {
+    const Framework other_framework =
+        variant.framework == Framework::kStreaming ? Framework::kMiniBatch
+                                                   : Framework::kStreaming;
+    ASSERT_TRUE(engine->SwitchScheme(other_framework, IndexScheme::kL2ap).ok());
+    check("switch away");
+  }
+  for (size_t i = 2 * third; i < stream.size(); ++i) {
+    ASSERT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
+    check("push " + std::to_string(i));
+  }
+  if (variant.migration) {
+    ASSERT_TRUE(engine->SwitchScheme(variant.framework, variant.scheme).ok());
+    check("switch back");
+  }
+  engine->Flush();
+  check("flush");
+  EXPECT_GT(sink.count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, EngineMemoryOracleTest,
+    ::testing::Combine(::testing::Range<size_t>(0, std::size(kEngineVariants)),
+                       ::testing::Values(Storage::kUntiered,
+                                         Storage::kTieredExact,
+                                         Storage::kTieredBf16)),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, Storage>>& info) {
+      return std::string(kEngineVariants[std::get<0>(info.param)].name) +
+             StorageName(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace sssj

@@ -55,7 +55,7 @@ TEST(ResidualStoreTest, PrefixDimIterationFindsMatches) {
   store.Insert(2, Rec(1.0, RawVec({{7, 1.0}})));
   store.Insert(3, Rec(2.0, RawVec({{9, 1.0}})));
   std::vector<VectorId> hits;
-  store.ForEachWithPrefixDim(7, [&](VectorId id, ResidualRecord&) {
+  store.ForEachWithPrefixDim(7, [&](VectorId id, const ResidualRecord&) {
     hits.push_back(id);
   });
   ASSERT_EQ(hits.size(), 2u);
@@ -69,7 +69,7 @@ TEST(ResidualStoreTest, PrefixDimIterationSkipsExpired) {
   store.Insert(2, Rec(10.0, RawVec({{5, 1.0}})));
   store.ExpireOlderThan(5.0);
   std::vector<VectorId> hits;
-  store.ForEachWithPrefixDim(5, [&](VectorId id, ResidualRecord&) {
+  store.ForEachWithPrefixDim(5, [&](VectorId id, const ResidualRecord&) {
     hits.push_back(id);
   });
   ASSERT_EQ(hits.size(), 1u);
@@ -81,26 +81,32 @@ TEST(ResidualStoreTest, PrefixDimIterationSkipsShrunkenPrefixes) {
   // the lazy inverted index must not report it.
   ResidualStore store(/*track_prefix_dims=*/true);
   store.Insert(1, Rec(0.0, RawVec({{2, 1.0}, {5, 1.0}})));
-  store.Find(1)->prefix = RawVec({{2, 1.0}});  // dim 5 moved to the index
+  store.UpdatePrefix(1, /*keep=*/1, /*q=*/0.0);  // dim 5 moved to the index
   std::vector<VectorId> hits;
-  store.ForEachWithPrefixDim(5, [&](VectorId id, ResidualRecord&) {
+  store.ForEachWithPrefixDim(5, [&](VectorId id, const ResidualRecord&) {
     hits.push_back(id);
   });
   EXPECT_TRUE(hits.empty());
   // Stale entries are compacted: a second scan also finds nothing.
-  store.ForEachWithPrefixDim(5, [&](VectorId id, ResidualRecord&) {
+  store.ForEachWithPrefixDim(5, [&](VectorId id, const ResidualRecord&) {
     hits.push_back(id);
   });
   EXPECT_TRUE(hits.empty());
 }
 
 TEST(ResidualStoreTest, RecordMutationThroughIteration) {
+  // Records found through the prefix-dim iteration are updated through
+  // the store (re-indexing's Q refresh), never through the callback.
   ResidualStore store(/*track_prefix_dims=*/true);
   store.Insert(1, Rec(0.0, RawVec({{4, 1.0}}), 0.5));
-  store.ForEachWithPrefixDim(4, [&](VectorId, ResidualRecord& rec) {
-    rec.q = 0.125;
+  std::vector<VectorId> hits;
+  store.ForEachWithPrefixDim(4, [&](VectorId id, const ResidualRecord&) {
+    hits.push_back(id);
   });
+  ASSERT_EQ(hits.size(), 1u);
+  store.UpdatePrefix(hits[0], /*keep=*/1, /*q=*/0.125);
   EXPECT_DOUBLE_EQ(store.Find(1)->q, 0.125);
+  EXPECT_EQ(store.Find(1)->prefix.nnz(), 1u);
 }
 
 TEST(ResidualStoreTest, ClearResetsEverything) {
