@@ -218,11 +218,13 @@ BENCHMARK(BM_TinyListBuildScanSoA);
 
 // ---- Kernel sweep: scalar vs SIMD scoring kernels ----
 // BM_DecayColumn* measures the raw decay kernel (exp over a dense ts
-// column); BM_L2GenerateScan* measures the full generate-phase inner loop
-// (decay + candidate map + l2bound) exactly as l2_phases.h runs it, which
-// is where the long-list (λ=0.001-regime) speedup target lives. Entry
-// timestamps are spread across one time horizon τ = ln(1/θ)/λ so every
-// entry is live and passes admission — the long-window steady state.
+// column); BM_L2GenerateScan* runs the generate phase itself
+// (l2_phases.h: list resolve, decay, candidate map, l2bound) over one
+// long (λ=0.001-regime) list. Its ids are distinct, so every posting is
+// a candidate's first touch and pays one decay: the worst case for the
+// per-candidate decay. Entry timestamps are spread across one time
+// horizon τ = ln(1/θ)/λ so every entry is live and passes admission —
+// the long-window steady state.
 
 constexpr double kKernelTheta = 0.7;
 constexpr double kKernelLambda = 0.001;
@@ -276,45 +278,37 @@ PostingList MakeKernelSweepList(size_t n) {
   return list;
 }
 
+// The production generate scan (L2GenerateCandidates) over one such
+// list. The query is a unit vector whose last coordinate (value 0.12) is
+// the list's dim, so the scan sees rs2 = 1 there; its other coordinate
+// has no list. The scanned coordinate's prefix norm ||x'_i|| is 0.9.
 template <bool kSimd>
 void BM_L2GenerateScan(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const PostingList list = MakeKernelSweepList(n);
-  const double tau = std::log(1.0 / kKernelTheta) / kKernelLambda;
-  const Timestamp now = tau;
-  const double qv = 0.12;   // query coordinate value
-  const double qpn = 0.9;   // query prefix norm ||x'_i||
+  PostingList list = MakeKernelSweepList(n);
+  constexpr DimId kListDim = 1;
+  const double qv = 0.12;
+  DecayParams params;
+  params.theta = kKernelTheta;
+  params.lambda = kKernelLambda;
+  params.tau = std::log(1.0 / kKernelTheta) / kKernelLambda;
+  StreamItem x;
+  x.ts = params.tau;
+  x.vec = SparseVector::FromCoords(
+      {{0, std::sqrt(1.0 - qv * qv)}, {kListDim, qv}});
+  const std::vector<double> prefix_norms = {0.0, 0.9};
   CandidateMap cands;
   L2KernelState kern;
   kern.use_simd = kSimd;
+  L2PhaseStats stats;
   uint64_t admitted = 0;
   for (auto _ : state) {
     cands.Reset();
-    PostingSpan spans[2];
-    const size_t nspans = list.Spans(0, list.size(), spans);
-    for (size_t si = nspans; si-- > 0;) {
-      const PostingSpan& sp = spans[si];
-      const double* decay_col = kern.DecayForSpan(sp, now, kKernelLambda);
-      for (size_t k = sp.len; k-- > 0;) {
-        const double decay =
-            decay_col != nullptr
-                ? decay_col[k]
-                : std::exp(-kKernelLambda * (now - sp.ts[k]));
-        CandidateMap::Slot* slot = cands.FindOrCreate(sp.id[k]);
-        if (slot->score < 0.0) continue;
-        if (slot->score == 0.0) {
-          if (!BoundAtLeast(1.0 * decay, kKernelTheta)) continue;
-          slot->ts = sp.ts[k];
-          cands.NoteAdmitted();
-        }
-        slot->score += qv * sp.value[k];
-        const double l2bound =
-            slot->score + qpn * sp.prefix_norm[k] * decay;
-        if (!BoundAtLeast(l2bound, kKernelTheta)) {
-          slot->score = CandidateMap::kPruned;
-        }
-      }
-    }
+    L2GenerateCandidates(
+        x, params, L2IndexOptions{}, prefix_norms, x.ts - params.tau,
+        [&list](DimId dim) { return dim == kListDim ? &list : nullptr; },
+        [](VectorId) { return true; }, [](PostingList&, size_t) {}, &kern,
+        &cands, &stats);
     admitted += cands.admitted();
     benchmark::DoNotOptimize(admitted);
   }

@@ -28,11 +28,16 @@ namespace sssj {
 class CandidateMap {
  public:
   static constexpr double kPruned = -1.0;
+  // Slot::decay before the scan has evaluated it (a decay is never < 0).
+  static constexpr double kNoDecay = -1.0;
 
   struct Slot {
     VectorId id = kInvalidVectorId;
     double score = 0.0;
     Timestamp ts = 0.0;  // candidate's arrival time (filled on admission)
+    // e^{−λΔt} between the query and this candidate, cached by the scan
+    // on the slot's first non-pruned touch of the generation.
+    double decay = kNoDecay;
     uint32_t generation = 0;
   };
 
@@ -41,15 +46,17 @@ class CandidateMap {
   // Invalidates all slots in O(1).
   void Reset();
 
-  // Returns the slot for `id`, creating a fresh zero slot on first access
-  // in this generation. Never returns nullptr; grows as needed.
+  // Returns the slot for `id`, creating a fresh slot (score 0, kNoDecay)
+  // on first access in this generation. Never returns nullptr; grows as
+  // needed.
   Slot* FindOrCreate(VectorId id);
 
   // Number of distinct ids admitted (score ever made positive) since Reset.
   size_t admitted() const { return admitted_; }
   void NoteAdmitted() { ++admitted_; }
 
-  // Iterates over live candidates (score > 0) of the current generation.
+  // Iterates over live candidates (score > 0) of the current generation,
+  // in the order their slots were first touched since Reset.
   template <typename Fn>  // Fn(VectorId, double score, Timestamp ts)
   void ForEachLive(Fn&& fn) const {
     for (uint32_t idx : touched_) {
@@ -61,19 +68,23 @@ class CandidateMap {
   }
 
   size_t touched_count() const { return touched_.size(); }
+  size_t capacity() const { return slots_.size(); }
 
  private:
+  friend class CandidateMapPeer;  // tests: sets the generation counter
+
   void Grow();
-  size_t Mask(uint64_t h) const { return h & (slots_.size() - 1); }
-  static uint64_t HashId(VectorId id) {
-    uint64_t x = id + 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
+  // Home slot of `id`: Fibonacci hashing, one multiply by 2^64/φ keeping
+  // the product's top log2(capacity) bits. The top bits mix every bit of
+  // the id; the low bits would see only the id's low bits, so ids equal
+  // modulo the capacity would all land in one probe run.
+  size_t Home(VectorId id) const {
+    return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
   std::vector<Slot> slots_;
   std::vector<uint32_t> touched_;  // slot indices used in this generation
+  unsigned shift_ = 0;             // 64 − log2(slots_.size())
   uint32_t generation_ = 1;
   size_t admitted_ = 0;
 };

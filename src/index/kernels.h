@@ -3,7 +3,9 @@
 // columns, decay, sparse dots).
 //
 // Three kernels cover every hot accumulation loop:
-//   DecayColumn   — exp(-λ·(now − ts[k])) for a whole column run; the only
+//   DecayColumn   — exp(-λ·(now − ts[k])) for a whole column run, and
+//                   DecayOne, its one-lane form, which the STR-L2/L2AP
+//                   scans evaluate once per candidate; the only
 //                   tolerance-bearing kernel (polynomial exp instead of
 //                   libm, pinned to the scalar path under 1e-9 relative).
 //   ProductColumn — q · col[k]; lane-wise IEEE multiply, bit-identical to
@@ -41,9 +43,10 @@ void DecayColumn(const Timestamp* ts, size_t n, Timestamp now, double lambda,
 
 // Single-entry decay through the same vector code path (a one-element
 // DecayColumn hits the padded-tail lane), so the value is bit-identical
-// to the one a full column pass would produce for that entry. Sharded
-// workers with sparse candidate ownership use this instead of computing
-// whole columns they would mostly not read.
+// to the one a full column pass would produce for that entry. The
+// generate scans call it once per candidate (L2SlotDecay): a candidate's
+// postings all carry its arrival time, so a column over every posting
+// would mostly recompute values already cached.
 inline double DecayOne(Timestamp ts, Timestamp now, double lambda) {
   double out;
   simd::DecayBlock(&ts, 1, now, lambda, &out);

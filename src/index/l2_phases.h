@@ -12,12 +12,12 @@
 //                                             accumulates (always-true for
 //                                             the sequential index; id-hash
 //                                             partition for a shard worker)
-//   OnExpired     void (PostingList&, size_t n) — what to do when the
-//                                             backward scan hits the first
-//                                             expired entry (truncate
-//                                             eagerly, or defer so the scan
-//                                             stays read-only for
-//                                             concurrent workers)
+//   OnExpired     void (PostingList&, size_t n) — what to do with a
+//                                             list's expired front run of
+//                                             n entries (truncate eagerly,
+//                                             or defer so the scan stays
+//                                             read-only for concurrent
+//                                             workers)
 //
 // Correctness of the candidate partition: every pruning decision in the L2
 // scheme (remscore admission, l2bound early prune, ps1 verification) reads
@@ -33,7 +33,9 @@
 #ifndef SSSJ_INDEX_L2_PHASES_H_
 #define SSSJ_INDEX_L2_PHASES_H_
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -48,55 +50,49 @@
 
 namespace sssj {
 
-// Kernel selection plus the per-caller scratch the vectorized generate
-// scan accumulates into. With use_simd false (the default) every phase
-// runs the exact scalar reference code. With it true, the generate scan
-// precomputes each span's decay column with kernels::DecayColumn before
-// the per-entry walk, and verification's full dot products go through
+// One posting list of the query, as the generate scan's resolve pass
+// left it: the list (null when x's dim has none) and its live count.
+// After expiry the live run is the list's last `live` entries.
+struct L2ResolvedList {
+  const PostingList* list = nullptr;
+  size_t live = 0;
+};
+
+// Kernel selection plus the per-caller scan scratch. With use_simd false
+// (the default) every phase runs the exact scalar reference code. With it
+// true, the generate scan evaluates each candidate's decay with
+// kernels::DecayOne, and verification's full dot products go through
 // kernels::SparseDot. Each concurrent caller (the sequential index, or
-// one shard worker) owns its own state; the decay buffer is reused
-// across spans and arrivals.
+// one shard worker) owns its own state, reused across arrivals, so a
+// steady-state scan allocates nothing.
 struct L2KernelState {
   bool use_simd = false;
-  // How many workers share this scan: each owns ~1/owner_share of the
-  // candidates (1 = sequential, S for a shard worker). Sparse ownership
-  // makes whole-column decay wasteful — every worker would vectorize
-  // exp over ALL entries, S-fold redundant across workers and more
-  // total exp work than the scalar path once S exceeds the vector
-  // speedup. Above the threshold below, workers evaluate decay per
-  // owned entry via kernels::DecayOne instead, which goes through the
-  // same vector code path and is bit-identical to the column values —
-  // so the choice never shows in the output.
-  size_t owner_share = 1;
-  std::vector<double> decay;  // span-sized scratch, grown on demand
+  // The resolve pass's output, one entry per coordinate of the query
+  // (grow-only).
+  std::vector<L2ResolvedList> resolved;
   // Frozen-block decompression scratch for the tiered posting lists:
   // the generate scan thaws one cold block at a time into this buffer.
   // Per caller (sequential index / shard worker), so concurrent workers
   // never share decode state even when reading the same frozen block.
   FrozenColumns posting;
-
-  // Column pays off while the per-worker share of entries is dense
-  // enough that len · (vectorized exp) < (len/S) · (one-lane exp);
-  // with a ~4x lane win that crosses over around S = 4.
-  static constexpr size_t kMaxOwnerShareForColumn = 4;
-
-  // Fills decay[0..len) for a span and returns the buffer; nullptr when
-  // the caller should evaluate per entry instead (scalar path: libm
-  // std::exp; simd path with sparse ownership: kernels::DecayOne). No
-  // span length gate on purpose: span boundaries (buffer wrap points)
-  // can differ between otherwise-identical runs (eager vs deferred
-  // expiry), and the simd path's per-element values must not depend on
-  // how spans batch — DecayColumn and DecayOne guarantee exactly that
-  // (padded tails, see util/simd.h), which keeps the "identical output
-  // for every thread count" determinism bar intact.
-  const double* DecayForSpan(const PostingSpan& sp, Timestamp now,
-                             double lambda) {
-    if (!use_simd || owner_share > kMaxOwnerShareForColumn) return nullptr;
-    if (decay.size() < sp.len) decay.resize(sp.len);
-    kernels::DecayColumn(sp.ts, sp.len, now, lambda, decay.data());
-    return decay.data();
-  }
 };
+
+// The decay e^{−λ(now − ts)} between the query and the candidate in
+// `slot`. Every posting of a vector carries that vector's arrival time,
+// so the factor belongs to the candidate, not the posting: it is
+// evaluated on the slot's first non-pruned touch of the arrival and
+// reused by every later posting. The scalar path evaluates the reference
+// std::exp expression; the simd path kernels::DecayOne, bit-identical to
+// a kernels::DecayColumn lane. Either way the value does not depend on
+// which posting got there first.
+inline double L2SlotDecay(CandidateMap::Slot* slot, Timestamp ts,
+                          Timestamp now, double lambda, bool use_simd) {
+  if (slot->decay == CandidateMap::kNoDecay) {
+    slot->decay = use_simd ? kernels::DecayOne(ts, now, lambda)
+                           : std::exp(-lambda * (now - ts));
+  }
+  return slot->decay;
+}
 
 // Ablation switches for the three ℓ2 pruning rules. Disabling a rule never
 // changes the output (each rule only skips provably-dissimilar work); it
@@ -142,16 +138,25 @@ inline void L2ComputePrefixNorms(const SparseVector& v,
 }
 
 // ---- Phase 1: candidate generation (Algorithm 7, green lines) ----
-// Scans x's dimensions in reverse coordinate order. Lists are time-sorted,
-// so the expired run at the front of each list is located by one binary
-// search on the `ts` column and reported to `on_expired`; the live suffix
-// is then walked newest → oldest over raw per-column pointers,
-// accumulating dot-product contributions into `cands` for every candidate
-// accepted by `owns`. The `id`/`ts` columns are read densely; `value` and
-// `prefix_norm` are only touched for owned, admitted candidates. The
-// traversal visits live entries in exactly the order of the original
-// per-entry scan, so per-candidate floating-point accumulation — and with
-// it the sharded determinism contract — is unchanged.
+// Two passes over x's dimensions in reverse coordinate order.
+//
+// Resolve: look up each list, locate its expired front run by one binary
+// search on the time-sorted `ts` column, report it to `on_expired`, and
+// prefetch the newest `id`/`ts` lines, where the walk will start. The
+// lists are independent, so their cache misses (hash bucket, node, list
+// header, front ts) overlap across the pass instead of each waiting
+// behind the previous list's walk.
+//
+// Walk: each live run newest → oldest over raw per-column pointers,
+// accumulating dot-product contributions into `cands` for every
+// candidate accepted by `owns`. The `id`/`ts` columns are read densely;
+// `value` and `prefix_norm` are only touched for owned, admitted
+// candidates. The list order, the entry order and so the per-candidate
+// floating-point accumulation order are those of the original
+// one-pass scan, which keeps the sharded determinism contract.
+//
+// `kernel` is required: it carries the kernel selection and the resolve
+// and thaw scratch.
 template <typename ListLookup, typename OwnsCandidate, typename OnExpired>
 void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
                           const L2IndexOptions& options,
@@ -162,76 +167,67 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
                           L2PhaseStats* stats) {
   const SparseVector& v = x.vec;
   const size_t n = v.nnz();
-  double rst = v.norm() * v.norm();
-  // Frozen-block decode scratch: the kernel state's buffer when the
-  // caller has one, else a function-local fallback (which allocates only
-  // if a scan actually reaches a frozen block).
-  FrozenColumns local_scratch;
-  FrozenColumns* posting_scratch =
-      kernel != nullptr ? &kernel->posting : &local_scratch;
-  for (size_t i = n; i-- > 0;) {  // reverse coordinate order
-    const Coord& c = v.coord(i);
-    const double rs2 = std::sqrt(std::max(rst, 0.0));
-    PostingList* list = lookup(c.dim);
+  std::vector<L2ResolvedList>& resolved = kernel->resolved;
+  if (resolved.size() < n) resolved.resize(n);
+  for (size_t i = n; i-- > 0;) {
+    PostingList* list = lookup(v.coord(i).dim);
+    size_t live = 0;
     if (list != nullptr && !list->empty()) {
       const size_t expired = list->LowerBoundTs(cutoff);
-      const size_t live = list->size() - expired;
+      live = list->size() - expired;
       if (expired > 0) on_expired(*list, expired);
       // A truncating on_expired leaves the live run at [0, live); a
-      // deferring one leaves it at [expired, size). Either way it is the
-      // last `live` entries, and the walk starts only now because
-      // truncation may rebuild the storage. The block-cursor walk hands
-      // out the hot tail's raw segments first, then decompresses cold
-      // frozen blocks one at a time into the caller's scratch — the
-      // entry visit order (and so per-candidate FP accumulation) is
-      // identical to the untiered two-segment scan.
-      const bool kernel_exp = kernel != nullptr && kernel->use_simd;
-      list->ForSpansNewestFirst(
-          list->size() - live, list->size(), posting_scratch,
-          [&](const PostingSpan& sp) {
-        // SIMD path with dense ownership: one vectorized exp pass over
-        // the span's ts column. SIMD path with sparse ownership (high
-        // shard counts): per owned entry via DecayOne — bit-identical
-        // values, no redundant column work across workers. Scalar path:
-        // per-entry std::exp, the bit-exact reference.
-        const double* decay_col =
-            kernel == nullptr ? nullptr
-                              : kernel->DecayForSpan(sp, x.ts, params.lambda);
-        for (size_t k = sp.len; k-- > 0;) {  // newest entry first
-          const VectorId eid = sp.id[k];
-          if (!owns(eid)) continue;
-          ++stats->entries_traversed;
-          const double decay =
-              decay_col != nullptr
-                  ? decay_col[k]
-                  : (kernel_exp
-                         ? kernels::DecayOne(sp.ts[k], x.ts, params.lambda)
-                         : std::exp(-params.lambda * (x.ts - sp.ts[k])));
-          CandidateMap::Slot* slot = cands->FindOrCreate(eid);
-          if (slot->score < 0.0) continue;  // l2-pruned: final
-          if (slot->score == 0.0) {
-            // remscore = rs2 · e^{−λΔt} (line 7, AP part disabled).
-            if (options.use_remscore_bound &&
-                !BoundAtLeast(rs2 * decay, params.theta)) {
-              continue;
-            }
-            slot->ts = sp.ts[k];
-            cands->NoteAdmitted();
-            ++stats->candidates_generated;
+      // deferring one at [expired, size). Either way it is the last
+      // `live` entries. Prefetch only now: truncation may rebuild the
+      // storage. Map nodes are stable, so `list` itself stays valid.
+      if (live > 0) list->PrefetchNewest();
+    }
+    resolved[i] = L2ResolvedList{list, live};
+  }
+
+  double rst = v.norm() * v.norm();
+  for (size_t i = n; i-- > 0;) {
+    const Coord& c = v.coord(i);
+    const double rs2 = std::sqrt(std::max(rst, 0.0));
+    rst -= c.value * c.value;
+    const L2ResolvedList& r = resolved[i];
+    if (r.live == 0) continue;
+    // The block-cursor walk hands out the hot tail's raw segments first,
+    // then decompresses cold frozen blocks one at a time into the
+    // kernel's scratch — the entry visit order is identical to the
+    // untiered two-segment scan.
+    const size_t size = r.list->size();
+    r.list->ForSpansNewestFirst(
+        size - r.live, size, &kernel->posting, [&](const PostingSpan& sp) {
+      for (size_t k = sp.len; k-- > 0;) {  // newest entry first
+        const VectorId eid = sp.id[k];
+        if (!owns(eid)) continue;
+        ++stats->entries_traversed;
+        CandidateMap::Slot* slot = cands->FindOrCreate(eid);
+        if (slot->score < 0.0) continue;  // l2-pruned: final
+        const double decay = L2SlotDecay(slot, sp.ts[k], x.ts, params.lambda,
+                                         kernel->use_simd);
+        if (slot->score == 0.0) {
+          // remscore = rs2 · e^{−λΔt} (line 7, AP part disabled).
+          if (options.use_remscore_bound &&
+              !BoundAtLeast(rs2 * decay, params.theta)) {
+            continue;
           }
-          slot->score += c.value * sp.value[k];
-          if (options.use_l2bound) {
-            const double l2bound =
-                slot->score + prefix_norms[i] * sp.prefix_norm[k] * decay;
-            if (!BoundAtLeast(l2bound, params.theta)) {
-              slot->score = CandidateMap::kPruned;
-              ++stats->l2_prunes;
-            }
+          slot->ts = sp.ts[k];
+          cands->NoteAdmitted();
+          ++stats->candidates_generated;
+        }
+        slot->score += c.value * sp.value[k];
+        if (options.use_l2bound) {
+          const double l2bound =
+              slot->score + prefix_norms[i] * sp.prefix_norm[k] * decay;
+          if (!BoundAtLeast(l2bound, params.theta)) {
+            slot->score = CandidateMap::kPruned;
+            ++stats->l2_prunes;
           }
         }
-      });
-    }
-    rst -= c.value * c.value;
+      }
+    });
   }
 }
 

@@ -27,12 +27,6 @@ ShardedStreamIndex::ShardedStreamIndex(const DecayParams& params,
   for (Shard& shard : shards_) {
     RoleLock owner(shard.owner);  // construction: no workers exist yet
     shard.kernel.use_simd = use_simd;
-    // Each worker owns ~1/S of the candidates; above the column
-    // threshold the generate scan evaluates decay per owned entry
-    // (kernels::DecayOne) instead of computing every span's full
-    // column S times across the workers. Either way the values are
-    // bit-identical, so the output matches the sequential simd engine.
-    shard.kernel.owner_share = shards_.size();
   }
 }
 

@@ -30,10 +30,10 @@ namespace sssj {
 class StreamL2Index : public StreamIndex {
  public:
   // `use_simd` selects the vectorized scoring kernels (index/kernels.h)
-  // for the generate-phase decay column and the verification dots; false
-  // (default) keeps the bit-exact scalar reference path. `tiered`
-  // enables the frozen-block cold tier under every posting list; with
-  // the exact value tier (default) it never changes output.
+  // for the generate scan's per-candidate decay and the verification
+  // dots; false (default) keeps the bit-exact scalar reference path.
+  // `tiered` enables the frozen-block cold tier under every posting
+  // list; with the exact value tier (default) it never changes output.
   explicit StreamL2Index(const DecayParams& params,
                          const L2IndexOptions& options = {},
                          bool use_simd = false,
@@ -82,7 +82,7 @@ class StreamL2Index : public StreamIndex {
   DecayParams params_;
   L2IndexOptions options_;
   TieredStorageOptions tiered_;
-  L2KernelState kernel_;  // kernel selection + decay + thaw scratch
+  L2KernelState kernel_;  // kernel selection + scan scratch
   PostingMap lists_;
   ResidualStore residuals_;
   CandidateMap cands_;

@@ -47,19 +47,15 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
       NotePruned(lists_.CompactExpired(&list, cutoff, &kernel_.posting));
       list.ForSpansOldestFirst(0, list.size(), &kernel_.posting,
                                [&](const PostingSpan& sp) {
-        // SIMD path: one vectorized exp pass over the span's ts column;
-        // scalar path keeps the per-entry std::exp.
-        const double* decay_col =
-            kernel_.DecayForSpan(sp, x.ts, params_.lambda);
         for (size_t k = 0; k < sp.len; ++k) {  // oldest entry first
           ++stats_.entries_traversed;
           const Timestamp ets = sp.ts[k];
-          const double decay =
-              decay_col != nullptr
-                  ? decay_col[k]
-                  : std::exp(-params_.lambda * (x.ts - ets));
           CandidateMap::Slot* slot = cands_.FindOrCreate(sp.id[k]);
           if (slot->score < 0.0) continue;  // l2-pruned: final
+          // One decay per candidate: re-indexed postings carry their
+          // vector's arrival time too (rec.ts).
+          const double decay = L2SlotDecay(slot, ets, x.ts, params_.lambda,
+                                           kernel_.use_simd);
           if (slot->score == 0.0) {
             const double remscore =
                 use_l2_bounds_ ? std::min(rs1, rs2 * decay) : rs1;

@@ -54,7 +54,8 @@ class StreamL2apIndex : public StreamIndex {
   // we keep it constructible so the ablation bench can reproduce that
   // preliminary finding.
   // `use_simd` selects the vectorized scoring kernels for the forward
-  // scan's decay column and the verification dots (index/kernels.h).
+  // scan's per-candidate decay and the verification dots
+  // (index/kernels.h).
   // `tiered` enables the frozen-block cold tier; L2AP's forward
   // compaction re-freezes straddling blocks instead of assuming time
   // order.
@@ -95,7 +96,7 @@ class StreamL2apIndex : public StreamIndex {
   double ic_theta_;  // index-construction threshold (≤ params_.theta)
   bool use_l2_bounds_;
   TieredStorageOptions tiered_;
-  L2KernelState kernel_;  // kernel selection + decay + thaw scratch
+  L2KernelState kernel_;  // kernel selection + scan scratch
   PostingMap lists_;
   ResidualStore residuals_;
   MaxVector m_;

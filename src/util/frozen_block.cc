@@ -28,6 +28,14 @@ void PutRawDouble(std::vector<uint8_t>* out, double d) {
   out->insert(out->end(), buf, buf + sizeof(double));
 }
 
+// Bytes of padding that bring `offset` to an 8-byte boundary. A raw fp64
+// value column starts there, so scans can read it in place as doubles
+// (bytes_ itself comes from operator new, aligned for any fundamental
+// type).
+size_t PadToDouble(size_t offset) {
+  return (sizeof(double) - offset % sizeof(double)) % sizeof(double);
+}
+
 void PutU16(std::vector<uint8_t>* out, uint16_t v) {
   out->push_back(static_cast<uint8_t>(v & 0xFF));
   out->push_back(static_cast<uint8_t>(v >> 8));
@@ -43,6 +51,8 @@ uint16_t GetU16(const uint8_t* p) {
 // for prefix norms. The exact tier is adaptive: a double-delta candidate
 // (lossless; ~1 byte/entry for constant or regularly spaced columns) is
 // emitted only when it beats raw fp64, selected by one leading flag byte.
+// A raw fp64 payload is zero-padded after the flag to an 8-byte offset
+// within `out`.
 void EncodeValueColumn(const FrozenSourceRun* runs, size_t nruns,
                        bool prefix_norm_column, ValueTier tier, bool round_up,
                        std::vector<uint8_t>* out) {
@@ -60,6 +70,7 @@ void EncodeValueColumn(const FrozenSourceRun* runs, size_t nruns,
       out->insert(out->end(), dd.begin(), dd.end());
     } else {
       out->push_back(0);  // raw fp64 payload
+      out->insert(out->end(), PadToDouble(out->size()), 0);
       for (double d : col) PutRawDouble(out, d);
     }
     return;
@@ -85,13 +96,16 @@ void EncodeValueColumn(const FrozenSourceRun* runs, size_t nruns,
   }
 }
 
-void DecodeValueColumn(const uint8_t* p, const uint8_t* end, size_t n,
-                       ValueTier tier, double* out) {
+// Decodes the section [p, end) of the block buffer starting at `base`.
+void DecodeValueColumn(const uint8_t* base, const uint8_t* p,
+                       const uint8_t* end, size_t n, ValueTier tier,
+                       double* out) {
   switch (tier) {
     case ValueTier::kExact: {
       assert(p < end);
       const uint8_t flag = *p++;
       if (flag == 0) {
+        p += PadToDouble(static_cast<size_t>(p - base));
         assert(static_cast<size_t>(end - p) == n * sizeof(double));
         std::memcpy(out, p, n * sizeof(double));
       } else {
@@ -242,12 +256,12 @@ void FrozenBlock::Thaw(FrozenColumns* out, bool fill_elided_prefix_norm,
   assert(p == base + ts_end_);
   (void)p;
   if (!skip_value) {
-    DecodeValueColumn(base + ts_end_, base + value_end_, n, tier_,
+    DecodeValueColumn(base, base + ts_end_, base + value_end_, n, tier_,
                       out->value.data());
   }
   if (has_prefix_norm_) {
-    DecodeValueColumn(base + value_end_, base + bytes_.size(), n, tier_,
-                      out->prefix_norm.data());
+    DecodeValueColumn(base, base + value_end_, base + bytes_.size(), n,
+                      tier_, out->prefix_norm.data());
   } else if (fill_elided_prefix_norm) {
     std::fill(out->prefix_norm.begin(), out->prefix_norm.end(), 0.0);
   }
@@ -267,7 +281,7 @@ size_t FrozenBlock::CountOlderThan(Timestamp cutoff) const {
   uint64_t prev = 0;
   uint64_t prev_delta = 0;
   for (size_t i = 0; i < count_; ++i) {
-    uint64_t z;
+    uint64_t z = 0;
     p = codec::GetVarint(p, end, &z);
     assert(p != nullptr);
     prev_delta += static_cast<uint64_t>(codec::ZigZagDecode(z));

@@ -174,12 +174,15 @@ class FrozenBlock {
   // doubles sit verbatim inside the compressed byte buffer and scans can
   // read them in place instead of copying them out in Thaw. Returns that
   // in-place column, or nullptr when the column was actually encoded
-  // (quantized tier or double-delta payload). May be unaligned; every
-  // consumer uses unaligned loads (scalar x86-64 or loadu kernels).
+  // (quantized tier or double-delta payload). The encoder pads the
+  // column after its flag byte to an 8-byte offset, so the pointer is
+  // aligned for double.
   const double* inline_exact_values() const {
     if (compressed_ && count_ != 0 && tier_ == ValueTier::kExact &&
         bytes_[ts_end_] == 0) {
-      return reinterpret_cast<const double*>(bytes_.data() + ts_end_ + 1);
+      const size_t start =
+          (ts_end_ + sizeof(double)) & ~(sizeof(double) - 1);
+      return reinterpret_cast<const double*>(bytes_.data() + start);
     }
     return nullptr;
   }
@@ -217,7 +220,9 @@ class FrozenBlock {
   Timestamp max_ts_ = 0.0;
   // Section boundaries within bytes_: ids in [0, id_end), timestamps in
   // [id_end, ts_end), values in [ts_end, value_end), prefix norms in
-  // [value_end, bytes_.size()).
+  // [value_end, bytes_.size()). An exact-tier value section that holds
+  // raw fp64 is its flag byte, zero padding to an 8-byte offset, then
+  // the doubles.
   uint32_t id_end_ = 0;
   uint32_t ts_end_ = 0;
   uint32_t value_end_ = 0;

@@ -34,18 +34,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 
 #include "util/thread_annotations.h"
 
 namespace sssj {
 
-#if defined(__cpp_lib_hardware_interference_size)
-inline constexpr size_t kCacheLineBytes =
-    std::hardware_destructive_interference_size;
-#else
+// Cursor padding. A fixed 64 rather than
+// std::hardware_destructive_interference_size, whose value may change
+// with compiler flags (GCC warns on every use in a header); 64 is what
+// x86-64 gets from it.
 inline constexpr size_t kCacheLineBytes = 64;
-#endif
 
 template <typename T>
 class MpscRing {

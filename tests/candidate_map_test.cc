@@ -2,11 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <set>
+#include <vector>
 
 #include "util/random.h"
 
 namespace sssj {
+
+// CandidateMap's friend: moves the generation counter to the edge of its
+// wrap-around without 2^32 Resets.
+class CandidateMapPeer {
+ public:
+  static void SetGeneration(CandidateMap* m, uint32_t generation) {
+    m->generation_ = generation;
+  }
+};
+
 namespace {
 
 TEST(CandidateMapTest, FreshSlotIsZero) {
@@ -109,6 +122,103 @@ TEST(CandidateMapTest, ManyGenerationsStayIsolated) {
       ASSERT_NEAR(got[id], score, 1e-12);
     }
   }
+}
+
+// Verification emits pairs in ForEachLive order, so that order is part
+// of the output: the order in which slots were first touched since Reset,
+// kept across Grow, with re-touches and pruned slots not disturbing it.
+TEST(CandidateMapTest, ForEachLiveVisitsInFirstTouchOrderAcrossGrow) {
+  CandidateMap m(16);
+  m.Reset();
+  Rng rng(21);
+  std::vector<VectorId> first_touch;
+  std::set<VectorId> seen;
+  std::set<VectorId> pruned;
+  for (int i = 0; i < 3000; ++i) {
+    const VectorId id = rng.NextBelow(2000);
+    CandidateMap::Slot* slot = m.FindOrCreate(id);
+    if (seen.insert(id).second) {
+      first_touch.push_back(id);
+      if (rng.NextBelow(5) == 0) {
+        slot->score = CandidateMap::kPruned;
+        pruned.insert(id);
+      }
+    }
+    if (pruned.count(id) == 0) slot->score += 0.5;
+  }
+  EXPECT_GT(m.capacity(), 16u) << "the map never grew";
+  std::vector<VectorId> expected;
+  for (VectorId id : first_touch) {
+    if (pruned.count(id) == 0) expected.push_back(id);
+  }
+  std::vector<VectorId> visited;
+  m.ForEachLive([&](VectorId id, double, Timestamp) { visited.push_back(id); });
+  EXPECT_EQ(visited, expected);
+}
+
+// Ids equal modulo the slot count are the hash's worst case (an identity
+// hash would send each run to one probe chain): consecutive runs offset
+// by exactly the capacity, and multiples of it, inserted again at every
+// capacity the map grows through.
+TEST(CandidateMapTest, IdsAliasingModuloCapacityStayCorrectThroughGrowth) {
+  CandidateMap m(16);
+  m.Reset();
+  std::vector<VectorId> ids;
+  for (int round = 0; round < 4; ++round) {
+    const VectorId cap = m.capacity();
+    for (VectorId run = 0; run < 8; ++run) {
+      for (VectorId j = 0; j < 16; ++j) ids.push_back(run * cap + j + 1);
+    }
+    for (VectorId k = 1; k <= 64; ++k) ids.push_back(k * cap);
+    for (VectorId id : ids) {
+      CandidateMap::Slot* slot = m.FindOrCreate(id);
+      ASSERT_EQ(slot->id, id);
+      if (slot->score == 0.0) slot->score = static_cast<double>(id);
+    }
+  }
+  EXPECT_GT(m.capacity(), 256u) << "the map never grew";
+  const std::set<VectorId> distinct(ids.begin(), ids.end());
+  for (VectorId id : distinct) {
+    ASSERT_EQ(m.FindOrCreate(id)->score, static_cast<double>(id)) << id;
+  }
+  EXPECT_EQ(m.touched_count(), distinct.size());
+  size_t live = 0;
+  m.ForEachLive([&](VectorId id, double score, Timestamp) {
+    EXPECT_EQ(score, static_cast<double>(id));
+    ++live;
+  });
+  EXPECT_EQ(live, distinct.size());
+}
+
+// The generate scans cache each candidate's decay in its slot; a value
+// left over from an earlier arrival would be read as this arrival's.
+TEST(CandidateMapTest, DecayUnsetOnFirstTouchOfEveryGeneration) {
+  CandidateMap m(16);
+  for (int gen = 0; gen < 50; ++gen) {
+    m.Reset();
+    for (VectorId id = 0; id < 40; ++id) {  // grows in the first generation
+      CandidateMap::Slot* slot = m.FindOrCreate(id * 7);
+      ASSERT_EQ(slot->decay, CandidateMap::kNoDecay) << gen << " " << id;
+      slot->decay = 0.5;
+    }
+    for (VectorId id = 0; id < 40; ++id) {
+      ASSERT_EQ(m.FindOrCreate(id * 7)->decay, 0.5);  // kept within one
+    }
+  }
+}
+
+TEST(CandidateMapTest, DecayUnsetAfterGenerationWrapAround) {
+  CandidateMap m;
+  CandidateMap::Slot* slot = m.FindOrCreate(7);  // stamped generation 1
+  slot->score = 0.5;
+  slot->decay = 0.25;
+  CandidateMapPeer::SetGeneration(&m, UINT32_MAX);
+  m.Reset();  // wraps: hard clear, counting restarts at generation 1
+  // Without the hard clear, 7's old slot would read as current.
+  slot = m.FindOrCreate(7);
+  EXPECT_EQ(slot->score, 0.0);
+  EXPECT_EQ(slot->decay, CandidateMap::kNoDecay);
+  EXPECT_EQ(m.touched_count(), 1u);
 }
 
 }  // namespace

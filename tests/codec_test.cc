@@ -368,5 +368,32 @@ TEST(FrozenBlockTest, CompressesColdRegularData) {
   EXPECT_LT(blk.payload_bytes(), raw / 2);
 }
 
+// Exact-tier blocks whose value column stays raw fp64 serve it in place
+// (inline_exact_values) as const double*, so it must be aligned however
+// long the id and ts sections before it are. The first id's varint
+// length (1..8 bytes) moves the section end through every residue mod 8.
+TEST(FrozenBlockTest, InlineExactValuesAlignedForEveryIdTsSectionLength) {
+  Columns c = RandomColumns(37, 41, false, /*time_sorted=*/true);
+  for (unsigned varint_len = 1; varint_len <= 8; ++varint_len) {
+    const VectorId first =
+        varint_len == 1 ? 1 : VectorId{1} << (7 * (varint_len - 1) - 1);
+    for (size_t i = 0; i < c.id.size(); ++i) c.id[i] = first + i;
+    const FrozenBlock blk = FreezeAll(c, ValueTier::kExact);
+    const double* values = blk.inline_exact_values();
+    ASSERT_NE(values, nullptr) << "random values should stay raw fp64";
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(values) % alignof(double), 0u)
+        << "varint length " << varint_len;
+    FrozenColumns out;
+    blk.Thaw(&out);
+    EXPECT_EQ(out.id, c.id);
+    EXPECT_EQ(out.ts, c.ts);
+    EXPECT_EQ(out.value, c.value);
+    EXPECT_EQ(out.prefix_norm, c.prefix_norm);
+    for (size_t i = 0; i < c.value.size(); ++i) {
+      EXPECT_EQ(values[i], c.value[i]) << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sssj

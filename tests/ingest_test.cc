@@ -285,7 +285,9 @@ TEST(IngestTest, BlockPolicyWaitsForSpaceInsteadOfFailing) {
   // 200 submits through a 2-slot queue: only possible if blocking waits
   // hand off to the pump correctly (a lost wakeup would hang the test).
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE((*engine)->AsyncPush(i, UnitVec({{i % 7, 1.0}})).ok());
+    ASSERT_TRUE(
+        (*engine)->AsyncPush(i, UnitVec({{static_cast<DimId>(i % 7), 1.0}}))
+            .ok());
   }
   ASSERT_TRUE((*engine)->Drain().ok());
   const IngestStats stats = (*engine)->ingest_stats();

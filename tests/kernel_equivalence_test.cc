@@ -139,10 +139,8 @@ TEST_F(KernelEquivalenceTest, StreamingL2apSamePairSetWithinTolerance) {
 // The SIMD kernels are element-wise, batching-invariant, with no
 // cross-lane reductions, so the sharded engine's output is the same for
 // every thread count on the simd path too (and matches the sequential
-// simd run pair for pair). 8 threads exceeds the column threshold
-// (L2KernelState::kMaxOwnerShareForColumn), so this also pins that the
-// per-owned-entry DecayOne path produces the very bits the sequential
-// engine's full-column pass does.
+// simd run pair for pair): each worker evaluates DecayOne once per owned
+// candidate, the same value the sequential scan caches for it.
 TEST_F(KernelEquivalenceTest, ShardedSimdMatchesSequentialSimd) {
   const Stream& stream = WebSpamStream();
   const auto seq = RunEngine(Framework::kStreaming, IndexScheme::kL2,
