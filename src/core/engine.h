@@ -104,13 +104,12 @@ struct EngineConfig {
   std::shared_ptr<ThreadPool> pool;
   // Scoring-kernel selection for the hot posting-scan loops
   // (index/kernels.h). kScalar (default) is the bit-exact reference path.
-  // kSimd selects the vectorized kernels: the MB schemes and STR-INV stay
-  // bit-identical to scalar (their kernels are lane-wise multiplies), and
-  // the STR-L2/L2AP generate phases swap per-entry std::exp for a
-  // vectorized polynomial exp — same pair set on realistic profiles, with
-  // scores equal to the scalar path within 1e-9 relative (the SIMD path
-  // itself is deterministic for a fixed ISA level and for any thread
-  // count). kAuto resolves to kSimd when the CPU has a vector ISA.
+  // kSimd selects the vectorized kernels, all bit-identical to scalar:
+  // the MB schemes and STR-INV scan through lane-wise multiplies, and
+  // verification's sparse dot only advances its merge cursors with
+  // vector compares. The STR-L2/L2AP scans evaluate one std::exp per
+  // candidate on both paths. kAuto resolves to kSimd when the CPU has a
+  // vector ISA.
   KernelMode kernel = KernelMode::kScalar;
   // Tiered posting storage (util/frozen_block.h). Off by default. When
   // enabled, cold prefixes of long posting lists are compacted into

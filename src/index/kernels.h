@@ -2,12 +2,12 @@
 // provides the ISA dispatch; this layer speaks the index's vocabulary:
 // columns, decay, sparse dots).
 //
-// Three kernels cover every hot accumulation loop:
-//   DecayColumn   — exp(-λ·(now − ts[k])) for a whole column run, and
-//                   DecayOne, its one-lane form, which the STR-L2/L2AP
-//                   scans evaluate once per candidate; the only
+// Three kernels:
+//   DecayColumn   — exp(-λ·(now − ts[k])) for a whole column run; the only
 //                   tolerance-bearing kernel (polynomial exp instead of
 //                   libm, pinned to the scalar path under 1e-9 relative).
+//                   No scan calls it: the STR-L2/L2AP scans evaluate one
+//                   std::exp per candidate (l2_phases.h, L2SlotDecay).
 //   ProductColumn — q · col[k]; lane-wise IEEE multiply, bit-identical to
 //                   the scalar expression, so the MB probe paths and the
 //                   STR-INV scan produce bit-identical output either way.
@@ -40,18 +40,6 @@ inline constexpr size_t kMinSimdRun = 8;
 // out[k] = exp(-lambda * (now - ts[k])) for k in [0, n).
 void DecayColumn(const Timestamp* ts, size_t n, Timestamp now, double lambda,
                  double* out);
-
-// Single-entry decay through the same vector code path (a one-element
-// DecayColumn hits the padded-tail lane), so the value is bit-identical
-// to the one a full column pass would produce for that entry. The
-// generate scans call it once per candidate (L2SlotDecay): a candidate's
-// postings all carry its arrival time, so a column over every posting
-// would mostly recompute values already cached.
-inline double DecayOne(Timestamp ts, Timestamp now, double lambda) {
-  double out;
-  simd::DecayBlock(&ts, 1, now, lambda, &out);
-  return out;
-}
 
 // out[k] = q * col[k] for k in [0, n). Bit-identical to the scalar loop.
 void ProductColumn(const double* col, size_t n, double q, double* out);

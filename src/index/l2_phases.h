@@ -58,13 +58,12 @@ struct L2ResolvedList {
   size_t live = 0;
 };
 
-// Kernel selection plus the per-caller scan scratch. With use_simd false
-// (the default) every phase runs the exact scalar reference code. With it
-// true, the generate scan evaluates each candidate's decay with
-// kernels::DecayOne, and verification's full dot products go through
-// kernels::SparseDot. Each concurrent caller (the sequential index, or
-// one shard worker) owns its own state, reused across arrivals, so a
-// steady-state scan allocates nothing.
+// Kernel selection plus the per-caller scan scratch. With use_simd true,
+// verification's full dot products go through kernels::SparseDot
+// (bit-identical to the scalar path); the generate scan is the same on
+// both paths. Each concurrent caller (the sequential index, or one shard
+// worker) owns its own state, reused across arrivals, so a steady-state
+// scan allocates nothing.
 struct L2KernelState {
   bool use_simd = false;
   // The resolve pass's output, one entry per coordinate of the query
@@ -81,15 +80,12 @@ struct L2KernelState {
 // `slot`. Every posting of a vector carries that vector's arrival time,
 // so the factor belongs to the candidate, not the posting: it is
 // evaluated on the slot's first non-pruned touch of the arrival and
-// reused by every later posting. The scalar path evaluates the reference
-// std::exp expression; the simd path kernels::DecayOne, bit-identical to
-// a kernels::DecayColumn lane. Either way the value does not depend on
-// which posting got there first.
+// reused by every later posting; which posting gets there first does
+// not change the value.
 inline double L2SlotDecay(CandidateMap::Slot* slot, Timestamp ts,
-                          Timestamp now, double lambda, bool use_simd) {
+                          Timestamp now, double lambda) {
   if (slot->decay == CandidateMap::kNoDecay) {
-    slot->decay = use_simd ? kernels::DecayOne(ts, now, lambda)
-                           : std::exp(-lambda * (now - ts));
+    slot->decay = std::exp(-lambda * (now - ts));
   }
   return slot->decay;
 }
@@ -141,10 +137,9 @@ inline void L2ComputePrefixNorms(const SparseVector& v,
 // Two passes over x's dimensions in reverse coordinate order.
 //
 // Resolve: look up each list, locate its expired front run by one binary
-// search on the time-sorted `ts` column, report it to `on_expired`, and
-// prefetch the newest `id`/`ts` lines, where the walk will start. The
-// lists are independent, so their cache misses (hash bucket, node, list
-// header, front ts) overlap across the pass instead of each waiting
+// search on the time-sorted `ts` column, and report it to `on_expired`.
+// The lists are independent, so their cache misses (hash bucket, node,
+// list header, front ts) overlap across the pass instead of each waiting
 // behind the previous list's walk.
 //
 // Walk: each live run newest → oldest over raw per-column pointers,
@@ -178,9 +173,7 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
       if (expired > 0) on_expired(*list, expired);
       // A truncating on_expired leaves the live run at [0, live); a
       // deferring one at [expired, size). Either way it is the last
-      // `live` entries. Prefetch only now: truncation may rebuild the
-      // storage. Map nodes are stable, so `list` itself stays valid.
-      if (live > 0) list->PrefetchNewest();
+      // `live` entries. Map nodes are stable, so `list` stays valid.
     }
     resolved[i] = L2ResolvedList{list, live};
   }
@@ -205,8 +198,7 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
         ++stats->entries_traversed;
         CandidateMap::Slot* slot = cands->FindOrCreate(eid);
         if (slot->score < 0.0) continue;  // l2-pruned: final
-        const double decay = L2SlotDecay(slot, sp.ts[k], x.ts, params.lambda,
-                                         kernel->use_simd);
+        const double decay = L2SlotDecay(slot, sp.ts[k], x.ts, params.lambda);
         if (slot->score == 0.0) {
           // remscore = rs2 · e^{−λΔt} (line 7, AP part disabled).
           if (options.use_remscore_bound &&

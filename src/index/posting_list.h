@@ -319,17 +319,6 @@ class PostingList {
     return TailSpans(begin - frozen_live_, end - frozen_live_, out);
   }
 
-  // Hints the caches to fetch the newest entry's `id` and `ts` — where a
-  // newest-first walk starts — so a scan can start the misses of several
-  // lists before walking any of them. Hot tail only (frozen blocks are
-  // reached after the tail, or thawed into scratch); no effect on state.
-  void PrefetchNewest() const {
-    if (store_.empty()) return;
-    const size_t t = store_.size() - 1;
-    __builtin_prefetch(&store_.Get<0>(t));
-    __builtin_prefetch(&store_.Get<3>(t));
-  }
-
   // ---- expiry ----
 
   // First logical index with ts >= cutoff — the number of expired entries

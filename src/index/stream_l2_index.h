@@ -29,9 +29,8 @@ namespace sssj {
 
 class StreamL2Index : public StreamIndex {
  public:
-  // `use_simd` selects the vectorized scoring kernels (index/kernels.h)
-  // for the generate scan's per-candidate decay and the verification
-  // dots; false (default) keeps the bit-exact scalar reference path.
+  // `use_simd` selects the vectorized sparse dot (index/kernels.h) for
+  // the verification dots; it is bit-identical to the scalar path.
   // `tiered` enables the frozen-block cold tier under every posting
   // list; with the exact value tier (default) it never changes output.
   explicit StreamL2Index(const DecayParams& params,

@@ -54,8 +54,7 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
           if (slot->score < 0.0) continue;  // l2-pruned: final
           // One decay per candidate: re-indexed postings carry their
           // vector's arrival time too (rec.ts).
-          const double decay = L2SlotDecay(slot, ets, x.ts, params_.lambda,
-                                           kernel_.use_simd);
+          const double decay = L2SlotDecay(slot, ets, x.ts, params_.lambda);
           if (slot->score == 0.0) {
             const double remscore =
                 use_l2_bounds_ ? std::min(rs1, rs2 * decay) : rs1;

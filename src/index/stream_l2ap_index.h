@@ -53,9 +53,8 @@ class StreamL2apIndex : public StreamIndex {
   // the variant the paper's evaluation omits as "much slower than L2AP";
   // we keep it constructible so the ablation bench can reproduce that
   // preliminary finding.
-  // `use_simd` selects the vectorized scoring kernels for the forward
-  // scan's per-candidate decay and the verification dots
-  // (index/kernels.h).
+  // `use_simd` selects the vectorized sparse dot for the verification
+  // dots (index/kernels.h).
   // `tiered` enables the frozen-block cold tier; L2AP's forward
   // compaction re-freezes straddling blocks instead of assuming time
   // order.

@@ -39,11 +39,16 @@
 
 namespace sssj {
 
-// Cursor padding. A fixed 64 rather than
+// Cursor padding, fixed per architecture rather than
 // std::hardware_destructive_interference_size, whose value may change
-// with compiler flags (GCC warns on every use in a header); 64 is what
-// x86-64 gets from it.
+// with compiler flags (GCC warns on every use in a header). x86-64 keeps
+// the 64 it gets from that constant; aarch64 pads to 128 because some of
+// its cores (Apple M-series, for one) have 128-byte lines.
+#if defined(__aarch64__)
+inline constexpr size_t kCacheLineBytes = 128;
+#else
 inline constexpr size_t kCacheLineBytes = 64;
+#endif
 
 template <typename T>
 class MpscRing {

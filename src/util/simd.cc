@@ -149,17 +149,13 @@ __attribute__((target("avx2,fma"))) void DecayBlockAvx2(const double* ts,
     _mm256_storeu_pd(out + k, ExpAvx2(arg));
   }
   if (k < n) {
-    // Lanes are built and read in registers: a staging array here
-    // compiles to two memcpy calls and a store-forwarding stall, which
-    // dominate the one-element calls of kernels::DecayOne.
-    const size_t rem = n - k;  // 1..3
-    const __m256d vts = _mm256_set_pd(now, rem > 2 ? ts[k + 2] : now,
-                                      rem > 1 ? ts[k + 1] : now, ts[k]);
-    const __m256d e = ExpAvx2(_mm256_mul_pd(vnl, _mm256_sub_pd(vnow, vts)));
-    const __m128d lo = _mm256_castpd256_pd128(e);
-    out[k] = _mm_cvtsd_f64(lo);
-    if (rem > 1) out[k + 1] = _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-    if (rem > 2) out[k + 2] = _mm_cvtsd_f64(_mm256_extractf128_pd(e, 1));
+    double tmp[4] = {now, now, now, now};
+    for (size_t t = k; t < n; ++t) tmp[t - k] = ts[t];
+    const __m256d arg =
+        _mm256_mul_pd(vnl, _mm256_sub_pd(vnow, _mm256_loadu_pd(tmp)));
+    double res[4];
+    _mm256_storeu_pd(res, ExpAvx2(arg));
+    for (size_t t = k; t < n; ++t) out[t] = res[t - k];
   }
 }
 

@@ -17,9 +17,10 @@
 //     horizontal reductions, and sub-register tails are padded through
 //     the same vector code path, so exp(x) has one value per ISA level
 //     no matter where block boundaries fall. Values differ from std::exp
-//     — and across ISA levels — by a few ulp (FMA contraction). The
-//     engine treats the scalar std::exp path as the reference and pins
-//     the SIMD path to it under a 1e-9 relative tolerance.
+//     — and across ISA levels — by a few ulp (FMA contraction); the
+//     kernel tests pin them to std::exp under a 1e-9 relative tolerance.
+//     No engine path calls them: the STR-L2/L2AP scans evaluate one
+//     std::exp per candidate.
 #ifndef SSSJ_UTIL_SIMD_H_
 #define SSSJ_UTIL_SIMD_H_
 

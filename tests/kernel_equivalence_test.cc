@@ -1,9 +1,8 @@
-// Kernel equivalence suite, engine level: kernel=simd must emit the same
-// pair set as kernel=scalar on the WebSpamLike profile for every scheme,
-// with scores equal within 1e-9 relative. For the configurations whose
-// kernels are pure lane-wise multiplies (all MB schemes, STR-INV) the
-// output must be bit-identical; only the STR-L2/L2AP generate phases use
-// the polynomial exp and get the tolerance.
+// Kernel equivalence suite, engine level: kernel=simd must emit the very
+// pairs kernel=scalar emits on the WebSpamLike profile, bit for bit, for
+// every scheme. The scan kernels are lane-wise multiplies, the SIMD
+// sparse dot only moves its merge cursors, and the STR-L2/L2AP scans
+// evaluate one std::exp per candidate on both paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,7 +49,7 @@ std::vector<ResultPair> Sorted(std::vector<ResultPair> pairs) {
 
 void ExpectSamePairs(const std::vector<ResultPair>& scalar_run,
                      const std::vector<ResultPair>& simd_run,
-                     bool expect_bit_identical, const char* what) {
+                     const char* what) {
   // Duplicates would show up as a length mismatch; every field of every
   // pair is compared, not just the similarity.
   const auto s = Sorted(scalar_run);
@@ -61,19 +60,10 @@ void ExpectSamePairs(const std::vector<ResultPair>& scalar_run,
     ASSERT_EQ(s[i].b, v[i].b) << what << ": pair sets differ at " << i;
     EXPECT_EQ(s[i].ta, v[i].ta) << what << ": ta drifted at " << i;
     EXPECT_EQ(s[i].tb, v[i].tb) << what << ": tb drifted at " << i;
-    if (expect_bit_identical) {
-      EXPECT_EQ(s[i].dot, v[i].dot)
-          << what << ": dot drifted for (" << s[i].a << "," << s[i].b << ")";
-      EXPECT_EQ(s[i].sim, v[i].sim)
-          << what << ": sim drifted for (" << s[i].a << "," << s[i].b << ")";
-    } else {
-      EXPECT_NEAR(s[i].dot, v[i].dot, 1e-9 * s[i].dot)
-          << what << ": dot outside tolerance for (" << s[i].a << ","
-          << s[i].b << ")";
-      EXPECT_NEAR(s[i].sim, v[i].sim, 1e-9 * s[i].sim)
-          << what << ": sim outside tolerance for (" << s[i].a << ","
-          << s[i].b << ")";
-    }
+    EXPECT_EQ(s[i].dot, v[i].dot)
+        << what << ": dot drifted for (" << s[i].a << "," << s[i].b << ")";
+    EXPECT_EQ(s[i].sim, v[i].sim)
+        << what << ": sim drifted for (" << s[i].a << "," << s[i].b << ")";
   }
 }
 
@@ -97,8 +87,7 @@ TEST_F(KernelEquivalenceTest, MiniBatchAllSchemesBitIdentical) {
     const auto simd = RunEngine(Framework::kMiniBatch, ix,
                                 KernelMode::kSimd, 1, stream);
     EXPECT_FALSE(scalar.empty()) << "degenerate test input";
-    ExpectSamePairs(scalar, simd, /*expect_bit_identical=*/true,
-                    ToString(ix));
+    ExpectSamePairs(scalar, simd, ToString(ix));
   }
 }
 
@@ -111,11 +100,11 @@ TEST_F(KernelEquivalenceTest, StreamingInvBitIdentical) {
   const auto simd = RunEngine(Framework::kStreaming, IndexScheme::kInv,
                               KernelMode::kSimd, 1, stream);
   EXPECT_FALSE(scalar.empty()) << "degenerate test input";
-  ExpectSamePairs(scalar, simd, /*expect_bit_identical=*/true, "STR-INV");
+  ExpectSamePairs(scalar, simd, "STR-INV");
 }
 
-// STR-L2 and STR-L2AP: the generate phase's decay column uses the
-// vectorized exp — same pair set, scores within 1e-9 relative.
+// STR-L2 and STR-L2AP: both paths evaluate each candidate's decay with
+// std::exp and SparseDot is exact, so the output is bit-identical.
 TEST_F(KernelEquivalenceTest, StreamingL2SamePairSetWithinTolerance) {
   const Stream& stream = WebSpamStream();
   const auto scalar = RunEngine(Framework::kStreaming, IndexScheme::kL2,
@@ -123,7 +112,7 @@ TEST_F(KernelEquivalenceTest, StreamingL2SamePairSetWithinTolerance) {
   const auto simd = RunEngine(Framework::kStreaming, IndexScheme::kL2,
                               KernelMode::kSimd, 1, stream);
   EXPECT_FALSE(scalar.empty()) << "degenerate test input";
-  ExpectSamePairs(scalar, simd, /*expect_bit_identical=*/false, "STR-L2");
+  ExpectSamePairs(scalar, simd, "STR-L2");
 }
 
 TEST_F(KernelEquivalenceTest, StreamingL2apSamePairSetWithinTolerance) {
@@ -133,14 +122,13 @@ TEST_F(KernelEquivalenceTest, StreamingL2apSamePairSetWithinTolerance) {
   const auto simd = RunEngine(Framework::kStreaming, IndexScheme::kL2ap,
                               KernelMode::kSimd, 1, stream);
   EXPECT_FALSE(scalar.empty()) << "degenerate test input";
-  ExpectSamePairs(scalar, simd, /*expect_bit_identical=*/false, "STR-L2AP");
+  ExpectSamePairs(scalar, simd, "STR-L2AP");
 }
 
 // The SIMD kernels are element-wise, batching-invariant, with no
 // cross-lane reductions, so the sharded engine's output is the same for
 // every thread count on the simd path too (and matches the sequential
-// simd run pair for pair): each worker evaluates DecayOne once per owned
-// candidate, the same value the sequential scan caches for it.
+// simd run pair for pair).
 TEST_F(KernelEquivalenceTest, ShardedSimdMatchesSequentialSimd) {
   const Stream& stream = WebSpamStream();
   const auto seq = RunEngine(Framework::kStreaming, IndexScheme::kL2,
@@ -148,8 +136,7 @@ TEST_F(KernelEquivalenceTest, ShardedSimdMatchesSequentialSimd) {
   for (int threads : {2, 4, 8}) {
     const auto sharded = RunEngine(Framework::kStreaming, IndexScheme::kL2,
                                    KernelMode::kSimd, threads, stream);
-    ExpectSamePairs(seq, sharded, /*expect_bit_identical=*/true,
-                    "sharded-simd");
+    ExpectSamePairs(seq, sharded, "sharded-simd");
   }
 }
 
@@ -161,7 +148,7 @@ TEST_F(KernelEquivalenceTest, MiniBatchSimdThreadCountInvariant) {
                              KernelMode::kSimd, 1, stream);
   const auto fanned = RunEngine(Framework::kMiniBatch, IndexScheme::kL2,
                                 KernelMode::kSimd, 4, stream);
-  ExpectSamePairs(seq, fanned, /*expect_bit_identical=*/true, "MB-simd");
+  ExpectSamePairs(seq, fanned, "MB-simd");
 }
 
 }  // namespace

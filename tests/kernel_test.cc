@@ -90,34 +90,6 @@ TEST_P(KernelLevelTest, ExpBlockBatchingInvariant) {
   for (size_t i = 0; i < x.size(); ++i) ASSERT_EQ(whole[i], single[i]);
 }
 
-// The same bar for the decay kernel, whose one-element form DecayOne is
-// what the STR-L2/L2AP scans evaluate per candidate: a whole column,
-// every split of it, and DecayOne per element must agree bitwise.
-TEST_P(KernelLevelTest, DecayColumnBatchingInvariantAndDecayOneMatches) {
-  Rng rng(506);
-  const Timestamp now = 5000.0;
-  const double lambda = 0.01;
-  std::vector<Timestamp> ts(33);
-  for (Timestamp& t : ts) t = now * rng.NextDouble();
-  std::vector<double> whole(ts.size());
-  kernels::DecayColumn(ts.data(), ts.size(), now, lambda, whole.data());
-  for (size_t split = 0; split <= ts.size(); ++split) {
-    std::vector<double> parts(ts.size());
-    kernels::DecayColumn(ts.data(), split, now, lambda, parts.data());
-    kernels::DecayColumn(ts.data() + split, ts.size() - split, now, lambda,
-                         parts.data() + split);
-    for (size_t i = 0; i < ts.size(); ++i) {
-      ASSERT_EQ(whole[i], parts[i])
-          << "split=" << split << " lane=" << i
-          << " level=" << ToString(ActiveSimdLevel());
-    }
-  }
-  for (size_t i = 0; i < ts.size(); ++i) {
-    ASSERT_EQ(whole[i], kernels::DecayOne(ts[i], now, lambda))
-        << "lane=" << i << " level=" << ToString(ActiveSimdLevel());
-  }
-}
-
 TEST_P(KernelLevelTest, ExpBlockExactAtZero) {
   const double xs[] = {0.0, -0.0};
   double out[2];
