@@ -217,8 +217,7 @@ void BM_TinyListBuildScanSoA(benchmark::State& state) {
 BENCHMARK(BM_TinyListBuildScanSoA);
 
 // ---- Kernel sweep: scalar vs SIMD scoring kernels ----
-// BM_DecayColumn* measures the raw decay kernel (exp over a dense ts
-// column); BM_L2GenerateScan* runs the generate phase itself
+// BM_L2GenerateScan* runs the generate phase itself
 // (l2_phases.h: list resolve, decay, candidate map, l2bound) over one
 // long (λ=0.001-regime) list. Its ids are distinct, so every posting is
 // a candidate's first touch and pays one decay: the worst case for the
@@ -228,41 +227,6 @@ BENCHMARK(BM_TinyListBuildScanSoA);
 
 constexpr double kKernelTheta = 0.7;
 constexpr double kKernelLambda = 0.001;
-
-void BM_DecayColumnScalar(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const double tau = std::log(1.0 / kKernelTheta) / kKernelLambda;
-  std::vector<Timestamp> ts(n);
-  for (size_t i = 0; i < n; ++i) ts[i] = static_cast<double>(i) * tau / n;
-  std::vector<double> out(n);
-  const Timestamp now = tau;
-  for (auto _ : state) {
-    for (size_t k = 0; k < n; ++k) {
-      out[k] = std::exp(-kKernelLambda * (now - ts[k]));
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_DecayColumnScalar)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_DecayColumnSimd(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const double tau = std::log(1.0 / kKernelTheta) / kKernelLambda;
-  std::vector<Timestamp> ts(n);
-  for (size_t i = 0; i < n; ++i) ts[i] = static_cast<double>(i) * tau / n;
-  std::vector<double> out(n);
-  const Timestamp now = tau;
-  for (auto _ : state) {
-    kernels::DecayColumn(ts.data(), n, now, kKernelLambda, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-  state.SetLabel(ToString(ActiveSimdLevel()));
-}
-BENCHMARK(BM_DecayColumnSimd)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 
 // One posting list in the long-window steady state: distinct candidate
 // ids, values/prefix-norms in the realistic unit range.

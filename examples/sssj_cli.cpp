@@ -23,12 +23,11 @@
 //   --theta, --lambda    join parameters (defaults 0.7, 0.01)
 //   --kernel=scalar|simd|auto
 //                        scoring kernels for the hot posting scans
-//                        (default scalar = the bit-exact reference path).
-//                        simd vectorizes the decay/product/dot kernels:
-//                        MB and STR-INV output is bit-identical to
-//                        scalar; STR-L2/L2AP scores agree within 1e-9
-//                        relative. auto picks simd when the CPU has a
-//                        vector ISA (AVX2/SSE2/NEON).
+//                        (default scalar = the reference path). simd
+//                        vectorizes the product/dot kernels; output is
+//                        bit-identical to scalar for every scheme. auto
+//                        picks simd when the CPU has a vector ISA
+//                        (AVX2/SSE2/NEON).
 //   --threads=<n>        worker threads for the parallel hot paths
 //                        (default 1 = sequential). STR-L2: the sharded
 //                        index — same pair set and scores, but line order
@@ -104,6 +103,8 @@
 #include <mutex>
 #include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "core/engine.h"
 #include "core/join_service.h"
@@ -254,9 +255,11 @@ int main(int argc, char** argv) {
                  : "text";
   }
   sssj::Stream stream;
+  const sssj::Timer read_timer;
   const sssj::Status read_status =
       format == "bin" ? sssj::ReadBinaryStream(input, &stream)
                       : sssj::ReadTextStream(input, &stream);
+  const double read_secs = read_timer.ElapsedSeconds();
   if (!read_status.ok()) {
     std::fprintf(stderr, "failed to read %s: %s\n", input.c_str(),
                  read_status.ToString().c_str());
@@ -439,6 +442,15 @@ int main(int argc, char** argv) {
     s = engine->stats();
     tau = engine->params().tau;
   }
+  s.elapsed_seconds = secs;
+  struct stat input_stat {};
+  const double input_mb =
+      stat(input.c_str(), &input_stat) == 0
+          ? static_cast<double>(input_stat.st_size) / (1 << 20)
+          : 0.0;
+  std::fprintf(stderr, "read: %zu vectors in %.3f s (%.1f MB/s)\n",
+               stream.size(), read_secs,
+               input_mb / std::max(read_secs, 1e-9));
   std::fprintf(stderr,
                "%s-%s theta=%.3f lambda=%.4g tau=%.4g kernel=%s: "
                "%zu vectors (%zu accepted), %llu pairs, %.3fs (%.0f vec/s)\n",

@@ -30,7 +30,8 @@ struct RunStats {
   uint64_t index_rebuilds = 0;      // MB only: windows indexed
   // Footprint.
   uint64_t peak_index_entries = 0;  // max live posting entries at any time
-  // Wall time, filled by the harness.
+  // Wall time, filled by whoever timed the run (the bench harness,
+  // sssj_cli's push phase).
   double elapsed_seconds = 0.0;
 
   RunStats& operator+=(const RunStats& o);

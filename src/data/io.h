@@ -16,7 +16,9 @@
 //   kInvalidArgument  malformed contents (bad timestamp/coordinate,
 //                     wrong magic, empty vector, decreasing timestamp)
 //   kDataLoss         a binary file ends mid-record
-//   kIoError          the OS failed a write/open-for-write
+//   kIoError          the OS failed a read, write or open-for-write
+//                     (a text stream that fails mid-read, e.g. a
+//                     directory, is an error, not a shorter stream)
 #ifndef SSSJ_DATA_IO_H_
 #define SSSJ_DATA_IO_H_
 

@@ -20,11 +20,6 @@ static_assert(sizeof(Coord) == 16 && offsetof(Coord, dim) == 0 &&
 #endif
 namespace kernels {
 
-void DecayColumn(const Timestamp* ts, size_t n, Timestamp now, double lambda,
-                 double* out) {
-  simd::DecayBlock(ts, n, now, lambda, out);
-}
-
 void ProductColumn(const double* col, size_t n, double q, double* out) {
   simd::ScaleBlock(col, n, q, out);
 }

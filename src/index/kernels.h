@@ -1,13 +1,8 @@
 // Vectorized scoring kernels over the SoA posting columns (util/simd.h
 // provides the ISA dispatch; this layer speaks the index's vocabulary:
-// columns, decay, sparse dots).
+// columns, sparse dots).
 //
-// Three kernels:
-//   DecayColumn   — exp(-λ·(now − ts[k])) for a whole column run; the only
-//                   tolerance-bearing kernel (polynomial exp instead of
-//                   libm, pinned to the scalar path under 1e-9 relative).
-//                   No scan calls it: the STR-L2/L2AP scans evaluate one
-//                   std::exp per candidate (l2_phases.h, L2SlotDecay).
+// Two kernels:
 //   ProductColumn — q · col[k]; lane-wise IEEE multiply, bit-identical to
 //                   the scalar expression, so the MB probe paths and the
 //                   STR-INV scan produce bit-identical output either way.
@@ -36,10 +31,6 @@ namespace kernels {
 // Runs shorter than this stay on the per-entry scalar code: below ~2
 // vector widths the buffer bookkeeping costs more than the lanes save.
 inline constexpr size_t kMinSimdRun = 8;
-
-// out[k] = exp(-lambda * (now - ts[k])) for k in [0, n).
-void DecayColumn(const Timestamp* ts, size_t n, Timestamp now, double lambda,
-                 double* out);
 
 // out[k] = q * col[k] for k in [0, n). Bit-identical to the scalar loop.
 void ProductColumn(const double* col, size_t n, double q, double* out);

@@ -40,102 +40,6 @@ class KernelLevelTest : public ::testing::TestWithParam<SimdLevel> {
   void TearDown() override { ForceSimdLevelForTest(DetectSimdLevel()); }
 };
 
-TEST_P(KernelLevelTest, ExpBlockMatchesStdExp) {
-  Rng rng(101);
-  for (size_t len : kLens) {
-    std::vector<double> x(len);
-    std::vector<double> out(len, -1.0);
-    for (size_t i = 0; i < len; ++i) {
-      // The engine's domain: arguments in [-708, 0].
-      x[i] = -708.0 * rng.NextDouble();
-    }
-    if (len > 0) x[0] = 0.0;
-    if (len > 1) x[1] = -0.0;
-    if (len > 2) x[2] = -4.9e-324;  // denormal argument
-    simd::ExpBlock(x.data(), len, out.data());
-    for (size_t i = 0; i < len; ++i) {
-      const double expected = std::exp(x[i]);
-      EXPECT_NEAR(out[i], expected, 1e-12 * expected)
-          << "x=" << x[i] << " len=" << len << " lane=" << i
-          << " level=" << ToString(ActiveSimdLevel());
-    }
-  }
-}
-
-TEST_P(KernelLevelTest, ExpBlockBatchingInvariant) {
-  // The engine's determinism bar requires exp(x) to have ONE value per
-  // ISA level regardless of how a span batches it: posting-list spans
-  // split at buffer wrap points, which differ between otherwise
-  // identical runs. Evaluate a block in one call, element by element,
-  // and at every offset of a misaligned split — all must agree bitwise.
-  Rng rng(505);
-  std::vector<double> x(33);
-  for (double& v : x) v = -700.0 * rng.NextDouble();
-  std::vector<double> whole(x.size());
-  simd::ExpBlock(x.data(), x.size(), whole.data());
-  for (size_t split = 0; split <= x.size(); ++split) {
-    std::vector<double> parts(x.size());
-    simd::ExpBlock(x.data(), split, parts.data());
-    simd::ExpBlock(x.data() + split, x.size() - split, parts.data() + split);
-    for (size_t i = 0; i < x.size(); ++i) {
-      ASSERT_EQ(whole[i], parts[i])
-          << "split=" << split << " lane=" << i
-          << " level=" << ToString(ActiveSimdLevel());
-    }
-  }
-  std::vector<double> single(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    simd::ExpBlock(x.data() + i, 1, single.data() + i);
-  }
-  for (size_t i = 0; i < x.size(); ++i) ASSERT_EQ(whole[i], single[i]);
-}
-
-TEST_P(KernelLevelTest, ExpBlockExactAtZero) {
-  const double xs[] = {0.0, -0.0};
-  double out[2];
-  simd::ExpBlock(xs, 2, out);
-  EXPECT_EQ(out[0], 1.0);
-  EXPECT_EQ(out[1], 1.0);
-}
-
-TEST_P(KernelLevelTest, ExpBlockUnderflowsToZeroNotGarbage) {
-  // std::exp returns shrinking denormals over [-745.1, -708]; the kernel
-  // must stay within both the relative band (x ≥ -700) and, deeper down,
-  // produce something ≤ the tiniest relevant magnitude, never garbage.
-  const double xs[] = {-700.0, -720.0, -745.0, -746.0, -800.0, -1e9};
-  double out[6];
-  simd::ExpBlock(xs, 6, out);
-  EXPECT_NEAR(out[0], std::exp(-700.0), 1e-12 * std::exp(-700.0));
-  for (int i = 1; i < 6; ++i) {
-    EXPECT_GE(out[i], 0.0);
-    EXPECT_LT(out[i], 1e-300) << "x=" << xs[i];
-  }
-  EXPECT_EQ(out[5], 0.0);
-}
-
-TEST_P(KernelLevelTest, DecayColumnMatchesScalarReference) {
-  Rng rng(202);
-  const double lambda = 0.001;
-  for (size_t len : kLens) {
-    std::vector<Timestamp> ts(len);
-    const Timestamp now = 1000.0;
-    for (size_t i = 0; i < len; ++i) ts[i] = 1000.0 * rng.NextDouble();
-    if (len > 0) ts[0] = now;  // Δt = 0 → decay exactly 1
-    std::vector<double> out(len, -1.0);
-    kernels::DecayColumn(ts.data(), len, now, lambda, out.data());
-    for (size_t i = 0; i < len; ++i) {
-      const double expected = std::exp(-lambda * (now - ts[i]));
-      EXPECT_NEAR(out[i], expected, 1e-12 * expected)
-          << "lane " << i << " of " << len;
-    }
-  }
-  // λ = 0 (no forgetting): decay is exactly 1 everywhere.
-  std::vector<Timestamp> ts(9, 3.0);
-  std::vector<double> out(9);
-  kernels::DecayColumn(ts.data(), 9, 7.0, 0.0, out.data());
-  for (double d : out) EXPECT_EQ(d, 1.0);
-}
-
 TEST_P(KernelLevelTest, ProductColumnBitIdenticalIncludingEdgeValues) {
   Rng rng(303);
   for (size_t len : kLens) {
