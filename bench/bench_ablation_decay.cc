@@ -5,10 +5,11 @@
 // time filtering; what changes is which in-horizon pairs pass the
 // threshold (the tail shape) and the bound tightness.
 #include <cmath>
+#include <cstdio>
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "index/decayed_stream_index.h"
+#include "index/stream_l2_index.h"
 #include "util/timer.h"
 
 namespace sssj {
@@ -16,10 +17,27 @@ namespace {
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
+  flags.RejectUnknown({"scale", "seed", "tsv", "theta", "tau-list"});
   const auto args = bench::ParseCommon(flags, /*default_scale=*/0.7);
   const double theta = flags.GetDouble("theta", 0.7);
   const std::vector<double> taus =
       flags.GetDoubleList("tau-list", {10, 100, 1000});
+  // The getters exit 2 on malformed values; these reject the ones that
+  // parse but define no horizon.
+  if (!(theta > 0.0) || theta > 1.0) {
+    std::fprintf(stderr,
+                 "invalid value for --theta: %g (expected 0 < theta <= 1)\n",
+                 theta);
+    return 2;
+  }
+  for (const double tau : taus) {
+    if (!(tau > 0.0) || !std::isfinite(tau)) {
+      std::fprintf(stderr,
+                   "invalid value in --tau-list: %g (expected finite, > 0)\n",
+                   tau);
+      return 2;
+    }
+  }
   const Stream stream =
       GenerateProfile(DatasetProfile::kRcv1, args.scale, args.seed);
   bench::PrintHeader("Ablation: decay families at matched horizons", stream,
@@ -38,7 +56,7 @@ int Run(int argc, char** argv) {
         DecayFunction::SlidingWindow(tau),
     };
     for (const DecayFunction& f : families) {
-      GeneralDecayL2Index index(theta, f);
+      StreamL2Index index(theta, f);
       CountingSink sink;
       Timer timer;
       for (const StreamItem& item : stream) index.ProcessArrival(item, &sink);

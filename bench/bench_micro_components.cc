@@ -272,7 +272,8 @@ void BM_L2GenerateScan(benchmark::State& state) {
   for (auto _ : state) {
     cands.Reset();
     L2GenerateCandidates(
-        x, params, L2IndexOptions{}, prefix_norms, x.ts - params.tau,
+        x, params.theta, ExponentialDecay{params.lambda}, L2IndexOptions{},
+        prefix_norms, x.ts - params.tau,
         [&list](DimId dim) { return dim == kListDim ? &list : nullptr; },
         [](VectorId) { return true; }, [](PostingList&, size_t) {}, &kern,
         &cands, &stats);

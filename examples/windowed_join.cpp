@@ -1,5 +1,5 @@
 // Classic sliding-window similarity join via the generalized-decay
-// extension: DecayFunction::SlidingWindow turns the STR-L2 machinery into
+// extension: DecayFunction::SlidingWindow turns the STR-L2 index into
 // "report every pair with cosine ≥ θ arriving within W time units", with
 // full ℓ2 content pruning — no similarity decay inside the window.
 //
@@ -7,21 +7,43 @@
 //
 // Compares the three decay families at the same horizon on one stream, to
 // make the semantic difference concrete.
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "core/sinks.h"
 #include "data/generator.h"
-#include "index/decayed_stream_index.h"
+#include "index/stream_l2_index.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
   sssj::Flags flags(argc, argv);
+  flags.RejectUnknown({"window", "theta", "posts"});
   const double window = flags.GetDouble("window", 60.0);
   const double theta = flags.GetDouble("theta", 0.8);
-  const int n = static_cast<int>(flags.GetInt("posts", 2000));
+  const int64_t n = flags.GetInt("posts", 2000);
+  // The getters exit 2 on malformed values; these reject the ones that
+  // parse but define no join (a NaN or negative window, θ outside (0, 1]).
+  if (!(window > 0.0) || !std::isfinite(window)) {
+    std::fprintf(stderr,
+                 "invalid value for --window: %g (expected finite, > 0)\n",
+                 window);
+    return 2;
+  }
+  if (!(theta > 0.0) || theta > 1.0) {
+    std::fprintf(stderr,
+                 "invalid value for --theta: %g (expected 0 < theta <= 1)\n",
+                 theta);
+    return 2;
+  }
+  if (n < 1) {
+    std::fprintf(stderr, "invalid value for --posts: %lld (expected >= 1)\n",
+                 static_cast<long long>(n));
+    return 2;
+  }
 
   sssj::CorpusSpec spec;
-  spec.num_vectors = n;
+  spec.num_vectors = static_cast<uint64_t>(n);
   spec.num_dims = 20000;
   spec.avg_nnz = 15;
   spec.near_dup_rate = 0.12;
@@ -44,12 +66,12 @@ int main(int argc, char** argv) {
       {"polynomial", sssj::DecayFunction::Polynomial(alpha, scale)},
   };
 
-  std::printf("windowed join over %d posts, horizon=%.0f, theta=%.2f\n", n,
-              window, theta);
+  std::printf("windowed join over %lld posts, horizon=%.0f, theta=%.2f\n",
+              static_cast<long long>(n), window, theta);
   std::printf("%-16s %8s %12s %12s  %s\n", "decay", "pairs", "entries",
               "full_dots", "best pair (sim)");
   for (const Family& fam : families) {
-    sssj::GeneralDecayL2Index index(theta, fam.f);
+    sssj::StreamL2Index index(theta, fam.f);
     // Sink chain: count everything, and keep the single best pair — one
     // TeeSink bound once, instead of re-plumbing sinks per use case.
     sssj::CountingSink counter;

@@ -23,16 +23,23 @@ void BruteForceBatchJoin(const std::vector<SparseVector>& data, double theta,
 
 void BruteForceStreamJoin(const Stream& stream, const DecayParams& params,
                           ResultSink* sink) {
+  BruteForceDecayJoin(stream, params.theta,
+                      DecayFunction::Exponential(params.lambda), sink);
+}
+
+void BruteForceDecayJoin(const Stream& stream, double theta,
+                         const DecayFunction& decay, ResultSink* sink) {
+  const double tau = decay.Horizon(theta);
   size_t oldest = 0;  // first index still within the horizon of stream[j]
   for (size_t j = 0; j < stream.size(); ++j) {
     const StreamItem& x = stream[j];
-    while (oldest < j && x.ts - stream[oldest].ts > params.tau) ++oldest;
+    while (oldest < j && x.ts - stream[oldest].ts > tau) ++oldest;
     for (size_t i = oldest; i < j; ++i) {
       const StreamItem& y = stream[i];
       const double d = x.vec.Dot(y.vec);
       if (d <= 0.0) continue;
-      const double sim = d * DecayFactor(params.lambda, x.ts, y.ts);
-      if (sim >= params.theta) {
+      const double sim = d * decay.Eval(x.ts - y.ts);
+      if (sim >= theta) {
         ResultPair p;
         p.a = y.id;
         p.b = x.id;

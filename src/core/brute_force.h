@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "core/decay.h"
 #include "core/result.h"
 #include "core/similarity.h"
 #include "core/stream_item.h"
@@ -22,6 +23,11 @@ void BruteForceBatchJoin(const std::vector<SparseVector>& data, double theta,
 // time-ordered. Each emitted pair is canonicalized (a < b).
 void BruteForceStreamJoin(const Stream& stream, const DecayParams& params,
                           ResultSink* sink);
+
+// Exact sssj under a generalized decay (core/decay.h): all pairs with
+// dot·f(Δt) >= theta within the horizon τ_f(theta).
+void BruteForceDecayJoin(const Stream& stream, double theta,
+                         const DecayFunction& decay, ResultSink* sink);
 
 // Convenience: collect into a sorted vector.
 std::vector<ResultPair> BruteForceStreamJoinSorted(const Stream& stream,

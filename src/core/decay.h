@@ -20,9 +20,16 @@
 //   Exponential(λ):      e^{−λΔt}                 (the paper's definition)
 //   Polynomial(α, s):    (1 + Δt/s)^{−α}          (heavy-tailed forgetting)
 //   SlidingWindow(W):    1 if Δt ≤ W else 0       (classic window join)
+//
+// StreamL2Index and StreamInvIndex therefore accept any DecayFunction: the
+// decay is a compile-time policy of their scans (index/l2_phases.h), and
+// an exponential decay runs the ExponentialDecay instantiation below, the
+// same code as the paper's DecayParams constructors. STR-L2AP stays
+// exponential-only for the m̂λ reason above.
 #ifndef SSSJ_CORE_DECAY_H_
 #define SSSJ_CORE_DECAY_H_
 
+#include <cmath>
 #include <string>
 
 #include "core/types.h"
@@ -41,6 +48,8 @@ class DecayFunction {
   static DecayFunction SlidingWindow(double window);
 
   Kind kind() const { return kind_; }
+  // λ of an Exponential decay; 0 for the other kinds.
+  double lambda() const { return kind_ == Kind::kExponential ? a_ : 0.0; }
 
   // f(Δt) ∈ [0, 1]. Δt < 0 is treated as |Δt|.
   double Eval(double dt) const;
@@ -57,6 +66,13 @@ class DecayFunction {
   Kind kind_;
   double a_;  // λ / α / window
   double b_;  // unused / scale / unused
+};
+
+// e^{−λΔt} as a scan's decay policy: exactly this expression, with no
+// dispatch on the decay kind. Callers pass Δt ≥ 0.
+struct ExponentialDecay {
+  double lambda;
+  double operator()(Timestamp dt) const { return std::exp(-lambda * dt); }
 };
 
 }  // namespace sssj

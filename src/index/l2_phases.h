@@ -2,10 +2,16 @@
 // lines). StreamL2Index originally implemented candidate generation,
 // verification, and index construction as one monolithic ProcessArrival;
 // the phases live here as free function templates so that the sequential
-// index and the sharded parallel index (sharded_stream_index.h) execute
-// the *same* code, bound check for bound check.
+// index (under any decay function) and the sharded parallel index
+// (sharded_stream_index.h) execute the *same* code, bound check for bound
+// check.
 //
-// The templates are parameterized over three policy hooks:
+// The templates are parameterized over four policy hooks:
+//   Decay         double (Timestamp dt)     — the decay factor f(Δt) ≤ 1
+//                                             (ExponentialDecay, the
+//                                             paper's e^{−λΔt}, or any
+//                                             DecayFunction: the ℓ2 bounds
+//                                             only need f ≤ 1, core/decay.h)
 //   ListLookup    PostingList* (DimId)      — where posting lists live
 //                                             (one map, or dim-sharded maps)
 //   OwnsCandidate bool (VectorId)           — which candidates this caller
@@ -39,6 +45,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/decay.h"
 #include "core/result.h"
 #include "core/similarity.h"
 #include "core/stats.h"
@@ -76,16 +83,17 @@ struct L2KernelState {
   FrozenColumns posting;
 };
 
-// The decay e^{−λ(now − ts)} between the query and the candidate in
-// `slot`. Every posting of a vector carries that vector's arrival time,
-// so the factor belongs to the candidate, not the posting: it is
-// evaluated on the slot's first non-pruned touch of the arrival and
-// reused by every later posting; which posting gets there first does
-// not change the value.
-inline double L2SlotDecay(CandidateMap::Slot* slot, Timestamp ts,
-                          Timestamp now, double lambda) {
+// The decay f(now − ts) between the query and the candidate in `slot`.
+// Every posting of a vector carries that vector's arrival time, so the
+// factor belongs to the candidate, not the posting: it is evaluated on
+// the slot's first non-pruned touch of the arrival and reused by every
+// later posting; which posting gets there first does not change the
+// value.
+template <typename Decay>
+double L2SlotDecay(CandidateMap::Slot* slot, Timestamp ts, Timestamp now,
+                   const Decay& decay_fn) {
   if (slot->decay == CandidateMap::kNoDecay) {
-    slot->decay = std::exp(-lambda * (now - ts));
+    slot->decay = decay_fn(now - ts);
   }
   return slot->decay;
 }
@@ -95,9 +103,9 @@ inline double L2SlotDecay(CandidateMap::Slot* slot, Timestamp ts,
 // changes how much work is done — which is exactly what the ablation bench
 // measures. All enabled by default.
 struct L2IndexOptions {
-  bool use_remscore_bound = true;  // admission: rs2·e^{−λΔt} ≥ θ (Alg 7 l.7)
-  bool use_l2bound = true;         // early prune: C + ||x'||·||y'||·e^{−λΔt}
-  bool use_ps1_bound = true;       // verification: (C + Q)·e^{−λΔt} ≥ θ
+  bool use_remscore_bound = true;  // admission: rs2·f(Δt) ≥ θ (Alg 7 l.7)
+  bool use_l2bound = true;         // early prune: C + ||x'||·||y'||·f(Δt)
+  bool use_ps1_bound = true;       // verification: (C + Q)·f(Δt) ≥ θ
 };
 
 // Counters produced by one phase invocation. Workers keep a private copy
@@ -152,8 +160,10 @@ inline void L2ComputePrefixNorms(const SparseVector& v,
 //
 // `kernel` is required: it carries the kernel selection and the resolve
 // and thaw scratch.
-template <typename ListLookup, typename OwnsCandidate, typename OnExpired>
-void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
+template <typename Decay, typename ListLookup, typename OwnsCandidate,
+          typename OnExpired>
+void L2GenerateCandidates(const StreamItem& x, double theta,
+                          const Decay& decay_fn,
                           const L2IndexOptions& options,
                           const std::vector<double>& prefix_norms,
                           Timestamp cutoff, ListLookup&& lookup,
@@ -198,11 +208,10 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
         ++stats->entries_traversed;
         CandidateMap::Slot* slot = cands->FindOrCreate(eid);
         if (slot->score < 0.0) continue;  // l2-pruned: final
-        const double decay = L2SlotDecay(slot, sp.ts[k], x.ts, params.lambda);
+        const double decay = L2SlotDecay(slot, sp.ts[k], x.ts, decay_fn);
         if (slot->score == 0.0) {
-          // remscore = rs2 · e^{−λΔt} (line 7, AP part disabled).
-          if (options.use_remscore_bound &&
-              !BoundAtLeast(rs2 * decay, params.theta)) {
+          // remscore = rs2 · f(Δt) (line 7, AP part disabled).
+          if (options.use_remscore_bound && !BoundAtLeast(rs2 * decay, theta)) {
             continue;
           }
           slot->ts = sp.ts[k];
@@ -213,7 +222,7 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
         if (options.use_l2bound) {
           const double l2bound =
               slot->score + prefix_norms[i] * sp.prefix_norm[k] * decay;
-          if (!BoundAtLeast(l2bound, params.theta)) {
+          if (!BoundAtLeast(l2bound, theta)) {
             slot->score = CandidateMap::kPruned;
             ++stats->l2_prunes;
           }
@@ -226,9 +235,9 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
 // ---- Phase 2: candidate verification (Algorithm 8, green lines) ----
 // Emits every verified pair through `emit` in the (deterministic) order
 // candidates were first touched during generation.
-template <typename EmitFn>
-void L2VerifyCandidates(const StreamItem& x, const DecayParams& params,
-                        const L2IndexOptions& options,
+template <typename Decay, typename EmitFn>
+void L2VerifyCandidates(const StreamItem& x, double theta,
+                        const Decay& decay_fn, const L2IndexOptions& options,
                         const CandidateMap& cands,
                         const ResidualStore& residuals,
                         const L2KernelState* kernel, L2PhaseStats* stats,
@@ -238,17 +247,17 @@ void L2VerifyCandidates(const StreamItem& x, const DecayParams& params,
     ++stats->verify_calls;
     const ResidualRecord* rec = residuals.Find(id);
     if (rec == nullptr) return;  // defensive: record outlives its postings
-    const double decay = std::exp(-params.lambda * (x.ts - ts));
+    const double decay = decay_fn(x.ts - ts);
     if (options.use_ps1_bound) {
       const double ps1 = (score + rec->q) * decay;
-      if (!BoundAtLeast(ps1, params.theta)) return;
+      if (!BoundAtLeast(ps1, theta)) return;
     }
     ++stats->full_dots;
     // SparseDot is bit-identical to x.vec.Dot on both kernel paths; the
     // SIMD variant only accelerates the merge cursors.
     const double s = score + kernels::SparseDot(x.vec, rec->prefix, use_simd);
     const double sim = s * decay;
-    if (sim >= params.theta) {
+    if (sim >= theta) {
       ResultPair p;
       p.a = id;
       p.b = x.id;

@@ -39,7 +39,8 @@ void ShardedStreamIndex::GeneratePhase(const StreamItem& x, Timestamp cutoff,
   shard.pruned = 0;
   shard.cands.Reset();
   L2GenerateCandidates(
-      x, params_, options_, prefix_norms_, cutoff,
+      x, params_.theta, ExponentialDecay{params_.lambda}, options_,
+      prefix_norms_, cutoff,
       [&](DimId dim) -> PostingList* {
         return shards_[dim % S].lists.Find(dim);
       },
@@ -59,8 +60,8 @@ void ShardedStreamIndex::VerifyAndConstructPhase(const StreamItem& x,
   // are analyzed without this function's REQUIRES).
   std::vector<ResultPair>& pairs = shard.pairs;
   L2VerifyCandidates(
-      x, params_, options_, shard.cands, residuals_, &shard.kernel,
-      &shard.phase_stats,
+      x, params_.theta, ExponentialDecay{params_.lambda}, options_,
+      shard.cands, residuals_, &shard.kernel, &shard.phase_stats,
       [&pairs](const ResultPair& p) { pairs.push_back(p); });
   const size_t n = v.nnz();
   for (size_t i = 0; i < n; ++i) {

@@ -7,7 +7,7 @@
 namespace sssj {
 
 void StreamInvIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
-  const Timestamp cutoff = x.ts - params_.tau;
+  const Timestamp cutoff = x.ts - tau_;
   ++stats_.vectors_processed;
 
   // Candidate generation with lazy time filtering: lists are time-sorted,
@@ -45,23 +45,32 @@ void StreamInvIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
     });
   }
 
-  // Verification: the accumulated score is the exact dot product.
-  cands_.ForEachLive([&](VectorId id, double score, Timestamp ts) {
-    ++stats_.verify_calls;
-    const double sim = score * DecayFactor(params_.lambda, x.ts, ts);
-    if (sim >= params_.theta) {
-      ResultPair p;
-      p.a = id;
-      p.b = x.id;
-      p.ta = ts;
-      p.tb = x.ts;
-      p.dot = score;
-      p.sim = sim;
-      p.Canonicalize();
-      sink->Emit(p);
-      ++stats_.pairs_emitted;
-    }
-  });
+  // Verification: the accumulated score is the exact dot product, so the
+  // decay policy enters only here, instantiated once for ExponentialDecay
+  // and once for the other kinds.
+  const auto verify = [&](const auto& decay_fn) {
+    cands_.ForEachLive([&](VectorId id, double score, Timestamp ts) {
+      ++stats_.verify_calls;
+      const double sim = score * decay_fn(std::abs(x.ts - ts));
+      if (sim >= theta_) {
+        ResultPair p;
+        p.a = id;
+        p.b = x.id;
+        p.ta = ts;
+        p.tb = x.ts;
+        p.dot = score;
+        p.sim = sim;
+        p.Canonicalize();
+        sink->Emit(p);
+        ++stats_.pairs_emitted;
+      }
+    });
+  };
+  if (decay_.kind() == DecayFunction::Kind::kExponential) {
+    verify(ExponentialDecay{decay_.lambda()});
+  } else {
+    verify([this](Timestamp dt) { return decay_.Eval(dt); });
+  }
 
   // Index construction: append everything (no prefix filtering).
   for (const Coord& c : x.vec) {

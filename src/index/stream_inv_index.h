@@ -3,12 +3,14 @@
 // backwards (newest first) and, upon meeting the first expired entry,
 // truncates that entry and everything older in one O(expired) operation.
 // Candidate generation accumulates the exact dot product, so verification
-// is just the decayed threshold test.
+// is just the decayed threshold test — which is why the index works
+// unchanged under any DecayFunction (core/decay.h).
 #ifndef SSSJ_INDEX_STREAM_INV_INDEX_H_
 #define SSSJ_INDEX_STREAM_INV_INDEX_H_
 
 #include <vector>
 
+#include "core/decay.h"
 #include "index/candidate_map.h"
 #include "index/posting_list.h"
 #include "index/stream_index.h"
@@ -24,7 +26,22 @@ class StreamInvIndex : public StreamIndex {
   // small: the all-zero prefix_norm column is elided per block).
   explicit StreamInvIndex(const DecayParams& params, bool use_simd = false,
                           const TieredStorageOptions& tiered = {})
-      : params_(params), use_simd_(use_simd), tiered_(tiered) {}
+      : theta_(params.theta),
+        decay_(DecayFunction::Exponential(params.lambda)),
+        tau_(params.tau),
+        use_simd_(use_simd),
+        tiered_(tiered) {}
+
+  // Under a generalized decay f: pairs with dot · f(Δt) ≥ θ, horizon
+  // τ_f(θ). DecayFunction::Exponential(λ) runs the same code, and emits
+  // the same bits, as DecayParams{θ, λ}.
+  StreamInvIndex(double theta, const DecayFunction& decay,
+                 const TieredStorageOptions& tiered = {})
+      : theta_(theta),
+        decay_(decay),
+        tau_(decay.Horizon(theta)),
+        use_simd_(false),
+        tiered_(tiered) {}
 
   void ProcessArrival(const StreamItem& x, ResultSink* sink) override;
   void Clear() override;
@@ -36,7 +53,9 @@ class StreamInvIndex : public StreamIndex {
   }
 
  private:
-  DecayParams params_;
+  double theta_;
+  DecayFunction decay_;
+  double tau_;
   bool use_simd_;
   TieredStorageOptions tiered_;
   PostingMap lists_;

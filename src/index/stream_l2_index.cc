@@ -57,50 +57,16 @@ void SetError(std::string* error, const std::string& msg) {
 }  // namespace
 
 void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
-  const SparseVector& v = x.vec;
-  const Timestamp cutoff = x.ts - params_.tau;
-  ++stats_.vectors_processed;
-  residuals_.ExpireOlderThan(cutoff);
-  if (v.empty()) return;
-
-  L2ComputePrefixNorms(v, &prefix_norms_);
-  L2PhaseStats phase_stats;
-
-  // ---- Candidate generation (Algorithm 7, green lines) ----
-  cands_.Reset();
-  L2GenerateCandidates(
-      x, params_, options_, prefix_norms_, cutoff,
-      [this](DimId dim) -> PostingList* {
-        PostingList* list = lists_.Find(dim);
-        if (list != nullptr) {
-          list->NoteScanned(stats_.vectors_processed);  // scan-rate classifier
-        }
-        return list;
-      },
-      [](VectorId) { return true; },
-      [this](PostingList& list, size_t n) {
-        NotePruned(lists_.TruncateFront(&list, n));
-      },
-      &kernel_, &cands_, &phase_stats);
-
-  // ---- Candidate verification (Algorithm 8, green lines) ----
-  L2VerifyCandidates(x, params_, options_, cands_, residuals_, &kernel_,
-                     &phase_stats,
-                     [sink](const ResultPair& p) { sink->Emit(p); });
-
-  // ---- Index construction (Algorithm 6, green lines) ----
-  const L2IndexSplit split = L2ComputeIndexSplit(v, params_.theta);
-  const size_t n = v.nnz();
-  if (split.first_indexed < n) {
-    residuals_.Insert(x.id, L2MakeResidualRecord(x, split));
-    for (size_t i = split.first_indexed; i < n; ++i) {
-      const Coord& c = v.coord(i);
-      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_,
-                    stats_.vectors_processed);
-    }
-    NoteIndexed(n - split.first_indexed);
+  if (decay_.kind() != DecayFunction::Kind::kExponential) {
+    ProcessUnderDecayFunction(x, sink);
+    return;
   }
-  phase_stats.MergeInto(&stats_);
+  // The local closure gives this instantiation internal linkage: the
+  // compiler then treats it as a function called once and inlines the
+  // scans, and the lookups they make, into it.
+  const ExponentialDecay exponential{decay_.lambda()};
+  ProcessUnder([exponential](Timestamp dt) { return exponential(dt); }, x,
+               sink);
 }
 
 void StreamL2Index::Clear() {
@@ -110,11 +76,12 @@ void StreamL2Index::Clear() {
 }
 
 bool StreamL2Index::Serialize(std::ostream& os) const {
+  if (decay_.kind() != DecayFunction::Kind::kExponential) return false;
   os.write(kCheckpointMagic, sizeof(kCheckpointMagic));
   PutRaw(os, kCheckpointVersion);
   PutRaw(os, kSchemeTagL2);
-  PutRaw(os, params_.theta);
-  PutRaw(os, params_.lambda);
+  PutRaw(os, theta_);
+  PutRaw(os, decay_.lambda());
   PutRaw(os, static_cast<uint64_t>(live_entries_));
 
   PutRaw(os, static_cast<uint64_t>(lists_.size()));
@@ -174,6 +141,10 @@ bool StreamL2Index::Serialize(std::ostream& os) const {
 
 bool StreamL2Index::Deserialize(std::istream& is, std::string* error) {
   Clear();
+  if (decay_.kind() != DecayFunction::Kind::kExponential) {
+    SetError(error, "checkpoints store exponential-decay indexes only");
+    return false;
+  }
   char magic[8];
   is.read(magic, sizeof(magic));
   if (!is.good()) {
@@ -213,12 +184,12 @@ bool StreamL2Index::Deserialize(std::istream& is, std::string* error) {
     SetError(error, "truncated checkpoint (missing parameters)");
     return false;
   }
-  if (theta != params_.theta || lambda != params_.lambda) {
+  if (theta != theta_ || lambda != decay_.lambda()) {
     SetError(error, "checkpoint parameter mismatch: saved theta=" +
                         std::to_string(theta) + " lambda=" +
                         std::to_string(lambda) + ", engine has theta=" +
-                        std::to_string(params_.theta) + " lambda=" +
-                        std::to_string(params_.lambda));
+                        std::to_string(theta_) + " lambda=" +
+                        std::to_string(decay_.lambda()));
     return false;
   }
 

@@ -8,6 +8,7 @@ namespace sssj {
 void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   const SparseVector& v = x.vec;
   const Timestamp cutoff = x.ts - params_.tau;
+  const ExponentialDecay decay_fn{params_.lambda};
   ++stats_.vectors_processed;
   residuals_.ExpireOlderThan(cutoff);
   if (v.empty()) return;
@@ -54,7 +55,7 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
           if (slot->score < 0.0) continue;  // l2-pruned: final
           // One decay per candidate: re-indexed postings carry their
           // vector's arrival time too (rec.ts).
-          const double decay = L2SlotDecay(slot, ets, x.ts, params_.lambda);
+          const double decay = L2SlotDecay(slot, ets, x.ts, decay_fn);
           if (slot->score == 0.0) {
             const double remscore =
                 use_l2_bounds_ ? std::min(rs1, rs2 * decay) : rs1;
@@ -90,7 +91,7 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
     ++stats_.verify_calls;
     const ResidualRecord* rec = residuals_.Find(id);
     if (rec == nullptr) return;
-    const double decay = std::exp(-params_.lambda * (x.ts - ts));
+    const double decay = decay_fn(x.ts - ts);
     const double ps1 = (score + rec->q) * decay;
     if (!BoundAtLeast(ps1, params_.theta)) return;
     const SparseVector& yp = rec->prefix;

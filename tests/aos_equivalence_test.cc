@@ -131,7 +131,8 @@ class AosL2Index {
     }
 
     L2PhaseStats unused;
-    L2VerifyCandidates(x, params_, L2IndexOptions{}, cands_, residuals_,
+    L2VerifyCandidates(x, params_.theta, ExponentialDecay{params_.lambda},
+                       L2IndexOptions{}, cands_, residuals_,
                        /*kernel=*/nullptr, &unused,
                        [out](const ResultPair& p) { out->push_back(p); });
 

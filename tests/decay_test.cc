@@ -1,14 +1,21 @@
-// DecayFunction families and the generalized streaming indexes built on
-// them (the paper's future-work extension), verified against the
-// generalized brute-force oracle.
+// DecayFunction families and the STR-L2 / STR-INV indexes under them
+// (the paper's future-work extension), verified against the generalized
+// brute-force oracle, and the exponential family pinned bit for bit to
+// the paper's DecayParams constructors.
 #include "core/decay.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <sstream>
 #include <tuple>
 
-#include "index/decayed_stream_index.h"
+#include "core/brute_force.h"
+#include "data/profiles.h"
+#include "index/stream_inv_index.h"
+#include "index/stream_l2_index.h"
 #include "tests/test_util.h"
 
 namespace sssj {
@@ -97,7 +104,7 @@ TEST(GeneralizedIndexTest, ExponentialReducesToPaperSemantics) {
   ASSERT_TRUE(DecayParams::Make(0.6, 0.05, &params));
   const DecayFunction f = DecayFunction::Exponential(params.lambda);
 
-  GeneralDecayL2Index index(params.theta, f);
+  StreamL2Index index(params.theta, f);
   CollectorSink sink;
   for (const StreamItem& item : stream) index.ProcessArrival(item, &sink);
 
@@ -106,13 +113,112 @@ TEST(GeneralizedIndexTest, ExponentialReducesToPaperSemantics) {
   EXPECT_EQ(PairSet(sink.pairs()), PairSet(oracle.pairs()));
 }
 
+// Tiny blocks and tails, so short test streams freeze, amend and expire
+// frozen blocks many times over.
+TieredStorageOptions TinyBlockTiers(bool enabled) {
+  TieredStorageOptions tiered;
+  tiered.enabled = enabled;
+  tiered.block_entries = 8;
+  tiered.hot_tail_entries = 16;
+  tiered.dormant_tail_entries = 2;
+  tiered.dormant_after_appends = 4;
+  tiered.cold_freeze_quantum = 2;
+  return tiered;
+}
+
+struct IndexRun {
+  std::vector<ResultPair> pairs;
+  RunStats stats;
+};
+
+IndexRun Drive(StreamIndex* index, const Stream& stream) {
+  CollectorSink sink;
+  for (const StreamItem& item : stream) index->ProcessArrival(item, &sink);
+  return {sink.pairs(), index->stats()};
+}
+
+// Same pairs in the same emission order, every field's bits equal, and
+// every work counter equal (RunStats::ToString prints each one).
+void ExpectBitIdentical(const IndexRun& got, const IndexRun& want) {
+  ASSERT_EQ(got.pairs.size(), want.pairs.size());
+  for (size_t i = 0; i < got.pairs.size(); ++i) {
+    const ResultPair& g = got.pairs[i];
+    const ResultPair& w = want.pairs[i];
+    ASSERT_EQ(g.a, w.a) << "pair " << i;
+    ASSERT_EQ(g.b, w.b) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&g.ta, &w.ta, sizeof(double)), 0) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&g.tb, &w.tb, sizeof(double)), 0) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&g.dot, &w.dot, sizeof(double)), 0) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&g.sim, &w.sim, sizeof(double)), 0) << "pair " << i;
+  }
+  EXPECT_EQ(got.stats.ToString(), want.stats.ToString());
+}
+
+// The exponential DecayFunction runs the production scan instantiation,
+// so StreamL2Index / StreamInvIndex built from (θ, Exponential(λ)) and
+// from DecayParams{θ, λ} must agree bit for bit, untiered and tiered.
+TEST(GeneralizedIndexTest, ExponentialFunctionPinsDecayParamsBitwise) {
+  const Stream streams[] = {
+      GenerateProfile(DatasetProfile::kRcv1, /*scale=*/0.2, /*seed=*/5),
+      GenerateProfile(DatasetProfile::kWebSpam, /*scale=*/0.12, /*seed=*/5),
+  };
+  for (const Stream& stream : streams) {
+    for (const double lambda : {0.001, 0.01, 0.1}) {
+      for (const bool tiered : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << stream.size() << " lambda=" << lambda
+                     << " tiered=" << tiered);
+        const TieredStorageOptions storage = TinyBlockTiers(tiered);
+        DecayParams params;
+        ASSERT_TRUE(DecayParams::Make(0.6, lambda, &params));
+        const DecayFunction f = DecayFunction::Exponential(lambda);
+
+        StreamL2Index l2_params(params, L2IndexOptions{}, false, storage);
+        StreamL2Index l2_function(params.theta, f, storage);
+        const IndexRun l2_want = Drive(&l2_params, stream);
+        EXPECT_GT(l2_want.pairs.size(), 0u);
+        ExpectBitIdentical(Drive(&l2_function, stream), l2_want);
+
+        StreamInvIndex inv_params(params, false, storage);
+        StreamInvIndex inv_function(params.theta, f, storage);
+        ExpectBitIdentical(Drive(&inv_function, stream),
+                           Drive(&inv_params, stream));
+      }
+    }
+  }
+}
+
+// SSSJCKP2 stores (θ, λ) only, so a non-exponential index has no
+// checkpoint: both directions refuse instead of mislabeling the decay.
+TEST(GeneralizedIndexTest, CheckpointRefusesNonExponentialDecay) {
+  StreamL2Index index(0.7, DecayFunction::Polynomial(2.0, 2.0));
+  CollectorSink sink;
+  index.ProcessArrival(Item(0, 0.0, UnitVec({{1, 1.0}})), &sink);
+  std::stringstream blob;
+  EXPECT_FALSE(index.Serialize(blob));
+  EXPECT_TRUE(blob.str().empty());
+
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.7, 0.0, &params));
+  StreamL2Index exponential(params);
+  std::stringstream saved;
+  ASSERT_TRUE(exponential.Serialize(saved));
+  std::string error;
+  EXPECT_FALSE(index.Deserialize(saved, &error));
+  EXPECT_NE(error.find("exponential"), std::string::npos) << error;
+}
+
 enum class GenScheme { kInv, kL2 };
 
 class GeneralizedIndexParamTest
     : public ::testing::TestWithParam<
-          std::tuple<GenScheme, int /*decay family*/, double, uint64_t>> {};
+          std::tuple<GenScheme, int /*decay family*/, double, uint64_t>> {
+ protected:
+  void ExpectMatchesOracle(const TieredStorageOptions& tiered);
+};
 
-TEST_P(GeneralizedIndexParamTest, MatchesGeneralizedOracle) {
+void GeneralizedIndexParamTest::ExpectMatchesOracle(
+    const TieredStorageOptions& tiered) {
   const auto [scheme, family, theta, seed] = GetParam();
   const DecayFunction f =
       family == 0   ? DecayFunction::Exponential(0.03)
@@ -127,13 +233,13 @@ TEST_P(GeneralizedIndexParamTest, MatchesGeneralizedOracle) {
   const Stream stream = RandomStream(spec);
 
   CollectorSink sink;
+  std::unique_ptr<StreamIndex> index;
   if (scheme == GenScheme::kInv) {
-    GeneralDecayInvIndex index(theta, f);
-    for (const StreamItem& item : stream) index.ProcessArrival(item, &sink);
+    index = std::make_unique<StreamInvIndex>(theta, f, tiered);
   } else {
-    GeneralDecayL2Index index(theta, f);
-    for (const StreamItem& item : stream) index.ProcessArrival(item, &sink);
+    index = std::make_unique<StreamL2Index>(theta, f, tiered);
   }
+  for (const StreamItem& item : stream) index->ProcessArrival(item, &sink);
 
   CollectorSink oracle;
   BruteForceDecayJoin(stream, theta, f, &oracle);
@@ -154,6 +260,15 @@ TEST_P(GeneralizedIndexParamTest, MatchesGeneralizedOracle) {
   }
 }
 
+TEST_P(GeneralizedIndexParamTest, MatchesGeneralizedOracle) {
+  ExpectMatchesOracle(TieredStorageOptions{});
+}
+
+// Tiny frozen blocks: every decay family also runs the frozen-block scans.
+TEST_P(GeneralizedIndexParamTest, TieredMatchesGeneralizedOracle) {
+  ExpectMatchesOracle(TinyBlockTiers(true));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, GeneralizedIndexParamTest,
     ::testing::Combine(::testing::Values(GenScheme::kInv, GenScheme::kL2),
@@ -161,11 +276,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.4, 0.7, 0.9),
                        ::testing::Values(81u, 82u)));
 
-// The sliding-window family makes GeneralDecayL2Index a classic windowed
+// The sliding-window family makes StreamL2Index a classic windowed
 // similarity join: a pair inside the window is judged by pure cosine.
 TEST(GeneralizedIndexTest, SlidingWindowKeepsFullSimilarityInWindow) {
   const DecayFunction f = DecayFunction::SlidingWindow(5.0);
-  GeneralDecayL2Index index(0.9, f);
+  StreamL2Index index(0.9, f);
   CollectorSink sink;
   SparseVector v = UnitVec({{1, 1.0}, {2, 1.0}});
   index.ProcessArrival(Item(0, 0.0, v), &sink);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "index/decayed_stream_index.h"
 #include "index/posting_list.h"
 #include "index/residual_store.h"
 #include "index/sharded_stream_index.h"
@@ -365,12 +364,12 @@ std::vector<IndexVariant> IndexVariants() {
        }},
       {"INV(gen)",
        [](const DecayParams& p, const TieredStorageOptions& t) {
-         return std::make_unique<GeneralDecayInvIndex>(
+         return std::make_unique<StreamInvIndex>(
              p.theta, DecayFunction::Exponential(p.lambda), t);
        }},
       {"L2(gen)",
        [](const DecayParams& p, const TieredStorageOptions& t) {
-         return std::make_unique<GeneralDecayL2Index>(
+         return std::make_unique<StreamL2Index>(
              p.theta, DecayFunction::Polynomial(2.0, 2.0), t);
        }},
   };
