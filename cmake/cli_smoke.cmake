@@ -5,7 +5,15 @@
 #   2. sssj_cli joins each file with --output; both pair files must be
 #      non-empty and byte-identical;
 #   3. sssj_cli on a directory must fail (a read error is not an empty
-#      stream).
+#      stream);
+#   4. checkpoint round trip: the text file is split in two, and for
+#      --index=L2, --index=INV, --index=L2AP and --threads=2 the first half
+#      runs with --checkpoint-out and the second with --checkpoint-in. The
+#      two pair files, concatenated, must equal one run over the whole
+#      file: byte for byte, except for L2AP, whose resumed max vector
+#      covers only the live items (so its float summation order can
+#      change) and which must give the same set of pair ids. MB is left
+#      out: sssj_cli flushes its windows before --checkpoint-out.
 #
 #   cmake -DSSSJ_CLI=<path> -DMAKE_DATASET=<path> -DTEXT2BIN=<path>
 #         -DWORK_DIR=<scratch dir> -P cli_smoke.cmake
@@ -64,3 +72,69 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "sssj_cli --input=<a directory> exited 0:\n${err}")
 endif()
 message(STATUS "sssj_cli on a directory (exit ${rc}): ${err}")
+
+# Checkpoint round trip over the two halves of the text stream.
+file(STRINGS "${text}" lines)
+list(LENGTH lines num_lines)
+math(EXPR half "${num_lines} / 2")
+list(SUBLIST lines 0 ${half} head)
+list(SUBLIST lines ${half} -1 tail)
+list(JOIN head "\n" head_text)
+list(JOIN tail "\n" tail_text)
+file(WRITE "${WORK_DIR}/half1.txt" "${head_text}\n")
+file(WRITE "${WORK_DIR}/half2.txt" "${tail_text}\n")
+
+# The "a b" id pairs of a pair file, sorted.
+function(pair_ids path out_var)
+  file(STRINGS "${path}" pair_lines)
+  set(ids "")
+  foreach(line IN LISTS pair_lines)
+    string(REGEX MATCH "^[0-9]+ [0-9]+" id_pair "${line}")
+    list(APPEND ids "${id_pair}")
+  endforeach()
+  list(SORT ids)
+  set(${out_var} "${ids}" PARENT_SCOPE)
+endfunction()
+
+foreach(variant L2 INV L2AP threads2)
+  if(variant STREQUAL "threads2")
+    set(args --threads=2)
+  else()
+    set(args "--index=${variant}")
+  endif()
+  set(dir "${WORK_DIR}/roundtrip-${variant}")
+  file(MAKE_DIRECTORY "${dir}")
+  set(common --theta=0.6 --lambda=0.01 --quiet ${args})
+  run_step("sssj_cli ${variant} whole" "${SSSJ_CLI}" "--input=${text}"
+           ${common} "--output=${dir}/whole.txt")
+  run_step("sssj_cli ${variant} half 1" "${SSSJ_CLI}"
+           "--input=${WORK_DIR}/half1.txt" ${common}
+           "--output=${dir}/half1.pairs" "--checkpoint-out=${dir}/ckpt")
+  run_step("sssj_cli ${variant} half 2" "${SSSJ_CLI}"
+           "--input=${WORK_DIR}/half2.txt" ${common}
+           "--output=${dir}/half2.pairs" "--checkpoint-in=${dir}/ckpt")
+  file(SIZE "${dir}/whole.txt" size)
+  if(size EQUAL 0)
+    message(FATAL_ERROR "sssj_cli ${variant} wrote no pairs")
+  endif()
+  file(READ "${dir}/half1.pairs" first)
+  file(READ "${dir}/half2.pairs" second)
+  file(WRITE "${dir}/resumed.txt" "${first}${second}")
+  if(variant STREQUAL "L2AP")
+    pair_ids("${dir}/whole.txt" whole_ids)
+    pair_ids("${dir}/resumed.txt" resumed_ids)
+    if(NOT whole_ids STREQUAL resumed_ids)
+      message(FATAL_ERROR "${variant}: the resumed run's pair ids differ "
+                          "from the whole run's")
+    endif()
+  else()
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                            "${dir}/whole.txt" "${dir}/resumed.txt"
+                    RESULT_VARIABLE differ)
+    if(NOT differ EQUAL 0)
+      message(FATAL_ERROR "${variant}: the resumed run's pairs differ from "
+                          "the whole run's")
+    endif()
+  endif()
+  message(STATUS "checkpoint round trip ${variant}: resumed == whole")
+endforeach()

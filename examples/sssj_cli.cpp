@@ -15,7 +15,7 @@
 //                        starts on L2, periodically replays a reservoir
 //                        sample of the live stream through cheap shadow
 //                        cores of the competing schemes, and migrates
-//                        live (over the portable checkpoint path) to
+//                        live (over the checkpoint path) to
 //                        whichever combination wins repeatedly. Duel
 //                        verdicts and scheme switches print on stderr.
 //   --duel-epoch=<n>     AUTO only: accepted items per duel epoch
@@ -76,15 +76,17 @@
 //                        score precision (see ARCHITECTURE.md)
 //   --checkpoint-in=<path>
 //                        restore engine state from a checkpoint before
-//                        pushing the stream (STR-L2 single-threaded
-//                        native format; --index=AUTO engines read and
-//                        write the portable format instead, any scheme).
-//                        A corrupt, truncated, or mismatched file exits
-//                        with status 2 and a message naming what was
-//                        wrong — it never runs the join on partial state
+//                        pushing the stream (any framework, index and
+//                        thread count; the file's live items replay
+//                        into this run's engine, and ids continue where
+//                        the saved run stopped). A corrupt, truncated, or
+//                        mismatched file exits with status 2 and a
+//                        message naming what was wrong — it never runs
+//                        the join on partial state
 //   --checkpoint-out=<path>
 //                        save a checkpoint of the final engine state
-//                        after the run (same restrictions)
+//                        after the run (MB flushes its windows first, so
+//                        an MB checkpoint carries no pending pairs)
 //   --memory-budget=<bytes>
 //                        run the join as a JoinService session with a
 //                        service-wide memory cap: pushes that would run

@@ -1,10 +1,11 @@
-// Fuzz target for the two checkpoint loaders — the most complex
-// untrusted-byte parsers in the codebase:
+// Fuzz target for the engine checkpoint loader, the most complex
+// untrusted-byte parser in the codebase: SssjEngine::LoadCheckpoint
+// (SSSJENG3: a header with the stream clock, then a declared number of
+// items, each with a declared number of coordinates; the retired SSSJENG2
+// and SSSJCKP2 magics are refused by name).
 //
-//   * StreamL2Index::Deserialize (SSSJCKP2 container: posting columns,
-//     residual store, per-list headers with declared lengths);
-//   * SssjEngine::LoadCheckpoint (SSSJENG2 envelope wrapping the above).
-//
+// The bytes load into two STR-L2 engines: one that rebuilds its live
+// items from the index and one that keeps them in the retention deque.
 // Invariants: arbitrary bytes never crash, hang, or over-read (ASan);
 // a failed load reports an error and leaves the live engine fully
 // usable (swap-on-success — state must not be half-replaced).
@@ -15,32 +16,16 @@
 #include <string>
 
 #include "core/engine.h"
-#include "core/similarity.h"
-#include "index/stream_l2_index.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
-
-  // Bare index container.
-  {
-    sssj::DecayParams params;
-    const bool ok = sssj::DecayParams::Make(0.7, 0.01, &params);
-    assert(ok);
-    sssj::StreamL2Index index(params);
-    std::istringstream is(bytes);
-    std::string error;
-    if (!index.Deserialize(is, &error)) {
-      assert(!error.empty());  // every rejection names its reason
-    }
-  }
-
-  // Full engine envelope, then prove the engine survived a bad load.
-  {
+  for (const bool retaining : {false, true}) {
     sssj::EngineConfig cfg;
     cfg.framework = sssj::Framework::kStreaming;
     cfg.index = sssj::IndexScheme::kL2;
     cfg.theta = 0.7;
     cfg.lambda = 0.01;
+    cfg.adaptive.enable_migration = retaining;
     auto engine = sssj::SssjEngine::Make(cfg);
     assert(engine.ok());
     std::istringstream is(bytes);
@@ -56,6 +41,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // past 1e9 (timestamp-regression reject); after a failed one the
     // engine is untouched and the push must land.
     if (!st.ok()) assert(push.ok());
+    // A loaded engine saves again, through the rebuild or the deque.
+    std::ostringstream os;
+    assert((*engine)->SaveCheckpoint(os).ok());
   }
   return 0;
 }

@@ -12,6 +12,7 @@
 // Idempotent: output depends only on the library, so re-running after a
 // format change refreshes the corpus in place (commit the diff).
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -78,8 +79,11 @@ int main(int argc, char** argv) {
       return 1;
   }
 
-  // Engine checkpoint (SSSJENG2 wrapping SSSJCKP2): valid, truncated at
-  // an interior boundary, and magic-corrupted.
+  // Engine checkpoint (SSSJENG3, from an engine that rebuilds its live
+  // items from the index): valid, truncated at an interior boundary,
+  // magic-corrupted, and one seed per validation the loader makes — a
+  // corrupt item header, items out of order, a non-unit vector, a
+  // parameter mismatch and the retired SSSJENG2 magic.
   {
     sssj::EngineConfig cfg;
     cfg.framework = sssj::Framework::kStreaming;
@@ -114,12 +118,49 @@ int main(int argc, char** argv) {
     corrupt[0] ^= 0x20;
     if (!WriteBytes(root + "/fuzz_checkpoint/engine_badmagic.bin", corrupt))
       return 1;
-    // The embedded index container starts right after the engine header;
-    // the envelope bytes also serve the bare Deserialize loader, and a
-    // deep-truncated tail lands inside the posting columns.
+    // A deep-truncated tail lands inside the last item's coordinates.
     if (!WriteBytes(root + "/fuzz_checkpoint/engine_tail_cut.bin",
                     bytes.substr(0, bytes.size() - 5)))
       return 1;
+    // Layout (SssjEngine::SaveCheckpoint): theta at byte 14, then the
+    // items from byte 63, each { u64 id, f64 ts, u32 nnz, nnz × (u32 dim,
+    // f64 value) }.
+    constexpr size_t kThetaOffset = 14;
+    constexpr size_t kFirstItem = 63;
+    uint32_t nnz = 0;
+    std::memcpy(&nnz, &bytes[kFirstItem + 16], sizeof(nnz));
+    const size_t first_value = kFirstItem + 20 + sizeof(uint32_t);
+    const size_t second_item = kFirstItem + 20 + nnz * 12;
+    if (bytes.size() < second_item + 8) {
+      std::fprintf(stderr, "engine checkpoint holds fewer than 2 items\n");
+      return 1;
+    }
+    auto put_double = [](std::string* s, size_t at, double v) {
+      std::memcpy(&(*s)[at], &v, sizeof(v));
+    };
+    std::string bad_header = bytes;
+    std::memset(&bad_header[kFirstItem], 0xFF, 8);  // id past next_id
+    std::string out_of_order = bytes;
+    std::memcpy(&out_of_order[second_item], &bytes[kFirstItem], 8);
+    std::string non_unit = bytes;
+    double value = 0.0;
+    std::memcpy(&value, &bytes[first_value], sizeof(value));
+    put_double(&non_unit, first_value, 2.0 * value);
+    std::string mismatch = bytes;
+    put_double(&mismatch, kThetaOffset, 0.8);
+    std::string retired = bytes;
+    retired.replace(0, 8, "SSSJENG2");
+    for (const auto& [name, seed] :
+         {std::pair<const char*, const std::string&>{"bad_item_header",
+                                                     bad_header},
+          {"items_out_of_order", out_of_order},
+          {"non_unit", non_unit},
+          {"param_mismatch", mismatch},
+          {"retired_eng2", retired}}) {
+      if (!WriteBytes(root + "/fuzz_checkpoint/engine_" + name + ".bin",
+                      seed))
+        return 1;
+    }
   }
 
   // Cluster wire payloads: one valid seed per decoder, prefixed with the

@@ -158,8 +158,9 @@ EngineConfig WireConfig::ToEngineConfig() const {
   config.theta = theta;
   config.lambda = lambda;
   config.normalize_inputs = normalize_inputs;
-  // Every cluster session must speak the portable SSSJENG3 checkpoint:
-  // it is the wire format for migration and crash-restore.
+  // Checkpoints are the wire format for migration and crash-restore, and
+  // the supervisor pulls one every few operations: the retention deque
+  // this keeps makes each pull a copy instead of an index scan.
   config.adaptive.enable_migration = true;
   return config;
 }

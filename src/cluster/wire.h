@@ -189,8 +189,8 @@ class WireReader {
 // The deterministic engine-config subset that travels with a session.
 // Execution knobs (threads, kernels, tiering, ingestion) stay host-local:
 // the worker resolves them, so two placements of one session always
-// produce bit-identical output. enable_migration is implied — every
-// cluster session must speak the portable checkpoint format.
+// produce bit-identical output. enable_migration is implied, so every
+// cluster session keeps the retention deque its checkpoint pulls copy.
 struct WireConfig {
   Framework framework = Framework::kStreaming;
   IndexScheme index = IndexScheme::kL2;

@@ -220,9 +220,9 @@ Reply Worker::HandleRestore(const std::string& payload) {
   std::istringstream is(req.checkpoint);
   status = service_.LoadCheckpoint(*handle, is);
   if (!status.ok()) {
-    // Roll the half-born session back: a refused restore (truncated
-    // bytes, or a native SSSJENG2 checkpoint migration cannot use) must
-    // leave the worker exactly as it was.
+    // Roll the half-born session back: a refused restore (truncated or
+    // corrupt bytes, or a retired checkpoint format) must leave the
+    // worker exactly as it was.
     service_.AbandonSession(*handle);
     return ErrorReply(std::move(status));
   }

@@ -9,13 +9,13 @@
 // after a crash the supervisor can replay un-acked operations and
 // suppress the pairs of already-acked ones.
 //
-// Session state never leaves the engine's portable SSSJENG3 checkpoint
-// format: kCheckpoint returns those bytes, kMigrateOut returns them and
-// destroys the session WITHOUT flushing (the pending MB pairs travel
-// inside the bytes), kRestore creates a session and loads them. A
-// kRestore whose bytes the engine refuses — truncated, corrupt, or a
-// native SSSJENG2 checkpoint that cannot carry the live item set — rolls
-// the half-born session back, leaving the worker pristine.
+// Session state never leaves the engine's SSSJENG3 checkpoint format:
+// kCheckpoint returns those bytes, kMigrateOut returns them and destroys
+// the session WITHOUT flushing (the pending MB pairs travel inside the
+// bytes), kRestore creates a session and loads them. A kRestore whose
+// bytes the engine refuses — truncated, corrupt, or a retired format
+// such as SSSJENG2 — rolls the half-born session back, leaving the
+// worker pristine.
 //
 // The worker is single-threaded by design: one serve loop, sessions
 // forced to num_threads = 1, requests totally ordered per connection.

@@ -69,10 +69,10 @@ struct DuelVerdict {
 
 // Knobs for the adaptive runtime. Carried by EngineConfig::adaptive.
 struct AdaptiveOptions {
-  // Enables live scheme migration: SssjEngine::SwitchScheme plus the
-  // portable (SSSJENG3) checkpoint format that any framework×scheme can
-  // save and load. Costs STR cores an in-horizon retention buffer
-  // (roughly doubling their resident bytes). Implied by
+  // Enables live scheme migration (SssjEngine::SwitchScheme). STR cores
+  // then keep an in-horizon retention deque that checkpoints copy instead
+  // of rebuilding the live items from the index; it costs resident bytes
+  // (+1.2% to +21% of live state on the perfbench workloads). Implied by
   // IndexScheme::kAuto.
   bool enable_migration = false;
   // Accepted items per duel epoch.

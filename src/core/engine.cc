@@ -55,7 +55,7 @@ ResultSink* OrDiscard(ResultSink* sink) {
 }
 
 // Suppresses pairs that were already reported before a migration or
-// portable restore: a pair whose BOTH ids are below the watermark was
+// checkpoint restore: a pair whose BOTH ids are below the watermark was
 // emitted by the pre-snapshot engine, and the replayed core will
 // re-detect it (STR targets re-join the replayed items; MB targets
 // re-emit them at later window closes).
@@ -72,9 +72,6 @@ class WatermarkFilterSink : public ResultSink {
   ResultSink* down_;
   VectorId watermark_;
 };
-
-const char* kNativeOnlyMessage =
-    "checkpointing is supported for single-threaded STR-L2 only";
 
 template <typename T>
 void WriteRaw(std::ostream& os, const T& value) {
@@ -198,10 +195,15 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
     case IndexScheme::kAuto:
       return Status::Internal("invalid STR scheme slipped past validation");
   }
-  // Migration serializes the live item set, which STR does not otherwise
-  // keep; only migration-capable engines pay for the retention buffer.
+  // A checkpoint of an STR core rebuilds the live items from the index
+  // unless the core keeps them in the retention deque. Migration-capable
+  // engines keep it: SwitchScheme and the fleet's checkpoint pulls copy it
+  // instead of scanning the index. So does a lossy value tier, whose
+  // bf16/f16 frozen blocks cannot give the exact values back.
+  const bool lossy_tier = config.tiered.enabled &&
+                          config.tiered.value_tier != ValueTier::kExact;
   const bool retain_live = config.adaptive.enable_migration ||
-                           config.index == IndexScheme::kAuto;
+                           config.index == IndexScheme::kAuto || lossy_tier;
   std::unique_ptr<JoinCore> core = std::make_unique<StreamingJoin>(
       params, std::move(index), retain_live);
   return core;
@@ -508,27 +510,28 @@ bool SssjEngine::MigrationEnabled() const {
          config_.index == IndexScheme::kAuto;
 }
 
-bool SssjEngine::NativeCheckpointable() const {
-  return active_framework_ == Framework::kStreaming &&
-         active_scheme_ == IndexScheme::kL2 && config_.num_threads <= 1;
-}
-
 namespace {
 
-// Engine-level checkpoint headers: magic + version, then the stream clock.
-// ENG2 (native) carries the index's own (versioned, parameter-validated)
-// record; ENG3 (portable) carries the live item set any scheme can replay.
-constexpr char kEngineCheckpointMagic[8] = {'S', 'S', 'S', 'J',
-                                            'E', 'N', 'G', '2'};
-constexpr char kPortableCheckpointMagic[8] = {'S', 'S', 'S', 'J',
-                                              'E', 'N', 'G', '3'};
-constexpr uint32_t kPortableVersion = 3;
+// Engine checkpoint header: magic + version, then the stream clock and the
+// live item set any framework×scheme can replay.
+constexpr char kCheckpointMagic[8] = {'S', 'S', 'S', 'J', 'E', 'N', 'G', '3'};
+constexpr uint32_t kCheckpointVersion = 3;
+
+// Formats older builds wrote and this one refuses by name.
+struct RetiredFormat {
+  const char* magic;
+  const char* what;
+};
+constexpr RetiredFormat kRetiredFormats[] = {
+    {"SSSJENG2", "native STR-L2 engine checkpoint"},
+    {"SSSJCKP2", "STR-L2 index image"},
+};
 
 }  // namespace
 
-Status SssjEngine::SavePortable(std::ostream& os) const {
-  os.write(kPortableCheckpointMagic, sizeof(kPortableCheckpointMagic));
-  WriteRaw(os, kPortableVersion);
+Status SssjEngine::SaveCheckpoint(std::ostream& os) const {
+  os.write(kCheckpointMagic, sizeof(kCheckpointMagic));
+  WriteRaw(os, kCheckpointVersion);
   // The writing combination is metadata: the loader replays into ITS
   // configured combination, which is what makes migration a load.
   const uint8_t framework_byte =
@@ -578,8 +581,8 @@ Status SssjEngine::RestorePortable(std::istream& is, Framework framework,
   if (!ReadRaw(is, &version)) {
     return Status::DataLoss("truncated checkpoint header");
   }
-  if (version != kPortableVersion) {
-    return Status::DataLoss("unsupported portable checkpoint version " +
+  if (version != kCheckpointVersion) {
+    return Status::DataLoss("unsupported checkpoint version " +
                             std::to_string(version));
   }
   uint8_t src_framework = 0;
@@ -708,17 +711,17 @@ Status SssjEngine::SwitchScheme(Framework framework, IndexScheme scheme) {
 
 Status SssjEngine::SwitchSchemeInternal(Framework framework,
                                         IndexScheme scheme) {
-  // A migration IS a portable save + restore — sharing the code path with
+  // A migration IS a checkpoint save + restore — sharing the code path with
   // LoadCheckpoint is what makes the equivalence contract (switched
   // engine ≡ target engine restored from the same checkpoint) hold by
   // construction rather than by parallel maintenance.
   std::stringstream snapshot(std::ios::in | std::ios::out | std::ios::binary);
-  Status saved = SavePortable(snapshot);
+  Status saved = SaveCheckpoint(snapshot);
   if (!saved.ok()) return saved;
   char magic[8];
   snapshot.read(magic, sizeof(magic));
   if (!snapshot.good() ||
-      std::memcmp(magic, kPortableCheckpointMagic, sizeof(magic)) != 0) {
+      std::memcmp(magic, kCheckpointMagic, sizeof(magic)) != 0) {
     return Status::Internal("scheme-migration snapshot is unreadable");
   }
   Status restored = RestorePortable(snapshot, framework, scheme);
@@ -727,33 +730,7 @@ Status SssjEngine::SwitchSchemeInternal(Framework framework,
   return Status::Ok();
 }
 
-Status SssjEngine::SaveCheckpoint(std::ostream& os) const {
-  if (MigrationEnabled()) return SavePortable(os);
-  if (!NativeCheckpointable()) {
-    return Status::Unimplemented(kNativeOnlyMessage);
-  }
-  const StreamingJoin* str = core_->AsStreaming();
-  const auto* index = dynamic_cast<const StreamL2Index*>(&str->index());
-  if (index == nullptr) {
-    return Status::Internal("unexpected index type");
-  }
-  const uint64_t next_id = next_id_;
-  const Timestamp last_ts = str->last_ts();
-  const uint8_t started = str->started() ? 1 : 0;
-  os.write(kEngineCheckpointMagic, sizeof(kEngineCheckpointMagic));
-  os.write(reinterpret_cast<const char*>(&next_id), sizeof(next_id));
-  os.write(reinterpret_cast<const char*>(&last_ts), sizeof(last_ts));
-  os.write(reinterpret_cast<const char*>(&started), sizeof(started));
-  if (!index->Serialize(os) || !os.good()) {
-    return Status::IoError("checkpoint write failure");
-  }
-  return Status::Ok();
-}
-
 Status SssjEngine::SaveCheckpoint(const std::string& path) const {
-  if (!MigrationEnabled() && !NativeCheckpointable()) {
-    return Status::Unimplemented(kNativeOnlyMessage);
-  }
   std::ofstream f(path, std::ios::binary);
   if (!f) {
     return Status::IoError("cannot open " + path + " for writing");
@@ -765,65 +742,25 @@ Status SssjEngine::SaveCheckpoint(const std::string& path) const {
   return status;
 }
 
-Status SssjEngine::LoadNative(std::istream& is) {
-  if (!NativeCheckpointable()) {
-    return Status::Unimplemented(kNativeOnlyMessage);
-  }
-  auto* index = dynamic_cast<StreamL2Index*>(
-      core_->AsStreaming()->mutable_index());
-  if (index == nullptr) {
-    return Status::Internal("unexpected index type");
-  }
-  uint64_t next_id;
-  Timestamp last_ts;
-  uint8_t started;
-  is.read(reinterpret_cast<char*>(&next_id), sizeof(next_id));
-  is.read(reinterpret_cast<char*>(&last_ts), sizeof(last_ts));
-  is.read(reinterpret_cast<char*>(&started), sizeof(started));
-  // Deserialize into a scratch index and swap only on success: a file that
-  // turns out to be truncated mid-record must leave the live engine — its
-  // index, id counter, and clock — exactly as it was. The scratch carries
-  // the engine's kernel selection so a restore doesn't silently drop it.
-  StreamL2Index scratch(params_, L2IndexOptions{},
-                        KernelModeUsesSimd(config_.kernel), config_.tiered);
-  std::string index_error;
-  if (!is.good() || !scratch.Deserialize(is, &index_error)) {
-    return Status::DataLoss(index_error.empty() ? "truncated checkpoint"
-                                                : index_error);
-  }
-  const RunStats saved_stats = index->stats();  // counters are per-process
-  *index = std::move(scratch);
-  index->stats() = saved_stats;
-  next_id_ = next_id;
-  core_->RestoreClock(last_ts, started != 0);
-  return Status::Ok();
-}
-
 Status SssjEngine::LoadCheckpoint(std::istream& is) {
-  // Sniff the magic to dispatch between the native (SSSJENG2) and
-  // portable (SSSJENG3) formats.
   char magic[8];
   is.read(magic, sizeof(magic));
-  if (!is.good()) {
-    return Status::DataLoss(
-        "not a sssj engine checkpoint (bad or stale header; files "
-        "from older builds are not readable)");
-  }
-  if (std::memcmp(magic, kPortableCheckpointMagic, sizeof(magic)) == 0) {
-    // Portable restore rebuilds the ENGINE's combination — for kAuto,
-    // whatever was active before the last save would be a guess, so adopt
-    // L2 via the current active pair (the duel re-converges regardless).
-    return RestorePortable(is, active_framework_, active_scheme_);
-  }
-  if (std::memcmp(magic, kEngineCheckpointMagic, sizeof(magic)) == 0) {
-    if (MigrationEnabled()) {
-      return Status::Unimplemented(
-          "a native (SSSJENG2) checkpoint cannot restore a "
-          "migration-enabled engine: it does not carry the live item set "
-          "migration needs; load it into a non-migration STR-L2 engine or "
-          "save a portable checkpoint instead");
+  if (is.good()) {
+    if (std::memcmp(magic, kCheckpointMagic, sizeof(magic)) == 0) {
+      // A restore rebuilds the ENGINE's combination — for kAuto, whatever
+      // was active before the last save would be a guess, so adopt L2 via
+      // the current active pair (the duel re-converges regardless).
+      return RestorePortable(is, active_framework_, active_scheme_);
     }
-    return LoadNative(is);
+    for (const RetiredFormat& retired : kRetiredFormats) {
+      if (std::memcmp(magic, retired.magic, sizeof(magic)) == 0) {
+        return Status::DataLoss(std::string(retired.magic) + " (" +
+                                retired.what +
+                                ") is a retired checkpoint format that this "
+                                "build no longer reads; it reads SSSJENG3 "
+                                "only");
+      }
+    }
   }
   return Status::DataLoss(
       "not a sssj engine checkpoint (bad or stale header; files "
@@ -831,9 +768,6 @@ Status SssjEngine::LoadCheckpoint(std::istream& is) {
 }
 
 Status SssjEngine::LoadCheckpoint(const std::string& path) {
-  if (!MigrationEnabled() && !NativeCheckpointable()) {
-    return Status::Unimplemented(kNativeOnlyMessage);
-  }
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     return Status::NotFound("cannot open " + path);

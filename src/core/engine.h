@@ -88,12 +88,11 @@ struct EngineConfig {
   bool normalize_inputs = true;
   // Worker threads for the parallel hot paths: the sharded STR-L2 index
   // and the MiniBatch window-close query fan-out (any MB scheme). 1
-  // (default) keeps the exact sequential engine — including checkpoint
-  // support for STR-L2. Values > 1 are deterministic: MB output is
-  // bit-identical for any thread count; sharded STR-L2 emits the same
-  // pair set with bit-identical scores (checkpointing is not yet
-  // supported there). Ignored by STR-INV and STR-L2AP. Values < 1 are
-  // clamped to 1.
+  // (default) keeps the exact sequential engine. Values > 1 are
+  // deterministic: MB output is bit-identical for any thread count;
+  // sharded STR-L2 emits the same pair set with bit-identical scores.
+  // Checkpoints work at every thread count. Ignored by STR-INV and
+  // STR-L2AP. Values < 1 are clamped to 1.
   int num_threads = 1;
   // Optional pool for those parallel paths, shared with other engines
   // (JoinService sets this so N sessions share one pool instead of
@@ -131,9 +130,11 @@ struct EngineConfig {
   // are bit-identical to inline Push fed the same arrival order.
   IngestOptions ingest;
   // Adaptive-runtime knobs (core/auto_tuner.h). adaptive.enable_migration
-  // unlocks SwitchScheme and the portable checkpoint format for every
-  // framework×scheme; index == IndexScheme::kAuto additionally runs the
-  // set-dueling controller and implies enable_migration.
+  // unlocks SwitchScheme and makes STR cores keep their in-horizon items
+  // in a retention deque, which checkpoints then copy instead of
+  // rebuilding the items from the index; index == IndexScheme::kAuto
+  // additionally runs the set-dueling controller and implies
+  // enable_migration.
   AdaptiveOptions adaptive;
 };
 
@@ -151,8 +152,9 @@ struct BatchPushResult {
 };
 
 // Builds a join core for the given framework×scheme, honoring the
-// config's thread/pool/kernel/tiering knobs (STR cores additionally
-// retain their in-horizon items when the config enables migration).
+// config's thread/pool/kernel/tiering knobs (STR cores additionally keep
+// their in-horizon items in a retention deque when the config enables
+// migration or a lossy value tier).
 // Fails with kUnimplemented for STR-AP and kInvalidArgument for kAuto
 // (the engine resolves kAuto to a concrete scheme before building).
 // Used by the engine shell, the scheme-migration path, and the
@@ -248,7 +250,7 @@ class SssjEngine {
   // ---- adaptive runtime ----
 
   // Live scheme migration: serializes the active core through the
-  // portable checkpoint path and rehydrates a core of the target
+  // checkpoint path and rehydrates a core of the target
   // combination, replaying the live items. Pairs already reported are
   // suppressed on replay (and forever after) by an id watermark, so the
   // external output stream stays duplicate-free; pairs that were pending
@@ -273,7 +275,7 @@ class SssjEngine {
 
   // All pairs whose BOTH ids are below this watermark were already
   // reported before the last restore/migration and are suppressed if the
-  // replayed core re-detects them. 0 until a migration or portable
+  // replayed core re-detects them. 0 until a migration or checkpoint
   // restore happens.
   VectorId reported_watermark() const { return watermark_; }
 
@@ -285,31 +287,21 @@ class SssjEngine {
     return config_notes_;
   }
 
-  // Checkpoint/restore for long-running streaming jobs, in one of two
-  // formats distinguished by their magic:
-  //   SSSJENG2 (native)   written by non-migration engines; serializes
-  //                       the STR-L2 index in place. Supported for the
-  //                       single-threaded STR-L2 configuration only (the
-  //                       paper's recommended index); other configs
-  //                       return kUnimplemented. Restoring into an engine
-  //                       with the same config and replaying the
-  //                       remainder of the stream yields exactly the
-  //                       output an uninterrupted run would have produced
-  //                       (tested).
-  //   SSSJENG3 (portable) written by migration-enabled engines (any
-  //                       framework×scheme, any thread count): the live
-  //                       item set plus the clock/id/watermark state.
-  //                       Loading replays the items through a fresh core
-  //                       of the LOADING engine's active combination —
-  //                       the file's own scheme is metadata — emitting
-  //                       any still-unreported pairs into the bound sink,
-  //                       so a checkpoint written by MB-INV restores
-  //                       cleanly into STR-L2.
-  // LoadCheckpoint accepts either magic (a native engine may read a
-  // portable file; a migration-enabled engine refuses native files, whose
-  // index records don't carry the live items migration needs). It rejects
-  // stale, truncated, or mismatched files (kDataLoss /
-  // kInvalidArgument) without touching the live engine state.
+  // Checkpoint/restore for long-running streaming jobs, in one format
+  // (SSSJENG3) for every framework×scheme and thread count: the live item
+  // set plus the clock/id/watermark state. STR engines write the items of
+  // their retention deque when they keep one, else the items rebuilt from
+  // the index (StreamIndex::CollectLiveItems); MB engines write their two
+  // buffered windows. Loading replays the items through a fresh core of
+  // the LOADING engine's active combination — the file's own scheme is
+  // metadata — emitting any still-unreported pairs into the bound sink, so
+  // a checkpoint written by MB-INV restores cleanly into STR-L2, and
+  // stats() then count the replay's work. Restoring into an engine with
+  // the same config and pushing the remainder of the stream yields the
+  // uninterrupted run's pairs (tested). LoadCheckpoint rejects stale,
+  // truncated, or mismatched files with kDataLoss without touching the
+  // live engine state; a file in a retired format (SSSJENG2 and the index
+  // image it wrapped) is refused by name.
   Status SaveCheckpoint(const std::string& path) const;
   Status LoadCheckpoint(const std::string& path);
   // Stream-based cores of the two above (the path overloads wrap these).
@@ -343,21 +335,16 @@ class SssjEngine {
   Status PushImpl(Timestamp ts, SparseVector vec, ResultSink* sink);
   void FlushImpl(ResultSink* sink);
 
-  // True when this engine may use the portable checkpoint format and
-  // SwitchScheme: adaptive.enable_migration or index == kAuto.
+  // True when this engine may use SwitchScheme: adaptive.enable_migration
+  // or index == kAuto.
   bool MigrationEnabled() const;
-  // True when the native (SSSJENG2, index-serializing) checkpoint format
-  // applies: the active core is single-threaded STR-L2.
-  bool NativeCheckpointable() const;
-  // Portable (SSSJENG3) checkpoint writer/reader. RestorePortable parses
-  // and validates the whole file first, then builds a fresh core of the
-  // target combination, replays the live items into the bound sink
+  // Checkpoint reader, positioned after the magic. Parses and validates
+  // the whole file first, then builds a fresh core of the target
+  // combination, replays the live items into the bound sink
   // (watermark-filtered), and only then swaps it in — a bad file leaves
   // the engine (and its sink) untouched.
-  Status SavePortable(std::ostream& os) const;
   Status RestorePortable(std::istream& is, Framework framework,
                          IndexScheme scheme);
-  Status LoadNative(std::istream& is);  // positioned after the magic
   // SwitchScheme minus the enablement checks (the auto-tuner path).
   Status SwitchSchemeInternal(Framework framework, IndexScheme scheme);
   // Runs the duel bookkeeping after an accepted push (kAuto only).

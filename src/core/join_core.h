@@ -29,10 +29,11 @@
 //   CollectLiveItems      the items that can still interact with the
 //                         future — pair with later arrivals or carry
 //                         pending unreported pairs — in arrival order.
-//                         This is exactly what a portable checkpoint must
-//                         persist and a migration must replay. STR: the
-//                         horizon-retention buffer (only populated when
-//                         the core was built with retain_live). MB: the
+//                         This is exactly what a checkpoint must persist
+//                         and a migration must replay. STR: a copy of the
+//                         retention deque when the core was built with
+//                         retain_live, else the items rebuilt from the
+//                         index (StreamIndex::CollectLiveItems). MB: the
 //                         two buffered windows W_{k−1} ∪ W_k.
 #ifndef SSSJ_CORE_JOIN_CORE_H_
 #define SSSJ_CORE_JOIN_CORE_H_
@@ -54,8 +55,6 @@ enum class Framework { kMiniBatch, kStreaming };
 // (core/auto_tuner.h). Everything below the engine shell only ever sees
 // concrete schemes.
 enum class IndexScheme { kInv, kAp, kL2ap, kL2, kAuto };
-
-class StreamingJoin;
 
 class JoinCore {
  public:
@@ -96,12 +95,6 @@ class JoinCore {
 
   // Appends the live item set (arrival order) to `out`.
   virtual void CollectLiveItems(Stream* out) const = 0;
-
-  // Downcast escape hatch for the native (scheme-specific) checkpoint
-  // path, which serializes the STR index in place instead of replaying
-  // items. Null for every core that is not a StreamingJoin.
-  virtual StreamingJoin* AsStreaming() { return nullptr; }
-  virtual const StreamingJoin* AsStreaming() const { return nullptr; }
 };
 
 }  // namespace sssj

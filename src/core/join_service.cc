@@ -152,19 +152,6 @@ Status JoinService::UnknownSession() {
   return Status::NotFound("unknown or closed session handle");
 }
 
-bool JoinService::Evictable(const Session& session) {
-  if (session.async_engine != nullptr) return false;
-  // Migration-enabled engines save/load the portable checkpoint format,
-  // which works for every framework×scheme and thread count.
-  if (session.config.adaptive.enable_migration ||
-      session.config.index == IndexScheme::kAuto) {
-    return true;
-  }
-  return session.config.framework == Framework::kStreaming &&
-         session.config.index == IndexScheme::kL2 &&
-         session.config.num_threads <= 1;
-}
-
 void JoinService::NoteActivity(Session* session) const {
   session->mem_bytes.store(session->engine->MemoryBytes(),
                            std::memory_order_relaxed);
@@ -182,7 +169,7 @@ RunStats JoinService::CountersLocked(const Session* session) {
 
 Status JoinService::EnsureResident(Session* session) const {
   if (!session->evicted) return Status::Ok();
-  // A portable reload replays the checkpoint's live items through a fresh
+  // A reload replays the checkpoint's live items through a fresh
   // core, which counts them (and the pairs among them) again; only the
   // pairs the replay actually delivers — pending MB pairs — are new to
   // the session. Count those on the way to the session's sink.
@@ -279,8 +266,9 @@ Status JoinService::EnforceBudget(Session* current) {
       // i.e. not dormant — so skipping it is also the right policy call.
       if (!victim->mu.TryLock()) continue;
       MutexLock vl(victim->mu, std::adopt_lock);
+      // Async sessions are never evicted: the pump holds their engine.
       if (victim->closed.load(std::memory_order_acquire) ||
-          victim->evicted || !Evictable(*victim)) {
+          victim->evicted || victim->async_engine != nullptr) {
         continue;
       }
       if (EvictLocked(victim.get()).ok()) total = total_now();

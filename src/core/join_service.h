@@ -63,9 +63,10 @@ struct JoinServiceOptions {
   // an evicted session reloads transparently on its next push. If no
   // evictable session remains and the total is still over budget, the
   // push is refused with kResourceExhausted — deterministic backpressure
-  // instead of an OOM kill. Only inline (non-async) single-threaded
-  // STR-L2 sessions are evictable (the checkpointable configuration);
-  // other sessions count toward the total but are never evicted.
+  // instead of an OOM kill. Every inline (non-async) session is evictable,
+  // whatever its framework, scheme and thread count; async sessions count
+  // toward the total but are never evicted. A reload replays the spilled
+  // live items, so the session's output does not change.
   size_t memory_budget_bytes = 0;
   // Directory for eviction checkpoints. Empty (default) disables
   // eviction: budget enforcement then has only the kResourceExhausted
@@ -291,11 +292,6 @@ class JoinService {
       SSSJ_EXCLUDES(mu_);
   static Status UnknownSession();
 
-  // True for the checkpointable configurations eviction supports: inline
-  // (non-async) sessions that are either single-threaded STR-L2 (native
-  // checkpoint) or migration-enabled (portable checkpoint — any
-  // framework×scheme, any thread count).
-  static bool Evictable(const Session& session);
   // Refreshes the session's cached accounting + LRU clock.
   void NoteActivity(Session* session) const SSSJ_REQUIRES(session->mu);
   // The engine's counters plus what the session carried across evictions.

@@ -16,7 +16,7 @@
 //   kOutOfRange          a numeric parameter is outside its domain
 //                        (theta outside (0, 1], negative lambda)
 //   kUnimplemented       the combination is deliberately unsupported
-//                        (STR-AP, checkpointing a sharded engine)
+//                        (STR-AP)
 //   kResourceExhausted   a bounded resource is at capacity right now
 //                        (async ingest queue at its high-water mark);
 //                        retrying after a drain can succeed

@@ -76,7 +76,7 @@ class PostingList {
 
   // Per-column element access, logical index from the front (oldest).
   // Indices inside the frozen range decompress the containing block per
-  // call — test/serialization convenience, not a hot path.
+  // call — a test convenience, not a hot path.
   VectorId id(size_t i) const {
     return i < frozen_live_ ? FrozenGet(i).id
                             : store_.Get<0>(i - frozen_live_);
@@ -94,7 +94,7 @@ class PostingList {
                             : store_.Get<3>(i - frozen_live_);
   }
 
-  // Materializes one posting as a row (tests / serialization convenience;
+  // Materializes one posting as a row (a test convenience;
   // hot loops should use the span walks instead).
   PostingEntry Get(size_t i) const {
     if (i < frozen_live_) return FrozenGet(i);

@@ -98,8 +98,8 @@ class ResidualStore {
   size_t RecountApproxBytes() const;
 
   // Iterates records in insertion (time) order. Fn: void(VectorId,
-  // const ResidualRecord&). Used by checkpointing, which must preserve
-  // the order for O(1) expiry after restore.
+  // const ResidualRecord&). Used by the live-item rebuild
+  // (index/live_items.cc), which reads each record's prefix.
   template <typename Fn>
   void ForEachInOrder(Fn&& fn) const {
     for (const auto& [id, rec] : map_) fn(id, rec);

@@ -78,6 +78,8 @@ class ShardedStreamIndex : public StreamIndex {
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override;
   size_t RecountMemoryBytes() const override;
+  // Reads every shard's lists: call between arrivals, never during one.
+  void CollectLiveItems(Timestamp newest, Stream* out) const override;
 
   size_t num_shards() const { return shards_.size(); }
   size_t residual_count() const { return residuals_.size(); }

@@ -10,6 +10,16 @@
 
 namespace sssj {
 
+// True when an item that arrived at `ts` lies outside the time horizon τ
+// of the newest arrival. It is the test every STR index expires by (the
+// residual store and the posting lists drop ts < newest − τ), so the
+// retention deque (stream/streaming.h) and the live-item rebuild use it
+// too: the three can never disagree on an item that lands exactly on the
+// boundary under rounding.
+inline bool OutsideHorizon(Timestamp ts, Timestamp newest, double tau) {
+  return ts < newest - tau;
+}
+
 class StreamIndex {
  public:
   virtual ~StreamIndex() = default;
@@ -38,6 +48,14 @@ class StreamIndex {
   // Test oracle for MemoryBytes(): the same number recomputed by walking
   // every posting list and residual, O(live state). No production caller.
   virtual size_t RecountMemoryBytes() const = 0;
+
+  // Appends, in id order and with exact coordinates, every indexed item
+  // that is not OutsideHorizon of `newest` under the index's own τ: the
+  // item set a checkpoint persists. One read-only scan of the posting
+  // lists (and, for the L2 family, the residual store), shared by every
+  // index in index/live_items.cc. Requires an exact value tier: bf16/f16
+  // frozen blocks cannot give the original values back.
+  virtual void CollectLiveItems(Timestamp newest, Stream* out) const = 0;
 
   RunStats& stats() { return stats_; }
   const RunStats& stats() const { return stats_; }

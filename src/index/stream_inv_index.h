@@ -51,6 +51,7 @@ class StreamInvIndex : public StreamIndex {
   size_t RecountMemoryBytes() const override {
     return lists_.RecountMemoryBytes();
   }
+  void CollectLiveItems(Timestamp newest, Stream* out) const override;
 
  private:
   double theta_;

@@ -13,8 +13,6 @@
 #ifndef SSSJ_INDEX_STREAM_L2_INDEX_H_
 #define SSSJ_INDEX_STREAM_L2_INDEX_H_
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "core/decay.h"
@@ -59,13 +57,6 @@ class StreamL2Index : public StreamIndex {
         tau_(decay.Horizon(theta)),
         tiered_(tiered) {}
 
-  // Movable so a checkpoint can be deserialized into a scratch index and
-  // swapped into the live engine only once the whole file validated
-  // (engine.cc LoadCheckpoint). The base subobject (stats_, live-entry
-  // counter) is transferred by copy, which is exactly what a swap wants.
-  StreamL2Index(StreamL2Index&&) = default;
-  StreamL2Index& operator=(StreamL2Index&&) = default;
-
   void ProcessArrival(const StreamItem& x, ResultSink* sink) override;
   void Clear() override;
   const char* name() const override { return "L2"; }
@@ -76,25 +67,9 @@ class StreamL2Index : public StreamIndex {
   size_t RecountMemoryBytes() const override {
     return residuals_.RecountApproxBytes() + lists_.RecountMemoryBytes();
   }
+  void CollectLiveItems(Timestamp newest, Stream* out) const override;
 
   size_t residual_count() const { return residuals_.size(); }
-
-  // Checkpointing: serializes the complete live state (posting lists,
-  // residual store, live-entry counter) so a streaming job can be resumed
-  // after a restart. Counters in stats() are per-process and are NOT part
-  // of the checkpoint.
-  //
-  // Format v2 ("SSSJCKP2"): a magic + version + scheme-tag header, the
-  // engine parameters (θ, λ), and posting lists stored column-major
-  // (all ids, then all values, then all prefix norms, then all
-  // timestamps per list) mirroring the in-memory SoA layout. Deserialize
-  // replaces the index state; it fails (returning false, state cleared,
-  // a human-readable reason in *error) on bad magic, stale version,
-  // scheme or parameter mismatch, or truncation — a checkpoint is only
-  // valid for the same scheme and (θ, λ). The format stores exponential
-  // decays only: both calls return false on an index of any other kind.
-  bool Serialize(std::ostream& os) const;
-  bool Deserialize(std::istream& is, std::string* error = nullptr);
 
  private:
   // ProcessArrival's body under one decay policy (index/l2_phases.h). Each

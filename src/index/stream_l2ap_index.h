@@ -81,6 +81,7 @@ class StreamL2apIndex : public StreamIndex {
   size_t RecountMemoryBytes() const override {
     return residuals_.RecountApproxBytes() + lists_.RecountMemoryBytes();
   }
+  void CollectLiveItems(Timestamp newest, Stream* out) const override;
 
   size_t residual_count() const { return residuals_.size(); }
 

@@ -19,13 +19,15 @@ namespace sssj {
 
 class StreamingJoin final : public JoinCore {
  public:
-  // `retain_live` keeps a copy of every in-horizon item (ts within τ of
-  // the newest arrival) in a side buffer, which is what portable
-  // checkpoints and live scheme migration serialize (CollectLiveItems).
-  // Off by default: it roughly doubles STR's resident bytes, and engines
-  // without migration enabled never read it. With λ = 0 the horizon is
-  // infinite and the buffer retains the whole stream — the same growth
-  // the index itself has in that regime.
+  // `retain_live` keeps a copy of every in-horizon item (not
+  // OutsideHorizon of the newest arrival) in a side deque, which
+  // CollectLiveItems then copies instead of rebuilding the items from the
+  // index. Off by default: the copy is cheaper per checkpoint, but the
+  // deque costs resident bytes (+21%, +1.7% and +1.2% of live state on
+  // the dense-async, cli-sparse and tenant-fleet perfbench workloads; more
+  // on long horizons). With λ = 0 the horizon is infinite and the deque
+  // retains the whole stream — the same growth the index itself has in
+  // that regime.
   StreamingJoin(const DecayParams& params, std::unique_ptr<StreamIndex> index,
                 bool retain_live = false)
       : params_(params), index_(std::move(index)), retain_live_(retain_live) {}
@@ -48,8 +50,6 @@ class StreamingJoin final : public JoinCore {
 
   const RunStats& stats() const override { return index_->stats(); }
   const DecayParams& params() const { return params_; }
-  const StreamIndex& index() const { return *index_; }
-  StreamIndex* mutable_index() { return index_.get(); }
 
   size_t MemoryBytes() const override {
     return index_->MemoryBytes() + live_bytes_;
@@ -71,20 +71,24 @@ class StreamingJoin final : public JoinCore {
   // STR emits eagerly, so every push boundary is a reporting boundary.
   bool AtBoundary() const override { return true; }
 
+  // The deque when the core keeps one, else the index's rebuild at the
+  // stream clock.
   void CollectLiveItems(Stream* out) const override {
-    out->insert(out->end(), live_.begin(), live_.end());
+    if (retain_live_) {
+      out->insert(out->end(), live_.begin(), live_.end());
+    } else {
+      index_->CollectLiveItems(last_ts_, out);
+    }
   }
-
-  StreamingJoin* AsStreaming() override { return this; }
-  const StreamingJoin* AsStreaming() const override { return this; }
 
  private:
   void RetainItem(const StreamItem& x) {
     live_.push_back(x);
     live_bytes_ += StreamItemBytes(x);
-    // Prune strictly-out-of-horizon items only: at Δt == τ a dot of 1
-    // still reaches θ exactly (sim = θ qualifies), so `>` not `>=`.
-    while (!live_.empty() && x.ts - live_.front().ts > params_.tau) {
+    // Keeps an item at Δt == τ (a dot of 1 still reaches θ exactly), and
+    // drops by the index's own test so the two sets stay equal.
+    while (!live_.empty() &&
+           OutsideHorizon(live_.front().ts, x.ts, params_.tau)) {
       live_bytes_ -= StreamItemBytes(live_.front());
       live_.pop_front();
     }

@@ -1,5 +1,6 @@
-// Checkpoint/restore of the STR-L2 index: a resumed job must produce
-// exactly the output of an uninterrupted run.
+// Engine checkpoints (SSSJENG3): every configuration saves and loads, a
+// resumed job produces exactly the output of an uninterrupted run, and the
+// loader refuses bad bytes without touching the live engine.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,9 +9,9 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
-#include "index/stream_l2_index.h"
 #include "tests/test_util.h"
 
 namespace sssj {
@@ -28,123 +29,6 @@ Stream TestStream() {
   spec.max_nnz = 6;
   spec.seed = 500;
   return RandomStream(spec);
-}
-
-TEST(CheckpointTest, IndexRoundTripResumesExactly) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  const Stream stream = TestStream();
-  const size_t cut = stream.size() / 2;
-
-  // Uninterrupted reference.
-  StreamL2Index ref(params);
-  CollectorSink ref_sink;
-  for (const StreamItem& item : stream) ref.ProcessArrival(item, &ref_sink);
-
-  // Run half, serialize, restore into a fresh index, run the rest.
-  StreamL2Index first(params);
-  CollectorSink sink_a;
-  for (size_t i = 0; i < cut; ++i) first.ProcessArrival(stream[i], &sink_a);
-  std::stringstream buffer;
-  ASSERT_TRUE(first.Serialize(buffer));
-
-  StreamL2Index second(params);
-  ASSERT_TRUE(second.Deserialize(buffer));
-  EXPECT_EQ(second.live_posting_entries(), first.live_posting_entries());
-  EXPECT_EQ(second.residual_count(), first.residual_count());
-  CollectorSink sink_b;
-  for (size_t i = cut; i < stream.size(); ++i) {
-    second.ProcessArrival(stream[i], &sink_b);
-  }
-
-  std::vector<ResultPair> resumed = sink_a.pairs();
-  resumed.insert(resumed.end(), sink_b.pairs().begin(), sink_b.pairs().end());
-  EXPECT_EQ(PairSet(resumed), PairSet(ref_sink.pairs()));
-  EXPECT_EQ(resumed.size(), ref_sink.pairs().size());
-}
-
-TEST(CheckpointTest, DeserializeRejectsParameterMismatch) {
-  DecayParams a, b;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &a));
-  ASSERT_TRUE(DecayParams::Make(0.7, 0.02, &b));
-  StreamL2Index index_a(a);
-  CollectorSink sink;
-  index_a.ProcessArrival(
-      ::sssj::testing::Item(0, 0.0, UnitVec({{1, 1.0}})), &sink);
-  std::stringstream buffer;
-  ASSERT_TRUE(index_a.Serialize(buffer));
-  StreamL2Index index_b(b);
-  std::string error;
-  EXPECT_FALSE(index_b.Deserialize(buffer, &error));
-  EXPECT_EQ(index_b.live_posting_entries(), 0u);  // cleared on failure
-  EXPECT_NE(error.find("parameter mismatch"), std::string::npos) << error;
-}
-
-TEST(CheckpointTest, DeserializeRejectsGarbage) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  StreamL2Index index(params);
-  std::stringstream buffer("definitely not a checkpoint");
-  std::string error;
-  EXPECT_FALSE(index.Deserialize(buffer, &error));
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
-}
-
-// Serializes a small populated index to a string (error-path helper).
-std::string SerializedCheckpoint(const DecayParams& params) {
-  StreamL2Index index(params);
-  CollectorSink sink;
-  const Stream stream = TestStream();
-  for (size_t i = 0; i < 50; ++i) index.ProcessArrival(stream[i], &sink);
-  std::stringstream buffer;
-  EXPECT_TRUE(index.Serialize(buffer));
-  return buffer.str();
-}
-
-TEST(CheckpointTest, DeserializeRejectsTruncationAtEveryStage) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  const std::string full = SerializedCheckpoint(params);
-  ASSERT_GT(full.size(), 64u);
-  // Cut at a spread of prefixes: header, posting columns, residuals.
-  for (const size_t cut : {size_t{4}, size_t{10}, size_t{20}, size_t{40},
-                           full.size() / 2, full.size() - 1}) {
-    StreamL2Index index(params);
-    std::stringstream buffer(full.substr(0, cut));
-    std::string error;
-    EXPECT_FALSE(index.Deserialize(buffer, &error)) << "cut=" << cut;
-    EXPECT_FALSE(error.empty()) << "cut=" << cut;
-    EXPECT_EQ(index.live_posting_entries(), 0u) << "cut=" << cut;
-  }
-  // The untampered stream still loads, so the cuts are what failed.
-  StreamL2Index index(params);
-  std::stringstream buffer(full);
-  EXPECT_TRUE(index.Deserialize(buffer));
-}
-
-TEST(CheckpointTest, DeserializeRejectsStaleFormatVersion) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  std::string stale = SerializedCheckpoint(params);
-  stale[7] = '1';  // magic "SSSJCKP2" -> "SSSJCKP1" (the v1 seed format)
-  StreamL2Index index(params);
-  std::stringstream buffer(stale);
-  std::string error;
-  EXPECT_FALSE(index.Deserialize(buffer, &error));
-  EXPECT_NE(error.find("stale"), std::string::npos) << error;
-}
-
-TEST(CheckpointTest, DeserializeRejectsSchemeMismatch) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  std::string tampered = SerializedCheckpoint(params);
-  // Layout: magic[8], u32 version, u8 scheme tag at offset 12.
-  tampered[12] = static_cast<char>(99);
-  StreamL2Index index(params);
-  std::stringstream buffer(tampered);
-  std::string error;
-  EXPECT_FALSE(index.Deserialize(buffer, &error));
-  EXPECT_NE(error.find("scheme"), std::string::npos) << error;
 }
 
 TEST(CheckpointTest, EngineLoadRejectsGarbageWithClearError) {
@@ -294,21 +178,63 @@ TEST(CheckpointTest, FailedEngineLoadLeavesLiveStateUntouched) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, UnsupportedConfigsRefuseWithUnimplemented) {
-  EngineConfig cfg;
-  cfg.framework = Framework::kMiniBatch;
-  cfg.index = IndexScheme::kL2;
-  auto mb = *SssjEngine::Make(cfg);
-  const Status mb_status = mb->SaveCheckpoint("/tmp/x.ckp");
-  EXPECT_EQ(mb_status.code(), StatusCode::kUnimplemented);
-  EXPECT_NE(mb_status.message().find("single-threaded STR-L2 only"),
-            std::string::npos);
+// Every framework × scheme × thread count that Make accepts checkpoints
+// (inline ingest): save mid-stream, load into a fresh engine of the same
+// config, push the rest, and get the uninterrupted run's pairs, none twice.
+TEST(CheckpointTest, EveryConfigurationRoundTrips) {
+  const Stream stream = TestStream();
+  const size_t cut = stream.size() / 2;
+  size_t configurations = 0;
+  for (const Framework framework :
+       {Framework::kStreaming, Framework::kMiniBatch}) {
+    for (const IndexScheme scheme :
+         {IndexScheme::kInv, IndexScheme::kAp, IndexScheme::kL2ap,
+          IndexScheme::kL2, IndexScheme::kAuto}) {
+      for (const int threads : {1, 2, 4}) {
+        EngineConfig cfg;
+        cfg.framework = framework;
+        cfg.index = scheme;
+        cfg.num_threads = threads;
+        cfg.theta = 0.6;
+        cfg.lambda = 0.02;
+        cfg.normalize_inputs = false;
+        CollectorSink ref_sink;
+        auto ref = SssjEngine::Make(cfg, &ref_sink);
+        if (!ref.ok()) continue;  // STR-AP
+        SCOPED_TRACE(std::string(ToString(framework)) + "-" +
+                     ToString(scheme) + " threads=" +
+                     std::to_string(threads));
+        ++configurations;
+        for (const StreamItem& item : stream) {
+          ASSERT_TRUE((*ref)->Push(item.ts, item.vec).ok());
+        }
+        (*ref)->Flush();
 
-  cfg.framework = Framework::kStreaming;
-  cfg.index = IndexScheme::kL2ap;
-  auto l2ap = *SssjEngine::Make(cfg);
-  EXPECT_EQ(l2ap->SaveCheckpoint("/tmp/x.ckp").code(),
-            StatusCode::kUnimplemented);
+        CollectorSink sink;
+        std::stringstream blob;
+        {
+          auto first = *SssjEngine::Make(cfg, &sink);
+          for (size_t i = 0; i < cut; ++i) {
+            ASSERT_TRUE(first->Push(stream[i].ts, stream[i].vec).ok());
+          }
+          const Status saved = first->SaveCheckpoint(blob);
+          ASSERT_TRUE(saved.ok()) << saved.ToString();
+        }
+        auto second = *SssjEngine::Make(cfg, &sink);
+        const Status loaded = second->LoadCheckpoint(blob);
+        ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+        EXPECT_EQ(second->next_id(), cut);
+        for (size_t i = cut; i < stream.size(); ++i) {
+          ASSERT_TRUE(second->Push(stream[i].ts, stream[i].vec).ok());
+        }
+        second->Flush();
+        EXPECT_GT(ref_sink.pairs().size(), 0u);
+        EXPECT_EQ(PairSet(sink.pairs()), PairSet(ref_sink.pairs()));
+        EXPECT_EQ(sink.pairs().size(), ref_sink.pairs().size());
+      }
+    }
+  }
+  EXPECT_EQ(configurations, 27u);  // 2 × 5 × 3, less STR-AP's 3
 }
 
 TEST(CheckpointTest, MissingAndUnwritablePathsReportPreciseCodes) {
@@ -324,125 +250,11 @@ TEST(CheckpointTest, MissingAndUnwritablePathsReportPreciseCodes) {
   EXPECT_NE(unwritable.message().find("for writing"), std::string::npos);
 }
 
-TEST(CheckpointTest, EmptyIndexRoundTrips) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.5, 0.1, &params));
-  StreamL2Index a(params), b(params);
-  std::stringstream buffer;
-  ASSERT_TRUE(a.Serialize(buffer));
-  ASSERT_TRUE(b.Deserialize(buffer));
-  EXPECT_EQ(b.live_posting_entries(), 0u);
-}
-
-
 // ---- adversarial loader coverage (fuzz-harness twins) ----
 // These pin the exact behaviors fuzz/fuzz_checkpoint.cc asserts
 // statistically: every byte-level truncation and every tampered length
 // field must reject with a named error, bounded memory, and no state
 // half-applied.
-
-TEST(CheckpointTest, DeserializeRejectsTruncationAtEveryByteBoundary) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  // Small stream so the full O(bytes) truncation sweep stays fast while
-  // still crossing every record type (header, list header, all four
-  // posting columns, residual records, residual prefixes).
-  StreamL2Index src(params);
-  CollectorSink sink;
-  const Stream stream = TestStream();
-  for (size_t i = 0; i < 12; ++i) src.ProcessArrival(stream[i], &sink);
-  std::stringstream buffer;
-  ASSERT_TRUE(src.Serialize(buffer));
-  const std::string full = buffer.str();
-
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    StreamL2Index index(params);
-    std::stringstream truncated(full.substr(0, cut));
-    std::string error;
-    ASSERT_FALSE(index.Deserialize(truncated, &error)) << "cut=" << cut;
-    ASSERT_FALSE(error.empty()) << "cut=" << cut;
-    ASSERT_EQ(index.live_posting_entries(), 0u) << "cut=" << cut;
-    ASSERT_EQ(index.residual_count(), 0u) << "cut=" << cut;
-  }
-  StreamL2Index index(params);
-  std::stringstream whole(full);
-  EXPECT_TRUE(index.Deserialize(whole));  // only the cuts were at fault
-}
-
-// Container layout constants shared by the tamper tests below (see
-// Serialize): magic[8], u32 version, u8 scheme, f64 theta, f64 lambda,
-// u64 live, u64 num_lists, then per list { u32 dim, u64 len, columns }.
-constexpr size_t kNumListsOffset = 8 + 4 + 1 + 8 + 8 + 8;
-constexpr size_t kFirstListLenOffset = kNumListsOffset + 8 + 4;
-
-TEST(CheckpointTest, DeserializeRejectsOversizedDeclaredColumnLength) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  std::string tampered = SerializedCheckpoint(params);
-  ASSERT_GT(tampered.size(), kFirstListLenOffset + 8);
-  // Declare ~2^64 entries in the first posting list. The loader reads
-  // columns in bounded chunks, so this must fail on the missing bytes
-  // after at most one chunk — not reserve 2^64 elements up front.
-  std::memset(&tampered[kFirstListLenOffset], 0xFF, 8);
-  StreamL2Index index(params);
-  std::stringstream buffer(tampered);
-  std::string error;
-  EXPECT_FALSE(index.Deserialize(buffer, &error));
-  EXPECT_NE(error.find("posting columns"), std::string::npos) << error;
-  EXPECT_EQ(index.live_posting_entries(), 0u);
-}
-
-TEST(CheckpointTest, DeserializeRejectsOversizedDeclaredListCount) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  std::string tampered = SerializedCheckpoint(params);
-  std::memset(&tampered[kNumListsOffset], 0xFF, 8);
-  StreamL2Index index(params);
-  std::stringstream buffer(tampered);
-  std::string error;
-  EXPECT_FALSE(index.Deserialize(buffer, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_EQ(index.live_posting_entries(), 0u);
-}
-
-TEST(CheckpointTest, DeserializeRejectsOversizedResidualPrefixLength) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.02, &params));
-  // Hand-built minimal container: valid header, zero posting lists, one
-  // residual record whose declared prefix length is ~2^64 with no bytes
-  // behind it. Exercises the residual-path length cap directly.
-  std::stringstream forged;
-  forged.write("SSSJCKP2", 8);
-  const uint32_t version = 2;
-  const uint8_t scheme = 2;
-  const uint64_t live = 0, num_lists = 0, num_residuals = 1;
-  forged.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  forged.write(reinterpret_cast<const char*>(&scheme), sizeof(scheme));
-  forged.write(reinterpret_cast<const char*>(&params.theta), sizeof(double));
-  forged.write(reinterpret_cast<const char*>(&params.lambda), sizeof(double));
-  forged.write(reinterpret_cast<const char*>(&live), sizeof(live));
-  forged.write(reinterpret_cast<const char*>(&num_lists), sizeof(num_lists));
-  forged.write(reinterpret_cast<const char*>(&num_residuals),
-               sizeof(num_residuals));
-  const uint64_t id = 7;
-  const double ts = 1.0, q = 0.5, vm = 0.5, sum = 1.0;
-  const uint32_t nnz = 1;
-  const uint64_t prefix_len = ~uint64_t{0};
-  forged.write(reinterpret_cast<const char*>(&id), sizeof(id));
-  forged.write(reinterpret_cast<const char*>(&ts), sizeof(ts));
-  forged.write(reinterpret_cast<const char*>(&q), sizeof(q));
-  forged.write(reinterpret_cast<const char*>(&vm), sizeof(vm));
-  forged.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
-  forged.write(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
-  forged.write(reinterpret_cast<const char*>(&prefix_len),
-               sizeof(prefix_len));
-
-  StreamL2Index index(params);
-  std::string error;
-  EXPECT_FALSE(index.Deserialize(forged, &error));
-  EXPECT_NE(error.find("residual prefix"), std::string::npos) << error;
-  EXPECT_EQ(index.residual_count(), 0u);
-}
 
 TEST(CheckpointTest, EngineLoadRejectsEveryTruncationWithDataLoss) {
   EngineConfig cfg;
@@ -472,6 +284,91 @@ TEST(CheckpointTest, EngineLoadRejectsEveryTruncationWithDataLoss) {
   auto engine = *SssjEngine::Make(cfg);
   std::istringstream whole(full);
   EXPECT_TRUE(engine->LoadCheckpoint(whole).ok());
+}
+
+// SSSJENG3 layout up to the first item's nnz (SssjEngine::SaveCheckpoint):
+// magic[8], u32 version, u8 framework, u8 scheme, f64 theta, f64 lambda,
+// u64 next_id, f64 last_ts, u8 started, u64 watermark, u64 num_items,
+// then per item { u64 id, f64 ts, u32 nnz, nnz × (u32 dim, f64 value) }.
+constexpr size_t kNumItemsOffset = 8 + 4 + 1 + 1 + 8 + 8 + 8 + 8 + 1 + 8;
+constexpr size_t kFirstItemNnzOffset = kNumItemsOffset + 8 + 8 + 8;
+
+// Loads `bytes` into an engine that already pushed half of TestStream and
+// expects kDataLoss with the engine untouched: it continues the stream to
+// exactly the uninterrupted run's pairs.
+void ExpectRefusedLeavingEngineUntouched(const std::string& bytes,
+                                         const std::string& reason) {
+  EngineConfig cfg;
+  cfg.theta = 0.6;
+  cfg.lambda = 0.02;
+  const Stream stream = TestStream();
+  const size_t cut = stream.size() / 2;
+  CollectorSink ref_sink;
+  auto ref = *SssjEngine::Make(cfg, &ref_sink);
+  for (const StreamItem& item : stream) {
+    ASSERT_TRUE(ref->Push(item.ts, item.vec).ok());
+  }
+
+  CollectorSink sink;
+  auto engine = *SssjEngine::Make(cfg, &sink);
+  for (size_t i = 0; i < cut; ++i) {
+    ASSERT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
+  }
+  std::istringstream is(bytes);
+  const Status status = engine->LoadCheckpoint(is);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find(reason), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(engine->next_id(), cut);
+  for (size_t i = cut; i < stream.size(); ++i) {
+    ASSERT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
+  }
+  EXPECT_EQ(sink.pairs(), ref_sink.pairs());
+}
+
+// A saved checkpoint of the first 40 TestStream items.
+std::string SmallCheckpoint() {
+  EngineConfig cfg;
+  cfg.theta = 0.6;
+  cfg.lambda = 0.02;
+  auto engine = *SssjEngine::Make(cfg);
+  const Stream stream = TestStream();
+  for (size_t i = 0; i < 40; ++i) {
+    EXPECT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
+  }
+  std::ostringstream os;
+  EXPECT_TRUE(engine->SaveCheckpoint(os).ok());
+  return std::move(os).str();
+}
+
+// Declared lengths are untrusted: the loader grows with the bytes it
+// actually reads, so a huge count over a short body fails on the missing
+// bytes instead of allocating the declared size (the ASan leg would abort
+// on a 2^64-element request).
+TEST(CheckpointTest, EngineLoadRejectsOversizedDeclaredItemCount) {
+  std::string tampered = SmallCheckpoint();
+  ASSERT_GT(tampered.size(), kFirstItemNnzOffset + 4);
+  std::memset(&tampered[kNumItemsOffset], 0xFF, 8);  // 2^64 − 1 items
+  ExpectRefusedLeavingEngineUntouched(tampered, "checkpoint");
+}
+
+TEST(CheckpointTest, EngineLoadRejectsOversizedDeclaredItemNnz) {
+  std::string tampered = SmallCheckpoint();
+  ASSERT_GT(tampered.size(), kFirstItemNnzOffset + 4);
+  std::memset(&tampered[kFirstItemNnzOffset], 0xFF, 4);  // 2^32 − 1 coords
+  ExpectRefusedLeavingEngineUntouched(tampered, "checkpoint");
+}
+
+// Files of the formats older builds wrote are refused by name: the native
+// STR-L2 engine checkpoint and the index image it wrapped.
+TEST(CheckpointTest, RetiredFormatsAreRefusedByName) {
+  for (const std::string magic : {"SSSJENG2", "SSSJCKP2"}) {
+    SCOPED_TRACE(magic);
+    std::string retired = SmallCheckpoint();
+    retired.replace(0, magic.size(), magic);
+    ExpectRefusedLeavingEngineUntouched(retired, magic);
+    ExpectRefusedLeavingEngineUntouched(retired, "no longer reads");
+  }
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 //   2. Live migration between workers is bitwise invisible.
 //   3. kill -9 of a worker mid-stream reconverges with no lost and no
 //      duplicated pairs past the acked watermark.
-// Plus the restore-path cross-version sniffing pins: a native SSSJENG2
-// checkpoint offered where the portable format is required is refused
-// with a named reason and the worker stays pristine, and a truncation
-// sweep over the restore blob never leaves partial state behind.
+// Plus the restore-path cross-version sniffing pins: a checkpoint in the
+// retired SSSJENG2 format is refused with a named reason and the worker
+// stays pristine, and a truncation sweep over the restore blob never
+// leaves partial state behind.
 #include <gtest/gtest.h>
 #include <signal.h>
 
@@ -357,24 +357,23 @@ TEST(ClusterFailoverTest, KillDuringIdlePeriodStillRecovers) {
   supervisor.Shutdown();
 }
 
-// ---- restore-path cross-version sniffing (worker must refuse native
-// checkpoints with a named reason and stay pristine) ----
+// ---- restore-path cross-version sniffing (worker must refuse retired
+// checkpoint formats with a named reason and stay pristine) ----
 
+// A checkpoint whose magic is the retired native SSSJENG2 one.
 std::string NativeCheckpointBytes() {
   EngineConfig config;
   config.framework = Framework::kStreaming;
   config.index = IndexScheme::kL2;
   config.theta = 0.6;
   config.lambda = 0.05;
-  config.adaptive.enable_migration = false;  // native SSSJENG2 format
   CollectorSink sink;
   auto engine = *SssjEngine::Make(config, &sink);
   EXPECT_TRUE(engine->Push(0.0, UnitVec({{1, 1.0}})).ok());
   std::ostringstream os;
   EXPECT_TRUE(engine->SaveCheckpoint(os).ok());
   std::string bytes = std::move(os).str();
-  EXPECT_EQ(bytes.compare(0, 8, "SSSJENG2"), 0)
-      << "fixture did not produce a native checkpoint";
+  bytes.replace(0, 8, "SSSJENG2");
   return bytes;
 }
 
@@ -404,9 +403,11 @@ TEST(WorkerRestoreTest, NativeCheckpointIsRefusedWithNamedReason) {
   ASSERT_FALSE(reply.status.ok());
   // The refusal must NAME the cross-version problem, not report a
   // generic parse failure.
+  EXPECT_EQ(reply.status.code(), StatusCode::kDataLoss)
+      << reply.status.ToString();
   EXPECT_NE(reply.status.message().find("SSSJENG2"), std::string::npos)
       << reply.status.ToString();
-  EXPECT_NE(reply.status.message().find("migration"), std::string::npos)
+  EXPECT_NE(reply.status.message().find("no longer reads"), std::string::npos)
       << reply.status.ToString();
   // And the worker is pristine: no half-born session, name reusable.
   EXPECT_EQ(worker.num_sessions(), 0u);

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <tuple>
 
 #include "core/brute_force.h"
@@ -186,26 +185,6 @@ TEST(GeneralizedIndexTest, ExponentialFunctionPinsDecayParamsBitwise) {
       }
     }
   }
-}
-
-// SSSJCKP2 stores (θ, λ) only, so a non-exponential index has no
-// checkpoint: both directions refuse instead of mislabeling the decay.
-TEST(GeneralizedIndexTest, CheckpointRefusesNonExponentialDecay) {
-  StreamL2Index index(0.7, DecayFunction::Polynomial(2.0, 2.0));
-  CollectorSink sink;
-  index.ProcessArrival(Item(0, 0.0, UnitVec({{1, 1.0}})), &sink);
-  std::stringstream blob;
-  EXPECT_FALSE(index.Serialize(blob));
-  EXPECT_TRUE(blob.str().empty());
-
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.7, 0.0, &params));
-  StreamL2Index exponential(params);
-  std::stringstream saved;
-  ASSERT_TRUE(exponential.Serialize(saved));
-  std::string error;
-  EXPECT_FALSE(index.Deserialize(saved, &error));
-  EXPECT_NE(error.find("exponential"), std::string::npos) << error;
 }
 
 enum class GenScheme { kInv, kL2 };

@@ -286,13 +286,39 @@ TEST(JoinServiceTest, CheckpointRoundTripThroughHandles) {
   ExpectBitIdentical(sink.pairs(), ref_sink.pairs(), "resumed session");
   std::remove(path.c_str());
 
-  // Checkpointing an MB session reports kUnimplemented through the handle.
+  // An MB session checkpoints through its handle too, with the pairs still
+  // pending in its windows: abandoned after the save (no flush), then
+  // resumed, it ends with the uninterrupted run's pairs, each once.
   EngineConfig mb = cfg;
   mb.framework = Framework::kMiniBatch;
-  auto mb_handle = service.CreateSession({"mb", mb, &sink});
-  ASSERT_TRUE(mb_handle.ok());
-  EXPECT_EQ(service.SaveCheckpoint(*mb_handle, path).code(),
-            StatusCode::kUnimplemented);
+  CollectorSink mb_ref_sink;
+  {
+    auto ref = *SssjEngine::Make(mb, &mb_ref_sink);
+    for (const StreamItem& item : stream) ref->Push(item.ts, item.vec);
+    ref->Flush();
+  }
+  CollectorSink mb_sink;
+  auto mb_first = service.CreateSession({"mb", mb, &mb_sink});
+  ASSERT_TRUE(mb_first.ok());
+  for (size_t i = 0; i < cut; ++i) {
+    service.Push(*mb_first, stream[i].ts, stream[i].vec);
+  }
+  const Status mb_saved = service.SaveCheckpoint(*mb_first, path);
+  ASSERT_TRUE(mb_saved.ok()) << mb_saved.ToString();
+  ASSERT_TRUE(service.AbandonSession(*mb_first).ok());
+  auto mb_resumed = service.CreateSession({"mb-resumed", mb, &mb_sink});
+  ASSERT_TRUE(mb_resumed.ok());
+  const Status mb_loaded = service.LoadCheckpoint(*mb_resumed, path);
+  ASSERT_TRUE(mb_loaded.ok()) << mb_loaded.ToString();
+  for (size_t i = cut; i < stream.size(); ++i) {
+    service.Push(*mb_resumed, stream[i].ts, stream[i].vec);
+  }
+  ASSERT_TRUE(service.CloseSession(*mb_resumed).ok());  // flushes
+  ASSERT_GT(mb_ref_sink.pairs().size(), 0u);
+  EXPECT_EQ(mb_sink.pairs().size(), mb_ref_sink.pairs().size());
+  EXPECT_EQ(::sssj::testing::PairSet(mb_sink.pairs()),
+            ::sssj::testing::PairSet(mb_ref_sink.pairs()));
+  std::remove(path.c_str());
 }
 
 TEST(JoinServiceTest, StatsAggregateAndSortByName) {

@@ -143,27 +143,29 @@ TEST(MemoryBudgetTest, UnmeetableBudgetReturnsResourceExhausted) {
 }
 
 TEST(MemoryBudgetTest, NonEvictableSessionsCountButSurvive) {
-  // An MB session can never be evicted (no checkpoint support); with a
-  // budget it still runs until the cap is hit, and an evictable STR-L2
-  // session beside it is the one that gets spilled.
+  // An async session can never be evicted (the shared pump holds its
+  // engine); with a budget it still runs until the cap is hit, and an
+  // evictable inline session beside it is the one that gets spilled.
   JoinServiceOptions options;
   options.memory_budget_bytes = 4u << 20;  // roomy: nothing should trip
   options.spill_dir = ::testing::TempDir();
   JoinService service(options);
 
-  EngineConfig mb = BudgetedEngineConfig();
-  mb.framework = Framework::kMiniBatch;
+  EngineConfig async = BudgetedEngineConfig();
+  async.framework = Framework::kMiniBatch;
+  async.ingest.mode = IngestMode::kAsync;
   CollectorSink mb_sink, str_sink;
-  auto mbh = service.CreateSession({"mb", mb, &mb_sink});
+  auto mbh = service.CreateSession({"mb", async, &mb_sink});
   auto strh =
       service.CreateSession({"str", BudgetedEngineConfig(), &str_sink});
   ASSERT_TRUE(mbh.ok());
   ASSERT_TRUE(strh.ok());
   const Stream stream = SessionStream(7);
   for (const StreamItem& item : stream) {
-    ASSERT_TRUE(service.Push(*mbh, item.ts, item.vec).ok());
+    ASSERT_TRUE(service.AsyncPush(*mbh, item.ts, item.vec).ok());
     ASSERT_TRUE(service.Push(*strh, item.ts, item.vec).ok());
   }
+  ASSERT_TRUE(service.Drain(*mbh).ok());
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.budget_rejections, 0u);
   EXPECT_EQ(stats.num_sessions, 2u);

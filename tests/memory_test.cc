@@ -404,30 +404,6 @@ TEST_P(IndexMemoryOracleTest, CounterEqualsWalkAfterEveryArrival) {
   }
 }
 
-TEST_P(IndexMemoryOracleTest, CounterEqualsWalkAcrossSerializeAndMove) {
-  // The native restore path: Deserialize rebuilds the lists and residuals
-  // through the tracked mutators, and the engine's LoadNative swaps the
-  // scratch index in by move-assignment.
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(kTheta, kLambda, &params));
-  const TieredStorageOptions tiered = StorageOptions(GetParam());
-  StreamL2Index source(params, L2IndexOptions{}, false, tiered);
-  CountingSink sink;
-  for (const StreamItem& item : OracleStream(23)) {
-    source.ProcessArrival(item, &sink);
-  }
-  std::stringstream blob;
-  ASSERT_TRUE(source.Serialize(blob));
-  StreamL2Index restored(params, L2IndexOptions{}, false, tiered);
-  std::string error;
-  ASSERT_TRUE(restored.Deserialize(blob, &error)) << error;
-  EXPECT_EQ(restored.MemoryBytes(), restored.RecountMemoryBytes());
-  StreamL2Index live(params, L2IndexOptions{}, false, tiered);
-  live.ProcessArrival(Item(0, 0.0, UnitVec({{1, 1.0}})), &sink);
-  live = std::move(restored);
-  EXPECT_EQ(live.MemoryBytes(), live.RecountMemoryBytes());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Storages, IndexMemoryOracleTest,
     ::testing::Values(Storage::kUntiered, Storage::kTieredExact,
@@ -445,7 +421,7 @@ struct EngineVariant {
   Framework framework;
   IndexScheme scheme;
   size_t threads;
-  bool migration;  // false: the native (SSSJENG2) checkpoint path
+  bool migration;  // false: no retention deque; STR rebuilds from the index
 };
 
 const EngineVariant kEngineVariants[] = {

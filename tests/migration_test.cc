@@ -278,23 +278,31 @@ TEST(MigrationTest, PortableLoadRejectsParameterMismatch) {
 }
 
 TEST(MigrationTest, NativeFileIntoMigrationEngineIsRefused) {
-  // A native (SSSJENG2) checkpoint has no live-item payload, so a
-  // migration-enabled engine cannot honor its contract after loading one.
-  EngineConfig native_cfg;  // STR-L2, no migration → native format
-  auto writer_or = SssjEngine::Make(native_cfg, nullptr);
+  // The native SSSJENG2 format is retired: a file that still carries its
+  // magic is refused by name, and the engine stays pristine.
+  auto writer_or = SssjEngine::Make(EngineConfig{}, nullptr);
   ASSERT_TRUE(writer_or.ok());
   const Stream stream = MigrationStream(17, 40);
   for (const StreamItem& item : stream) {
     ASSERT_TRUE((*writer_or)->Push(item.ts, item.vec).ok());
   }
-  std::stringstream snapshot(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE((*writer_or)->SaveCheckpoint(snapshot).ok());
+  std::ostringstream saved;
+  ASSERT_TRUE((*writer_or)->SaveCheckpoint(saved).ok());
+  std::string bytes = std::move(saved).str();
+  bytes.replace(0, 8, "SSSJENG2");
+  std::istringstream snapshot(bytes);
 
   auto loader_or = SssjEngine::Make(
       MigrationConfig(Framework::kStreaming, IndexScheme::kL2), nullptr);
   ASSERT_TRUE(loader_or.ok());
   const Status status = (*loader_or)->LoadCheckpoint(snapshot);
-  EXPECT_EQ(status.code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(std::string(status.message()).find("SSSJENG2"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(std::string(status.message()).find("no longer reads"),
+            std::string::npos)
+      << status.ToString();
   EXPECT_EQ((*loader_or)->next_id(), 0u);
 }
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "core/engine.h"
@@ -247,16 +249,45 @@ TEST(ShardedEngineTest, PushBatchSkipsInvalidItemsAndContinues) {
   ASSERT_EQ(sink.pairs().size(), 1u);  // items 0 and 2 are near-identical
 }
 
-TEST(ShardedEngineTest, CheckpointingRejectedWithGuidance) {
+// A sharded engine checkpoints like the sequential one: the live items are
+// rebuilt from every shard's lists, and a resumed engine with the same
+// shard count continues with the uninterrupted run's pair sequence.
+TEST(ShardedEngineTest, CheckpointResumesWithTheSameShardCount) {
+  const Stream stream = DenseishStream(7);
+  const size_t cut = stream.size() / 2;
   EngineConfig cfg;
   cfg.framework = Framework::kStreaming;
   cfg.index = IndexScheme::kL2;
+  cfg.theta = 0.7;
+  cfg.lambda = 0.01;
   cfg.num_threads = 4;
-  auto engine = *SssjEngine::Make(cfg);
-  ASSERT_NE(engine, nullptr);
-  const Status status = engine->SaveCheckpoint("/tmp/sssj_sharded.ckpt");
-  EXPECT_EQ(status.code(), StatusCode::kUnimplemented);
-  EXPECT_NE(status.message().find("single-threaded"), std::string::npos);
+  CollectorSink ref_sink;
+  auto ref = *SssjEngine::Make(cfg, &ref_sink);
+  EXPECT_EQ(ref->PushBatch(stream).accepted, stream.size());
+
+  const std::string path = ::testing::TempDir() + "/sssj_sharded.ckpt";
+  CollectorSink sink;
+  {
+    auto first = *SssjEngine::Make(cfg, &sink);
+    const Stream head(stream.begin(), stream.begin() + cut);
+    EXPECT_EQ(first->PushBatch(head).accepted, cut);
+    const Status saved = first->SaveCheckpoint(path);
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+  }
+  auto resumed = *SssjEngine::Make(cfg, &sink);
+  const Status loaded = resumed->LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const Stream tail(stream.begin() + cut, stream.end());
+  EXPECT_EQ(resumed->PushBatch(tail).accepted, tail.size());
+  std::remove(path.c_str());
+
+  ASSERT_EQ(sink.pairs().size(), ref_sink.pairs().size());
+  ASSERT_GT(sink.pairs().size(), 0u);
+  for (size_t i = 0; i < sink.pairs().size(); ++i) {
+    EXPECT_EQ(sink.pairs()[i].a, ref_sink.pairs()[i].a) << "pair " << i;
+    EXPECT_EQ(sink.pairs()[i].b, ref_sink.pairs()[i].b) << "pair " << i;
+    EXPECT_EQ(sink.pairs()[i].sim, ref_sink.pairs()[i].sim) << "pair " << i;
+  }
 }
 
 TEST(ConcurrentCollectingSinkTest, ParallelEmitsAreAllRecorded) {
