@@ -55,6 +55,12 @@ VariantResult RunVariant(const Stream& stream, StreamIndex* index) {
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
+  flags.RejectUnknown(
+      {"scale", "seed", "tsv", "lambda-list", "theta", "json-out",
+       "block-entries", "dormant-tail", "dormant-after", "scan-budget",
+       "freeze-quantum", "cold-n", "cold-dims", "cold-block-entries",
+       "cold-dormant-tail", "cold-dormant-after", "cold-scan-budget",
+       "cold-freeze-quantum", "cold-reps"});
   const auto args = bench::ParseCommon(flags, /*default_scale=*/0.7);
   const double theta = flags.GetDouble("theta", 0.6);
   const std::string json_out =
@@ -65,16 +71,12 @@ int Run(int argc, char** argv) {
       "Ablation: memory footprint STR vs MB, flat vs tiered, BlogsLike",
       stream, args);
 
-  // Laptop-scale freeze knobs: the library defaults (hot tail 512) are
-  // sized for production list lengths; at bench scale most lists would
-  // never reach the freeze threshold and the ablation would measure
-  // nothing. Overridable for sensitivity sweeps.
+  // Freeze knobs for bench-scale list lengths, overridable for
+  // sensitivity sweeps.
   TieredStorageOptions tiered;
   tiered.enabled = true;
   tiered.block_entries =
       static_cast<size_t>(flags.GetInt("block-entries", 64));
-  tiered.hot_tail_entries =
-      static_cast<size_t>(flags.GetInt("hot-tail", 128));
   tiered.dormant_tail_entries =
       static_cast<size_t>(flags.GetInt("dormant-tail", 16));
   tiered.dormant_after_appends =
@@ -175,7 +177,7 @@ int Run(int argc, char** argv) {
                   .Set("pairs", mb.pairs));
   }
   std::cout << "(theta=" << theta
-            << "; tiered = frozen-block cold tier, exact value tier — "
+            << "; tiered = frozen-block cold tier — "
                "pairs must match the flat rows)\n";
   table.Print(std::cout);
   doc.Set("memory", std::move(rows));
@@ -209,8 +211,6 @@ int Run(int argc, char** argv) {
     cold_tiered.enabled = true;
     cold_tiered.block_entries =
         static_cast<size_t>(flags.GetInt("cold-block-entries", 256));
-    cold_tiered.hot_tail_entries =
-        static_cast<size_t>(flags.GetInt("cold-hot-tail", 128));
     cold_tiered.dormant_tail_entries =
         static_cast<size_t>(flags.GetInt("cold-dormant-tail", 0));
     cold_tiered.dormant_after_appends =

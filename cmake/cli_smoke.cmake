@@ -6,14 +6,19 @@
 #      non-empty and byte-identical;
 #   3. sssj_cli on a directory must fail (a read error is not an empty
 #      stream);
-#   4. checkpoint round trip: the text file is split in two, and for
-#      --index=L2, --index=INV, --index=L2AP and --threads=2 the first half
-#      runs with --checkpoint-out and the second with --checkpoint-in. The
-#      two pair files, concatenated, must equal one run over the whole
-#      file: byte for byte, except for L2AP, whose resumed max vector
-#      covers only the live items (so its float summation order can
-#      change) and which must give the same set of pair ids. MB is left
-#      out: sssj_cli flushes its windows before --checkpoint-out.
+#   4. tiered storage: at --lambda=0.001, --index=L2 and --index=INV with
+#      --tiered must write pair files byte-identical to the untiered
+#      runs, and --memory must show that something froze (the bytes
+#      differ); --value-tier=bf16, an unknown flag, must exit 2;
+#   5. checkpoint round trip: the text file is split in two, and for
+#      --index=L2, --index=INV, --index=L2AP, --threads=2 and
+#      --tiered --index=INV (at --lambda=0.001) the first half runs with
+#      --checkpoint-out and the second with --checkpoint-in. The two pair
+#      files, concatenated, must equal one run over the whole file: byte
+#      for byte, except for L2AP, whose resumed max vector covers only
+#      the live items (so its float summation order can change) and
+#      which must give the same set of pair ids. MB is left out:
+#      sssj_cli flushes its windows before --checkpoint-out.
 #
 #   cmake -DSSSJ_CLI=<path> -DMAKE_DATASET=<path> -DTEXT2BIN=<path>
 #         -DWORK_DIR=<scratch dir> -P cli_smoke.cmake
@@ -73,6 +78,58 @@ if(rc EQUAL 0)
 endif()
 message(STATUS "sssj_cli on a directory (exit ${rc}): ${err}")
 
+# Tiered storage. At the lambda 0.01 used elsewhere in this script nothing on
+# this stream freezes; at 0.001 the lists grow long enough to.
+function(memory_bytes name out_var)
+  execute_process(COMMAND ${ARGN}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name} failed (${rc}):\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "memory: ([0-9]+) bytes")
+    message(FATAL_ERROR "${name} printed no memory line:\n${err}")
+  endif()
+  set(${out_var} "${CMAKE_MATCH_1}" PARENT_SCOPE)
+endfunction()
+
+foreach(index L2 INV)
+  set(common "--input=${text}" --theta=0.6 --lambda=0.001 --quiet --memory
+             "--index=${index}")
+  memory_bytes("sssj_cli ${index} untiered" flat_bytes "${SSSJ_CLI}"
+               ${common} "--output=${WORK_DIR}/flat-${index}.txt")
+  memory_bytes("sssj_cli ${index} tiered" tiered_bytes "${SSSJ_CLI}"
+               ${common} --tiered "--output=${WORK_DIR}/tiered-${index}.txt")
+  file(SIZE "${WORK_DIR}/flat-${index}.txt" size)
+  if(size EQUAL 0)
+    message(FATAL_ERROR "sssj_cli ${index} wrote no pairs at lambda 0.001")
+  endif()
+  if(flat_bytes EQUAL tiered_bytes)
+    message(FATAL_ERROR "${index}: --tiered froze nothing "
+                        "(${tiered_bytes} bytes either way)")
+  endif()
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                          "${WORK_DIR}/flat-${index}.txt"
+                          "${WORK_DIR}/tiered-${index}.txt"
+                  RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "${index}: tiered pairs differ from untiered")
+  endif()
+  message(STATUS "tiered ${index}: same pairs, ${flat_bytes} -> "
+                 "${tiered_bytes} bytes")
+endforeach()
+
+execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --value-tier=bf16
+                        --quiet
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "sssj_cli --value-tier=bf16 exited ${rc}, not 2:\n"
+                      "${err}")
+endif()
+
 # Checkpoint round trip over the two halves of the text stream.
 file(STRINGS "${text}" lines)
 list(LENGTH lines num_lines)
@@ -96,15 +153,19 @@ function(pair_ids path out_var)
   set(${out_var} "${ids}" PARENT_SCOPE)
 endfunction()
 
-foreach(variant L2 INV L2AP threads2)
+foreach(variant L2 INV L2AP threads2 tiered-INV)
+  set(lambda 0.01)
   if(variant STREQUAL "threads2")
     set(args --threads=2)
+  elseif(variant STREQUAL "tiered-INV")
+    set(args --tiered --index=INV)
+    set(lambda 0.001)  # long enough lists to freeze, see above
   else()
     set(args "--index=${variant}")
   endif()
   set(dir "${WORK_DIR}/roundtrip-${variant}")
   file(MAKE_DIRECTORY "${dir}")
-  set(common --theta=0.6 --lambda=0.01 --quiet ${args})
+  set(common --theta=0.6 "--lambda=${lambda}" --quiet ${args})
   run_step("sssj_cli ${variant} whole" "${SSSJ_CLI}" "--input=${text}"
            ${common} "--output=${dir}/whole.txt")
   run_step("sssj_cli ${variant} half 1" "${SSSJ_CLI}"

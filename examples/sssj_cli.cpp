@@ -66,14 +66,8 @@
 //                        prefixes freeze into immutable blocks
 //                        (compressed for rarely scanned lists, raw
 //                        zero-copy for hot ones) so the live footprint
-//                        drops; exact-tier output is bit-identical to
-//                        the untiered run
-//   --value-tier=exact|bf16|f16
-//                        precision of the frozen value/prefix_norm
-//                        columns (implies --tiered). exact reproduces
-//                        the mutable columns bit for bit; bf16/f16
-//                        halve the frozen value bytes at quantized
-//                        score precision (see ARCHITECTURE.md)
+//                        drops; output is bit-identical to the untiered
+//                        run
 //   --checkpoint-in=<path>
 //                        restore engine state from a checkpoint before
 //                        pushing the stream (any framework, index and
@@ -120,8 +114,8 @@ int main(int argc, char** argv) {
   flags.RejectUnknown(
       {"input", "format", "framework", "index", "theta", "lambda", "kernel",
        "threads", "output", "quiet", "min-dot", "top-k", "memory", "async",
-       "queue-capacity", "epoch-items", "submit", "tiered", "value-tier",
-       "memory-budget", "checkpoint-in", "checkpoint-out", "duel-epoch"});
+       "queue-capacity", "epoch-items", "submit", "tiered", "memory-budget",
+       "checkpoint-in", "checkpoint-out", "duel-epoch"});
   const std::string input = flags.GetString("input", "");
   if (input.empty()) {
     std::fprintf(stderr, "--input is required (see header of this file)\n");
@@ -205,21 +199,6 @@ int main(int argc, char** argv) {
     }
   }
   config.tiered.enabled = flags.GetBool("tiered", false);
-  if (flags.Has("value-tier")) {
-    // Same silent-fallback guard as --kernel: a bare `--value-tier` must
-    // error out, not quietly run at the exact default.
-    const std::string tier_str = flags.GetString("value-tier", "");
-    const auto tier = sssj::ParseValueTier(tier_str);
-    if (!tier.ok()) {
-      std::fprintf(stderr,
-                   "invalid value for --value-tier: '%s' (expected exact, "
-                   "bf16, or f16)\n",
-                   tier_str.c_str());
-      return 2;
-    }
-    config.tiered.value_tier = *tier;
-    config.tiered.enabled = true;  // a tier choice implies tiering
-  }
   const int64_t budget_raw = flags.GetInt("memory-budget", 0);
   if (budget_raw < 0) {
     std::fprintf(stderr,

@@ -1,7 +1,7 @@
 // Fuzz target for util/codec.h: the varint / zigzag / delta /
-// double-delta decoders that parse frozen-block bytes, plus the 16-bit
-// quantizers. Everything here consumes attacker-controlled bytes in the
-// tiered-storage read path, so the invariants checked are:
+// double-delta decoders that parse frozen-block bytes. Everything here
+// consumes attacker-controlled bytes in the tiered-storage read path, so
+// the invariants checked are:
 //
 //   * bounds-checked decoders never read past `end` (ASan enforces) and
 //     report truncation as nullptr, never as garbage output;
@@ -9,12 +9,9 @@
 //     its precondition (kMaxVarintBytes readable) holds — the peeled
 //     fast path in DecodeDeltaU64/DecodeDoubleDelta leans on exactly
 //     this equivalence;
-//   * encode(decode(x)) round-trips bit-exactly for both columns;
-//   * the RoundUp quantizers never round a finite non-negative norm
-//     down (the l2bound safety property).
+//   * encode(decode(x)) round-trips bit-exactly for both columns.
 #undef NDEBUG
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -89,30 +86,10 @@ void CheckColumnRoundTrips(const uint8_t* data, size_t size) {
   }
 }
 
-void CheckQuantizers(const uint8_t* data, size_t size) {
-  for (size_t i = 0; i + sizeof(double) <= size; i += sizeof(double)) {
-    double d;
-    std::memcpy(&d, data + i, sizeof(d));
-    // Exercise every conversion on arbitrary bit patterns (must not trap
-    // or read OOB)...
-    (void)Bf16ToF64(F64ToBf16(d));
-    (void)F16ToF64(F64ToF16(d));
-    // ...and check the round-up contract on its stated domain.
-    if (std::isfinite(d) && d >= 0.0) {
-      assert(Bf16ToF64(F64ToBf16RoundUp(d)) >= d);
-      const double up = F16ToF64(F64ToF16RoundUp(d));
-      // fp16 saturates at its max normal; above that the bound cannot
-      // hold and callers never store such norms (unit vectors).
-      if (d <= 65504.0) assert(up >= d);
-    }
-  }
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CheckVarintConsistency(data, size);
   CheckColumnRoundTrips(data, size);
-  CheckQuantizers(data, size);
   return 0;
 }

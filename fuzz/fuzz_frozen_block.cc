@@ -1,14 +1,16 @@
 // Fuzz target for util/frozen_block.h: Freeze → Thaw round-trips over
-// fuzz-derived posting columns, across every value tier, compressed and
-// raw, one- and two-run (wrapped circular tail) sources. Invariants:
+// fuzz-derived posting columns, compressed and raw, one- and two-run
+// (wrapped circular tail) sources. Invariants:
 //
 //   * Freeze/Thaw never crash or read out of bounds for any column
 //     contents (including NaN / infinity / denormal doubles);
-//   * id and ts columns round-trip bit-exactly in every tier;
-//   * value and prefix_norm round-trip bit-exactly in the exact tier and
-//     in raw (uncompressed) blocks;
+//   * all four columns round-trip bit-exactly in both forms;
 //   * CountOlderThan agrees with a linear scan whenever the block
 //     reports time_sorted().
+//
+// Input: one config byte, then 32 bytes per entry (id, value,
+// prefix_norm, ts). Config bit 2 selects the compressed form, bit 3 a
+// two-run split at n/2; bits 0-1 and 4-7 are unused.
 #undef NDEBUG
 #include <algorithm>
 #include <cassert>
@@ -24,7 +26,6 @@ using sssj::FrozenBlock;
 using sssj::FrozenColumns;
 using sssj::FrozenSourceRun;
 using sssj::Timestamp;
-using sssj::ValueTier;
 using sssj::VectorId;
 
 namespace {
@@ -46,8 +47,7 @@ size_t LeadingOlderThan(const std::vector<Timestamp>& ts, Timestamp cutoff) {
   return n;
 }
 
-void CheckOneConfig(const Columns& cols, size_t split, ValueTier tier,
-                    bool compress) {
+void CheckOneConfig(const Columns& cols, size_t split, bool compress) {
   const size_t n = cols.id.size();
   FrozenSourceRun runs[2];
   runs[0] = {cols.id.data(), cols.value.data(), cols.prefix_norm.data(),
@@ -58,7 +58,7 @@ void CheckOneConfig(const Columns& cols, size_t split, ValueTier tier,
   const size_t nruns = (split == 0 || split == n) ? 1 : 2;
   const FrozenSourceRun* first = (split == 0) ? &runs[1] : &runs[0];
 
-  const FrozenBlock block = FrozenBlock::Freeze(first, nruns, tier, compress);
+  const FrozenBlock block = FrozenBlock::Freeze(first, nruns, compress);
   assert(block.count() == n);
 
   FrozenColumns out;
@@ -68,13 +68,10 @@ void CheckOneConfig(const Columns& cols, size_t split, ValueTier tier,
          0);
   assert(std::memcmp(out.ts.data(), cols.ts.data(), n * sizeof(Timestamp)) ==
          0);
-  const bool exact = !compress || tier == ValueTier::kExact;
-  if (exact) {
-    assert(std::memcmp(out.value.data(), cols.value.data(),
-                       n * sizeof(double)) == 0);
-    assert(std::memcmp(out.prefix_norm.data(), cols.prefix_norm.data(),
-                       n * sizeof(double)) == 0);
-  }
+  assert(std::memcmp(out.value.data(), cols.value.data(),
+                     n * sizeof(double)) == 0);
+  assert(std::memcmp(out.prefix_norm.data(), cols.prefix_norm.data(),
+                     n * sizeof(double)) == 0);
 
   // Thaw again skipping the value column — id/ts must be unaffected.
   FrozenColumns skipped;
@@ -137,9 +134,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     std::memcpy(&cols.ts[i], rec + 24, 8);
   }
 
-  const ValueTier tier = static_cast<ValueTier>(cfg % 3);
   const bool compress = (cfg & 4) != 0;
   const size_t split = (cfg & 8) != 0 ? n / 2 : n;
-  CheckOneConfig(cols, split, tier, compress);
+  CheckOneConfig(cols, split, compress);
   return 0;
 }

@@ -126,15 +126,6 @@ StatusOr<IndexScheme> ParseIndexScheme(const std::string& s) {
                                  "' (expected INV, AP, L2AP, L2, or AUTO)");
 }
 
-StatusOr<ValueTier> ParseValueTier(const std::string& s) {
-  const std::string l = AsciiLower(s);
-  if (l == "exact" || l == "f64" || l == "fp64") return ValueTier::kExact;
-  if (l == "bf16") return ValueTier::kBf16;
-  if (l == "f16" || l == "fp16" || l == "half") return ValueTier::kF16;
-  return Status::InvalidArgument("unknown value tier '" + s +
-                                 "' (expected exact, bf16, or f16)");
-}
-
 StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
                                                  Framework framework,
                                                  IndexScheme scheme,
@@ -198,12 +189,9 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
   // A checkpoint of an STR core rebuilds the live items from the index
   // unless the core keeps them in the retention deque. Migration-capable
   // engines keep it: SwitchScheme and the fleet's checkpoint pulls copy it
-  // instead of scanning the index. So does a lossy value tier, whose
-  // bf16/f16 frozen blocks cannot give the exact values back.
-  const bool lossy_tier = config.tiered.enabled &&
-                          config.tiered.value_tier != ValueTier::kExact;
+  // instead of scanning the index.
   const bool retain_live = config.adaptive.enable_migration ||
-                           config.index == IndexScheme::kAuto || lossy_tier;
+                           config.index == IndexScheme::kAuto;
   std::unique_ptr<JoinCore> core = std::make_unique<StreamingJoin>(
       params, std::move(index), retain_live);
   return core;
@@ -257,17 +245,8 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
           FormatValue(ing.submit_timeout_ms));
     }
   }
-  if (config.tiered.enabled) {
-    const TieredStorageOptions& t = config.tiered;
-    if (t.block_entries < 1) {
-      return Status::OutOfRange("tiered.block_entries must be >= 1; got 0");
-    }
-    if (t.hot_tail_entries < t.dormant_tail_entries) {
-      return Status::OutOfRange(
-          "tiered.hot_tail_entries (" + std::to_string(t.hot_tail_entries) +
-          ") must be >= tiered.dormant_tail_entries (" +
-          std::to_string(t.dormant_tail_entries) + ")");
-    }
+  if (config.tiered.enabled && config.tiered.block_entries < 1) {
+    return Status::OutOfRange("tiered.block_entries must be >= 1; got 0");
   }
   if (config.framework == Framework::kStreaming &&
       config.index == IndexScheme::kAp) {

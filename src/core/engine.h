@@ -74,9 +74,6 @@ const char* ToString(IndexScheme s);
 // the input.
 StatusOr<Framework> ParseFramework(const std::string& s);
 StatusOr<IndexScheme> ParseIndexScheme(const std::string& s);
-// Case-insensitive parse for the tiered-storage value tier ("exact"/"f64",
-// "bf16", "f16"/"fp16"/"half"). Unknown names yield kInvalidArgument.
-StatusOr<ValueTier> ParseValueTier(const std::string& s);
 
 struct EngineConfig {
   Framework framework = Framework::kStreaming;
@@ -113,13 +110,10 @@ struct EngineConfig {
   // Tiered posting storage (util/frozen_block.h). Off by default. When
   // enabled, cold prefixes of long posting lists are compacted into
   // immutable frozen blocks with delta+varint compressed id/ts columns;
-  // scans decompress one block at a time into per-caller scratch. With the
-  // default value_tier == ValueTier::kExact the value/prefix_norm columns
-  // stay raw fp64 and the emitted pair sequence and scores are
-  // bit-identical to the untiered engine for every STR scheme (sequential
-  // and sharded, any thread count). kBf16/kF16 additionally quantize the
-  // value columns (prefix_norm rounds *up*, keeping the l2bound a valid
-  // upper bound) — the output then approximates the exact engine. Applies
+  // scans decompress one block at a time into per-caller scratch. The
+  // value/prefix_norm columns decode to the exact doubles, so the emitted
+  // pair sequence and scores are bit-identical to the untiered engine for
+  // every STR scheme (sequential and sharded, any thread count). Applies
   // to the STR schemes; MB windows are short-lived and ignore it.
   TieredStorageOptions tiered;
   // Ingestion mode and queue/epoch/backpressure tuning (core/ingest_pump.h).
@@ -154,7 +148,7 @@ struct BatchPushResult {
 // Builds a join core for the given framework×scheme, honoring the
 // config's thread/pool/kernel/tiering knobs (STR cores additionally keep
 // their in-horizon items in a retention deque when the config enables
-// migration or a lossy value tier).
+// migration).
 // Fails with kUnimplemented for STR-AP and kInvalidArgument for kAuto
 // (the engine resolves kAuto to a concrete scheme before building).
 // Used by the engine shell, the scheme-migration path, and the

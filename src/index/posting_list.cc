@@ -84,7 +84,7 @@ void PostingList::CompactFrontBlock(FootprintScope* scope) {
   run.prefix_norm = cols.prefix_norm.data() + first_skip_;
   run.ts = cols.ts.data() + first_skip_;
   run.len = blk.count() - first_skip_;
-  blk = FrozenBlock::Freeze(&run, 1, blk.tier(), blk.compressed());
+  blk = FrozenBlock::Freeze(&run, 1, blk.compressed());
   scope->Add(blk);
   first_skip_ = 0;
 }
@@ -122,8 +122,8 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch,
         scope.Drop(blk);
       } else {
         // Straddling block (or a fully-live one carrying a skip): thaw,
-        // filter survivors in order, re-freeze at the block's own tier
-        // and physical form.
+        // filter survivors in order, re-freeze in the block's own
+        // physical form.
         blk.Thaw(cols);
         size_t w = skip;
         for (size_t i = skip; i < blk.count(); ++i) {
@@ -145,8 +145,7 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch,
           run.prefix_norm = cols->prefix_norm.data() + skip;
           run.ts = cols->ts.data() + skip;
           run.len = survivors;
-          kept.push_back(
-              FrozenBlock::Freeze(&run, 1, blk.tier(), blk.compressed()));
+          kept.push_back(FrozenBlock::Freeze(&run, 1, blk.compressed()));
           scope.Add(kept.back());
         }
       }
@@ -179,8 +178,7 @@ PostingEntry PostingList::FrozenGet(size_t i) const {
 }
 
 void PostingList::FreezeQuantum(size_t n, size_t block_entries,
-                                ValueTier tier, bool compress,
-                                FootprintScope* scope) {
+                                bool compress, FootprintScope* scope) {
   // Amend path: extend the newest block with the oldest tail entries
   // (thaw + concatenate + re-freeze) until it holds block_entries, then
   // start fresh blocks. Keeps the freeze quantum small without a header
@@ -198,7 +196,7 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
         last != nullptr && last->count() - drop < block_entries;
     if (!amend) {
       const size_t take = n < block_entries ? n : block_entries;
-      FreezeFront(take, tier, compress, scope);
+      FreezeFront(take, compress, scope);
       n -= take;
       continue;
     }
@@ -224,7 +222,7 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
     run.ts = cols.ts.data() + drop;
     run.len = old + take;
     scope->Drop(*last);
-    *last = FrozenBlock::Freeze(&run, 1, tier, compress);
+    *last = FrozenBlock::Freeze(&run, 1, compress);
     scope->Add(*last);
     if (drop > 0) first_skip_ = 0;
     frozen_live_ += take;
@@ -233,7 +231,7 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
   }
 }
 
-void PostingList::FreezeFront(size_t n, ValueTier tier, bool compress,
+void PostingList::FreezeFront(size_t n, bool compress,
                               FootprintScope* scope) {
   ColumnStore::Segment segs[2];
   const size_t nsegs = store_.Segments(0, n, segs);
@@ -245,7 +243,7 @@ void PostingList::FreezeFront(size_t n, ValueTier tier, bool compress,
     runs[s].ts = store_.ColumnData<3>() + segs[s].phys;
     runs[s].len = segs[s].len;
   }
-  frozen_.push_back(FrozenBlock::Freeze(runs, nsegs, tier, compress));
+  frozen_.push_back(FrozenBlock::Freeze(runs, nsegs, compress));
   scope->Add(frozen_.back());
   frozen_live_ += n;
   store_.TruncateFront(n);

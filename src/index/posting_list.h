@@ -25,9 +25,8 @@
 // the ForSpans* walks serve directly — only compressed blocks are
 // decompressed, one at a time, into caller-owned FrozenColumns scratch.
 // Expiry drops whole frozen blocks by their max-ts header; only the
-// boundary block's ts stream is ever decoded. Raw blocks and the exact
-// value tier read back bit-identical doubles, so freezing never changes
-// engine output.
+// boundary block's ts stream is ever decoded. Both block forms read back
+// bit-identical doubles, so freezing never changes engine output.
 #ifndef SSSJ_INDEX_POSTING_LIST_H_
 #define SSSJ_INDEX_POSTING_LIST_H_
 
@@ -143,65 +142,48 @@ class PostingList {
   // ticked scans have been observed.
   uint32_t scan_gap() const { return scan_gap_ewma_; }
 
-  // Migrates cold tail entries into frozen blocks when the mutable tail
-  // outgrew the classifier's target. Two regimes, decided per call:
+  // Migrates the oldest tail entries into frozen blocks once the mutable
+  // tail outgrew dormant_tail_entries by a freeze quantum. Every list
+  // keeps the small tail and freezes in quanta, amending the newest
+  // block until it fills: raw blocks scan zero-copy, so even a scan-hot
+  // list loses nothing by freezing early — it just sheds the circular
+  // buffer's power-of-two slack. The classifier only picks the block
+  // form:
   //
   //   scan-cold — the list is dormant (many appends, no scans) or its
   //   scan rate is low enough that decompressing it on the rare scan is
-  //   cheap (size <= scan_gap * cold_scan_budget; needs the index's
-  //   arrival `tick`, see TieredStorageOptions). Keeps only a small
-  //   mutable tail and freezes compressed blocks.
+  //   cheap (size <= scan_gap * cold_scan_budget, see
+  //   TieredStorageOptions). Freezes compressed blocks.
   //
-  //   scan-hot — everything else. Keeps the large hot tail and freezes
-  //   overflow into raw zero-copy blocks: scans read them directly (no
-  //   thaw), so the only effect is squeezing out the circular buffer's
-  //   capacity slack.
+  //   scan-hot — everything else. Freezes raw zero-copy blocks: scans
+  //   read them directly (no thaw).
   //
-  // No-op unless opts.enabled. Raw blocks are always exact; with the
-  // exact value tier freeze timing is unobservable in engine output.
-  void MaybeFreeze(const TieredStorageOptions& opts, uint64_t tick = 0,
+  // No-op unless opts.enabled. Both forms read back the exact doubles,
+  // so freeze timing is unobservable in engine output.
+  void MaybeFreeze(const TieredStorageOptions& opts,
                    size_t* footprint = nullptr) {
     if (!opts.enabled || opts.block_entries == 0) return;
-    const bool scan_cold =
+    const bool compress =
         appends_since_scan_ >= opts.dormant_after_appends ||
-        (tick != 0 && scan_gap_ewma_ != 0 &&
+        (scan_gap_ewma_ != 0 &&
          size() <= static_cast<uint64_t>(scan_gap_ewma_) *
                        opts.cold_scan_budget);
-    if (tick != 0 || scan_cold) {
-      // Scan-rate-tracked lists (and legacy dormant ones) all keep the
-      // small tail and freeze in quanta, amending the newest block until
-      // it fills: raw blocks scan zero-copy, so even a scan-hot list
-      // loses nothing by freezing early — it just sheds the circular
-      // buffer's power-of-two slack. The classifier only picks the
-      // block form: compressed when scans are rare enough to amortize
-      // the decode, raw otherwise.
-      const bool compress = tick == 0 || scan_cold;
-      size_t quantum = opts.cold_freeze_quantum != 0
-                           ? opts.cold_freeze_quantum
-                           : opts.block_entries;
-      // Each amend rewrites the whole newest block, so a small quantum
-      // on a frequently appended list is churn. For raw blocks — the
-      // scan-hot head lists, which also absorb most appends — batch at
-      // least a quarter block per amend: the extra mutable-tail slack
-      // lives on only those few lists, while the memcpy traffic drops
-      // by block/(4*quantum).
-      if (!compress && quantum < opts.block_entries / 4) {
-        quantum = opts.block_entries / 4;
-      }
-      const size_t keep = opts.dormant_tail_entries;
-      if (store_.size() >= keep + quantum) {
-        FootprintScope scope(this, footprint);
-        FreezeQuantum(store_.size() - keep, opts.block_entries,
-                      opts.value_tier, compress, &scope);
-      }
-      return;
+    size_t quantum = opts.cold_freeze_quantum != 0 ? opts.cold_freeze_quantum
+                                                   : opts.block_entries;
+    // Each amend rewrites the whole newest block, so a small quantum on a
+    // frequently appended list is churn. For raw blocks — the scan-hot
+    // head lists, which also absorb most appends — batch at least a
+    // quarter block per amend: the extra mutable-tail slack lives on only
+    // those few lists, while the memcpy traffic drops by
+    // block/(4*quantum).
+    if (!compress && quantum < opts.block_entries / 4) {
+      quantum = opts.block_entries / 4;
     }
-    // Untracked non-dormant lists: legacy behavior — large hot tail,
-    // compressed whole blocks.
-    FootprintScope scope(this, footprint);
-    while (store_.size() >= opts.hot_tail_entries + opts.block_entries) {
-      FreezeFront(opts.block_entries, opts.value_tier, /*compress=*/true,
-                  &scope);
+    const size_t keep = opts.dormant_tail_entries;
+    if (store_.size() >= keep + quantum) {
+      FootprintScope scope(this, footprint);
+      FreezeQuantum(store_.size() - keep, opts.block_entries, compress,
+                    &scope);
     }
   }
 
@@ -281,9 +263,7 @@ class PostingList {
   // end), walking newest → oldest (the scan order of the time-sorted
   // schemes) or oldest → newest (L2AP's forward scan). The callback
   // indexes the span's columns itself, so it reads only the columns it
-  // needs. Do not mutate the list from the callback. The scratch-less
-  // overloads thaw into a local buffer (fine for untiered lists; pass a
-  // reused scratch on hot paths).
+  // needs. Do not mutate the list from the callback.
   template <typename Fn>
   void ForEachNewestFirst(size_t begin, size_t end, FrozenColumns* scratch,
                           Fn&& fn) const {
@@ -292,21 +272,11 @@ class PostingList {
     });
   }
   template <typename Fn>
-  void ForEachNewestFirst(size_t begin, size_t end, Fn&& fn) const {
-    FrozenColumns local;
-    ForEachNewestFirst(begin, end, &local, fn);
-  }
-  template <typename Fn>
   void ForEachOldestFirst(size_t begin, size_t end, FrozenColumns* scratch,
                           Fn&& fn) const {
     ForSpansOldestFirst(begin, end, scratch, [&fn](const PostingSpan& sp) {
       for (size_t k = 0; k < sp.len; ++k) fn(sp, k);
     });
-  }
-  template <typename Fn>
-  void ForEachOldestFirst(size_t begin, size_t end, Fn&& fn) const {
-    FrozenColumns local;
-    ForEachOldestFirst(begin, end, &local, fn);
   }
 
   // Maps the logical range [begin, end) — which must lie entirely in the
@@ -346,8 +316,8 @@ class PostingList {
   // compaction, used by L2AP whose lists are not time-sorted). Returns
   // the number of removed entries. Frozen blocks whose max_ts is older
   // than the cutoff are dropped whole; straddling blocks are thawed
-  // (into `scratch` when given), filtered, and re-frozen at their own
-  // tier.
+  // (into `scratch` when given), filtered, and re-frozen in their own
+  // form.
   size_t CompactExpired(Timestamp cutoff, FrozenColumns* scratch = nullptr,
                         size_t* footprint = nullptr);
 
@@ -422,14 +392,13 @@ class PostingList {
   size_t LowerBoundTsSlow(Timestamp cutoff) const;  // tail-relative
   size_t LowerBoundTsTiered(Timestamp cutoff) const;
   PostingEntry FrozenGet(size_t i) const;
-  void FreezeFront(size_t n, ValueTier tier, bool compress,
-                   FootprintScope* scope);
+  void FreezeFront(size_t n, bool compress, FootprintScope* scope);
   // Rewrites the front block without its consumed (first_skip_) prefix,
   // reclaiming the dead bytes. Requires a non-empty frozen_ and
   // first_skip_ > 0.
   void CompactFrontBlock(FootprintScope* scope);
-  void FreezeQuantum(size_t n, size_t block_entries, ValueTier tier,
-                     bool compress, FootprintScope* scope);
+  void FreezeQuantum(size_t n, size_t block_entries, bool compress,
+                     FootprintScope* scope);
   size_t CompactExpiredTail(Timestamp cutoff);
 
   // Tail-relative span mapping; out[s].begin is reported in full logical
@@ -475,8 +444,8 @@ class PostingList {
         sp.prefix_norm = pn + skip + lo;
       }
     } else {
-      // Exact-tier blocks whose value column fell back to raw fp64 serve
-      // it straight from the compressed buffer; only id/ts need decode.
+      // Blocks whose value column fell back to raw fp64 serve it straight
+      // from the compressed buffer; only id/ts need decode.
       const double* inline_vals = blk.inline_exact_values();
       blk.Thaw(scratch, /*fill_elided_prefix_norm=*/false,
                /*skip_value=*/inline_vals != nullptr);
@@ -595,13 +564,12 @@ class PostingMap {
   }
 
   // Appends one posting to dim's list, then lets the list freeze per
-  // `tiered` (PostingList::MaybeFreeze; `tick` is the arrival counter).
+  // `tiered` (PostingList::MaybeFreeze).
   void Append(DimId dim, VectorId id, double value, double prefix_norm,
-              Timestamp ts, const TieredStorageOptions& tiered,
-              uint64_t tick = 0) {
+              Timestamp ts, const TieredStorageOptions& tiered) {
     PostingList* list = FindOrCreate(dim);
     list->Append(id, value, prefix_norm, ts, &bytes_);
-    list->MaybeFreeze(tiered, tick, &bytes_);
+    list->MaybeFreeze(tiered, &bytes_);
   }
 
   // Expiry on a list of this map (from Find), with the total attached.

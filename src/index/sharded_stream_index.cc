@@ -80,7 +80,7 @@ void ShardedStreamIndex::VerifyAndConstructPhase(const StreamItem& x,
     }
     if (i >= split.first_indexed) {
       shard.lists.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts,
-                         tiered_, stats_.vectors_processed);
+                         tiered_);
       ++shard.appended;
     }
   }

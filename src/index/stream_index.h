@@ -53,8 +53,7 @@ class StreamIndex {
   // that is not OutsideHorizon of `newest` under the index's own τ: the
   // item set a checkpoint persists. One read-only scan of the posting
   // lists (and, for the L2 family, the residual store), shared by every
-  // index in index/live_items.cc. Requires an exact value tier: bf16/f16
-  // frozen blocks cannot give the original values back.
+  // index in index/live_items.cc.
   virtual void CollectLiveItems(Timestamp newest, Stream* out) const = 0;
 
   RunStats& stats() { return stats_; }

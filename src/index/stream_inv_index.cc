@@ -74,8 +74,7 @@ void StreamInvIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
 
   // Index construction: append everything (no prefix filtering).
   for (const Coord& c : x.vec) {
-    lists_.Append(c.dim, x.id, c.value, 0.0, x.ts, tiered_,
-                  stats_.vectors_processed);
+    lists_.Append(c.dim, x.id, c.value, 0.0, x.ts, tiered_);
   }
   NoteIndexed(x.vec.nnz());
 }

@@ -34,7 +34,7 @@ class StreamL2Index : public StreamIndex {
   // `use_simd` selects the vectorized sparse dot (index/kernels.h) for
   // the verification dots; it is bit-identical to the scalar path.
   // `tiered` enables the frozen-block cold tier under every posting
-  // list; with the exact value tier (default) it never changes output.
+  // list; it never changes output.
   explicit StreamL2Index(const DecayParams& params,
                          const L2IndexOptions& options = {},
                          bool use_simd = false,
@@ -138,8 +138,7 @@ void StreamL2Index::ProcessUnder(const Decay& decay_fn, const StreamItem& x,
     residuals_.Insert(x.id, L2MakeResidualRecord(x, split));
     for (size_t i = split.first_indexed; i < n; ++i) {
       const Coord& c = v.coord(i);
-      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_,
-                    stats_.vectors_processed);
+      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_);
     }
     NoteIndexed(n - split.first_indexed);
   }

@@ -154,8 +154,7 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
         residuals_.Insert(x.id, std::move(rec));
         first_indexed = false;
       }
-      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_,
-                    stats_.vectors_processed);
+      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts, tiered_);
       ++appended;
     }
   }
@@ -227,8 +226,7 @@ bool StreamL2apIndex::ReindexOne(VectorId id, const ResidualRecord& rec) {
     const Coord& c = prefix.coord(i);
     // No m̂λ update needed: all of this vector's coordinates were folded
     // into m̂λ when it first arrived.
-    lists_.Append(c.dim, id, c.value, std::sqrt(sq), rec.ts, tiered_,
-                  stats_.vectors_processed);
+    lists_.Append(c.dim, id, c.value, std::sqrt(sq), rec.ts, tiered_);
     sq += c.value * c.value;
     ++appended;
     ++stats_.reindexed_coords;

@@ -14,10 +14,6 @@
 //     differences of their bit patterns, so the second difference is a
 //     tiny zigzag varint (~1 byte/entry). Bit-pattern arithmetic is
 //     always lossless — decode reproduces the exact doubles.
-//   * bf16 / fp16 quantization for the optional lossy value tier.
-//     `RoundUp` variants never round below the input, which is what lets
-//     quantized prefix norms stay valid *upper* bounds for the l2bound
-//     pruning rule (rounding a norm down could prune a true pair).
 //
 // All Get* decoders are bounds-checked against `end` and return nullptr
 // on a torn buffer instead of reading past it; Decode* column helpers
@@ -25,7 +21,6 @@
 #ifndef SSSJ_UTIL_CODEC_H_
 #define SSSJ_UTIL_CODEC_H_
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -179,112 +174,6 @@ inline const uint8_t* DecodeDoubleDelta(const uint8_t* p, const uint8_t* end,
     out[i] = BitsDouble(prev);
   }
   return p;
-}
-
-// ---- bf16 / fp16 quantization ----
-// Posting values and prefix norms are non-negative and ≤ 1 (unit-norm
-// inputs), well inside both formats' range; the conversions below still
-// handle the general finite non-negative case (saturating to the format
-// max) so the codecs are safe for non-normalized configurations.
-
-// bf16: the top 16 bits of a float, round-to-nearest-even.
-inline uint16_t F32ToBf16(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  const uint32_t rounded = u + 0x7FFFu + ((u >> 16) & 1u);
-  return static_cast<uint16_t>(rounded >> 16);
-}
-
-inline float Bf16ToF32(uint16_t h) {
-  const uint32_t u = static_cast<uint32_t>(h) << 16;
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
-
-// IEEE 754 binary16, round-to-nearest-even, saturating to ±max-normal
-// (the posting columns never hold infinities).
-inline uint16_t F32ToF16(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  const uint32_t sign = (u >> 16) & 0x8000u;
-  int32_t exp = static_cast<int32_t>((u >> 23) & 0xFF) - 127 + 15;
-  uint32_t mant = u & 0x7FFFFFu;
-  if (exp >= 31) return static_cast<uint16_t>(sign | 0x7BFFu);  // saturate
-  if (exp <= 0) {
-    // Subnormal (or zero) in fp16: shift the implicit bit in.
-    if (exp < -10) return static_cast<uint16_t>(sign);  // underflow to 0
-    mant |= 0x800000u;
-    const int shift = 14 - exp;  // 13-bit mantissa shift plus (1 - exp)
-    const uint32_t half = 1u << (shift - 1);
-    uint32_t q = mant >> shift;
-    const uint32_t rem = mant & ((1u << shift) - 1);
-    if (rem > half || (rem == half && (q & 1u))) ++q;
-    return static_cast<uint16_t>(sign | q);
-  }
-  // Normal: round 23-bit mantissa to 10 bits (nearest even), letting a
-  // mantissa overflow carry into the exponent.
-  uint32_t q = (static_cast<uint32_t>(exp) << 10) | (mant >> 13);
-  const uint32_t rem = mant & 0x1FFFu;
-  if (rem > 0x1000u || (rem == 0x1000u && (q & 1u))) ++q;
-  if (q >= 0x7C00u) return static_cast<uint16_t>(sign | 0x7BFFu);  // saturate
-  return static_cast<uint16_t>(sign | q);
-}
-
-inline float F16ToF32(uint16_t h) {
-  const uint32_t sign = (static_cast<uint32_t>(h) & 0x8000u) << 16;
-  const uint32_t exp = (h >> 10) & 0x1Fu;
-  const uint32_t mant = h & 0x3FFu;
-  uint32_t u;
-  if (exp == 0) {
-    if (mant == 0) {
-      u = sign;  // ±0
-    } else {
-      // Subnormal: renormalize.
-      int e = -1;
-      uint32_t m = mant;
-      do {
-        ++e;
-        m <<= 1;
-      } while ((m & 0x400u) == 0);
-      u = sign | ((127 - 15 - e) << 23) | ((m & 0x3FFu) << 13);
-    }
-  } else if (exp == 31) {
-    u = sign | 0x7F800000u | (mant << 13);  // inf / NaN
-  } else {
-    u = sign | ((exp + 127 - 15) << 23) | (mant << 13);
-  }
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
-
-// Round-to-nearest double → 16-bit conversions for the lossy value tier.
-inline uint16_t F64ToBf16(double d) { return F32ToBf16(static_cast<float>(d)); }
-inline double Bf16ToF64(uint16_t h) {
-  return static_cast<double>(Bf16ToF32(h));
-}
-inline uint16_t F64ToF16(double d) { return F32ToF16(static_cast<float>(d)); }
-inline double F16ToF64(uint16_t h) { return static_cast<double>(F16ToF32(h)); }
-
-// Round-UP (toward +inf) conversions for non-negative prefix norms: the
-// decoded value is always >= the input, so a quantized norm remains a
-// valid upper bound on the true prefix magnitude. Implemented as
-// round-to-nearest followed by a one-ulp bump when the result landed
-// below the input.
-inline uint16_t F64ToBf16RoundUp(double d) {
-  uint16_t h = F64ToBf16(d);
-  if (Bf16ToF64(h) < d) ++h;  // next representable bf16 (d >= 0, finite)
-  return h;
-}
-
-inline uint16_t F64ToF16RoundUp(double d) {
-  uint16_t h = F64ToF16(d);
-  if (F16ToF64(h) < d) {
-    if (h >= 0x7BFFu) return 0x7BFFu;  // already at max normal: saturated
-    ++h;  // next representable fp16 (d >= 0, finite)
-  }
-  return h;
 }
 
 }  // namespace codec

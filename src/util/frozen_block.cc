@@ -8,18 +8,6 @@
 
 namespace sssj {
 
-const char* ToString(ValueTier tier) {
-  switch (tier) {
-    case ValueTier::kExact:
-      return "exact";
-    case ValueTier::kBf16:
-      return "bf16";
-    case ValueTier::kF16:
-      return "f16";
-  }
-  return "?";
-}
-
 namespace {
 
 void PutRawDouble(std::vector<uint8_t>* out, double d) {
@@ -36,108 +24,59 @@ size_t PadToDouble(size_t offset) {
   return (sizeof(double) - offset % sizeof(double)) % sizeof(double);
 }
 
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v & 0xFF));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0]) |
-         (static_cast<uint16_t>(p[1]) << 8);
-}
-
-// Encodes one value-like column section (value or prefix_norm) under the
-// block's tier. `round_up` selects the upper-bound-safe quantization used
-// for prefix norms. The exact tier is adaptive: a double-delta candidate
-// (lossless; ~1 byte/entry for constant or regularly spaced columns) is
-// emitted only when it beats raw fp64, selected by one leading flag byte.
-// A raw fp64 payload is zero-padded after the flag to an 8-byte offset
-// within `out`.
+// Encodes one value-like column section (value or prefix_norm),
+// adaptively: a double-delta candidate (lossless; ~1 byte/entry for
+// constant or regularly spaced columns) is emitted only when it beats raw
+// fp64, selected by one leading flag byte. A raw fp64 payload is
+// zero-padded after the flag to an 8-byte offset within `out`.
 void EncodeValueColumn(const FrozenSourceRun* runs, size_t nruns,
-                       bool prefix_norm_column, ValueTier tier, bool round_up,
-                       std::vector<uint8_t>* out) {
-  if (tier == ValueTier::kExact) {
-    std::vector<double> col;
-    for (size_t r = 0; r < nruns; ++r) {
-      const double* src = prefix_norm_column ? runs[r].prefix_norm
-                                             : runs[r].value;
-      col.insert(col.end(), src, src + runs[r].len);
-    }
-    std::vector<uint8_t> dd;
-    codec::EncodeDoubleDelta(col.data(), col.size(), &dd);
-    if (dd.size() < col.size() * sizeof(double)) {
-      out->push_back(1);  // double-delta payload
-      out->insert(out->end(), dd.begin(), dd.end());
-    } else {
-      out->push_back(0);  // raw fp64 payload
-      out->insert(out->end(), PadToDouble(out->size()), 0);
-      for (double d : col) PutRawDouble(out, d);
-    }
-    return;
-  }
+                       bool prefix_norm_column, std::vector<uint8_t>* out) {
+  std::vector<double> col;
   for (size_t r = 0; r < nruns; ++r) {
-    const double* col = prefix_norm_column ? runs[r].prefix_norm
+    const double* src = prefix_norm_column ? runs[r].prefix_norm
                                            : runs[r].value;
-    for (size_t i = 0; i < runs[r].len; ++i) {
-      const double d = col[i];
-      switch (tier) {
-        case ValueTier::kExact:
-          break;  // handled above
-        case ValueTier::kBf16:
-          PutU16(out, round_up ? codec::F64ToBf16RoundUp(d)
-                               : codec::F64ToBf16(d));
-          break;
-        case ValueTier::kF16:
-          PutU16(out, round_up ? codec::F64ToF16RoundUp(d)
-                               : codec::F64ToF16(d));
-          break;
-      }
-    }
+    col.insert(col.end(), src, src + runs[r].len);
+  }
+  std::vector<uint8_t> dd;
+  codec::EncodeDoubleDelta(col.data(), col.size(), &dd);
+  if (dd.size() < col.size() * sizeof(double)) {
+    out->push_back(1);  // double-delta payload
+    out->insert(out->end(), dd.begin(), dd.end());
+  } else {
+    out->push_back(0);  // raw fp64 payload
+    out->insert(out->end(), PadToDouble(out->size()), 0);
+    for (double d : col) PutRawDouble(out, d);
   }
 }
 
 // Decodes the section [p, end) of the block buffer starting at `base`.
 void DecodeValueColumn(const uint8_t* base, const uint8_t* p,
-                       const uint8_t* end, size_t n, ValueTier tier,
-                       double* out) {
-  switch (tier) {
-    case ValueTier::kExact: {
-      assert(p < end);
-      const uint8_t flag = *p++;
-      if (flag == 0) {
-        p += PadToDouble(static_cast<size_t>(p - base));
-        assert(static_cast<size_t>(end - p) == n * sizeof(double));
-        std::memcpy(out, p, n * sizeof(double));
-      } else {
-        const uint8_t* q = codec::DecodeDoubleDelta(p, end, n, out);
-        assert(q == end);
-        (void)q;
-      }
-      break;
-    }
-    case ValueTier::kBf16:
-      assert(static_cast<size_t>(end - p) == n * 2);
-      for (size_t i = 0; i < n; ++i) out[i] = codec::Bf16ToF64(GetU16(p + 2 * i));
-      break;
-    case ValueTier::kF16:
-      assert(static_cast<size_t>(end - p) == n * 2);
-      for (size_t i = 0; i < n; ++i) out[i] = codec::F16ToF64(GetU16(p + 2 * i));
-      break;
+                       const uint8_t* end, size_t n, double* out) {
+  assert(p < end);
+  const uint8_t flag = *p++;
+  if (flag == 0) {
+    p += PadToDouble(static_cast<size_t>(p - base));
+    assert(static_cast<size_t>(end - p) == n * sizeof(double));
+    std::memcpy(out, p, n * sizeof(double));
+  } else {
+    const uint8_t* q = codec::DecodeDoubleDelta(p, end, n, out);
+    assert(q == end);
+    (void)q;
   }
 }
 
 }  // namespace
 
 FrozenBlock FrozenBlock::Freeze(const FrozenSourceRun* runs, size_t nruns,
-                                ValueTier tier, bool compress) {
+                                bool compress) {
   FrozenBlock block;
-  block.tier_ = compress ? tier : ValueTier::kExact;
   size_t total = 0;
   for (size_t r = 0; r < nruns; ++r) total += runs[r].len;
   block.count_ = static_cast<uint32_t>(total);
   if (total == 0) return block;
 
-  // Header fields and the prefix-norm elision probe in one pass.
+  // Header fields and the prefix-norm elision probe in one pass. The
+  // probe compares bit patterns: a -0.0 column must not thaw as +0.0.
   bool first = true;
   bool all_pn_zero = true;
   Timestamp prev_ts = 0.0;
@@ -154,7 +93,9 @@ FrozenBlock FrozenBlock::Freeze(const FrozenSourceRun* runs, size_t nruns,
         if (t > block.max_ts_) block.max_ts_ = t;
       }
       prev_ts = t;
-      if (runs[r].prefix_norm[i] != 0.0) all_pn_zero = false;
+      if (codec::DoubleBits(runs[r].prefix_norm[i]) != 0) {
+        all_pn_zero = false;
+      }
     }
   }
   block.has_prefix_norm_ = !all_pn_zero;
@@ -216,12 +157,10 @@ FrozenBlock FrozenBlock::Freeze(const FrozenSourceRun* runs, size_t nruns,
     }
   }
   block.ts_end_ = static_cast<uint32_t>(bytes.size());
-  EncodeValueColumn(runs, nruns, /*prefix_norm_column=*/false, tier,
-                    /*round_up=*/false, &bytes);
+  EncodeValueColumn(runs, nruns, /*prefix_norm_column=*/false, &bytes);
   block.value_end_ = static_cast<uint32_t>(bytes.size());
   if (block.has_prefix_norm_) {
-    EncodeValueColumn(runs, nruns, /*prefix_norm_column=*/true, tier,
-                      /*round_up=*/true, &bytes);
+    EncodeValueColumn(runs, nruns, /*prefix_norm_column=*/true, &bytes);
   }
   bytes.shrink_to_fit();
   return block;
@@ -256,12 +195,12 @@ void FrozenBlock::Thaw(FrozenColumns* out, bool fill_elided_prefix_norm,
   assert(p == base + ts_end_);
   (void)p;
   if (!skip_value) {
-    DecodeValueColumn(base, base + ts_end_, base + value_end_, n, tier_,
+    DecodeValueColumn(base, base + ts_end_, base + value_end_, n,
                       out->value.data());
   }
   if (has_prefix_norm_) {
     DecodeValueColumn(base, base + value_end_, base + bytes_.size(), n,
-                      tier_, out->prefix_norm.data());
+                      out->prefix_norm.data());
   } else if (fill_elided_prefix_norm) {
     std::fill(out->prefix_norm.begin(), out->prefix_norm.end(), 0.0);
   }

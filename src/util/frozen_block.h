@@ -10,12 +10,9 @@
 //               encode, just longer)
 //   ts          double-delta over IEEE-754 bit patterns (~1 byte/entry
 //               for regularly spaced streams; always lossless)
-//   value       exact tier: adaptive (double-delta when it beats raw
-//               fp64; bit-identical either way, the default); bf16/f16
-//               tiers: 2 bytes round-to-nearest
-//   prefix_norm same as value, except quantized tiers round UP so the
-//               decoded norm stays a valid upper bound for l2bound
-//               pruning; an all-zero column (INV lists) is elided
+//   value       adaptive: double-delta when it beats raw fp64, else the
+//               raw doubles; bit-identical either way
+//   prefix_norm same as value; an all-zero column (INV lists) is elided
 //               entirely
 //
 // Raw (scan-hot lists — scanned too often to pay any decode): exactly
@@ -45,14 +42,6 @@
 
 namespace sssj {
 
-// Precision of the frozen value/prefix_norm columns. kExact reproduces
-// the mutable columns bit for bit — engine output with frozen blocks is
-// then identical to an untiered run. The 16-bit tiers trade ~4x column
-// size for quantized scores (see ARCHITECTURE.md for the contract).
-enum class ValueTier : uint8_t { kExact = 0, kBf16 = 1, kF16 = 2 };
-
-const char* ToString(ValueTier tier);
-
 // Knobs for the tiered posting storage, carried by EngineConfig and
 // plumbed into every stream index. Disabled by default: lists then
 // behave exactly as before (single mutable tier).
@@ -62,36 +51,32 @@ struct TieredStorageOptions {
   // per-block headers; smaller blocks make partial-expiry rewrites and
   // boundary decompression cheaper.
   uint32_t block_entries = 128;
+  // Every list keeps dormant_tail_entries mutable and freezes the rest.
   // Hot/cold classifier (the streaming-detector idiom: appends since the
-  // last scan measure whether anyone is reading this list). A list with
-  // >= dormant_after_appends appends since its last scan is dormant and
-  // keeps only dormant_tail_entries mutable; a recently scanned list
-  // keeps hot_tail_entries so its scans stay in the cheap mutable tier.
-  // Freeze timing never affects output in the exact tier — it only moves
+  // last scan measure whether anyone is reading this list): a list with
+  // >= dormant_after_appends appends since its last scan is dormant, and
+  // dormant lists freeze compressed. Frozen blocks read back the exact
+  // doubles, so freeze timing never affects output — it only moves
   // where the block boundaries fall.
-  uint32_t hot_tail_entries = 512;
   uint32_t dormant_tail_entries = 32;
   uint32_t dormant_after_appends = 8;
-  // Scan-rate classifier (active only when the index supplies its
-  // arrival tick to NoteScanned/MaybeFreeze). A list re-scanned every
-  // `gap` arrivals traverses size()/gap entries per arrival, so a list
-  // is scan-cold — worth compressing — when size() <= gap *
-  // cold_scan_budget: its amortized decompression stays under
-  // cold_scan_budget entries per arrival. Lists over the line are
-  // scan-hot and freeze into raw zero-copy blocks instead (no decode,
-  // still drops the buffer's capacity slack). In a Zipfian stream this
-  // splits exactly where it should: the few long head lists that soak
-  // up most scan traffic stay raw, the many tail lists that hold most
-  // of the bytes compress.
+  // Scan-rate classifier (fed by the arrival tick the index passes to
+  // NoteScanned). A list re-scanned every `gap` arrivals traverses
+  // size()/gap entries per arrival, so a list is scan-cold — worth
+  // compressing — when size() <= gap * cold_scan_budget: its amortized
+  // decompression stays under cold_scan_budget entries per arrival.
+  // Lists over the line are scan-hot and freeze into raw zero-copy
+  // blocks instead (no decode, still drops the buffer's capacity
+  // slack). In a Zipfian stream this splits exactly where it should:
+  // the few long head lists that soak up most scan traffic stay raw,
+  // the many tail lists that hold most of the bytes compress.
   uint32_t cold_scan_budget = 32;
-  // Freeze quantum for scan-cold lists. A cold list freezes every
-  // cold_freeze_quantum appends, amending (thaw + extend + re-encode)
-  // its newest compressed block in place until that block reaches
-  // block_entries — so the mutable tail and its power-of-two slack stay
-  // tiny without paying a header per tiny block. Scan-hot lists ignore
-  // this and freeze whole raw blocks of block_entries.
+  // Freeze quantum. A list freezes every cold_freeze_quantum appends,
+  // amending (thaw + extend + re-encode) its newest block in place until
+  // that block reaches block_entries — so the mutable tail and its
+  // power-of-two slack stay tiny without paying a header per tiny
+  // block. Scan-hot lists freeze at least block_entries / 4 per amend.
   uint32_t cold_freeze_quantum = 16;
-  ValueTier value_tier = ValueTier::kExact;
 };
 
 // Decode scratch: one growable vector per posting column. Owned by the
@@ -123,16 +108,15 @@ class FrozenBlock {
   FrozenBlock() = default;
 
   // Freezes the concatenation of `runs[0..nruns)` into a block. With
-  // `compress` false the block stores raw exactly-sized fp64 columns
-  // (`tier` is ignored: raw blocks are always exact) and scans read them
-  // zero-copy; with `compress` true the columns are encoded as above.
+  // `compress` false the block stores raw exactly-sized fp64 columns and
+  // scans read them zero-copy; with `compress` true the columns are
+  // encoded as above. Either form thaws to the exact input bits.
   static FrozenBlock Freeze(const FrozenSourceRun* runs, size_t nruns,
-                            ValueTier tier, bool compress = true);
+                            bool compress = true);
 
   size_t count() const { return count_; }
   Timestamp min_ts() const { return min_ts_; }
   Timestamp max_ts() const { return max_ts_; }
-  ValueTier tier() const { return tier_; }
   // Whether ts was non-decreasing across the frozen run (INV/L2 lists);
   // false after L2AP re-indexing interleaved old timestamps.
   bool time_sorted() const { return time_sorted_; }
@@ -169,17 +153,15 @@ class FrozenBlock {
   // time); such blocks decode the column as zeros.
   bool has_prefix_norm() const { return has_prefix_norm_; }
 
-  // When the exact-tier encoder kept the value column as raw fp64 (its
-  // adaptive fallback — the common case for real-valued streams), the
-  // doubles sit verbatim inside the compressed byte buffer and scans can
-  // read them in place instead of copying them out in Thaw. Returns that
-  // in-place column, or nullptr when the column was actually encoded
-  // (quantized tier or double-delta payload). The encoder pads the
-  // column after its flag byte to an 8-byte offset, so the pointer is
-  // aligned for double.
+  // When the encoder kept the value column as raw fp64 (its adaptive
+  // fallback — the common case for real-valued streams), the doubles sit
+  // verbatim inside the compressed byte buffer and scans can read them in
+  // place instead of copying them out in Thaw. Returns that in-place
+  // column, or nullptr when the column was actually encoded (double-delta
+  // payload). The encoder pads the column after its flag byte to an
+  // 8-byte offset, so the pointer is aligned for double.
   const double* inline_exact_values() const {
-    if (compressed_ && count_ != 0 && tier_ == ValueTier::kExact &&
-        bytes_[ts_end_] == 0) {
+    if (compressed_ && count_ != 0 && bytes_[ts_end_] == 0) {
       const size_t start =
           (ts_end_ + sizeof(double)) & ~(sizeof(double) - 1);
       return reinterpret_cast<const double*>(bytes_.data() + start);
@@ -212,7 +194,6 @@ class FrozenBlock {
   }
 
   uint32_t count_ = 0;
-  ValueTier tier_ = ValueTier::kExact;
   bool has_prefix_norm_ = false;  // false: column elided (all zeros)
   bool time_sorted_ = true;
   bool compressed_ = true;
@@ -220,9 +201,8 @@ class FrozenBlock {
   Timestamp max_ts_ = 0.0;
   // Section boundaries within bytes_: ids in [0, id_end), timestamps in
   // [id_end, ts_end), values in [ts_end, value_end), prefix norms in
-  // [value_end, bytes_.size()). An exact-tier value section that holds
-  // raw fp64 is its flag byte, zero padding to an 8-byte offset, then
-  // the doubles.
+  // [value_end, bytes_.size()). A value section that holds raw fp64 is
+  // its flag byte, zero padding to an 8-byte offset, then the doubles.
   uint32_t id_end_ = 0;
   uint32_t ts_end_ = 0;
   uint32_t value_end_ = 0;

@@ -1,9 +1,9 @@
-// Property tests for util/codec.h (varint / zigzag / delta / double-delta
-// / fp16 / bf16) and the frozen-block container built on them.
+// Property tests for util/codec.h (varint / zigzag / delta / double-delta)
+// and the frozen-block container built on them.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -14,16 +14,10 @@
 namespace sssj {
 namespace {
 
-using codec::Bf16ToF64;
 using codec::DecodeDeltaU64;
 using codec::DecodeDoubleDelta;
 using codec::EncodeDeltaU64;
 using codec::EncodeDoubleDelta;
-using codec::F16ToF64;
-using codec::F64ToBf16;
-using codec::F64ToBf16RoundUp;
-using codec::F64ToF16;
-using codec::F64ToF16RoundUp;
 using codec::GetVarint;
 using codec::PutVarint;
 using codec::ZigZagDecode;
@@ -178,44 +172,6 @@ TEST(CodecTest, TornDeltaStreamsFailCleanly) {
   }
 }
 
-TEST(CodecTest, HalfPrecisionRoundTripWithinTolerance) {
-  Rng rng(41);
-  for (int i = 0; i < 2000; ++i) {
-    const double v = rng.NextDouble();  // posting values live in (0, 1]
-    const double bf = Bf16ToF64(F64ToBf16(v));
-    const double hf = F16ToF64(F64ToF16(v));
-    EXPECT_NEAR(bf, v, v * (1.0 / 128.0) + 1e-12);   // 8 mantissa bits
-    EXPECT_NEAR(hf, v, v * (1.0 / 1024.0) + 1e-12);  // 11 mantissa bits
-  }
-  // Exactly representable values survive untouched.
-  for (double v : {0.0, 0.5, 0.25, 1.0, 2.0, 0.375}) {
-    EXPECT_EQ(Bf16ToF64(F64ToBf16(v)), v);
-    EXPECT_EQ(F16ToF64(F64ToF16(v)), v);
-  }
-}
-
-TEST(CodecTest, RoundUpConversionsNeverDecode_Below) {
-  // prefix_norm quantization must round *up* so the l2bound stays a valid
-  // upper bound; decode(encode(x)) < x would re-admit false prunes.
-  Rng rng(57);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.NextDouble() * 2.0;
-    EXPECT_GE(Bf16ToF64(F64ToBf16RoundUp(v)), v);
-    EXPECT_GE(F16ToF64(F64ToF16RoundUp(v)), v);
-  }
-  EXPECT_GE(Bf16ToF64(F64ToBf16RoundUp(0.0)), 0.0);
-  EXPECT_GE(F16ToF64(F64ToF16RoundUp(0.0)), 0.0);
-}
-
-TEST(CodecTest, F16SaturatesLargeValuesFinite) {
-  // 65504 is the f16 max normal; anything bigger must clamp, not become
-  // infinity.
-  for (double v : {70000.0, 1e300}) {
-    EXPECT_TRUE(std::isfinite(F16ToF64(F64ToF16(v))));
-    EXPECT_TRUE(std::isfinite(F16ToF64(F64ToF16RoundUp(v))));
-  }
-}
-
 // ---- FrozenBlock ----
 
 struct Columns {
@@ -240,20 +196,20 @@ Columns RandomColumns(size_t n, uint64_t seed, bool zero_pn,
   return c;
 }
 
-FrozenBlock FreezeAll(const Columns& c, ValueTier tier) {
+FrozenBlock FreezeAll(const Columns& c) {
   FrozenSourceRun run;
   run.id = c.id.data();
   run.value = c.value.data();
   run.prefix_norm = c.prefix_norm.data();
   run.ts = c.ts.data();
   run.len = c.id.size();
-  return FrozenBlock::Freeze(&run, 1, tier);
+  return FrozenBlock::Freeze(&run, 1);
 }
 
 TEST(FrozenBlockTest, ExactTierThawIsBitIdentical) {
   const Columns c = RandomColumns(300, 3, /*zero_pn=*/false,
                                   /*time_sorted=*/true);
-  const FrozenBlock blk = FreezeAll(c, ValueTier::kExact);
+  const FrozenBlock blk = FreezeAll(c);
   EXPECT_EQ(blk.count(), 300u);
   EXPECT_TRUE(blk.time_sorted());
   EXPECT_EQ(blk.min_ts(), c.ts.front());
@@ -279,7 +235,7 @@ TEST(FrozenBlockTest, TwoRunFreezeMatchesConcatenation) {
   runs[1] = {c.id.data() + split, c.value.data() + split,
              c.prefix_norm.data() + split, c.ts.data() + split,
              c.id.size() - split};
-  const FrozenBlock blk = FrozenBlock::Freeze(runs, 2, ValueTier::kExact);
+  const FrozenBlock blk = FrozenBlock::Freeze(runs, 2);
   FrozenColumns out;
   blk.Thaw(&out);
   EXPECT_EQ(out.id, c.id);
@@ -288,32 +244,14 @@ TEST(FrozenBlockTest, TwoRunFreezeMatchesConcatenation) {
   EXPECT_EQ(out.prefix_norm, c.prefix_norm);
 }
 
-TEST(FrozenBlockTest, QuantizedTiersApproximateAndRoundUpPrefixNorm) {
-  const Columns c = RandomColumns(200, 17, false, true);
-  for (ValueTier tier : {ValueTier::kBf16, ValueTier::kF16}) {
-    const FrozenBlock blk = FreezeAll(c, tier);
-    FrozenColumns out;
-    blk.Thaw(&out);
-    const double rel = tier == ValueTier::kBf16 ? 1.0 / 128 : 1.0 / 1024;
-    for (size_t i = 0; i < c.value.size(); ++i) {
-      EXPECT_NEAR(out.value[i], c.value[i],
-                  std::abs(c.value[i]) * rel + 1e-9);
-      EXPECT_GE(out.prefix_norm[i], c.prefix_norm[i]);  // round-up contract
-      EXPECT_NEAR(out.prefix_norm[i], c.prefix_norm[i],
-                  std::abs(c.prefix_norm[i]) * rel + 2e-3);
-    }
-    EXPECT_LT(blk.payload_bytes(), FreezeAll(c, ValueTier::kExact).payload_bytes());
-  }
-}
-
 TEST(FrozenBlockTest, AllZeroPrefixNormColumnIsElided) {
   // INV lists store prefix_norm == 0 everywhere; the block must not spend
   // bytes on it and must thaw it back as zeros.
   const Columns zero = RandomColumns(150, 23, /*zero_pn=*/true, true);
   Columns nonzero = zero;
   nonzero.prefix_norm.assign(150, 0.5);
-  const FrozenBlock elided = FreezeAll(zero, ValueTier::kExact);
-  const FrozenBlock full = FreezeAll(nonzero, ValueTier::kExact);
+  const FrozenBlock elided = FreezeAll(zero);
+  const FrozenBlock full = FreezeAll(nonzero);
   // Elision must beat even the adaptive codec's best effort on the
   // constant column (which itself compresses to ~1 byte/entry).
   EXPECT_LT(elided.payload_bytes(), full.payload_bytes());
@@ -325,9 +263,62 @@ TEST(FrozenBlockTest, AllZeroPrefixNormColumnIsElided) {
   for (double pn : out.prefix_norm) EXPECT_EQ(pn, 0.0);
 }
 
+// The one value encoding is exact: every double bit pattern (signed
+// zeros, denormals, infinities, NaNs) thaws unchanged in both block
+// forms, whether the adaptive codec stores a column raw or double-deltas
+// it. A -0.0 prefix_norm column is not all zeros and must not be elided:
+// an elided column thaws as +0.0.
+TEST(FrozenBlockTest, EveryDoubleBitPatternRoundTripsInBothForms) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> specials = {
+      -0.0, 0.0, Limits::denorm_min(), -Limits::denorm_min(), Limits::min(),
+      Limits::max(), Limits::lowest(), Limits::infinity(), -Limits::infinity(),
+      Limits::quiet_NaN(), -Limits::quiet_NaN(), 0.5};
+  const size_t n = 48;
+  // Specials in the value column over a -0.0 prefix_norm column, then a
+  // constant -0.0 value column (double-delta) over the specials.
+  Columns mixed;
+  Columns constant;
+  for (size_t i = 0; i < n; ++i) {
+    for (Columns* c : {&mixed, &constant}) {
+      c->id.push_back(1000 + i);
+      c->ts.push_back(static_cast<Timestamp>(i));
+    }
+    mixed.value.push_back(specials[i % specials.size()]);
+    mixed.prefix_norm.push_back(-0.0);
+    constant.value.push_back(-0.0);
+    constant.prefix_norm.push_back(specials[i % specials.size()]);
+  }
+  for (const Columns* c : {&mixed, &constant}) {
+    for (bool compress : {true, false}) {
+      SCOPED_TRACE(compress ? "compressed" : "raw");
+      FrozenSourceRun run;
+      run.id = c->id.data();
+      run.value = c->value.data();
+      run.prefix_norm = c->prefix_norm.data();
+      run.ts = c->ts.data();
+      run.len = n;
+      const FrozenBlock blk = FrozenBlock::Freeze(&run, 1, compress);
+      EXPECT_EQ(blk.compressed(), compress);
+      EXPECT_TRUE(blk.has_prefix_norm());
+      FrozenColumns out;
+      blk.Thaw(&out);
+      ASSERT_EQ(out.value.size(), n);
+      EXPECT_EQ(out.id, c->id);
+      EXPECT_EQ(out.ts, c->ts);
+      EXPECT_EQ(std::memcmp(out.value.data(), c->value.data(),
+                            n * sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(out.prefix_norm.data(), c->prefix_norm.data(),
+                            n * sizeof(double)),
+                0);
+    }
+  }
+}
+
 TEST(FrozenBlockTest, CountOlderThanMatchesModel) {
   const Columns c = RandomColumns(64, 31, false, /*time_sorted=*/true);
-  const FrozenBlock blk = FreezeAll(c, ValueTier::kExact);
+  const FrozenBlock blk = FreezeAll(c);
   // Cutoffs before, exactly on, between, and after every timestamp.
   std::vector<Timestamp> cutoffs = {c.ts.front() - 1.0, c.ts.front(),
                                     c.ts.back(), c.ts.back() + 1.0};
@@ -344,7 +335,7 @@ TEST(FrozenBlockTest, CountOlderThanMatchesModel) {
 
 TEST(FrozenBlockTest, UnsortedColumnsAreMarkedUnsorted) {
   const Columns c = RandomColumns(40, 37, false, /*time_sorted=*/false);
-  const FrozenBlock blk = FreezeAll(c, ValueTier::kExact);
+  const FrozenBlock blk = FreezeAll(c);
   EXPECT_FALSE(blk.time_sorted());
   FrozenColumns out;
   blk.Thaw(&out);
@@ -360,15 +351,15 @@ TEST(FrozenBlockTest, CompressesColdRegularData) {
     c.prefix_norm.push_back(0.0);
     c.ts.push_back(50.0 + 0.5 * i);
   }
-  const FrozenBlock blk = FreezeAll(c, ValueTier::kExact);
+  const FrozenBlock blk = FreezeAll(c);
   const size_t raw = 512 * (sizeof(VectorId) + 2 * sizeof(double) +
                             sizeof(Timestamp));
-  // id+ts compress to a few bytes each; value stays raw 8B in the exact
-  // tier; prefix_norm is elided — comfortably under half the raw bytes.
+  // id+ts compress to a few bytes each; value stays raw 8B; prefix_norm
+  // is elided — comfortably under half the raw bytes.
   EXPECT_LT(blk.payload_bytes(), raw / 2);
 }
 
-// Exact-tier blocks whose value column stays raw fp64 serve it in place
+// Compressed blocks whose value column stays raw fp64 serve it in place
 // (inline_exact_values) as const double*, so it must be aligned however
 // long the id and ts sections before it are. The first id's varint
 // length (1..8 bytes) moves the section end through every residue mod 8.
@@ -378,7 +369,7 @@ TEST(FrozenBlockTest, InlineExactValuesAlignedForEveryIdTsSectionLength) {
     const VectorId first =
         varint_len == 1 ? 1 : VectorId{1} << (7 * (varint_len - 1) - 1);
     for (size_t i = 0; i < c.id.size(); ++i) c.id[i] = first + i;
-    const FrozenBlock blk = FreezeAll(c, ValueTier::kExact);
+    const FrozenBlock blk = FreezeAll(c);
     const double* values = blk.inline_exact_values();
     ASSERT_NE(values, nullptr) << "random values should stay raw fp64";
     EXPECT_EQ(reinterpret_cast<uintptr_t>(values) % alignof(double), 0u)

@@ -118,7 +118,6 @@ TieredStorageOptions TinyBlockTiers(bool enabled) {
   TieredStorageOptions tiered;
   tiered.enabled = enabled;
   tiered.block_entries = 8;
-  tiered.hot_tail_entries = 16;
   tiered.dormant_tail_entries = 2;
   tiered.dormant_after_appends = 4;
   tiered.cold_freeze_quantum = 2;

@@ -24,7 +24,6 @@ EngineConfig BudgetedEngineConfig() {
   cfg.lambda = 0.001;  // long horizon → the index actually grows
   cfg.tiered.enabled = true;
   cfg.tiered.block_entries = 16;
-  cfg.tiered.hot_tail_entries = 32;
   cfg.tiered.dormant_tail_entries = 8;
   cfg.tiered.dormant_after_appends = 4;
   return cfg;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <iterator>
@@ -148,7 +149,6 @@ TEST(MemoryTest, FrozenColdListUsesFarLessMemoryThanFlat) {
   TieredStorageOptions tiered;
   tiered.enabled = true;
   tiered.block_entries = 128;
-  tiered.hot_tail_entries = 256;
   tiered.dormant_tail_entries = 32;
   tiered.dormant_after_appends = 8;
 
@@ -174,7 +174,6 @@ TEST(MemoryTest, TieredEngineIndexReportsSmallerFootprintOnColdStream) {
   TieredStorageOptions tiered;
   tiered.enabled = true;
   tiered.block_entries = 64;
-  tiered.hot_tail_entries = 128;
   tiered.dormant_tail_entries = 16;
   tiered.dormant_after_appends = 4;
   StreamInvIndex flat(params);
@@ -194,9 +193,9 @@ TEST(MemoryTest, TieredEngineIndexReportsSmallerFootprintOnColdStream) {
 // MemoryBytes() is kept as running totals at every mutation site; the
 // walk (RecountMemoryBytes) stays only as the test oracle. These pins
 // compare the two byte for byte after every state change, for every
-// index and core, untiered and tiered (exact and bf16).
+// index and core, untiered and tiered (both frozen block forms).
 
-enum class Storage { kUntiered, kTieredExact, kTieredBf16 };
+enum class Storage { kUntiered, kTieredExact, kTieredRaw };
 
 const char* StorageName(Storage storage) {
   switch (storage) {
@@ -204,25 +203,28 @@ const char* StorageName(Storage storage) {
       return "Untiered";
     case Storage::kTieredExact:
       return "TieredExact";
-    case Storage::kTieredBf16:
-      return "TieredBf16";
+    case Storage::kTieredRaw:
+      return "TieredRaw";
   }
   return "?";
 }
 
 // Small blocks and tails so the test streams freeze, amend, expire and
-// compact frozen blocks many times over.
+// compact frozen blocks many times over. TieredExact lists go dormant
+// after 4 unscanned appends and mostly freeze compressed; TieredRaw lists
+// never meet either compress rule, so every block they freeze is raw.
 TieredStorageOptions StorageOptions(Storage storage) {
   TieredStorageOptions tiered;
   if (storage == Storage::kUntiered) return tiered;
   tiered.enabled = true;
   tiered.block_entries = 8;
-  tiered.hot_tail_entries = 16;
   tiered.dormant_tail_entries = 2;
   tiered.dormant_after_appends = 4;
   tiered.cold_freeze_quantum = 2;
-  tiered.value_tier = storage == Storage::kTieredBf16 ? ValueTier::kBf16
-                                                      : ValueTier::kExact;
+  if (storage == Storage::kTieredRaw) {
+    tiered.dormant_after_appends = UINT32_MAX;
+    tiered.cold_scan_budget = 0;
+  }
   return tiered;
 }
 
@@ -285,44 +287,39 @@ TEST(MemoryOracleTest, PostingMapTotalMatchesWalkThroughFreezeAndExpiry) {
   // tail, freezes (new blocks and amends), front truncation that drops
   // whole blocks and compacts a half-dead front block, and forward
   // compaction over straddling blocks.
-  for (Storage storage : {Storage::kTieredExact, Storage::kTieredBf16}) {
-    SCOPED_TRACE(StorageName(storage));
-    const TieredStorageOptions tiered = StorageOptions(storage);
-    PostingMap sorted;    // time-sorted lists: TruncateFront expiry
-    PostingMap unsorted;  // out-of-order lists: CompactExpired expiry
-    FrozenColumns scratch;
-    size_t max_blocks = 0;
-    auto check = [&](uint64_t step) {
-      ASSERT_EQ(sorted.MemoryBytes(), sorted.RecountMemoryBytes()) << step;
-      ASSERT_EQ(unsorted.MemoryBytes(), unsorted.RecountMemoryBytes())
-          << step;
-    };
-    for (uint64_t i = 1; i <= 2000; ++i) {
-      const DimId dim = static_cast<DimId>(i % 3);
-      const double ts = static_cast<double>(i);
-      sorted.Append(dim, i, 0.25 + 0.001 * static_cast<double>(i % 97),
-                    0.5, ts, tiered, i % 5 == 0 ? i : 0);
-      // Every 7th posting carries an old timestamp, as L2AP re-indexing
-      // appends do.
-      unsorted.Append(dim, i, 0.5, 0.25, i % 7 == 0 ? ts - 150.0 : ts,
-                      tiered, i);
+  const TieredStorageOptions tiered = StorageOptions(Storage::kTieredExact);
+  PostingMap sorted;    // time-sorted lists: TruncateFront expiry
+  PostingMap unsorted;  // out-of-order lists: CompactExpired expiry
+  FrozenColumns scratch;
+  size_t max_blocks = 0;
+  auto check = [&](uint64_t step) {
+    ASSERT_EQ(sorted.MemoryBytes(), sorted.RecountMemoryBytes()) << step;
+    ASSERT_EQ(unsorted.MemoryBytes(), unsorted.RecountMemoryBytes()) << step;
+  };
+  for (uint64_t i = 1; i <= 2000; ++i) {
+    const DimId dim = static_cast<DimId>(i % 3);
+    const double ts = static_cast<double>(i);
+    sorted.Append(dim, i, 0.25 + 0.001 * static_cast<double>(i % 97), 0.5,
+                  ts, tiered);
+    // Every 7th posting carries an old timestamp, as L2AP re-indexing
+    // appends do.
+    unsorted.Append(dim, i, 0.5, 0.25, i % 7 == 0 ? ts - 150.0 : ts, tiered);
+    check(i);
+    if (i % 11 == 0) {
+      PostingList* list = sorted.Find(dim);
+      sorted.TruncateFront(list, list->LowerBoundTs(ts - 120.0));
+      max_blocks = std::max(max_blocks, list->frozen_blocks());
       check(i);
-      if (i % 11 == 0) {
-        PostingList* list = sorted.Find(dim);
-        sorted.TruncateFront(list, list->LowerBoundTs(ts - 120.0));
-        max_blocks = std::max(max_blocks, list->frozen_blocks());
-        check(i);
-      }
-      if (i % 13 == 0) {
-        unsorted.CompactExpired(unsorted.Find(dim), ts - 100.0, &scratch);
-        check(i);
-      }
     }
-    EXPECT_GT(max_blocks, 1u) << "the stream never froze";
-    sorted.Clear();
-    unsorted.Clear();
-    check(0);
+    if (i % 13 == 0) {
+      unsorted.CompactExpired(unsorted.Find(dim), ts - 100.0, &scratch);
+      check(i);
+    }
   }
+  EXPECT_GT(max_blocks, 1u) << "the stream never froze";
+  sorted.Clear();
+  unsorted.Clear();
+  check(0);
 }
 
 // Every StreamIndex, built against one storage mode.
@@ -407,7 +404,7 @@ TEST_P(IndexMemoryOracleTest, CounterEqualsWalkAfterEveryArrival) {
 INSTANTIATE_TEST_SUITE_P(
     Storages, IndexMemoryOracleTest,
     ::testing::Values(Storage::kUntiered, Storage::kTieredExact,
-                      Storage::kTieredBf16),
+                      Storage::kTieredRaw),
     [](const ::testing::TestParamInfo<Storage>& info) {
       return std::string(StorageName(info.param));
     });
@@ -519,7 +516,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<size_t>(0, std::size(kEngineVariants)),
                        ::testing::Values(Storage::kUntiered,
                                          Storage::kTieredExact,
-                                         Storage::kTieredBf16)),
+                                         Storage::kTieredRaw)),
     [](const ::testing::TestParamInfo<std::tuple<size_t, Storage>>& info) {
       return std::string(kEngineVariants[std::get<0>(info.param)].name) +
              StorageName(std::get<1>(info.param));

@@ -1,14 +1,14 @@
 // Tiered posting storage: the frozen-block cold tier under PostingList,
-// and the engine-level contract that the exact value tier changes memory
-// layout but never output — for every STR scheme, sequential and sharded.
+// and the engine-level contract that tiering changes memory layout but
+// never output — for every STR scheme, sequential and sharded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "core/brute_force.h"
 #include "core/engine.h"
 #include "index/posting_list.h"
 #include "tests/test_util.h"
@@ -19,13 +19,17 @@ namespace {
 using ::sssj::testing::RandomStream;
 using ::sssj::testing::RandomStreamSpec;
 
+// Lists freeze whenever their tail reaches 4 entries, keeping 2: a list
+// with 3 appends since its last scan freezes compressed blocks, one
+// scanned more recently (no arrival tick, so no scan rate) raw ones, and
+// each freeze amends the newest block until it holds 4 entries.
 TieredStorageOptions SmallBlocks() {
   TieredStorageOptions opts;
   opts.enabled = true;
   opts.block_entries = 4;
-  opts.hot_tail_entries = 4;
   opts.dormant_tail_entries = 2;
   opts.dormant_after_appends = 3;
+  opts.cold_freeze_quantum = 2;
   return opts;
 }
 
@@ -104,25 +108,43 @@ TEST(TieredPostingTest, RandomizedOpsMatchFlatModel) {
 }
 
 // λ-horizon cutoffs landing exactly on, inside, and between frozen-block
-// boundaries. Layout: blocks [ts 0..3] [ts 4..7], hot tail [ts 8..11].
-class FrozenBoundaryTest : public ::testing::Test {
+// boundaries. Layout: blocks [ts 0..3] [ts 4..7], hot tail [ts 8..11]:
+// the list keeps 4 entries mutable and freezes the next 4 whenever its
+// tail reaches 8. Built twice — from a dormant list (never scanned),
+// which freezes compressed blocks, and from a list scanned after every
+// append without an arrival tick, which freezes raw ones.
+class FrozenBoundaryTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
+    const bool dormant = GetParam();
     TieredStorageOptions opts = SmallBlocks();
-    opts.hot_tail_entries = 4;
+    opts.dormant_tail_entries = 4;
+    opts.cold_freeze_quantum = 4;
     for (int i = 0; i < 12; ++i) {
       list_.Append(100 + i, 1.0, 0.0, static_cast<Timestamp>(i));
-      list_.NoteScanned();  // stay "hot": keep exactly hot_tail_entries
+      if (!dormant) list_.NoteScanned();
       list_.MaybeFreeze(opts);
     }
     ASSERT_EQ(list_.frozen_blocks(), 2u);
     ASSERT_EQ(list_.frozen_live_entries(), 8u);
     ASSERT_EQ(list_.size(), 12u);
+    // Compressed blocks serve their spans out of the thaw scratch; raw
+    // blocks serve their own columns.
+    FrozenColumns scratch;
+    list_.ForSpansOldestFirst(0, 8, &scratch, [&](const PostingSpan& sp) {
+      EXPECT_EQ(sp.id == scratch.id.data(), dormant) << sp.begin;
+    });
   }
   PostingList list_;
 };
 
-TEST_F(FrozenBoundaryTest, LowerBoundTsAtEveryBoundaryKind) {
+INSTANTIATE_TEST_SUITE_P(BlockForms, FrozenBoundaryTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Compressed"
+                                                         : "Raw");
+                         });
+
+TEST_P(FrozenBoundaryTest, LowerBoundTsAtEveryBoundaryKind) {
   EXPECT_EQ(list_.LowerBoundTs(-1.0), 0u);   // before everything
   EXPECT_EQ(list_.LowerBoundTs(0.0), 0u);    // exactly the oldest entry
   EXPECT_EQ(list_.LowerBoundTs(2.0), 2u);    // inside block 0
@@ -134,7 +156,7 @@ TEST_F(FrozenBoundaryTest, LowerBoundTsAtEveryBoundaryKind) {
   EXPECT_EQ(list_.LowerBoundTs(99.0), 12u);  // everything expired
 }
 
-TEST_F(FrozenBoundaryTest, TruncateInsideFrozenBlockKeepsSkipConsistent) {
+TEST_P(FrozenBoundaryTest, TruncateInsideFrozenBlockKeepsSkipConsistent) {
   // Drop 2 entries: the cut lands inside block 0, which must survive with
   // a skip instead of being rewritten.
   EXPECT_EQ(list_.TruncateFront(2), 2u);
@@ -155,7 +177,7 @@ TEST_F(FrozenBoundaryTest, TruncateInsideFrozenBlockKeepsSkipConsistent) {
   EXPECT_EQ(seen, (std::vector<Timestamp>{6, 7, 8, 9, 10, 11}));
 }
 
-TEST_F(FrozenBoundaryTest, TruncateWholeBlocksDropsThemWithoutThaw) {
+TEST_P(FrozenBoundaryTest, TruncateWholeBlocksDropsThemWithoutThaw) {
   EXPECT_EQ(list_.TruncateFront(list_.LowerBoundTs(8.0)), 8u);
   EXPECT_EQ(list_.frozen_blocks(), 0u);
   EXPECT_EQ(list_.frozen_live_entries(), 0u);
@@ -194,7 +216,7 @@ TEST(TieredPostingTest, CompactExpiredOnUnsortedListMatchesModel) {
   EXPECT_TRUE(list.empty());
 }
 
-// ---- Engine-level equivalence: tiering on (exact tier) vs off ----
+// ---- Engine-level equivalence: tiering on vs off ----
 
 std::vector<ResultPair> RunEngine(const EngineConfig& cfg, const Stream& s) {
   CollectorSink sink;
@@ -232,7 +254,6 @@ EngineConfig TieredConfig(IndexScheme scheme, int threads, bool tiered) {
   if (tiered) {
     cfg.tiered.enabled = true;
     cfg.tiered.block_entries = 8;
-    cfg.tiered.hot_tail_entries = 16;
     cfg.tiered.dormant_tail_entries = 4;
     cfg.tiered.dormant_after_appends = 4;
   }
@@ -247,8 +268,7 @@ struct SchemeThreads {
 class TieredEquivalenceTest
     : public ::testing::TestWithParam<SchemeThreads> {};
 
-TEST_P(TieredEquivalenceTest, ExactTierOutputBitIdenticalToUntiered) {
-  const SchemeThreads param = GetParam();
+Stream EquivalenceStream() {
   RandomStreamSpec spec;
   spec.n = 400;
   spec.dims = 25;  // few dims → long lists → plenty of frozen blocks
@@ -256,13 +276,33 @@ TEST_P(TieredEquivalenceTest, ExactTierOutputBitIdenticalToUntiered) {
   spec.max_nnz = 6;
   spec.max_gap = 0.5;
   spec.seed = 99;
-  const Stream stream = RandomStream(spec);
+  return RandomStream(spec);
+}
+
+TEST_P(TieredEquivalenceTest, ExactTierOutputBitIdenticalToUntiered) {
+  const SchemeThreads param = GetParam();
+  const Stream stream = EquivalenceStream();
   const std::vector<ResultPair> flat =
       RunEngine(TieredConfig(param.scheme, param.threads, false), stream);
   const std::vector<ResultPair> tiered =
       RunEngine(TieredConfig(param.scheme, param.threads, true), stream);
   EXPECT_GT(flat.size(), 10u);  // non-vacuous
   ExpectBitIdentical(flat, tiered);
+}
+
+// No list ever goes dormant or under the scan budget, so every block
+// freezes raw and the scans read its columns zero-copy.
+TEST_P(TieredEquivalenceTest, RawBlockOutputBitIdenticalToUntiered) {
+  const SchemeThreads param = GetParam();
+  const Stream stream = EquivalenceStream();
+  EngineConfig raw_cfg = TieredConfig(param.scheme, param.threads, true);
+  raw_cfg.tiered.dormant_after_appends = UINT32_MAX;
+  raw_cfg.tiered.cold_scan_budget = 0;
+  const std::vector<ResultPair> flat =
+      RunEngine(TieredConfig(param.scheme, param.threads, false), stream);
+  const std::vector<ResultPair> raw = RunEngine(raw_cfg, stream);
+  EXPECT_GT(flat.size(), 10u);  // non-vacuous
+  ExpectBitIdentical(flat, raw);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -287,50 +327,6 @@ TEST(TieredEquivalenceTest, SimdKernelsAlsoUnaffectedByTiering) {
     tier_cfg.kernel = KernelMode::kSimd;
     ExpectBitIdentical(RunEngine(flat_cfg, stream),
                        RunEngine(tier_cfg, stream));
-  }
-}
-
-TEST(TieredEquivalenceTest, QuantizedTiersStayWithinOracleBand) {
-  // bf16/f16 value tiers trade exactness for bytes; the emitted pairs must
-  // still match the oracle within the quantization error band.
-  RandomStreamSpec spec;
-  spec.n = 250;
-  spec.dims = 20;
-  spec.seed = 31;
-  const Stream stream = RandomStream(spec);
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.001, &params));
-  for (ValueTier tier : {ValueTier::kBf16, ValueTier::kF16}) {
-    EngineConfig cfg = TieredConfig(IndexScheme::kL2, 1, true);
-    cfg.tiered.value_tier = tier;
-    const double eps = tier == ValueTier::kBf16 ? 0.02 : 0.005;
-    const std::vector<ResultPair> actual = RunEngine(cfg, stream);
-
-    // Quantization can legitimately flip pairs whose true similarity is
-    // within eps of θ, so compare against two brute-force bands: every
-    // comfortable pair (sim ≥ θ+eps) must be present, and every emitted
-    // pair must at least clear θ−eps.
-    CollectorSink strict_sink, loose_sink;
-    BruteForceStreamJoin(stream, params, &strict_sink);
-    DecayParams loose;
-    ASSERT_TRUE(DecayParams::Make(params.theta - eps, params.lambda, &loose));
-    BruteForceStreamJoin(stream, loose, &loose_sink);
-
-    const auto actual_set = testing::PairSet(actual);
-    const auto loose_set = testing::PairSet(loose_sink.pairs());
-    size_t comfortable = 0;
-    for (const ResultPair& p : strict_sink.pairs()) {
-      if (p.sim < params.theta + eps) continue;
-      ++comfortable;
-      EXPECT_TRUE(actual_set.count({p.a, p.b}))
-          << ToString(tier) << " missing pair " << p.ToString();
-    }
-    EXPECT_GT(comfortable, 10u);  // the band check actually exercised
-    for (const ResultPair& p : actual) {
-      EXPECT_TRUE(loose_set.count({p.a, p.b}))
-          << ToString(tier) << " spurious pair " << p.ToString();
-    }
-    EXPECT_EQ(actual_set.size(), actual.size());
   }
 }
 
@@ -380,13 +376,6 @@ TEST(TieredPostingTest, TieredConfigValidation) {
   EngineConfig cfg = TieredConfig(IndexScheme::kL2, 1, true);
   cfg.tiered.block_entries = 0;
   EXPECT_EQ(SssjEngine::Make(cfg).status().code(), StatusCode::kOutOfRange);
-  cfg = TieredConfig(IndexScheme::kL2, 1, true);
-  cfg.tiered.hot_tail_entries = 1;
-  cfg.tiered.dormant_tail_entries = 8;
-  EXPECT_EQ(SssjEngine::Make(cfg).status().code(), StatusCode::kOutOfRange);
-  EXPECT_TRUE(ParseValueTier("bf16").ok());
-  EXPECT_TRUE(ParseValueTier("EXACT").ok());
-  EXPECT_FALSE(ParseValueTier("f8").ok());
 }
 
 }  // namespace
