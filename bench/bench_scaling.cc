@@ -412,7 +412,7 @@ int Run(int argc, char** argv) {
   // ---- Async ingestion sweep: inline vs async with K producers ----
   // K producer threads feed ONE engine. Inline mode serializes them on a
   // mutex around Push (latency = lock wait + the full scan); async mode
-  // serializes them on the lock-free ring (latency = queue time + the
+  // serializes them on the queue's mutex (latency = queue time + the
   // scan on the pump thread). Same items, same pair count — the columns
   // isolate what the ingress layer buys: sustained producer-side
   // throughput and the submit-to-apply latency distribution under
@@ -524,7 +524,7 @@ int Run(int argc, char** argv) {
               << n << ", queue=" << queue_capacity << ", epoch="
               << epoch_items
               << " items); inline serializes producers on a mutex, async on "
-                 "the lock-free ring; latency is submit-to-apply\n";
+                 "the queue's mutex; latency is submit-to-apply\n";
     table.Print(std::cout);
     doc.Set("ingest_sweep",
             JsonValue::Object()

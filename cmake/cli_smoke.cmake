@@ -4,13 +4,16 @@
 #      converts it to the binary format;
 #   2. sssj_cli joins each file with --output; both pair files must be
 #      non-empty and byte-identical;
-#   3. sssj_cli on a directory must fail (a read error is not an empty
+#   3. async ingestion: --async runs must write the inline run's pair
+#      file byte for byte, for STR-L2 and MB through a 3-item queue with
+#      2-item epochs, and for --submit=timeout;
+#   4. sssj_cli on a directory must fail (a read error is not an empty
 #      stream);
-#   4. tiered storage: at --lambda=0.001, --index=L2 and --index=INV with
+#   5. tiered storage: at --lambda=0.001, --index=L2 and --index=INV with
 #      --tiered must write pair files byte-identical to the untiered
 #      runs, and --memory must show that something froze (the bytes
 #      differ); --value-tier=bf16, an unknown flag, must exit 2;
-#   5. checkpoint round trip: the text file is split in two, and for
+#   6. checkpoint round trip: the text file is split in two, and for
 #      --index=L2, --index=INV, --index=L2AP, --threads=2 and
 #      --tiered --index=INV (at --lambda=0.001) the first half runs with
 #      --checkpoint-out and the second with --checkpoint-in. The two pair
@@ -68,6 +71,42 @@ execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
 if(NOT differ EQUAL 0)
   message(FATAL_ERROR "pairs from the text and binary inputs differ")
 endif()
+
+# Async ingestion. The pump applies items in ticket order through the
+# inline push path, so each async run must equal its inline run byte for
+# byte. With a 3-item queue and 2-item epochs the reader blocks on about
+# every other submit. The --submit=timeout run keeps the default
+# 4096-item queue, which holds this whole 1000-item stream, so no submit
+# can time out on a loaded machine.
+run_step("sssj_cli MB" "${SSSJ_CLI}" "--input=${text}" --theta=0.6
+         --lambda=0.01 --framework=MB "--output=${WORK_DIR}/pairs-MB.txt"
+         --quiet)
+foreach(variant STR MB timeout)
+  set(want "${WORK_DIR}/pairs.text")
+  if(variant STREQUAL "STR")
+    set(args --queue-capacity=3 --epoch-items=2)
+  elseif(variant STREQUAL "MB")
+    set(args --framework=MB --queue-capacity=3 --epoch-items=2)
+    set(want "${WORK_DIR}/pairs-MB.txt")
+  else()
+    set(args --submit=timeout)
+  endif()
+  file(SIZE "${want}" size)
+  if(size EQUAL 0)
+    message(FATAL_ERROR "the inline ${variant} run wrote no pairs")
+  endif()
+  set(got "${WORK_DIR}/async-${variant}.txt")
+  run_step("sssj_cli --async ${variant}" "${SSSJ_CLI}" "--input=${text}"
+           --theta=0.6 --lambda=0.01 --quiet --async ${args}
+           "--output=${got}")
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${want}"
+                          "${got}"
+                  RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "--async ${variant}: pairs differ from the inline "
+                        "run's")
+  endif()
+endforeach()
 
 execute_process(COMMAND "${SSSJ_CLI}" "--input=${WORK_DIR}" --quiet
                 RESULT_VARIABLE rc

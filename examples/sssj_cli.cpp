@@ -48,18 +48,17 @@
 //                        (STR: posting columns + residual store; MB:
 //                        buffered windows + peak window-index bytes)
 //   --async              ingest through the async pipeline: the reader
-//                        thread enqueues into a bounded lock-free queue
-//                        and a pump thread drains epochs through the
-//                        same sequential push path — output is
-//                        bit-identical to the inline run; ingest-layer
-//                        counters (epochs, queue depth high-water,
-//                        backpressure) print on stderr
-//   --queue-capacity=<n> async queue bound in items (default 4096;
-//                        rounded up to a power of two)
-//   --epoch-items=<n>    close an epoch after n queued items
+//                        thread enqueues into a bounded queue and a pump
+//                        thread drains epochs through the same
+//                        sequential push path — output is bit-identical
+//                        to the inline run; ingest-layer counters
+//                        (epochs, queue depth high-water, backpressure)
+//                        print on stderr
+//   --queue-capacity=<n> async queue bound in items, exact (default 4096)
+//   --epoch-items=<n>    the most items the pump applies per epoch
 //                        (default 256)
 //   --submit=try|block|timeout
-//                        what AsyncPush does at the high-water mark
+//                        what AsyncPush does when the queue is full
 //                        (default block; try surfaces
 //                        RESOURCE_EXHAUSTED rejects on stderr)
 //   --tiered             enable tiered posting storage: cold posting

@@ -220,23 +220,8 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
     if (ing.queue_capacity < 1) {
       return Status::OutOfRange("ingest.queue_capacity must be >= 1; got 0");
     }
-    if (ing.high_water > ing.queue_capacity) {
-      return Status::OutOfRange(
-          "ingest.high_water must be <= ingest.queue_capacity (" +
-          std::to_string(ing.queue_capacity) + "); got " +
-          std::to_string(ing.high_water));
-    }
     if (ing.epoch_max_items < 1) {
       return Status::OutOfRange("ingest.epoch_max_items must be >= 1; got 0");
-    }
-    if (ing.epoch_max_bytes < 1) {
-      return Status::OutOfRange("ingest.epoch_max_bytes must be >= 1; got 0");
-    }
-    if (!(ing.epoch_max_age_ms >= 0.0) ||
-        !std::isfinite(ing.epoch_max_age_ms)) {
-      return Status::OutOfRange(
-          "ingest.epoch_max_age_ms must be finite and >= 0; got " +
-          FormatValue(ing.epoch_max_age_ms));
     }
     if (!(ing.submit_timeout_ms >= 0.0) ||
         !std::isfinite(ing.submit_timeout_ms)) {

@@ -16,12 +16,12 @@
 //   (*engine)->Flush();                  // at end of stream (MB drains)
 //
 // With cfg.ingest.mode = IngestMode::kAsync the engine additionally
-// accepts AsyncPush(ts, vec): producers enqueue into a bounded lock-free
-// ring and a background pump drains epochs through the same sequential
-// push path, with explicit backpressure (kResourceExhausted) instead of
-// unbounded queueing — see core/ingest_pump.h. Drain() barriers on
-// everything submitted so far; output is bit-identical to inline Push in
-// arrival (ticket) order.
+// accepts AsyncPush(ts, vec): producers enqueue into a bounded queue and
+// a background pump drains epochs through the same sequential push path,
+// with explicit backpressure (kResourceExhausted) instead of unbounded
+// queueing — see core/ingest_pump.h. Drain() barriers on everything
+// submitted so far; output is bit-identical to inline Push in arrival
+// (ticket) order.
 //
 // Every fallible call returns sssj::Status (core/status.h); Push failures
 // carry the per-item reject reason (empty after cleaning, non-
@@ -165,7 +165,7 @@ class SssjEngine {
   // every discovered pair. Failures:
   //   kOutOfRange      theta outside (0, 1], lambda negative/non-finite,
   //                    or an ingest option outside its domain (zero queue
-  //                    capacity / epoch watermark, bad age or timeout)
+  //                    capacity or epoch size, bad timeout)
   //   kUnimplemented   the STR-AP combination (omitted by the paper as
   //                    impractical — see §5.2 — and not implemented here)
   static StatusOr<std::unique_ptr<SssjEngine>> Make(
@@ -215,8 +215,8 @@ class SssjEngine {
   // ingest.on_complete(ticket, status). Failures here are submit-side
   // only:
   //   kFailedPrecondition  the engine was built with IngestMode::kInline
-  //   kResourceExhausted   the queue is at its high-water mark (kTry, or
-  //                        kTimeout after the deadline)
+  //   kResourceExhausted   the queue is full (kTry, or kTimeout after the
+  //                        deadline)
   // Safe from any number of producer threads concurrently.
   Status AsyncPush(Timestamp ts, SparseVector vec, uint64_t* ticket = nullptr);
 

@@ -1,7 +1,9 @@
 #include "core/ingest_pump.h"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
+#include <vector>
 
 namespace sssj {
 
@@ -45,106 +47,53 @@ std::string IngestStats::ToString() const {
 
 IngestQueue::IngestQueue(const IngestOptions& options)
     : options_(options),
-      ring_(options.queue_capacity < 1 ? 1 : options.queue_capacity) {
-  // Resolve the high-water mark against the *rounded* capacity so "0 =
-  // full queue" always means exactly the ring's bound.
-  high_water_ = options_.high_water == 0
-                    ? ring_.capacity()
-                    : std::min(options_.high_water, ring_.capacity());
-  if (options_.epoch_max_items == 0) options_.epoch_max_items = 1;
-  if (options_.epoch_max_bytes == 0) options_.epoch_max_bytes = 1;
-}
+      capacity_(std::max<size_t>(options.queue_capacity, 1)),
+      epoch_items_(std::max<size_t>(options.epoch_max_items, 1)) {}
 
 Status IngestQueue::Submit(Timestamp ts, SparseVector vec, uint64_t* ticket) {
-  Slot slot;
-  slot.ts = ts;
-  slot.bytes = sizeof(Slot) + vec.nnz() * sizeof(Coord);
-  slot.vec = std::move(vec);
-  slot.stamp = Clock::now();
-  const size_t bytes = slot.bytes;
-
-  // Reserve a depth unit *before* touching the ring. The reservation both
-  // enforces the high-water mark and guarantees the ring push below can
-  // never find the cells exhausted (reservations never exceed capacity),
-  // so a published ring slot is always matched by a pending_ increment —
-  // the pump's emptiness checks can trust pending_ without racing
-  // half-finished pushes into a depth underflow.
-  bool counted_block = false;
-  bool have_deadline = false;
-  Clock::time_point deadline{};
-  size_t depth_before = 0;  // depth our reservation observed
-  for (;;) {
-    size_t cur = pending_.load(std::memory_order_acquire);
-    if (cur < high_water_) {
-      if (pending_.compare_exchange_weak(cur, cur + 1,
-                                         std::memory_order_acq_rel)) {
-        depth_before = cur;
-        break;
-      }
-      continue;  // lost the race to another producer; retry
-    }
-    if (options_.submit == SubmitPolicy::kTry) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "ingest queue is at its high-water mark (" +
-          std::to_string(high_water_) + " of " +
-          std::to_string(ring_.capacity()) +
-          " items queued); drain or retry later");
-    }
-    if (!counted_block) {
-      blocked_.fetch_add(1, std::memory_order_relaxed);
-      counted_block = true;
-    }
-    MutexLock lk(wait_mu_);
-    if (options_.submit == SubmitPolicy::kBlock) {
-      space_cv_.wait(lk.native(), [this] { return !AtHighWater(); });
-    } else {
-      if (!have_deadline) {
-        deadline = Clock::now() + MillisToDuration(options_.submit_timeout_ms);
-        have_deadline = true;
-      }
-      if (!space_cv_.wait_until(lk.native(), deadline,
-                                [this] { return !AtHighWater(); })) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
+  StreamItem item;  // id 0: the engine assigns ids at apply time
+  item.ts = ts;
+  item.vec = std::move(vec);
+  bool went_nonempty = false;
+  {
+    MutexLock lk(mu_);
+    if (items_.size() >= capacity_) {
+      if (options_.submit == SubmitPolicy::kTry) {
+        ++counts_.rejected_backpressure;
         return Status::ResourceExhausted(
-            "ingest queue still at its high-water mark after " +
-            std::to_string(options_.submit_timeout_ms) +
-            " ms (submit policy timeout)");
+            "ingest queue is at its high-water mark (" +
+            std::to_string(capacity_) + " of " + std::to_string(capacity_) +
+            " items queued); drain or retry later");
+      }
+      ++counts_.blocked_submits;
+      if (options_.submit == SubmitPolicy::kBlock) {
+        while (items_.size() >= capacity_) space_cv_.wait(lk.native());
+      } else {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              MillisToDuration(options_.submit_timeout_ms);
+        while (items_.size() >= capacity_) {
+          if (space_cv_.wait_until(lk.native(), deadline) ==
+                  std::cv_status::timeout &&
+              items_.size() >= capacity_) {
+            ++counts_.rejected_backpressure;
+            return Status::ResourceExhausted(
+                "ingest queue still at its high-water mark after " +
+                std::to_string(options_.submit_timeout_ms) +
+                " ms (submit policy timeout)");
+          }
+        }
       }
     }
+    if (ticket != nullptr) *ticket = counts_.submitted;
+    ++counts_.submitted;
+    went_nonempty = items_.empty();
+    items_.push_back(std::move(item));
+    counts_.max_queue_depth =
+        std::max<uint64_t>(counts_.max_queue_depth, items_.size());
   }
-
-  uint64_t pos = 0;
-  // Cannot stay full: we hold a reservation, so at most capacity_ items
-  // separate the cursors; a failure here is only a stale cursor read.
-  while (!ring_.TryPush(std::move(slot), &pos)) {
-  }
-
-  pending_bytes_.fetch_add(bytes, std::memory_order_acq_rel);
-  const uint64_t depth_after = depth_before + 1;
-  uint64_t prev_max = max_depth_.load(std::memory_order_relaxed);
-  while (depth_after > prev_max &&
-         !max_depth_.compare_exchange_weak(prev_max, depth_after,
-                                           std::memory_order_relaxed)) {
-  }
-  submitted_.fetch_add(1, std::memory_order_acq_rel);
-  if (ticket != nullptr) *ticket = pos;
-
-  // Wake the pump on the transitions it cares about: the queue went
-  // non-empty (arms the age-watermark timer), or an item/byte watermark
-  // was just reached. Everything else is covered by the armed deadline.
-  // The notify comes after the ring publish, so a pump woken here always
-  // finds the item.
-  if (pump_ != nullptr) {
-    const uint64_t bytes_after =
-        pending_bytes_.load(std::memory_order_acquire);
-    const bool went_nonempty = depth_before == 0;
-    const bool items_ready = depth_after == options_.epoch_max_items ||
-                             depth_after == high_water_;
-    const bool bytes_ready = bytes_after >= options_.epoch_max_bytes &&
-                             bytes_after - bytes < options_.epoch_max_bytes;
-    if (went_nonempty || items_ready || bytes_ready) pump_->Notify();
-  }
+  // The pump sleeps only after finding every queue empty, so the submit
+  // that ends this queue's empty spell is the one that must wake it.
+  if (went_nonempty && pump_ != nullptr) pump_->Notify();
   return Status::Ok();
 }
 
@@ -153,100 +102,41 @@ Status IngestQueue::Drain() {
     return Status::FailedPrecondition(
         "Drain requires a pump servicing this queue (none is bound)");
   }
-  const uint64_t target = submitted_.load(std::memory_order_acquire);
-  drain_pending_.store(true, std::memory_order_release);
-  pump_->Notify();
-  {
-    MutexLock lk(wait_mu_);
-    applied_cv_.wait(lk.native(), [this, target] {
-      return completed_.load(std::memory_order_acquire) >= target;
-    });
-  }
-  // Clear the eager-drain flag only if nothing newer is still pending;
-  // a concurrent Drain with a later target keeps the pump eager.
-  if (completed_.load(std::memory_order_acquire) >=
-      submitted_.load(std::memory_order_acquire)) {
-    drain_pending_.store(false, std::memory_order_release);
-  } else if (pump_ != nullptr) {
-    pump_->Notify();
-  }
+  MutexLock lk(mu_);
+  const uint64_t target = counts_.submitted;
+  while (counts_.items_applied < target) applied_cv_.wait(lk.native());
   return Status::Ok();
 }
 
 size_t IngestQueue::PopEpoch(Stream* epoch, uint64_t* first_ticket) {
   size_t n = 0;
-  size_t bytes = 0;
-  while (n < options_.epoch_max_items && bytes < options_.epoch_max_bytes) {
-    Slot slot;
-    uint64_t ticket = 0;
-    if (!ring_.TryPop(&slot, &ticket)) break;
-    if (n == 0) *first_ticket = ticket;
-    bytes += slot.bytes;
-    StreamItem item;
-    item.id = 0;  // the engine assigns ids at apply time
-    item.ts = slot.ts;
-    item.vec = std::move(slot.vec);
-    epoch->push_back(std::move(item));
-    ++n;
+  {
+    MutexLock lk(mu_);
+    n = std::min(items_.size(), epoch_items_);
+    if (n == 0) return 0;
+    *first_ticket = counts_.submitted - items_.size();
+    for (size_t i = 0; i < n; ++i) {
+      epoch->push_back(std::move(items_.front()));
+      items_.pop_front();
+    }
+    ++counts_.epochs_closed;
   }
-  if (n > 0) {
-    pending_bytes_.fetch_sub(bytes, std::memory_order_acq_rel);
-    pending_.fetch_sub(n, std::memory_order_acq_rel);
-    epochs_closed_.fetch_add(1, std::memory_order_relaxed);
-    // Space opened: hand blocked producers the baton. The empty critical
-    // section pairs with the predicate check under wait_mu_ so the wakeup
-    // cannot be lost between check and wait.
-    { MutexLock lk(wait_mu_); }
-    space_cv_.notify_all();
-  }
+  space_cv_.notify_all();
   return n;
 }
 
 void IngestQueue::MarkApplied(size_t n) {
   {
-    MutexLock lk(wait_mu_);
-    completed_.fetch_add(n, std::memory_order_acq_rel);
+    MutexLock lk(mu_);
+    counts_.items_applied += n;
   }
   applied_cv_.notify_all();
 }
 
-bool IngestQueue::ReadyToService(Clock::time_point now) const {
-  const size_t depth = pending_.load(std::memory_order_acquire);
-  if (depth == 0) return false;
-  if (drain_pending_.load(std::memory_order_acquire)) return true;
-  if (depth >= options_.epoch_max_items) return true;
-  if (depth >= high_water_) return true;
-  if (pending_bytes_.load(std::memory_order_acquire) >=
-      options_.epoch_max_bytes) {
-    return true;
-  }
-  if (options_.epoch_max_age_ms <= 0.0) return true;
-  const Slot* front = ring_.Peek();
-  if (front == nullptr) return false;  // reserved but not yet published
-  return now >= front->stamp + MillisToDuration(options_.epoch_max_age_ms);
-}
-
-IngestQueue::Clock::time_point IngestQueue::NextDeadline() const {
-  if (pending_.load(std::memory_order_acquire) == 0) {
-    return Clock::time_point::max();
-  }
-  const Slot* front = ring_.Peek();
-  // A reserved-but-unpublished item has no stamp yet; treat it as
-  // arriving now so the pump re-checks within one age watermark instead
-  // of spinning or oversleeping.
-  const Clock::time_point base = front != nullptr ? front->stamp : Clock::now();
-  return base + MillisToDuration(options_.epoch_max_age_ms);
-}
-
 IngestStats IngestQueue::stats() const {
-  IngestStats s;
-  s.submitted = submitted_.load(std::memory_order_acquire);
-  s.rejected_backpressure = rejected_.load(std::memory_order_acquire);
-  s.blocked_submits = blocked_.load(std::memory_order_acquire);
-  s.epochs_closed = epochs_closed_.load(std::memory_order_acquire);
-  s.items_applied = completed_.load(std::memory_order_acquire);
-  s.queue_depth = pending_.load(std::memory_order_acquire);
-  s.max_queue_depth = max_depth_.load(std::memory_order_acquire);
+  MutexLock lk(mu_);
+  IngestStats s = counts_;
+  s.queue_depth = items_.size();
   return s;
 }
 
@@ -288,7 +178,7 @@ void IngestPump::Unregister(uint64_t id) {
     entries_.erase(it);
   }
   MutexLock lk(entry->busy_mu);
-  entry->dead.store(true, std::memory_order_release);
+  entry->dead = true;
   while (entry->busy) entry->busy_cv.wait(lk.native());
 }
 
@@ -306,41 +196,32 @@ size_t IngestPump::num_queues() const {
 }
 
 bool IngestPump::ServiceEntry(Entry& entry) {
-  IngestQueue* queue = entry.queue;
-  // The pump thread is the queue's single consumer for the duration of
-  // this call; the RoleLock is what lets the annotated consumer-side
-  // calls below (ReadyToService / PopEpoch) compile.
-  RoleLock consumer(queue->consumer_role());
-  if (!queue->ReadyToService(IngestQueue::Clock::now())) return false;
   {
     MutexLock lk(entry.busy_mu);
-    if (entry.dead.load(std::memory_order_acquire)) return false;
+    if (entry.dead) return false;
     entry.busy = true;
   }
-  bool did_work = false;
-  // Drain the backlog in epoch-sized chunks. Each chunk is one epoch:
-  // popped in ticket order, applied whole, then acknowledged so blocked
-  // producers and Drain waiters move as soon as their items land.
-  while (queue->ReadyToService(IngestQueue::Clock::now())) {
-    Stream epoch;
-    uint64_t first_ticket = 0;
-    const size_t n = queue->PopEpoch(&epoch, &first_ticket);
-    if (n == 0) break;
+  // One epoch: popped in ticket order, applied whole, then acknowledged
+  // so Drain waiters move as soon as their items land.
+  Stream epoch;
+  uint64_t first_ticket = 0;
+  const size_t n = entry.queue->PopEpoch(&epoch, &first_ticket);
+  if (n > 0) {
     entry.apply(std::move(epoch), first_ticket);
-    queue->MarkApplied(n);
-    did_work = true;
+    entry.queue->MarkApplied(n);
   }
   {
     MutexLock lk(entry.busy_mu);
     entry.busy = false;
   }
   entry.busy_cv.notify_all();
-  return did_work;
+  return n > 0;
 }
 
 void IngestPump::Loop() {
   for (;;) {
-    // Service every queue until a full pass finds no closeable epoch.
+    // Visit the queues round-robin, one epoch per visit, until a full
+    // pass finds every queue empty.
     for (bool any = true; any;) {
       any = false;
       std::vector<std::shared_ptr<Entry>> snapshot;
@@ -350,40 +231,15 @@ void IngestPump::Loop() {
         for (const auto& [id, entry] : entries_) snapshot.push_back(entry);
       }
       for (const auto& entry : snapshot) {
-        if (entry->dead.load(std::memory_order_acquire)) continue;
         if (ServiceEntry(*entry)) any = true;
       }
     }
-    // Sleep until a queue signals a watermark or the nearest pending
-    // item's age deadline expires. Items submitted while we compute the
-    // deadline either notify (queue went non-empty) or are already
-    // counted in a queue's pending depth, which armed a deadline above.
-    auto deadline = IngestQueue::Clock::time_point::max();
-    {
-      MutexLock lk(reg_mu_);
-      for (const auto& [id, entry] : entries_) {
-        // NextDeadline peeks the ring's front slot, a consumer-side read;
-        // only the pump thread (us) ever takes this role.
-        RoleLock consumer(entry->queue->consumer_role());
-        deadline = std::min(deadline, entry->queue->NextDeadline());
-      }
-    }
+    // A submit that made a queue non-empty after its visit above has set
+    // signaled_, so this wait cannot miss it.
     MutexLock lk(signal_mu_);
+    while (!signaled_ && !stop_) signal_cv_.wait(lk.native());
     if (stop_) return;
-    if (!signaled_) {
-      if (deadline == IngestQueue::Clock::time_point::max()) {
-        while (!signaled_ && !stop_) signal_cv_.wait(lk.native());
-      } else {
-        while (!signaled_ && !stop_) {
-          if (signal_cv_.wait_until(lk.native(), deadline) ==
-              std::cv_status::timeout) {
-            break;
-          }
-        }
-      }
-    }
     signaled_ = false;
-    if (stop_) return;
   }
 }
 

@@ -1,21 +1,20 @@
-// Async ingestion: bounded per-session queues, epoch-based batch
-// formation, and the pump that drains them — the layer that decouples
-// producers from the generate/verify scan.
+// Async ingestion: bounded per-session queues, epoch-sized batches, and
+// the pump that drains them — the layer that decouples producers from the
+// generate/verify scan.
 //
 // Inline Push runs the full scan on the caller's thread, so throughput is
 // bounded by worst-case per-item latency. In async mode the producer only
-// pays a lock-free ring-buffer push (util/mpsc_ring.h): items accumulate
-// in a bounded IngestQueue, the queue closes an *epoch* when an
-// item-count / byte / age watermark is reached, and a background
-// IngestPump drains whole epochs through the engine's deterministic
-// sequential push path. Epochs amortize per-item overhead (session lock
-// acquisitions, pump wakeups, batch bookkeeping) without changing any
-// result: an epoch boundary is only a scheduling boundary, every item is
-// still processed one at a time in ring order, so async output is
-// bit-identical to inline Push fed the same arrival order.
+// appends to a bounded IngestQueue (one mutex-guarded FIFO), and a
+// background IngestPump drains it through the engine's deterministic
+// sequential push path in *epochs* of at most epoch_max_items items.
+// Epochs amortize per-item overhead (session lock acquisitions, batch
+// bookkeeping) without changing any result: an epoch boundary is only a
+// scheduling boundary, every item is still processed one at a time in
+// ticket order, so async output is bit-identical to inline Push fed the
+// same arrival order.
 //
-// Backpressure is explicit. A queue never grows past its capacity: when
-// the high-water mark is reached, AsyncPush either fails immediately with
+// Backpressure is explicit. A queue never holds more than queue_capacity
+// items: at the bound AsyncPush either fails immediately with
 // kResourceExhausted (kTry), blocks until the pump frees space (kBlock),
 // or blocks with a deadline (kTimeout). Per-item outcomes from the push
 // path — including validation rejects — are reported through the
@@ -24,28 +23,25 @@
 //
 // One pump thread can service any number of queues (JoinService runs one
 // pump for all of its sessions; a standalone async engine owns a private
-// one). The pump sleeps until a registered queue reports a closeable
-// epoch, services every ready queue round-robin, and re-arms a timer for
-// the oldest pending item's age watermark.
+// one). The pump sleeps until a submit makes a queue non-empty, then
+// visits the queues round-robin — one epoch per visit — until a full pass
+// finds them all empty.
 #ifndef SSSJ_CORE_INGEST_PUMP_H_
 #define SSSJ_CORE_INGEST_PUMP_H_
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/sparse_vector.h"
 #include "core/status.h"
 #include "core/stream_item.h"
 #include "core/types.h"
-#include "util/mpsc_ring.h"
 #include "util/thread_annotations.h"
 
 namespace sssj {
@@ -55,7 +51,7 @@ enum class IngestMode {
   kAsync,   // Push enqueues; a pump drains epochs through the same path
 };
 
-// What AsyncPush does when the queue is at its high-water mark.
+// What AsyncPush does when the queue holds queue_capacity items.
 enum class SubmitPolicy {
   kTry,      // fail immediately with kResourceExhausted
   kBlock,    // wait until the pump frees space
@@ -68,23 +64,14 @@ const char* ToString(SubmitPolicy p);
 struct IngestOptions {
   IngestMode mode = IngestMode::kInline;
 
-  // Ring-buffer capacity in items, rounded up to a power of two. This is
-  // the hard bound on queued (submitted but not yet applied) items.
+  // The exact bound on queued (submitted but not yet popped by the pump)
+  // items; a submit that finds the queue this full applies the policy.
   size_t queue_capacity = 1024;
-  // Backpressure threshold: submits report kResourceExhausted (or block,
-  // per the policy) once this many items are queued. 0 means "the full
-  // queue_capacity". With racing producers the check is approximate by up
-  // to the producer count, but never exceeds queue_capacity.
-  size_t high_water = 0;
 
-  // Epoch watermarks: the queue asks the pump to close an epoch when any
-  // is reached. Larger epochs amortize per-item overhead; smaller ones
-  // bound submit-to-apply latency. Boundaries never affect results.
+  // The most items the pump pops from one queue per visit. Larger epochs
+  // amortize per-item overhead; smaller ones let the pump move on to the
+  // next queue sooner. Boundaries never affect results.
   size_t epoch_max_items = 256;
-  size_t epoch_max_bytes = 1 << 20;
-  // Age watermark: a partial epoch closes once its oldest item has waited
-  // this long, bounding latency when producers trickle. 0 drains eagerly.
-  double epoch_max_age_ms = 1.0;
 
   SubmitPolicy submit = SubmitPolicy::kBlock;
   double submit_timeout_ms = 10.0;  // kTimeout only
@@ -118,110 +105,68 @@ struct IngestStats {
 
 class IngestPump;
 
-// One session's bounded ingress queue. Producer side (Submit) is safe
-// from any number of threads; the consumer side (PopEpoch/Peek) belongs
-// to the single pump thread servicing the queue.
+// One session's bounded ingress queue: a FIFO under one mutex. Submit is
+// safe from any number of threads; PopEpoch and MarkApplied belong to the
+// pump servicing the queue. No callback (apply, Notify, on_complete) ever
+// runs under the queue's mutex.
 class IngestQueue {
  public:
-  using Clock = std::chrono::steady_clock;
-
   explicit IngestQueue(const IngestOptions& options);
 
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
 
   // Producer side: enqueues one item per the submit policy. On success
-  // stores the claimed ticket (dense, ring order) into *ticket when
-  // given. Fails with kResourceExhausted when the high-water mark holds
+  // stores the claimed ticket (dense, in queue order) into *ticket when
+  // given. Fails with kResourceExhausted when the queue is full
   // (immediately, or after the timeout for kTimeout).
-  Status Submit(Timestamp ts, SparseVector vec, uint64_t* ticket = nullptr);
+  Status Submit(Timestamp ts, SparseVector vec, uint64_t* ticket = nullptr)
+      SSSJ_EXCLUDES(mu_);
 
   // Blocks until every item submitted before this call has been applied
   // by the pump. kFailedPrecondition when no pump is bound.
-  Status Drain();
+  Status Drain() SSSJ_EXCLUDES(mu_);
 
   // ---- pump side ----
-  // Every call below reads the ring's consumer cursor and therefore
-  // requires the ring's single-consumer role (the pump holds it via
-  // RoleLock while servicing this queue) — the compile-checked form of
-  // "the consumer side belongs to the single pump thread".
-
-  // Pops up to one epoch (item/byte watermarks) into *epoch, appending
-  // StreamItems in ticket order; *first_ticket gets the first popped
-  // item's ticket. Returns the number popped (0 when empty).
-  size_t PopEpoch(Stream* epoch, uint64_t* first_ticket)
-      SSSJ_REQUIRES(consumer_role());
-  // Called by the pump after the epoch it popped was applied; wakes
-  // blocked producers and Drain waiters.
-  void MarkApplied(size_t n);
-  // True when the pump should close an epoch now: a watermark is hit, a
-  // drain is pending, or producers are blocked at the high-water mark.
-  bool ReadyToService(Clock::time_point now) const
-      SSSJ_REQUIRES(consumer_role());
-  // Deadline at which the age watermark will make the queue ready
-  // (Clock::time_point::max() when nothing is pending).
-  Clock::time_point NextDeadline() const SSSJ_REQUIRES(consumer_role());
-
-  // The queue's consumer capability is its ring's: one role covers the
-  // pop cursor and the epoch bookkeeping derived from it.
-  const Role& consumer_role() const
-      SSSJ_RETURN_CAPABILITY(ring_.consumer_role()) {
-    return ring_.consumer_role();
-  }
+  // Pops up to epoch_max_items items into *epoch, appending StreamItems
+  // in ticket order; *first_ticket gets the first popped item's ticket.
+  // Returns the number popped (0 when empty). Wakes blocked producers.
+  size_t PopEpoch(Stream* epoch, uint64_t* first_ticket) SSSJ_EXCLUDES(mu_);
+  // Called by the pump after the epoch it popped was applied; wakes Drain
+  // waiters.
+  void MarkApplied(size_t n) SSSJ_EXCLUDES(mu_);
 
   void BindPump(IngestPump* pump) { pump_ = pump; }
-  IngestPump* pump() const { return pump_; }
 
-  size_t depth() const { return pending_.load(std::memory_order_acquire); }
-  size_t capacity() const { return ring_.capacity(); }
-  IngestStats stats() const;
+  IngestStats stats() const SSSJ_EXCLUDES(mu_);
 
   const std::function<void(uint64_t, const Status&)>& on_complete() const {
     return options_.on_complete;
   }
 
  private:
-  struct Slot {
-    Timestamp ts = 0.0;
-    SparseVector vec;
-    size_t bytes = 0;
-    Clock::time_point stamp{};
-  };
-
-  bool AtHighWater() const {
-    return pending_.load(std::memory_order_acquire) >= high_water_;
-  }
-
-  IngestOptions options_;
-  size_t high_water_ = 0;
-  MpscRing<Slot> ring_;
+  const IngestOptions options_;
+  const size_t capacity_;     // queue_capacity, at least 1
+  const size_t epoch_items_;  // epoch_max_items, at least 1
   // Immutable after BindPump (which Register calls before any concurrent
-  // use of the queue); read lock-free on every submit.
+  // use of the queue); read without the lock on every submit.
   IngestPump* pump_ = nullptr;
 
-  std::atomic<size_t> pending_{0};
-  std::atomic<size_t> pending_bytes_{0};
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> blocked_{0};
-  std::atomic<uint64_t> epochs_closed_{0};
-  std::atomic<uint64_t> max_depth_{0};
-  std::atomic<bool> drain_pending_{false};
-
-  // Guards the producer/drain waits; MarkApplied signals it. No fields
-  // live under it — the wait predicates read the atomics above; the lock
-  // only pairs waiters with wakers so no notification can be lost.
-  mutable Mutex wait_mu_;
-  std::condition_variable space_cv_;  // blocked producers
+  mutable Mutex mu_;
+  std::deque<StreamItem> items_ SSSJ_GUARDED_BY(mu_);
+  // The counters. `submitted` doubles as the next ticket and
+  // `items_applied` as Drain's progress mark; `queue_depth` is filled in
+  // by stats().
+  IngestStats counts_ SSSJ_GUARDED_BY(mu_);
+  std::condition_variable space_cv_;    // blocked producers
   std::condition_variable applied_cv_;  // Drain waiters
 };
 
 // The background drainer. Owns one thread servicing every registered
-// queue: whenever a queue reports a closeable epoch, the pump pops it and
-// hands it — still in ticket order — to the apply callback supplied at
-// registration (the engine's sequential push path, wrapped in the
-// session lock by JoinService).
+// queue: it pops an epoch from one non-empty queue and hands it — still in
+// ticket order — to the apply callback supplied at registration (the
+// engine's sequential push path, wrapped in the session lock by
+// JoinService), then moves on to the next queue.
 class IngestPump {
  public:
   // apply(epoch, first_ticket): process the epoch's items in order;
@@ -242,7 +187,7 @@ class IngestPump {
   // has finished; afterwards the pump never touches the queue again.
   void Unregister(uint64_t id) SSSJ_EXCLUDES(reg_mu_);
 
-  // Wakes the pump (queues call this when a watermark is crossed).
+  // Wakes the pump (a queue calls this when a submit makes it non-empty).
   void Notify() SSSJ_EXCLUDES(signal_mu_);
 
   size_t num_queues() const SSSJ_EXCLUDES(reg_mu_);
@@ -251,16 +196,15 @@ class IngestPump {
   struct Entry {
     IngestQueue* queue = nullptr;
     ApplyFn apply;
-    std::atomic<bool> dead{false};
     Mutex busy_mu;
     std::condition_variable busy_cv;
+    bool dead SSSJ_GUARDED_BY(busy_mu) = false;
     bool busy SSSJ_GUARDED_BY(busy_mu) = false;
   };
 
   void Loop() SSSJ_EXCLUDES(reg_mu_, signal_mu_);
-  // Drains one queue's backlog in epoch-sized chunks; returns true if any
-  // work was done. Runs on the pump thread, which holds the queue's
-  // single-consumer role for the duration (RoleLock inside).
+  // Pops and applies at most one epoch from the entry's queue; returns
+  // true if it applied anything. Runs on the pump thread.
   bool ServiceEntry(Entry& entry);
 
   mutable Mutex reg_mu_;

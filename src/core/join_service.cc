@@ -477,10 +477,10 @@ Status JoinService::AsyncPush(SessionHandle handle, Timestamp ts,
   // Inline sessions take the lock (their `engine` pointer can be swapped
   // by eviction; an inline AsyncPush is a kFailedPrecondition anyway).
   // Async sessions are never evicted, so their engine pointer is stable
-  // and the submit path stays lock-free: it only touches the session's
-  // ring (and `closed` is atomic). Taking the lock there would serialize
-  // producers behind the pump's epoch applications — the exact stall
-  // async mode exists to remove.
+  // and the submit path skips the session lock: it only touches the
+  // session's queue (and `closed` is atomic). Taking the lock there would
+  // serialize producers behind the pump's epoch applications — the exact
+  // stall async mode exists to remove.
   if (session->async_engine == nullptr) {
     MutexLock lock(session->mu);
     if (session->closed) return UnknownSession();
@@ -626,8 +626,8 @@ StatusOr<IngestStats> JoinService::SessionIngestStats(
   std::shared_ptr<Session> session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   // Inline sessions: locked, because eviction can swap the engine
-  // pointer. Async sessions (never evicted): counter snapshot over
-  // atomics, no session lock needed.
+  // pointer. Async sessions (never evicted): a counter snapshot under the
+  // queue's own lock, no session lock needed.
   if (session->async_engine == nullptr) {
     MutexLock lock(session->mu);
     if (session->closed) return UnknownSession();

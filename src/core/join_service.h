@@ -175,9 +175,9 @@ class JoinService {
   // Async ingestion for sessions created with ingest.mode == kAsync: the
   // service forces ingest.external_pump and registers every async
   // session's queue with one shared pump thread. AsyncPush never takes
-  // the session lock — producers only touch the session's lock-free ring
-  // — so submits on one session proceed while the pump is mid-epoch on
-  // another. Submits racing a concurrent CloseSession may be dropped
+  // the session lock — producers only touch the session's queue, whose
+  // lock no apply holds — so submits on one session proceed while the
+  // pump is mid-epoch on another. Submits racing a concurrent CloseSession may be dropped
   // (their on_complete never fires); quiesce producers before closing.
   Status AsyncPush(SessionHandle handle, Timestamp ts, SparseVector vec,
                    uint64_t* ticket = nullptr);
@@ -261,9 +261,9 @@ class JoinService {
     uint64_t pump_registration = 0;  // 0 = not an async session
     // Non-null iff async. Async sessions are never evicted, so unlike
     // `engine` (which eviction swaps under mu) this pointer is stable for
-    // the session's whole life — it is what the lock-free submit paths
-    // dereference, encoding "async engines don't move" as a type-level
-    // fact instead of a comment on `engine`.
+    // the session's whole life — it is what the submit paths that skip
+    // the session lock dereference, encoding "async engines don't move"
+    // as a type-level fact instead of a comment on `engine`.
     SssjEngine* async_engine = nullptr;
     // ---- budget/eviction state ----
     uint64_t id = 0;  // registry id; immutable once inserted

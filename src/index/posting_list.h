@@ -138,10 +138,6 @@ class PostingList {
     }
   }
 
-  // Arrivals between consecutive scans of this list (EWMA); 0 until two
-  // ticked scans have been observed.
-  uint32_t scan_gap() const { return scan_gap_ewma_; }
-
   // Migrates the oldest tail entries into frozen blocks once the mutable
   // tail outgrew dormant_tail_entries by a freeze quantum. Every list
   // keeps the small tail and freezes in quanta, amending the newest

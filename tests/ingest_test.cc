@@ -1,12 +1,14 @@
 // Async ingestion layer: bit-identical equivalence with inline Push
-// across queue capacities / epoch watermarks / frameworks, backpressure
+// across queue capacities / epoch sizes / frameworks, backpressure
 // (kResourceExhausted + recovery), per-item completion callbacks,
-// IngestQueue/IngestPump mechanics, and the JoinService integration
-// (shared pump, lock-free AsyncPush, drain-on-close). The concurrent
+// IngestQueue/IngestPump mechanics (multi-producer ticket order,
+// round-robin service), and the JoinService integration (shared pump,
+// AsyncPush without the session lock, drain-on-close). The concurrent
 // cases run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -62,6 +64,36 @@ std::vector<ResultPair> RunInline(const EngineConfig& cfg,
   return sink.pairs();
 }
 
+// Holds the pump inside a callback so that items submitted meanwhile stay
+// queued: the callback calls Hold(), the test thread waits in
+// WaitUntilHeld() and lets the pump go with Release().
+class PumpHostage {
+ public:
+  void Hold() {
+    std::unique_lock<std::mutex> lk(mu_);
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lk, [&] { return released_; });
+  }
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return held_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+};
+
 // ---------------------------------------------------------------------
 // Determinism: async == inline, bit for bit.
 
@@ -92,7 +124,6 @@ TEST(IngestTest, AsyncOutputBitIdenticalToInlineAcrossConfigs) {
         cfg.ingest.mode = IngestMode::kAsync;
         cfg.ingest.queue_capacity = cap;
         cfg.ingest.epoch_max_items = epoch;
-        cfg.ingest.epoch_max_age_ms = 0.0;  // drain eagerly: fast tests
         cfg.ingest.submit = SubmitPolicy::kBlock;
         CollectorSink sink;
         auto engine = SssjEngine::Make(cfg, &sink);
@@ -121,9 +152,10 @@ TEST(IngestTest, AsyncOutputBitIdenticalToInlineAcrossConfigs) {
   }
 }
 
-// The age watermark alone must also drain everything (no lost wakeups
-// when the pump is ticking on deadlines instead of item watermarks).
-TEST(IngestTest, AgeWatermarkDrainsTricklingProducer) {
+// A producer that never fills an epoch must still see everything
+// applied: the pump drains any non-empty queue, so partial epochs need no
+// timer (and a wakeup lost between submit and pump would hang Drain).
+TEST(IngestTest, PartialEpochsDrainTricklingProducer) {
   RandomStreamSpec spec;
   spec.n = 60;
   spec.seed = 11;
@@ -134,8 +166,7 @@ TEST(IngestTest, AgeWatermarkDrainsTricklingProducer) {
   EngineConfig cfg = base;
   cfg.ingest.mode = IngestMode::kAsync;
   cfg.ingest.queue_capacity = 256;
-  cfg.ingest.epoch_max_items = 1u << 20;  // unreachable: only age closes
-  cfg.ingest.epoch_max_age_ms = 0.2;
+  cfg.ingest.epoch_max_items = 1u << 20;  // never filled: every epoch partial
   CollectorSink sink;
   auto engine = SssjEngine::Make(cfg, &sink);
   ASSERT_TRUE(engine.ok());
@@ -144,10 +175,10 @@ TEST(IngestTest, AgeWatermarkDrainsTricklingProducer) {
   }
   ASSERT_TRUE((*engine)->Drain().ok());
   (*engine)->Flush();
-  ExpectIdenticalPairs(sink.pairs(), want, "age-watermark");
+  ExpectIdenticalPairs(sink.pairs(), want, "partial-epochs");
 }
 
-// Four producers race AsyncPush; the ring's enqueue cursor linearizes
+// Four producers race AsyncPush; the queue's ticket counter linearizes
 // them into ticket order. Replaying the items inline in that ticket
 // order must reproduce the async output bit for bit — the determinism
 // contract under real concurrency. (All items share one timestamp so
@@ -167,7 +198,6 @@ TEST(IngestTest, ConcurrentProducersMatchInlineReplayInTicketOrder) {
     cfg.ingest.mode = IngestMode::kAsync;
     cfg.ingest.queue_capacity = 32;  // small: forces backpressure blocking
     cfg.ingest.epoch_max_items = 8;
-    cfg.ingest.epoch_max_age_ms = 0.0;
     CollectorSink async_sink;
     auto engine = SssjEngine::Make(cfg, &async_sink);
     ASSERT_TRUE(engine.ok());
@@ -219,7 +249,6 @@ TEST(IngestTest, TryPolicyReportsResourceExhaustedAtHighWaterAndRecovers) {
   cfg.ingest.mode = IngestMode::kAsync;
   cfg.ingest.queue_capacity = 2;
   cfg.ingest.epoch_max_items = 1;
-  cfg.ingest.epoch_max_age_ms = 0.0;
   cfg.ingest.submit = SubmitPolicy::kTry;
   cfg.ingest.on_complete = [&](uint64_t ticket, const Status& status) {
     std::unique_lock<std::mutex> lk(mu);
@@ -278,7 +307,6 @@ TEST(IngestTest, BlockPolicyWaitsForSpaceInsteadOfFailing) {
   cfg.ingest.mode = IngestMode::kAsync;
   cfg.ingest.queue_capacity = 2;
   cfg.ingest.epoch_max_items = 1;
-  cfg.ingest.epoch_max_age_ms = 0.0;
   cfg.ingest.submit = SubmitPolicy::kBlock;
   auto engine = SssjEngine::Make(cfg);
   ASSERT_TRUE(engine.ok());
@@ -350,23 +378,8 @@ TEST(IngestTest, MakeValidatesIngestOptions) {
   }
   {
     EngineConfig bad = cfg;
-    bad.ingest.high_water = bad.ingest.queue_capacity + 1;
-    expect_out_of_range(bad, "ingest.high_water");
-  }
-  {
-    EngineConfig bad = cfg;
     bad.ingest.epoch_max_items = 0;
     expect_out_of_range(bad, "ingest.epoch_max_items");
-  }
-  {
-    EngineConfig bad = cfg;
-    bad.ingest.epoch_max_bytes = 0;
-    expect_out_of_range(bad, "ingest.epoch_max_bytes");
-  }
-  {
-    EngineConfig bad = cfg;
-    bad.ingest.epoch_max_age_ms = -1.0;
-    expect_out_of_range(bad, "ingest.epoch_max_age_ms");
   }
   {
     EngineConfig bad = cfg;
@@ -404,7 +417,6 @@ TEST(IngestTest, PumpServicesMultipleQueuesAndUnregisterQuiesces) {
   IngestOptions opts;
   opts.queue_capacity = 16;
   opts.epoch_max_items = 4;
-  opts.epoch_max_age_ms = 0.0;
   IngestQueue q1(opts), q2(opts);
   std::atomic<size_t> applied1{0}, applied2{0};
 
@@ -437,6 +449,231 @@ TEST(IngestTest, PumpServicesMultipleQueuesAndUnregisterQuiesces) {
   pump.Unregister(id2);  // double-unregister is a harmless no-op
 }
 
+// The bound is exactly queue_capacity, with no rounding: while the pump
+// is held in its first epoch, a 3-slot queue admits three items and
+// refuses the fourth.
+TEST(IngestTest, QueueCapacityIsExact) {
+  PumpHostage hostage;
+  IngestOptions opts;
+  opts.queue_capacity = 3;
+  opts.submit = SubmitPolicy::kTry;
+  IngestQueue queue(opts);
+  IngestPump pump;
+  const uint64_t id = pump.Register(&queue, [&](Stream&&, uint64_t first) {
+    if (first == 0) hostage.Hold();
+  });
+
+  ASSERT_TRUE(queue.Submit(0.0, SparseVector()).ok());
+  hostage.WaitUntilHeld();  // item 0 is popped; the queue is empty
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(queue.Submit(0.0, SparseVector()).ok()) << i;
+  }
+  const Status full = queue.Submit(0.0, SparseVector());
+  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(full.message().find("(3 of 3 items queued)"), std::string::npos)
+      << full.message();
+  hostage.Release();
+  ASSERT_TRUE(queue.Drain().ok());
+  pump.Unregister(id);
+
+  const IngestStats stats = queue.stats();
+  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.items_applied, 4u);
+  EXPECT_EQ(stats.max_queue_depth, 3u);
+  EXPECT_EQ(stats.rejected_backpressure, 1u);
+}
+
+// kTimeout waits for space for submit_timeout_ms, then reports
+// kResourceExhausted without taking a ticket; once the pump has drained,
+// submits are accepted again.
+TEST(IngestTest, TimeoutPolicyRejectsAfterTheDeadlineAndRecovers) {
+  PumpHostage hostage;
+  IngestOptions opts;
+  opts.queue_capacity = 1;
+  opts.submit = SubmitPolicy::kTimeout;
+  opts.submit_timeout_ms = 20.0;
+  IngestQueue queue(opts);
+  IngestPump pump;
+  const uint64_t id = pump.Register(&queue, [&](Stream&&, uint64_t first) {
+    if (first == 0) hostage.Hold();
+  });
+
+  ASSERT_TRUE(queue.Submit(0.0, SparseVector()).ok());
+  hostage.WaitUntilHeld();
+  ASSERT_TRUE(queue.Submit(1.0, SparseVector()).ok());  // full (1 of 1)
+  const auto start = std::chrono::steady_clock::now();
+  const Status late = queue.Submit(2.0, SparseVector());
+  const std::chrono::duration<double, std::milli> waited =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(late.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(late.message().find("submit policy timeout"), std::string::npos)
+      << late.message();
+  EXPECT_GE(waited.count(), opts.submit_timeout_ms);
+
+  hostage.Release();
+  ASSERT_TRUE(queue.Drain().ok());
+  uint64_t ticket = 0;
+  ASSERT_TRUE(queue.Submit(3.0, SparseVector(), &ticket).ok());
+  EXPECT_EQ(ticket, 2u);  // the rejected submit took no ticket
+  ASSERT_TRUE(queue.Drain().ok());
+  pump.Unregister(id);
+
+  const IngestStats stats = queue.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.items_applied, 3u);
+  EXPECT_EQ(stats.blocked_submits, 1u);
+  EXPECT_EQ(stats.rejected_backpressure, 1u);
+}
+
+// An epoch holds at most epoch_max_items items: ten items queued behind
+// the held pump drain as epochs of 4, 4 and 2, in ticket order.
+TEST(IngestTest, EpochsHoldAtMostEpochMaxItems) {
+  PumpHostage hostage;
+  IngestOptions opts;
+  opts.queue_capacity = 16;
+  opts.epoch_max_items = 4;
+  IngestQueue queue(opts);
+  // (first ticket, size) per epoch; written by the pump, read after Drain.
+  std::vector<std::pair<uint64_t, size_t>> epochs;
+  IngestPump pump;
+  const uint64_t id =
+      pump.Register(&queue, [&](Stream&& epoch, uint64_t first) {
+        epochs.emplace_back(first, epoch.size());
+        if (first == 0) hostage.Hold();
+      });
+
+  ASSERT_TRUE(queue.Submit(0.0, SparseVector()).ok());
+  hostage.WaitUntilHeld();
+  for (int i = 1; i <= 10; ++i) {
+    EXPECT_TRUE(queue.Submit(i, SparseVector()).ok()) << i;
+  }
+  hostage.Release();
+  ASSERT_TRUE(queue.Drain().ok());
+  pump.Unregister(id);
+
+  const std::vector<std::pair<uint64_t, size_t>> want = {
+      {0, 1}, {1, 4}, {5, 4}, {9, 2}};
+  EXPECT_EQ(epochs, want);
+  EXPECT_EQ(queue.stats().epochs_closed, want.size());
+}
+
+// Multi-producer stress on the queue and pump alone: four producers race
+// Submit through a 64-slot queue while the pump drains it. Tickets must
+// be dense and unique, items applied in ticket order and exactly once,
+// and each producer's items must keep their submit order (FIFO per
+// producer). Run under TSan in CI.
+TEST(IngestTest, ConcurrentProducersKeepTicketAndFifoInvariants) {
+  constexpr int kProducers = 4;
+  constexpr uint64_t kPerProducer = 5000;
+  constexpr uint64_t kTotal = kProducers * kPerProducer;
+  IngestOptions opts;
+  opts.queue_capacity = 64;
+  opts.epoch_max_items = 16;
+  IngestQueue queue(opts);
+
+  // Each item's timestamp encodes (producer, sequence) as
+  // producer * kPerProducer + sequence. Written by the pump thread only;
+  // read after Drain.
+  std::vector<uint64_t> applied;
+  applied.reserve(kTotal);
+  IngestPump pump;
+  const uint64_t id =
+      pump.Register(&queue, [&](Stream&& epoch, uint64_t first_ticket) {
+        EXPECT_EQ(first_ticket, applied.size());  // epochs in ticket order
+        for (const StreamItem& item : epoch) {
+          applied.push_back(static_cast<uint64_t>(item.ts));
+        }
+      });
+
+  std::vector<std::vector<uint64_t>> tickets(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      tickets[p].reserve(kPerProducer);
+      for (uint64_t i = 0; i < kPerProducer; ++i) {
+        uint64_t ticket = 0;
+        const double ts = static_cast<double>(p * kPerProducer + i);
+        ASSERT_TRUE(queue.Submit(ts, SparseVector(), &ticket).ok());
+        tickets[p].push_back(ticket);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  ASSERT_TRUE(queue.Drain().ok());
+  pump.Unregister(id);
+
+  const IngestStats stats = queue.stats();
+  EXPECT_EQ(stats.submitted, kTotal);
+  EXPECT_EQ(stats.items_applied, kTotal);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_LE(stats.max_queue_depth, opts.queue_capacity);
+  ASSERT_EQ(applied.size(), kTotal);
+
+  // Every (producer, sequence) exactly once, FIFO per producer.
+  std::vector<uint64_t> next_seq(kProducers, 0);
+  for (const uint64_t value : applied) {
+    const uint64_t p = value / kPerProducer;
+    ASSERT_LT(p, static_cast<uint64_t>(kProducers));
+    EXPECT_EQ(value % kPerProducer, next_seq[p])
+        << "producer " << p << " out of order";
+    ++next_seq[p];
+  }
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
+
+  // The ticket a producer got for its i-th submit is where that item
+  // landed in the applied order; with every item applied once, the
+  // tickets are a permutation of 0..kTotal-1, i.e. dense and unique.
+  for (int p = 0; p < kProducers; ++p) {
+    for (uint64_t i = 0; i < kPerProducer; ++i) {
+      const uint64_t ticket = tickets[p][i];
+      ASSERT_LT(ticket, kTotal);
+      EXPECT_EQ(applied[ticket], p * kPerProducer + i);
+    }
+  }
+}
+
+// Two queues share one pump. Queue A's apply refills A from the pump
+// thread, kRefills times, and its first call also submits B's only item.
+// The pump takes at most one epoch per visit and then moves on, so B is
+// applied while A still has refills to go; a pump that drained A's whole
+// backlog first would reach B only after A ran dry.
+TEST(IngestTest, PumpServicesQueuesRoundRobin) {
+  constexpr size_t kRefills = 1000;
+  IngestOptions opts;
+  opts.queue_capacity = 4;
+  opts.epoch_max_items = 1;
+  IngestQueue a(opts), b(opts);
+  std::atomic<size_t> refills{0};
+  std::atomic<size_t> refills_when_b_applied{kRefills + 1};
+
+  IngestPump pump;
+  const uint64_t id_a = pump.Register(&a, [&](Stream&&, uint64_t) {
+    if (refills == 0) {
+      EXPECT_TRUE(b.Submit(0.0, SparseVector()).ok());
+    }
+    if (refills < kRefills) {
+      ++refills;
+      EXPECT_TRUE(a.Submit(0.0, SparseVector()).ok());
+    }
+  });
+  const uint64_t id_b = pump.Register(&b, [&](Stream&&, uint64_t) {
+    refills_when_b_applied = refills.load();
+  });
+
+  ASSERT_TRUE(a.Submit(0.0, SparseVector()).ok());
+  // The refills are submitted on the pump thread, so drain until the
+  // chain has ended, then once more for its last item.
+  while (a.stats().submitted < kRefills + 1) ASSERT_TRUE(a.Drain().ok());
+  ASSERT_TRUE(a.Drain().ok());
+  ASSERT_TRUE(b.Drain().ok());
+  pump.Unregister(id_a);
+  pump.Unregister(id_b);
+
+  EXPECT_EQ(refills.load(), kRefills);
+  EXPECT_EQ(b.stats().items_applied, 1u);
+  EXPECT_LT(refills_when_b_applied.load(), kRefills);
+}
+
 // ---------------------------------------------------------------------
 // JoinService: shared pump, per-session queues.
 
@@ -452,7 +689,6 @@ TEST(JoinServiceAsyncTest, AsyncSessionMatchesInlineSessionExactly) {
   async_cfg.ingest.mode = IngestMode::kAsync;
   async_cfg.ingest.queue_capacity = 16;
   async_cfg.ingest.epoch_max_items = 4;
-  async_cfg.ingest.epoch_max_age_ms = 0.0;
   CollectorSink inline_sink, async_sink;
   auto inline_s =
       service.CreateSession({"inline", inline_cfg, &inline_sink});
@@ -498,7 +734,6 @@ TEST(JoinServiceAsyncTest, ConcurrentSessionsShareOnePumpDeterministically) {
   cfg.ingest.mode = IngestMode::kAsync;
   cfg.ingest.queue_capacity = 8;  // small: producers hit backpressure
   cfg.ingest.epoch_max_items = 4;
-  cfg.ingest.epoch_max_age_ms = 0.0;
 
   std::vector<Stream> streams;
   std::vector<std::unique_ptr<CollectorSink>> sinks;
@@ -533,27 +768,46 @@ TEST(JoinServiceAsyncTest, ConcurrentSessionsShareOnePumpDeterministically) {
 
 // CloseSession on an async session applies everything still queued
 // before flushing — submitted items are never silently dropped by an
-// orderly close.
+// orderly close. The pump is held hostage inside the first item's
+// completion callback, so the other items are still queued when the
+// close begins.
 TEST(JoinServiceAsyncTest, CloseSessionDrainsQueuedItemsFirst) {
+  PumpHostage hostage;
   JoinService service;
   EngineConfig cfg = BaseConfig(Framework::kStreaming, IndexScheme::kL2);
   cfg.theta = 0.9;
   cfg.ingest.mode = IngestMode::kAsync;
   cfg.ingest.queue_capacity = 64;
-  // Lazy pump: nothing closes an epoch until the drain inside close.
-  cfg.ingest.epoch_max_items = 1u << 20;
-  cfg.ingest.epoch_max_age_ms = 1e6;
+  cfg.ingest.on_complete = [&](uint64_t ticket, const Status&) {
+    if (ticket == 0) hostage.Hold();
+  };
   CollectorSink sink;
   auto handle = service.CreateSession({"closing", cfg, &sink});
   ASSERT_TRUE(handle.ok());
 
   constexpr size_t kItems = 10;
   const SparseVector vec = UnitVec({{1, 1.0}, {2, 0.5}});
-  for (size_t i = 0; i < kItems; ++i) {
-    // All at one timestamp so time decay prunes nothing.
-    ASSERT_TRUE(service.AsyncPush(*handle, 0.0, vec).ok());
+  // All at one timestamp so time decay prunes nothing.
+  ASSERT_TRUE(service.AsyncPush(*handle, 0.0, vec).ok());
+  // Item 0 was alone in the queue: the pump popped it and is held in its
+  // callback, so everything submitted below stays queued.
+  hostage.WaitUntilHeld();
+  for (size_t i = 1; i < kItems; ++i) {
+    EXPECT_TRUE(service.AsyncPush(*handle, 0.0, vec).ok());
   }
-  ASSERT_TRUE(service.CloseSession(*handle).ok());
+  auto queued = service.SessionIngestStats(*handle);
+  EXPECT_TRUE(queued.ok());
+  if (queued.ok()) {
+    EXPECT_EQ(queued->queue_depth, kItems - 1);
+  }
+
+  Status closed;
+  std::thread closer([&] { closed = service.CloseSession(*handle); });
+  // The close has begun once the registry no longer finds the session.
+  while (service.SessionIngestStats(*handle).ok()) std::this_thread::yield();
+  hostage.Release();
+  closer.join();
+  ASSERT_TRUE(closed.ok()) << closed.ToString();
   // kItems identical co-arriving vectors: every pair survives, so a full
   // drain emits exactly C(kItems, 2) pairs (STR emits at apply time).
   EXPECT_EQ(sink.pairs().size(), kItems * (kItems - 1) / 2);

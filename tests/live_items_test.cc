@@ -117,6 +117,11 @@ struct Variant {
   bool same_sequence;
 };
 
+// gtest prints a parameter into each test's ctest id; without this it
+// would dump the struct's bytes, `name`'s pointer included, so the ids
+// would change from build to build.
+void PrintTo(const Variant& variant, std::ostream* os) { *os << variant.name; }
+
 EngineConfig ConfigFor(const Variant& variant) {
   EngineConfig cfg;
   cfg.framework = variant.framework;
