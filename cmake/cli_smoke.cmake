@@ -13,6 +13,8 @@
 #      --tiered must write pair files byte-identical to the untiered
 #      runs, and --memory must show that something froze (the bytes
 #      differ); --value-tier=bf16, an unknown flag, must exit 2;
+#   5b. the retired AUTO scheme: --index=AUTO must exit 1 naming AUTO (a
+#      bad --index), and --duel-epoch=2048 must exit 2 as an unknown flag;
 #   6. checkpoint round trip: the text file is split in two, and for
 #      --index=L2, --index=INV, --index=L2AP, --threads=2 and
 #      --tiered --index=INV (at --lambda=0.001) the first half runs with
@@ -167,6 +169,24 @@ execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --value-tier=bf16
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "sssj_cli --value-tier=bf16 exited ${rc}, not 2:\n"
                       "${err}")
+endif()
+
+execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --index=AUTO --quiet
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "AUTO")
+  message(FATAL_ERROR "sssj_cli --index=AUTO exited ${rc}, not 1 with a "
+                      "message naming AUTO:\n${err}")
+endif()
+execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --duel-epoch=2048
+                        --quiet
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --duel-epoch")
+  message(FATAL_ERROR "sssj_cli --duel-epoch=2048 exited ${rc}, not 2 as an "
+                      "unknown flag:\n${err}")
 endif()
 
 # Checkpoint round trip over the two halves of the text stream.

@@ -9,17 +9,8 @@
 //   --input=<path>       stream file (required)
 //   --format=text|bin    input format (default: by .bin extension)
 //   --framework=STR|MB   (default STR)
-//   --index=INV|AP|L2AP|L2|AUTO
-//                        (default L2; AP only valid with MB). AUTO runs
-//                        the set-dueling adaptive scheme: the engine
-//                        starts on L2, periodically replays a reservoir
-//                        sample of the live stream through cheap shadow
-//                        cores of the competing schemes, and migrates
-//                        live (over the checkpoint path) to
-//                        whichever combination wins repeatedly. Duel
-//                        verdicts and scheme switches print on stderr.
-//   --duel-epoch=<n>     AUTO only: accepted items per duel epoch
-//                        (default 2048; must be >= 1)
+//   --index=INV|AP|L2AP|L2
+//                        (default L2; AP only valid with MB)
 //   --theta, --lambda    join parameters (defaults 0.7, 0.01)
 //   --kernel=scalar|simd|auto
 //                        scoring kernels for the hot posting scans
@@ -114,7 +105,7 @@ int main(int argc, char** argv) {
       {"input", "format", "framework", "index", "theta", "lambda", "kernel",
        "threads", "output", "quiet", "min-dot", "top-k", "memory", "async",
        "queue-capacity", "epoch-items", "submit", "tiered", "memory-budget",
-       "checkpoint-in", "checkpoint-out", "duel-epoch"});
+       "checkpoint-in", "checkpoint-out"});
   const std::string input = flags.GetString("input", "");
   if (input.empty()) {
     std::fprintf(stderr, "--input is required (see header of this file)\n");
@@ -136,28 +127,6 @@ int main(int argc, char** argv) {
   config.theta = flags.GetDouble("theta", 0.7);
   config.lambda = flags.GetDouble("lambda", 0.01);
   config.num_threads = static_cast<int>(flags.GetInt("threads", 1));
-  const bool auto_scheme = config.index == sssj::IndexScheme::kAuto;
-  if (flags.Has("duel-epoch")) {
-    if (!auto_scheme) {
-      std::fprintf(stderr, "--duel-epoch requires --index=AUTO\n");
-      return 2;
-    }
-    // GetInt already exits 2 on malformed values; this rejects the ones
-    // that parse but make no sense for an epoch length.
-    const int64_t duel_epoch = flags.GetInt("duel-epoch", 0);
-    if (duel_epoch < 1) {
-      std::fprintf(stderr,
-                   "invalid value for --duel-epoch: %lld (expected >= 1)\n",
-                   static_cast<long long>(duel_epoch));
-      return 2;
-    }
-    config.adaptive.duel_epoch_items = static_cast<uint64_t>(duel_epoch);
-  }
-  if (auto_scheme) {
-    config.adaptive.on_verdict = [](const sssj::DuelVerdict& v) {
-      std::fprintf(stderr, "%s\n", v.ToString().c_str());
-    };
-  }
   const bool async = flags.GetBool("async", false);
   if (async) {
     config.ingest.mode = sssj::IngestMode::kAsync;
@@ -440,12 +409,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(pairs), secs,
                stream.size() / std::max(secs, 1e-9));
   std::fprintf(stderr, "stats: %s\n", s.ToString().c_str());
-  if (engine != nullptr && (auto_scheme || engine->scheme_switches() > 0)) {
-    std::fprintf(stderr, "adaptive: active=%s-%s switches=%llu\n",
-                 sssj::ToString(engine->active_framework()),
-                 sssj::ToString(engine->active_scheme()),
-                 static_cast<unsigned long long>(engine->scheme_switches()));
-  }
   if (async) {
     std::fprintf(stderr, "ingest: %s\n",
                  engine->ingest_stats().ToString().c_str());

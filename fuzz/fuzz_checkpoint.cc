@@ -25,7 +25,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     cfg.index = sssj::IndexScheme::kL2;
     cfg.theta = 0.7;
     cfg.lambda = 0.01;
-    cfg.adaptive.enable_migration = retaining;
+    cfg.enable_migration = retaining;
     auto engine = sssj::SssjEngine::Make(cfg);
     assert(engine.ok());
     std::istringstream is(bytes);

@@ -16,7 +16,6 @@ RunResult RunJoin(const Stream& stream, const RunConfig& config) {
   ec.theta = config.theta;
   ec.lambda = config.lambda;
   ec.kernel = config.kernel;
-  ec.adaptive = config.adaptive;
   ec.normalize_inputs = false;  // generator/profile streams are unit already
   CountingSink sink;
   auto engine_or = SssjEngine::Make(ec, &sink);
@@ -34,9 +33,6 @@ RunResult RunJoin(const Stream& stream, const RunConfig& config) {
       result.pairs = sink.count();
       result.memory_bytes = engine->MemoryBytes();
       result.stats = engine->stats();
-      result.scheme_switches = engine->scheme_switches();
-      result.final_framework = engine->active_framework();
-      result.final_scheme = engine->active_scheme();
       return result;  // completed=false
     }
   }
@@ -47,9 +43,6 @@ RunResult RunJoin(const Stream& stream, const RunConfig& config) {
   result.memory_bytes = engine->MemoryBytes();
   result.stats = engine->stats();
   result.stats.elapsed_seconds = result.seconds;
-  result.scheme_switches = engine->scheme_switches();
-  result.final_framework = engine->active_framework();
-  result.final_scheme = engine->active_scheme();
   return result;
 }
 

@@ -24,9 +24,6 @@ struct RunConfig {
   // default; kSimd/kAuto select the vectorized posting-scan kernels.
   KernelMode kernel = KernelMode::kScalar;
   double budget_seconds = std::numeric_limits<double>::infinity();
-  // Adaptive-runtime knobs, forwarded to EngineConfig::adaptive. Only
-  // meaningful when index == IndexScheme::kAuto (or enable_migration).
-  AdaptiveOptions adaptive;
 };
 
 struct RunResult {
@@ -38,12 +35,6 @@ struct RunResult {
   // + residual store. MB: buffered windows + peak window-index bytes.
   uint64_t memory_bytes = 0;
   RunStats stats;
-  // Adaptive-runtime telemetry: how many live migrations the engine
-  // performed and where it ended up. Zero / the static combo for
-  // non-adaptive runs.
-  uint64_t scheme_switches = 0;
-  Framework final_framework = Framework::kStreaming;
-  IndexScheme final_scheme = IndexScheme::kL2;
 };
 
 // Runs the join over `stream`. The budget is checked periodically; on

@@ -161,7 +161,7 @@ EngineConfig WireConfig::ToEngineConfig() const {
   // Checkpoints are the wire format for migration and crash-restore, and
   // the supervisor pulls one every few operations: the retention deque
   // this keeps makes each pull a copy instead of an index scan.
-  config.adaptive.enable_migration = true;
+  config.enable_migration = true;
   return config;
 }
 
@@ -194,8 +194,6 @@ bool GetConfig(WireReader* r, WireConfig* config) {
       !r->GetU8(&normalize)) {
     return false;
   }
-  // kAuto is deliberately refused on the wire: a cluster session's scheme
-  // must be concrete so both ends agree on what is running.
   if (framework > 1 || scheme > static_cast<uint8_t>(IndexScheme::kL2) ||
       normalize > 1) {
     return false;

@@ -199,7 +199,7 @@ struct WireConfig {
   bool normalize_inputs = true;
 
   // The engine config a worker builds from this: the fields above plus
-  // adaptive.enable_migration = true.
+  // enable_migration = true.
   EngineConfig ToEngineConfig() const;
   static WireConfig FromEngineConfig(const EngineConfig& config);
 };

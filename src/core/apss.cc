@@ -25,11 +25,6 @@ std::vector<ResultPair> BatchApss(const std::vector<SparseVector>& data,
     case IndexScheme::kL2:
       index = std::make_unique<L2Index>(theta);
       break;
-    case IndexScheme::kAuto:
-      // kAuto is an engine-level policy; the batch solver runs concrete
-      // schemes only. Fall back to the paper's recommended index.
-      index = std::make_unique<L2Index>(theta);
-      break;
   }
 
   Stream stream;

@@ -30,8 +30,6 @@ std::unique_ptr<BatchIndex> MakeBatchIndex(IndexScheme scheme, double theta,
       return std::make_unique<L2apIndex>(theta, use_simd);
     case IndexScheme::kL2:
       return std::make_unique<L2Index>(theta, use_simd);
-    case IndexScheme::kAuto:
-      break;  // resolved to a concrete scheme before any core is built
   }
   return nullptr;
 }
@@ -100,8 +98,6 @@ const char* ToString(IndexScheme s) {
       return "L2AP";
     case IndexScheme::kL2:
       return "L2";
-    case IndexScheme::kAuto:
-      return "AUTO";
   }
   return "?";
 }
@@ -121,19 +117,18 @@ StatusOr<IndexScheme> ParseIndexScheme(const std::string& s) {
   if (l == "ap") return IndexScheme::kAp;
   if (l == "l2ap") return IndexScheme::kL2ap;
   if (l == "l2") return IndexScheme::kL2;
-  if (l == "auto") return IndexScheme::kAuto;
   return Status::InvalidArgument("unknown index scheme '" + s +
-                                 "' (expected INV, AP, L2AP, L2, or AUTO)");
+                                 "' (expected INV, AP, L2AP, or L2)");
 }
 
 StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
                                                  Framework framework,
                                                  IndexScheme scheme,
                                                  const DecayParams& params) {
-  if (scheme == IndexScheme::kAuto) {
+  if (scheme < IndexScheme::kInv || scheme > IndexScheme::kL2) {
     return Status::InvalidArgument(
-        "kAuto is a policy, not a scheme; the engine resolves it before "
-        "building a core");
+        "unknown index scheme " + std::to_string(static_cast<int>(scheme)) +
+        " (expected INV, AP, L2AP, or L2)");
   }
   if (framework == Framework::kStreaming && scheme == IndexScheme::kAp) {
     return Status::Unimplemented(
@@ -183,17 +178,14 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
       }
       break;
     case IndexScheme::kAp:
-    case IndexScheme::kAuto:
       return Status::Internal("invalid STR scheme slipped past validation");
   }
   // A checkpoint of an STR core rebuilds the live items from the index
   // unless the core keeps them in the retention deque. Migration-capable
   // engines keep it: SwitchScheme and the fleet's checkpoint pulls copy it
   // instead of scanning the index.
-  const bool retain_live = config.adaptive.enable_migration ||
-                           config.index == IndexScheme::kAuto;
   std::unique_ptr<JoinCore> core = std::make_unique<StreamingJoin>(
-      params, std::move(index), retain_live);
+      params, std::move(index), config.enable_migration);
   return core;
 }
 
@@ -241,25 +233,6 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
         "forces continual re-indexing, see §5.2); use STR-L2AP or MB-AP "
         "instead");
   }
-  const bool is_auto = config.index == IndexScheme::kAuto;
-  if (is_auto) {
-    const AdaptiveOptions& a = config.adaptive;
-    if (a.duel_epoch_items < 1) {
-      return Status::OutOfRange("adaptive.duel_epoch_items must be >= 1; got 0");
-    }
-    if (a.duel_sample < 1) {
-      return Status::OutOfRange("adaptive.duel_sample must be >= 1; got 0");
-    }
-    if (a.switch_after_wins < 1) {
-      return Status::OutOfRange("adaptive.switch_after_wins must be >= 1; got " +
-                                std::to_string(a.switch_after_wins));
-    }
-    if (!(a.hysteresis >= 0.0) || !(a.hysteresis < 1.0) ||
-        !std::isfinite(a.hysteresis)) {
-      return Status::OutOfRange("adaptive.hysteresis must be in [0, 1); got " +
-                                FormatValue(a.hysteresis));
-    }
-  }
   DecayParams params;
   if (!DecayParams::Make(config.theta, config.lambda, &params)) {
     return Status::Internal("DecayParams rejected validated theta/lambda");
@@ -267,46 +240,28 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
 
   std::unique_ptr<SssjEngine> engine(new SssjEngine(config, params, sink));
   engine->active_framework_ = config.framework;
-  // kAuto starts on L2 — valid under both frameworks and the paper's
-  // overall recommendation — and lets the duel take it from there.
-  engine->active_scheme_ = is_auto ? IndexScheme::kL2 : config.index;
+  engine->active_scheme_ = config.index;
   auto core_or = MakeJoinCore(config, engine->active_framework_,
                               engine->active_scheme_, params);
   if (!core_or.ok()) return core_or.status();
   engine->core_ = std::move(*core_or);
-  if (is_auto) {
-    engine->tuner_ = std::make_unique<AutoTuner>(config.adaptive, params);
-  }
 
   // Knobs this combination accepts but does not use: say so once, here,
   // instead of silently dropping the setting (engine.h documents each
   // case; these notes make the drop observable at runtime).
-  if (config.num_threads > 1) {
-    if (is_auto) {
-      engine->config_notes_.push_back(
-          "num_threads=" + std::to_string(config.num_threads) +
-          " applies only while the active scheme is STR-L2 or a MiniBatch "
-          "scheme; STR-INV/STR-L2AP phases of an AUTO run are sequential");
-    } else if (config.framework == Framework::kStreaming &&
-               (config.index == IndexScheme::kInv ||
-                config.index == IndexScheme::kL2ap)) {
-      engine->config_notes_.push_back(
-          "num_threads=" + std::to_string(config.num_threads) +
-          " is ignored: STR-INV and STR-L2AP run sequentially (only STR-L2 "
-          "shards its index; every MB scheme parallelizes window closes)");
-    }
+  if (config.num_threads > 1 && config.framework == Framework::kStreaming &&
+      (config.index == IndexScheme::kInv ||
+       config.index == IndexScheme::kL2ap)) {
+    engine->config_notes_.push_back(
+        "num_threads=" + std::to_string(config.num_threads) +
+        " is ignored: STR-INV and STR-L2AP run sequentially (only STR-L2 "
+        "shards its index; every MB scheme parallelizes window closes)");
   }
-  if (config.tiered.enabled) {
-    if (is_auto) {
-      engine->config_notes_.push_back(
-          "tiered posting storage applies only while the active scheme is "
-          "an STR scheme; MiniBatch phases of an AUTO run ignore it");
-    } else if (config.framework == Framework::kMiniBatch) {
-      engine->config_notes_.push_back(
-          "tiered posting storage is ignored: MiniBatch window indexes are "
-          "short-lived and dropped wholesale at window close, so there is "
-          "no cold prefix to freeze");
-    }
+  if (config.tiered.enabled && config.framework == Framework::kMiniBatch) {
+    engine->config_notes_.push_back(
+        "tiered posting storage is ignored: MiniBatch window indexes are "
+        "short-lived and dropped wholesale at window close, so there is "
+        "no cold prefix to freeze");
   }
   if (config.pool != nullptr && config.num_threads <= 1) {
     engine->config_notes_.push_back(
@@ -376,23 +331,7 @@ Status SssjEngine::PushImpl(Timestamp ts, SparseVector vec, ResultSink* sink) {
     return Status::Internal("join rejected a validated item");
   }
   ++next_id_;
-  if (tuner_ != nullptr) ObserveForDuel(item);
   return Status::Ok();
-}
-
-void SssjEngine::ObserveForDuel(const StreamItem& item) {
-  DuelVerdict verdict;
-  if (!tuner_->OnItem(item, active_framework_, active_scheme_, &verdict)) {
-    return;
-  }
-  if (verdict.migrate) {
-    const Status switched = SwitchSchemeInternal(verdict.challenger_framework,
-                                                 verdict.challenger_scheme);
-    // A failed switch leaves the champion in place; the tuner re-derives
-    // the champion from the engine every epoch, so it self-heals.
-    if (!switched.ok()) verdict.migrate = false;
-  }
-  if (config_.adaptive.on_verdict) config_.adaptive.on_verdict(verdict);
 }
 
 Status SssjEngine::Push(Timestamp ts, SparseVector vec) {
@@ -467,11 +406,6 @@ size_t SssjEngine::MemoryBytes() const { return core_->MemoryBytes(); }
 
 size_t SssjEngine::RecountMemoryBytes() const {
   return core_->RecountMemoryBytes();
-}
-
-bool SssjEngine::MigrationEnabled() const {
-  return config_.adaptive.enable_migration ||
-         config_.index == IndexScheme::kAuto;
 }
 
 namespace {
@@ -658,23 +592,13 @@ Status SssjEngine::RestorePortable(std::istream& is, Framework framework,
 }
 
 Status SssjEngine::SwitchScheme(Framework framework, IndexScheme scheme) {
-  if (!MigrationEnabled()) {
+  if (!config_.enable_migration) {
     return Status::FailedPrecondition(
-        "scheme migration requires EngineConfig::adaptive.enable_migration "
-        "(or IndexScheme::kAuto)");
-  }
-  if (scheme == IndexScheme::kAuto) {
-    return Status::InvalidArgument(
-        "SwitchScheme target must be a concrete scheme, not kAuto");
+        "scheme migration requires EngineConfig::enable_migration");
   }
   if (framework == active_framework_ && scheme == active_scheme_) {
     return Status::Ok();  // already running it
   }
-  return SwitchSchemeInternal(framework, scheme);
-}
-
-Status SssjEngine::SwitchSchemeInternal(Framework framework,
-                                        IndexScheme scheme) {
   // A migration IS a checkpoint save + restore — sharing the code path with
   // LoadCheckpoint is what makes the equivalence contract (switched
   // engine ≡ target engine restored from the same checkpoint) hold by
@@ -711,9 +635,8 @@ Status SssjEngine::LoadCheckpoint(std::istream& is) {
   is.read(magic, sizeof(magic));
   if (is.good()) {
     if (std::memcmp(magic, kCheckpointMagic, sizeof(magic)) == 0) {
-      // A restore rebuilds the ENGINE's combination — for kAuto, whatever
-      // was active before the last save would be a guess, so adopt L2 via
-      // the current active pair (the duel re-converges regardless).
+      // A restore rebuilds the engine's active combination; the file's
+      // own scheme is metadata.
       return RestorePortable(is, active_framework_, active_scheme_);
     }
     for (const RetiredFormat& retired : kRetiredFormats) {

@@ -50,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "core/auto_tuner.h"
 #include "core/ingest_pump.h"
 #include "core/join_core.h"
 #include "core/result.h"
@@ -70,8 +69,8 @@ namespace sssj {
 const char* ToString(Framework f);
 const char* ToString(IndexScheme s);
 // Case-insensitive parse ("MB"/"minibatch", "STR"/"streaming"; "INV",
-// "AP", "L2AP", "L2", "AUTO"). Unknown names yield kInvalidArgument naming
-// the input.
+// "AP", "L2AP", "L2"). Unknown names yield kInvalidArgument naming the
+// input.
 StatusOr<Framework> ParseFramework(const std::string& s);
 StatusOr<IndexScheme> ParseIndexScheme(const std::string& s);
 
@@ -123,13 +122,11 @@ struct EngineConfig {
   // private pump thread; AsyncPush enqueues, Drain barriers, and results
   // are bit-identical to inline Push fed the same arrival order.
   IngestOptions ingest;
-  // Adaptive-runtime knobs (core/auto_tuner.h). adaptive.enable_migration
-  // unlocks SwitchScheme and makes STR cores keep their in-horizon items
-  // in a retention deque, which checkpoints then copy instead of
-  // rebuilding the items from the index; index == IndexScheme::kAuto
-  // additionally runs the set-dueling controller and implies
-  // enable_migration.
-  AdaptiveOptions adaptive;
+  // Enables live scheme migration (SwitchScheme). STR cores then keep
+  // their in-horizon items in a retention deque, which checkpoints copy
+  // instead of rebuilding the items from the index; it costs resident
+  // bytes (+1.2% to +21% of live state on the perfbench workloads).
+  bool enable_migration = false;
 };
 
 // Outcome of PushBatch: how many items were accepted, and for each
@@ -149,10 +146,9 @@ struct BatchPushResult {
 // config's thread/pool/kernel/tiering knobs (STR cores additionally keep
 // their in-horizon items in a retention deque when the config enables
 // migration).
-// Fails with kUnimplemented for STR-AP and kInvalidArgument for kAuto
-// (the engine resolves kAuto to a concrete scheme before building).
-// Used by the engine shell, the scheme-migration path, and the
-// auto-tuner's shadow cores.
+// Fails with kUnimplemented for STR-AP and kInvalidArgument for a scheme
+// value outside INV..L2. Used by the engine shell and the
+// checkpoint-restore path that scheme migration runs through.
 StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
                                                  Framework framework,
                                                  IndexScheme scheme,
@@ -168,6 +164,7 @@ class SssjEngine {
   //                    capacity or epoch size, bad timeout)
   //   kUnimplemented   the STR-AP combination (omitted by the paper as
   //                    impractical — see §5.2 — and not implemented here)
+  //   kInvalidArgument an index scheme value outside INV..L2
   static StatusOr<std::unique_ptr<SssjEngine>> Make(
       const EngineConfig& config, ResultSink* sink = nullptr);
 
@@ -241,7 +238,7 @@ class SssjEngine {
   // Id that will be assigned to the next accepted item.
   VectorId next_id() const { return next_id_; }
 
-  // ---- adaptive runtime ----
+  // ---- live scheme migration ----
 
   // Live scheme migration: serializes the active core through the
   // checkpoint path and rehydrates a core of the target
@@ -253,18 +250,18 @@ class SssjEngine {
   // output is bit-identical to that restored engine (tested for every
   // source→target pair). Valid at any push boundary. Failures:
   //   kFailedPrecondition  migration is not enabled on this engine
-  //   kInvalidArgument     target scheme is kAuto
   //   kUnimplemented       target is STR-AP
+  //   kInvalidArgument     target scheme value outside INV..L2
   // On failure the active core is untouched. Never call it concurrently
   // with Push/Flush (JoinService serializes it under the session lock).
   Status SwitchScheme(Framework framework, IndexScheme scheme);
 
   // The combination currently running. Differs from config() after a
-  // migration, and from config().index always under kAuto.
+  // migration.
   Framework active_framework() const { return active_framework_; }
   IndexScheme active_scheme() const { return active_scheme_; }
 
-  // Completed scheme migrations (manual + auto-tuned).
+  // Completed scheme migrations.
   uint64_t scheme_switches() const { return scheme_switches_; }
 
   // All pairs whose BOTH ids are below this watermark were already
@@ -329,9 +326,6 @@ class SssjEngine {
   Status PushImpl(Timestamp ts, SparseVector vec, ResultSink* sink);
   void FlushImpl(ResultSink* sink);
 
-  // True when this engine may use SwitchScheme: adaptive.enable_migration
-  // or index == kAuto.
-  bool MigrationEnabled() const;
   // Checkpoint reader, positioned after the magic. Parses and validates
   // the whole file first, then builds a fresh core of the target
   // combination, replays the live items into the bound sink
@@ -339,17 +333,13 @@ class SssjEngine {
   // the engine (and its sink) untouched.
   Status RestorePortable(std::istream& is, Framework framework,
                          IndexScheme scheme);
-  // SwitchScheme minus the enablement checks (the auto-tuner path).
-  Status SwitchSchemeInternal(Framework framework, IndexScheme scheme);
-  // Runs the duel bookkeeping after an accepted push (kAuto only).
-  void ObserveForDuel(const StreamItem& item);
 
   EngineConfig config_;
   DecayParams params_;
   ResultSink* sink_ = nullptr;
   VectorId next_id_ = 0;
   // The active core plus the engine-shell view of it. config_ keeps what
-  // the user asked for (possibly kAuto); active_* is what is running.
+  // the user asked for; active_* is what is running.
   std::unique_ptr<JoinCore> core_;
   Framework active_framework_ = Framework::kStreaming;
   IndexScheme active_scheme_ = IndexScheme::kL2;
@@ -358,7 +348,6 @@ class SssjEngine {
   // Counters of cores switched away from; stats() returns folded + active.
   RunStats folded_stats_;
   mutable RunStats combined_stats_;
-  std::unique_ptr<AutoTuner> tuner_;  // non-null iff config_.index == kAuto
   std::vector<std::string> config_notes_;
   // Async ingress. Declaration order matters: the pump is declared last so
   // its destructor (which joins the pump thread) runs before the queue and

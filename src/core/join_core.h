@@ -1,17 +1,11 @@
 // JoinCore — the runtime-swappable interface behind SssjEngine.
 //
-// The paper's central empirical finding (§7) is that no static
-// Framework×IndexScheme configuration dominates: MB wins on dense streams
-// and short horizons, STR on sparse streams and long horizons, and the
-// INV/L2/L2AP ordering flips with θ. Making the engine adaptive therefore
-// requires that the scheme choice stop being a construction-time fact.
-// This header extracts the contract both frameworks already satisfied
-// implicitly — push, flush, stats, clock — into one vtable, so the engine
-// shell can hold "the active core" and swap it at runtime (live scheme
-// migration, core/engine.h::SwitchScheme) or on the auto-tuner's verdict
-// (core/auto_tuner.h).
+// The contract both frameworks satisfy — push, flush, stats, clock, live
+// items — as one vtable, so the engine shell can hold "the active core",
+// rebuild it from a checkpoint, and swap it at runtime (live scheme
+// migration, core/engine.h::SwitchScheme).
 //
-// Contract (see ARCHITECTURE.md "Adaptive runtime layer" for the table):
+// Contract (see ARCHITECTURE.md "Live migration layer" for the table):
 //   Push/PushBatch/Flush  the join itself; Push returns false only on a
 //                         time-order violation, with state unchanged.
 //   stats/MemoryBytes     work counters and resident footprint (O(1):
@@ -19,13 +13,6 @@
 //                         walk they are tested against).
 //   last_ts/started/      the stream clock, exposed so the engine can
 //   RestoreClock          diagnose regressions and restore checkpoints.
-//   AtBoundary            true when the core sits between reporting units
-//                         (STR: always — emission is eager; MB: when the
-//                         current window is empty, i.e. right after a
-//                         close). Diagnostic: migration is correct at any
-//                         push boundary (see the watermark argument in
-//                         ARCHITECTURE.md), boundaries just minimize the
-//                         replayed state.
 //   CollectLiveItems      the items that can still interact with the
 //                         future — pair with later arrivals or carry
 //                         pending unreported pairs — in arrival order.
@@ -49,18 +36,13 @@ namespace sssj {
 // The paper's two processing frameworks (§5): MiniBatch windows vs the
 // fully streaming join.
 enum class Framework { kMiniBatch, kStreaming };
-// Indexing schemes (§4), plus kAuto — not a scheme but a policy: the
-// engine starts on L2 and set-duels shadow cores to migrate toward
-// whichever concrete scheme is cheapest on the live stream
-// (core/auto_tuner.h). Everything below the engine shell only ever sees
-// concrete schemes.
-enum class IndexScheme { kInv, kAp, kL2ap, kL2, kAuto };
+// Indexing schemes (§4). The values are the scheme bytes of the checkpoint
+// and wire formats.
+enum class IndexScheme { kInv, kAp, kL2ap, kL2 };
 
 class JoinCore {
  public:
   virtual ~JoinCore() = default;
-
-  virtual Framework framework() const = 0;
 
   // Feeds one arrival; pairs are emitted into `sink` (never null here —
   // the engine substitutes a discard sink). Returns false on a time-order
@@ -89,9 +71,6 @@ class JoinCore {
   virtual Timestamp last_ts() const = 0;
   virtual bool started() const = 0;
   virtual void RestoreClock(Timestamp last_ts, bool started) = 0;
-
-  // True between reporting units (see header comment).
-  virtual bool AtBoundary() const = 0;
 
   // Appends the live item set (arrival order) to `out`.
   virtual void CollectLiveItems(Stream* out) const = 0;

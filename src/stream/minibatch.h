@@ -75,8 +75,6 @@ class MiniBatchJoin final : public JoinCore {
   MiniBatchJoin(const DecayParams& params, IndexFactory factory,
                 double window_factor, std::shared_ptr<ThreadPool> pool);
 
-  Framework framework() const override { return Framework::kMiniBatch; }
-
   // Feeds one arrival; emits any pairs that became reportable (i.e. when
   // `x` closes one or more windows). Returns false on a time-order
   // violation (the item is rejected, state unchanged).
@@ -126,10 +124,6 @@ class MiniBatchJoin final : public JoinCore {
     last_ts_ = last_ts;
     started_ = started;
   }
-
-  // A window boundary: the current window is empty, i.e. the last push
-  // closed a window (or nothing was pushed yet).
-  bool AtBoundary() const override { return cur_.empty(); }
 
   // The buffered windows W_{k−1} ∪ W_k — exactly the items whose pairs
   // (intra- and cross-window) have not been reported yet, in arrival

@@ -32,8 +32,6 @@ class StreamingJoin final : public JoinCore {
                 bool retain_live = false)
       : params_(params), index_(std::move(index)), retain_live_(retain_live) {}
 
-  Framework framework() const override { return Framework::kStreaming; }
-
   // Feeds one arrival; pairs are emitted synchronously. Returns false on a
   // time-order violation (item rejected).
   bool Push(const StreamItem& x, ResultSink* sink) override {
@@ -67,9 +65,6 @@ class StreamingJoin final : public JoinCore {
     last_ts_ = last_ts;
     started_ = started;
   }
-
-  // STR emits eagerly, so every push boundary is a reporting boundary.
-  bool AtBoundary() const override { return true; }
 
   // The deque when the core keeps one, else the index's rebuild at the
   // stream clock.

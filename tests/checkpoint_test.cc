@@ -189,7 +189,7 @@ TEST(CheckpointTest, EveryConfigurationRoundTrips) {
        {Framework::kStreaming, Framework::kMiniBatch}) {
     for (const IndexScheme scheme :
          {IndexScheme::kInv, IndexScheme::kAp, IndexScheme::kL2ap,
-          IndexScheme::kL2, IndexScheme::kAuto}) {
+          IndexScheme::kL2}) {
       for (const int threads : {1, 2, 4}) {
         EngineConfig cfg;
         cfg.framework = framework;
@@ -234,7 +234,62 @@ TEST(CheckpointTest, EveryConfigurationRoundTrips) {
       }
     }
   }
-  EXPECT_EQ(configurations, 27u);  // 2 × 5 × 3, less STR-AP's 3
+  EXPECT_EQ(configurations, 21u);  // 2 × 4 × 3, less STR-AP's 3
+}
+
+// The framework byte (offset 12, after the magic and the u32 version) and
+// the scheme byte (offset 13) are range-checked: a framework past STR, or a
+// scheme one past kL2 (the value of the retired AUTO), is refused as
+// corrupt and the loader stays pristine.
+TEST(CheckpointTest, OutOfRangeFrameworkOrSchemeByteIsRefused) {
+  EngineConfig cfg;
+  cfg.framework = Framework::kStreaming;
+  cfg.index = IndexScheme::kL2;
+  cfg.theta = 0.6;
+  cfg.lambda = 0.02;
+  const Stream stream = TestStream();
+  std::string bytes;
+  {
+    auto writer = *SssjEngine::Make(cfg);
+    for (size_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(writer->Push(stream[i].ts, stream[i].vec).ok());
+    }
+    std::ostringstream os;
+    ASSERT_TRUE(writer->SaveCheckpoint(os).ok());
+    bytes = std::move(os).str();
+  }
+  ASSERT_EQ(bytes.compare(0, 8, "SSSJENG3"), 0);
+  ASSERT_EQ(static_cast<uint8_t>(bytes[12]), 1u);  // STR
+  ASSERT_EQ(static_cast<uint8_t>(bytes[13]),
+            static_cast<uint8_t>(IndexScheme::kL2));
+  {
+    auto control = *SssjEngine::Make(cfg);
+    std::istringstream is(bytes);
+    ASSERT_TRUE(control->LoadCheckpoint(is).ok());
+    EXPECT_EQ(control->next_id(), 100u);
+  }
+  const struct {
+    size_t offset;
+    uint8_t value;
+  } kPatches[] = {{12, 2}, {13, 4}};
+  for (const auto& patch : kPatches) {
+    SCOPED_TRACE("byte " + std::to_string(patch.offset) + " = " +
+                 std::to_string(patch.value));
+    std::string patched = bytes;
+    patched[patch.offset] = static_cast<char>(patch.value);
+    CollectorSink sink;
+    auto loader = *SssjEngine::Make(cfg, &sink);
+    std::istringstream is(patched);
+    const Status status = loader->LoadCheckpoint(is);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(status.message().find("corrupt framework/scheme byte"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(loader->next_id(), 0u);
+    EXPECT_EQ(loader->reported_watermark(), 0u);
+    EXPECT_TRUE(sink.pairs().empty());
+    EXPECT_TRUE(loader->Push(0.0, stream[0].vec).ok());
+  }
 }
 
 TEST(CheckpointTest, MissingAndUnwritablePathsReportPreciseCodes) {

@@ -1,9 +1,14 @@
 // SssjEngine facade: config validation (Status codes + pinned diagnostic
-// messages), input cleaning, id assignment, per-item reject reasons, and
-// end-to-end equivalence with the oracle through the public API.
+// messages), input cleaning, id assignment, per-item reject reasons, the
+// configuration notes for ignored knobs, and end-to-end equivalence with
+// the oracle through the public API.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "tests/test_util.h"
 
@@ -272,6 +277,57 @@ TEST(EngineTest, ParseAndToStringRoundTrip) {
   EXPECT_STREQ(ToString(IndexScheme::kL2ap), "L2AP");
 }
 
+TEST(EngineTest, EveryIndexSchemeRoundTripsThroughItsName) {
+  const struct {
+    IndexScheme scheme;
+    const char* lower;
+  } kSchemes[] = {{IndexScheme::kInv, "inv"},
+                  {IndexScheme::kAp, "ap"},
+                  {IndexScheme::kL2ap, "l2ap"},
+                  {IndexScheme::kL2, "l2"}};
+  for (const auto& entry : kSchemes) {
+    const std::string name = ToString(entry.scheme);
+    auto parsed = ParseIndexScheme(name);
+    ASSERT_TRUE(parsed.ok()) << name;
+    EXPECT_EQ(*parsed, entry.scheme) << name;
+    parsed = ParseIndexScheme(entry.lower);
+    ASSERT_TRUE(parsed.ok()) << entry.lower;
+    EXPECT_EQ(*parsed, entry.scheme) << entry.lower;
+  }
+  // One past kL2 names no scheme.
+  EXPECT_STREQ(ToString(static_cast<IndexScheme>(4)), "?");
+}
+
+TEST(EngineTest, ParseIndexSchemeRefusesRetiredAuto) {
+  for (const std::string name : {"AUTO", "auto", "Auto"}) {
+    auto ix = ParseIndexScheme(name);
+    ASSERT_FALSE(ix.ok()) << name;
+    EXPECT_EQ(ix.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ix.status().message().find("unknown index scheme '" + name +
+                                         "'"),
+              std::string::npos)
+        << ix.status().ToString();
+    EXPECT_NE(ix.status().message().find("(expected INV, AP, L2AP, or L2)"),
+              std::string::npos)
+        << ix.status().ToString();
+  }
+}
+
+TEST(EngineTest, MakeRejectsUnknownIndexScheme) {
+  for (const Framework framework :
+       {Framework::kStreaming, Framework::kMiniBatch}) {
+    EngineConfig cfg;
+    cfg.framework = framework;
+    cfg.index = static_cast<IndexScheme>(4);  // one past kL2
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_FALSE(engine.ok()) << ToString(framework);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("unknown index scheme 4"),
+              std::string::npos)
+        << engine.status().ToString();
+  }
+}
+
 TEST(EngineTest, CallbackSinkReceivesPairs) {
   EngineConfig cfg;
   cfg.theta = 0.9;
@@ -302,6 +358,71 @@ TEST(EngineTest, EmptyCallbackSinkIsAnErrorNotACrash) {
   EXPECT_TRUE(engine->Push(0.01, UnitVec({{1, 1.0}})).ok());
   engine->Flush();
   EXPECT_EQ(engine->stats().pairs_emitted, 1u);
+}
+
+TEST(EngineTest, ConfigurationNotesSurfaceIgnoredKnobs) {
+  auto has_note = [](const std::vector<std::string>& notes,
+                     const std::string& needle) {
+    for (const std::string& n : notes) {
+      if (n.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  };
+  {
+    // STR-INV ignores num_threads.
+    EngineConfig cfg;
+    cfg.framework = Framework::kStreaming;
+    cfg.index = IndexScheme::kInv;
+    cfg.num_threads = 4;
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE(has_note((*engine)->configuration_notes(), "num_threads"));
+  }
+  {
+    // STR-L2AP ignores num_threads.
+    EngineConfig cfg;
+    cfg.framework = Framework::kStreaming;
+    cfg.index = IndexScheme::kL2ap;
+    cfg.num_threads = 2;
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE(has_note((*engine)->configuration_notes(), "num_threads"));
+  }
+  {
+    // MB ignores tiered storage.
+    EngineConfig cfg;
+    cfg.framework = Framework::kMiniBatch;
+    cfg.index = IndexScheme::kL2;
+    cfg.tiered.enabled = true;
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE(has_note((*engine)->configuration_notes(), "tiered"));
+  }
+  {
+    // Everything in effect → no notes.
+    EngineConfig cfg;  // STR-L2, 1 thread, untiered
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE((*engine)->configuration_notes().empty());
+  }
+  {
+    // STR-L2 with threads uses them → no num_threads note.
+    EngineConfig cfg;
+    cfg.num_threads = 2;
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_FALSE(has_note((*engine)->configuration_notes(), "num_threads"));
+  }
+  {
+    // A shared pool with num_threads <= 1 is never used, and says so once.
+    EngineConfig cfg;
+    cfg.pool = std::make_shared<ThreadPool>(2);
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    const std::vector<std::string>& notes = (*engine)->configuration_notes();
+    ASSERT_EQ(notes.size(), 1u);
+    EXPECT_TRUE(has_note(notes, "shared thread pool is unused"));
+  }
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ class LiveItemRebuildTest : public ::testing::TestWithParam<Variant> {};
 TEST_P(LiveItemRebuildTest, RebuiltItemsEqualTheDequeAfterEveryPush) {
   const EngineConfig plain_cfg = ConfigFor(GetParam());
   EngineConfig retaining_cfg = plain_cfg;
-  retaining_cfg.adaptive.enable_migration = true;  // keeps the deque
+  retaining_cfg.enable_migration = true;  // keeps the deque
   for (const NamedStream& named : Streams()) {
     SCOPED_TRACE(named.name);
     auto plain = *SssjEngine::Make(plain_cfg);

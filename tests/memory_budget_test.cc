@@ -224,7 +224,7 @@ EngineConfig MigratableMbConfig(double lambda) {
   EngineConfig cfg = BudgetedEngineConfig();
   cfg.framework = Framework::kMiniBatch;
   cfg.lambda = lambda;
-  cfg.adaptive.enable_migration = true;
+  cfg.enable_migration = true;
   return cfg;
 }
 

@@ -446,7 +446,7 @@ TEST_P(EngineMemoryOracleTest, CounterEqualsWalkThroughEngineSurface) {
   cfg.theta = kTheta;
   cfg.lambda = kLambda;
   cfg.tiered = StorageOptions(std::get<1>(GetParam()));
-  cfg.adaptive.enable_migration = variant.migration;
+  cfg.enable_migration = variant.migration;
 
   CountingSink sink;
   auto made = SssjEngine::Make(cfg, &sink);

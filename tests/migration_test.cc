@@ -40,7 +40,7 @@ EngineConfig MigrationConfig(Framework framework, IndexScheme scheme) {
   cfg.index = scheme;
   cfg.theta = 0.7;
   cfg.lambda = 0.05;
-  cfg.adaptive.enable_migration = true;
+  cfg.enable_migration = true;
   return cfg;
 }
 
@@ -165,13 +165,37 @@ TEST(MigrationTest, SwitchRequiresMigrationEnabled) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(MigrationTest, SwitchToAutoIsInvalidArgument) {
-  auto engine = SssjEngine::Make(
-      MigrationConfig(Framework::kStreaming, IndexScheme::kL2), nullptr);
-  ASSERT_TRUE(engine.ok());
-  const Status status =
-      (*engine)->SwitchScheme(Framework::kStreaming, IndexScheme::kAuto);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+TEST(MigrationTest, SwitchToUnknownSchemeIsInvalidArgument) {
+  CollectorSink sink;
+  auto engine_or = SssjEngine::Make(
+      MigrationConfig(Framework::kStreaming, IndexScheme::kL2), &sink);
+  ASSERT_TRUE(engine_or.ok());
+  SssjEngine& engine = **engine_or;
+  const Stream stream = MigrationStream(5, 100);
+  for (size_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(engine.Push(stream[i].ts, stream[i].vec).ok());
+  }
+  const size_t pairs_before = sink.pairs().size();
+  for (const Framework framework :
+       {Framework::kStreaming, Framework::kMiniBatch}) {
+    const Status status =
+        engine.SwitchScheme(framework, static_cast<IndexScheme>(4));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << ToString(framework) << ": " << status.ToString();
+  }
+  // Untouched: same combination, no spurious emissions, still pushable.
+  EXPECT_EQ(engine.active_framework(), Framework::kStreaming);
+  EXPECT_EQ(engine.active_scheme(), IndexScheme::kL2);
+  EXPECT_EQ(engine.scheme_switches(), 0u);
+  EXPECT_EQ(engine.reported_watermark(), 0u);
+  EXPECT_EQ(sink.pairs().size(), pairs_before);
+  for (size_t i = 50; i < stream.size(); ++i) {
+    ASSERT_TRUE(engine.Push(stream[i].ts, stream[i].vec).ok());
+  }
+  engine.Flush();
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.7, 0.05, &params));
+  ExpectMatchesOracle(stream, params, sink.pairs());
 }
 
 TEST(MigrationTest, SwitchToStrApFailsAndLeavesEngineRunning) {
@@ -216,6 +240,146 @@ TEST(MigrationTest, SwitchToSameCombinationIsNoOp) {
       engine.SwitchScheme(Framework::kMiniBatch, IndexScheme::kL2).ok());
   EXPECT_EQ(engine.scheme_switches(), 0u);
   EXPECT_EQ(sink.pairs().size(), pairs_before);
+}
+
+// One engine hops through both frameworks and every concrete scheme, each
+// hop at a different push boundary: the whole output is still the exact
+// join, with no pair lost or repeated at any hop.
+TEST(MigrationTest, ChainOfSwitchesMatchesOracle) {
+  struct Hop {
+    Framework framework;
+    IndexScheme scheme;
+  };
+  const Hop hops[] = {{Framework::kMiniBatch, IndexScheme::kInv},
+                      {Framework::kStreaming, IndexScheme::kL2ap},
+                      {Framework::kMiniBatch, IndexScheme::kAp},
+                      {Framework::kStreaming, IndexScheme::kInv},
+                      {Framework::kMiniBatch, IndexScheme::kL2ap},
+                      {Framework::kMiniBatch, IndexScheme::kL2},
+                      {Framework::kStreaming, IndexScheme::kL2}};
+  constexpr size_t kHops = sizeof(hops) / sizeof(hops[0]);
+  CollectorSink sink;
+  auto engine_or = SssjEngine::Make(
+      MigrationConfig(Framework::kStreaming, IndexScheme::kL2), &sink);
+  ASSERT_TRUE(engine_or.ok());
+  SssjEngine& engine = **engine_or;
+  const Stream stream = MigrationStream(43, 640);
+  const size_t segment = stream.size() / (kHops + 1);
+  size_t next = 0;
+  for (size_t h = 0; h < kHops; ++h) {
+    for (; next < (h + 1) * segment; ++next) {
+      ASSERT_TRUE(engine.Push(stream[next].ts, stream[next].vec).ok());
+    }
+    ASSERT_TRUE(engine.SwitchScheme(hops[h].framework, hops[h].scheme).ok())
+        << "hop " << h;
+    EXPECT_EQ(engine.active_framework(), hops[h].framework) << "hop " << h;
+    EXPECT_EQ(engine.active_scheme(), hops[h].scheme) << "hop " << h;
+    EXPECT_EQ(engine.scheme_switches(), h + 1);
+  }
+  for (; next < stream.size(); ++next) {
+    ASSERT_TRUE(engine.Push(stream[next].ts, stream[next].vec).ok());
+  }
+  engine.Flush();
+  // The configured combination stays what Make was given.
+  EXPECT_EQ(engine.config().framework, Framework::kStreaming);
+  EXPECT_EQ(engine.config().index, IndexScheme::kL2);
+  EXPECT_EQ(engine.next_id(), stream.size());
+  EXPECT_GT(sink.pairs().size(), 0u);
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.7, 0.05, &params));
+  ExpectMatchesOracle(stream, params, sink.pairs());
+}
+
+// A switch before the first push has nothing to replay: the engine then
+// emits bitwise what an engine built on the target emits.
+TEST(MigrationTest, SwitchBeforeFirstPushMatchesTargetEngine) {
+  const MigrationPair pairs[] = {
+      {Framework::kStreaming, IndexScheme::kL2, Framework::kMiniBatch,
+       IndexScheme::kL2ap},
+      {Framework::kStreaming, IndexScheme::kL2, Framework::kStreaming,
+       IndexScheme::kInv},
+      {Framework::kMiniBatch, IndexScheme::kInv, Framework::kMiniBatch,
+       IndexScheme::kAp},
+      {Framework::kMiniBatch, IndexScheme::kL2, Framework::kStreaming,
+       IndexScheme::kL2}};
+  const Stream stream = MigrationStream(47, 200);
+  for (const MigrationPair& pair : pairs) {
+    SCOPED_TRACE(std::string(ToString(pair.src_fw)) +
+                 ToString(pair.src_scheme) + "To" + ToString(pair.dst_fw) +
+                 ToString(pair.dst_scheme));
+    CollectorSink switched_sink;
+    auto switched_or = SssjEngine::Make(
+        MigrationConfig(pair.src_fw, pair.src_scheme), &switched_sink);
+    ASSERT_TRUE(switched_or.ok());
+    SssjEngine& switched = **switched_or;
+    ASSERT_TRUE(switched.SwitchScheme(pair.dst_fw, pair.dst_scheme).ok());
+    EXPECT_EQ(switched.scheme_switches(), 1u);
+    EXPECT_EQ(switched.next_id(), 0u);
+    EXPECT_EQ(switched.reported_watermark(), 0u);
+    EXPECT_TRUE(switched_sink.pairs().empty());
+
+    CollectorSink direct_sink;
+    auto direct_or = SssjEngine::Make(
+        MigrationConfig(pair.dst_fw, pair.dst_scheme), &direct_sink);
+    ASSERT_TRUE(direct_or.ok());
+    for (const StreamItem& item : stream) {
+      ASSERT_TRUE(switched.Push(item.ts, item.vec).ok());
+      ASSERT_TRUE((*direct_or)->Push(item.ts, item.vec).ok());
+    }
+    switched.Flush();
+    (*direct_or)->Flush();
+    ASSERT_GT(direct_sink.pairs().size(), 0u);
+    ExpectPairsBitIdentical(switched_sink.pairs(), direct_sink.pairs());
+  }
+}
+
+// A checkpoint saved after a migration (here from MB, which writes the
+// watermark it carried out of the switch) restores into an engine of a
+// third combination that has migration off: what the writer reported plus
+// what the loader reports is the exact join of the whole stream.
+TEST(MigrationTest, CheckpointAfterSwitchRestoresIntoStaticEngine) {
+  CollectorSink writer_sink;
+  auto writer_or = SssjEngine::Make(
+      MigrationConfig(Framework::kStreaming, IndexScheme::kL2), &writer_sink);
+  ASSERT_TRUE(writer_or.ok());
+  SssjEngine& writer = **writer_or;
+  const Stream stream = MigrationStream(53, 450);
+  const size_t third = stream.size() / 3;
+  for (size_t i = 0; i < third; ++i) {
+    ASSERT_TRUE(writer.Push(stream[i].ts, stream[i].vec).ok());
+  }
+  ASSERT_TRUE(
+      writer.SwitchScheme(Framework::kMiniBatch, IndexScheme::kL2ap).ok());
+  EXPECT_EQ(writer.reported_watermark(), third);
+  for (size_t i = third; i < 2 * third; ++i) {
+    ASSERT_TRUE(writer.Push(stream[i].ts, stream[i].vec).ok());
+  }
+  std::stringstream snapshot(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(writer.SaveCheckpoint(snapshot).ok());
+
+  CollectorSink loader_sink;
+  EngineConfig static_cfg;  // no migration
+  static_cfg.framework = Framework::kStreaming;
+  static_cfg.index = IndexScheme::kInv;
+  static_cfg.theta = 0.7;
+  static_cfg.lambda = 0.05;
+  auto loader_or = SssjEngine::Make(static_cfg, &loader_sink);
+  ASSERT_TRUE(loader_or.ok());
+  SssjEngine& loader = **loader_or;
+  const Status loaded = loader.LoadCheckpoint(snapshot);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(loader.next_id(), writer.next_id());
+  EXPECT_EQ(loader.reported_watermark(), third);
+  for (size_t i = 2 * third; i < stream.size(); ++i) {
+    ASSERT_TRUE(loader.Push(stream[i].ts, stream[i].vec).ok());
+  }
+  loader.Flush();
+  std::vector<ResultPair> combined = writer_sink.pairs();
+  combined.insert(combined.end(), loader_sink.pairs().begin(),
+                  loader_sink.pairs().end());
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.7, 0.05, &params));
+  ExpectMatchesOracle(stream, params, combined);
 }
 
 // Every truncation of a portable checkpoint must be rejected and must

@@ -41,7 +41,7 @@ EngineConfig SpillableConfig() {
   config.theta = 0.6;
   config.lambda = 0.05;
   // Portable checkpoints: the format another process can always load.
-  config.adaptive.enable_migration = true;
+  config.enable_migration = true;
   return config;
 }
 

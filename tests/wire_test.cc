@@ -104,6 +104,39 @@ TEST(WirePayloadTest, CreateSessionRoundTrips) {
   EXPECT_EQ(out.config.normalize_inputs, in.config.normalize_inputs);
 }
 
+// The framework and scheme bytes are a wire contract: MB/STR are 0/1 and
+// INV, AP, L2AP, L2 are 0..3, so peers of different builds agree.
+TEST(WirePayloadTest, EveryCombinationRoundTripsWithItsPinnedBytes) {
+  const struct {
+    Framework framework;
+    uint8_t byte;
+  } kFrameworks[] = {{Framework::kMiniBatch, 0}, {Framework::kStreaming, 1}};
+  const struct {
+    IndexScheme scheme;
+    uint8_t byte;
+  } kSchemes[] = {{IndexScheme::kInv, 0},
+                  {IndexScheme::kAp, 1},
+                  {IndexScheme::kL2ap, 2},
+                  {IndexScheme::kL2, 3}};
+  for (const auto& fw : kFrameworks) {
+    for (const auto& ix : kSchemes) {
+      CreateSessionRequest in;
+      in.name = "s";
+      in.config.framework = fw.framework;
+      in.config.index = ix.scheme;
+      const std::string payload = EncodeCreateSession(in);
+      // framework and scheme sit after name(4+1).
+      ASSERT_GT(payload.size(), 6u);
+      EXPECT_EQ(static_cast<uint8_t>(payload[5]), fw.byte);
+      EXPECT_EQ(static_cast<uint8_t>(payload[6]), ix.byte);
+      CreateSessionRequest out;
+      ASSERT_TRUE(DecodeCreateSession(payload, &out).ok());
+      EXPECT_EQ(out.config.framework, fw.framework);
+      EXPECT_EQ(out.config.index, ix.scheme);
+    }
+  }
+}
+
 TEST(WirePayloadTest, PushRoundTripsBitExactly) {
   PushRequest in;
   in.name = "s";
@@ -326,12 +359,28 @@ TEST(WireHostileTest, AutoSchemeIsRefusedOnTheWire) {
   WireWriter w;
   w.PutString("s");
   w.PutU8(1);                                          // streaming
-  w.PutU8(static_cast<uint8_t>(IndexScheme::kAuto));   // refused
+  w.PutU8(4);  // one past kL2: the retired AUTO byte, refused
   w.PutF64(0.7);
   w.PutF64(0.01);
   w.PutU8(1);
   CreateSessionRequest out;
   EXPECT_FALSE(DecodeCreateSession(w.Take(), &out).ok());
+}
+
+TEST(WireHostileTest, OutOfRangeFrameworkAndNormalizeBytesAreRefused) {
+  CreateSessionRequest req;
+  req.name = "s";
+  const std::string valid = EncodeCreateSession(req);
+  // name(4+1), framework(1), scheme(1), theta(8), lambda(8), normalize(1).
+  ASSERT_EQ(valid.size(), 24u);
+  CreateSessionRequest out;
+  ASSERT_TRUE(DecodeCreateSession(valid, &out).ok());
+  for (const size_t offset : {size_t{5}, size_t{23}}) {
+    std::string patched = valid;
+    patched[offset] = 2;  // neither 0 nor 1
+    EXPECT_FALSE(DecodeCreateSession(patched, &out).ok())
+        << "byte " << offset;
+  }
 }
 
 TEST(WireHostileTest, InvalidThetaLambdaAreRefused) {
