@@ -251,7 +251,8 @@ int Run(int argc, char** argv) {
                             .Set("kvec_per_s",
                                  pushes / baseline_seconds / 1000.0)
                             .Set("pairs", baseline_pairs)
-                            .Set("overhead_vs_inproc", 1.0));
+                            .Set("overhead_vs_inproc", 1.0)
+                            .Set("checkpoint_pulls", uint64_t{0}));
     }
     for (double workers_d : worker_list) {
       const int workers = workers_d < 1 ? 1 : static_cast<int>(workers_d);
@@ -267,6 +268,7 @@ int Run(int argc, char** argv) {
       cluster::ClusterClient remote(&supervisor);
       uint64_t pairs = 0;
       const double seconds = drive(&remote, &pairs);
+      const uint64_t pulls = supervisor.checkpoint_pulls();
       supervisor.Shutdown();
       if (pairs != baseline_pairs) {
         std::cerr << "ERROR: cluster pairs " << pairs
@@ -285,7 +287,8 @@ int Run(int argc, char** argv) {
                             .Set("kvec_per_s", pushes / seconds / 1000.0)
                             .Set("pairs", pairs)
                             .Set("overhead_vs_inproc",
-                                 seconds / baseline_seconds));
+                                 seconds / baseline_seconds)
+                            .Set("checkpoint_pulls", pulls));
     }
     std::cout << "\nCluster layer: " << cluster_sessions
               << " STR-L2 sessions fed round-robin (n=" << stream.size()

@@ -6,10 +6,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <sstream>
 #include <utility>
 
 #include "cluster/worker.h"
+#include "core/similarity.h"
+#include "index/stream_index.h"
 
 namespace sssj {
 namespace cluster {
@@ -131,7 +135,7 @@ Status Supervisor::RecoverWorker(int slot) {
   for (auto& [name, rec] : sessions_) {
     if (rec.worker != slot) continue;
     Reply reply;
-    if (rec.checkpoint.empty()) {
+    if (rec.checkpoint.empty() && !rec.seeded) {
       CreateSessionRequest req;
       req.name = name;
       req.config = rec.config;
@@ -141,7 +145,7 @@ Status Supervisor::RecoverWorker(int slot) {
       RestoreRequest req;
       req.name = name;
       req.config = rec.config;
-      req.checkpoint = rec.checkpoint;
+      req.checkpoint = rec.seeded ? SeedCheckpoint(rec) : rec.checkpoint;
       status =
           proc.channel.Call(FrameType::kRestore, EncodeRestore(req), &reply);
     }
@@ -181,17 +185,45 @@ Status Supervisor::CallWorker(int slot, FrameType type,
                                                           reply);
 }
 
-Status Supervisor::JournalOpLocked(const std::string& name, SessionRec* rec,
-                                   FrameType type, std::string payload) {
-  rec->journal.push_back(JournalOp{type, std::move(payload)});
-  if (options_.checkpoint_interval > 0 &&
-      rec->journal.size() >= options_.checkpoint_interval) {
-    // Best-effort: a failed periodic checkpoint must not fail the push
-    // that triggered it — the journal simply keeps growing and the next
-    // op retries the refresh.
+void Supervisor::JournalOpLocked(const std::string& name, SessionRec* rec,
+                                 FrameType type, std::string payload,
+                                 uint64_t accepted, Timestamp newest_ts) {
+  rec->journal_bytes += payload.size();
+  rec->journal.push_back(
+      JournalOp{type, std::move(payload), rec->next_id, accepted, newest_ts});
+  if (accepted > 0) {
+    rec->next_id += accepted;
+    rec->newest_ts = newest_ts;
+  }
+  if (std::isfinite(rec->horizon)) {
+    // Items OutsideHorizon of the newest accepted ts can never pair with
+    // a later arrival (time order), so the ops holding only such items
+    // no longer shape future output: drop them from the front. An op
+    // with no accepted items (an STR flush, an all-rejected batch) left
+    // the engine as it was.
+    while (!rec->journal.empty()) {
+      const JournalOp& front = rec->journal.front();
+      if (front.accepted > 0) {
+        if (!OutsideHorizon(front.newest_ts, rec->newest_ts, rec->horizon)) {
+          break;
+        }
+        rec->dropped_ts = front.newest_ts;
+        rec->seeded = true;
+        rec->checkpoint.clear();
+        rec->checkpoint.shrink_to_fit();
+      }
+      rec->journal_bytes -= front.payload.size();
+      rec->journal.pop_front();
+    }
+    return;
+  }
+  const double ratio = options_.checkpoint_ratio;
+  if (ratio > 0.0 && static_cast<double>(rec->journal_bytes) >=
+                         ratio * static_cast<double>(rec->checkpoint.size())) {
+    // Best-effort: a failed refresh must not fail the op that triggered
+    // it — the journal simply keeps growing and the next op retries.
     (void)CheckpointLocked(name, rec);
   }
-  return Status::Ok();
 }
 
 Status Supervisor::CheckpointLocked(const std::string& name, SessionRec* rec) {
@@ -203,8 +235,33 @@ Status Supervisor::CheckpointLocked(const std::string& name, SessionRec* rec) {
   if (!status.ok()) return status;
   if (!reply.status.ok()) return reply.status;
   rec->checkpoint = std::move(reply.blob);
+  rec->seeded = false;
   rec->journal.clear();
+  rec->journal_bytes = 0;
+  ++rec->pulls;
+  ++checkpoint_pulls_;
   return Status::Ok();
+}
+
+std::string Supervisor::SeedCheckpoint(const SessionRec& rec) {
+  // The engine a restore of the kept ops' items would build, before
+  // those items replay: no live items, the id counter at the first kept
+  // op, the clock at the newest dropped item (the last accepted ts
+  // before that op, so the replay re-derives every reject), and nothing
+  // below the first kept id left to report.
+  CheckpointHeader header;
+  header.framework = Framework::kStreaming;
+  header.scheme = rec.config.index;
+  header.theta = rec.config.theta;
+  header.lambda = rec.config.lambda;
+  header.next_id =
+      rec.journal.empty() ? rec.next_id : rec.journal.front().first_id;
+  header.last_ts = rec.dropped_ts;
+  header.started = true;
+  header.watermark = header.next_id;
+  std::ostringstream os;
+  (void)WriteCheckpoint(header, Stream(), os);  // a string stream: no I/O
+  return std::move(os).str();
 }
 
 Status Supervisor::CreateSession(const std::string& name,
@@ -216,6 +273,11 @@ Status Supervisor::CreateSession(const std::string& name,
   }
   SessionRec rec;
   rec.config = config;
+  DecayParams params;
+  if (config.framework == Framework::kStreaming &&
+      DecayParams::Make(config.theta, config.lambda, &params)) {
+    rec.horizon = params.tau;  // the engine's own τ, bit for bit
+  }
   rec.worker = RendezvousOwner(name, options_.num_workers);
   CreateSessionRequest req;
   req.name = name;
@@ -247,8 +309,9 @@ Status Supervisor::Push(const std::string& name, Timestamp ts, SparseVector vec,
   if (pairs != nullptr) {
     pairs->insert(pairs->end(), reply.pairs.begin(), reply.pairs.end());
   }
-  return JournalOpLocked(name, &it->second, FrameType::kPush,
-                         std::move(payload));
+  JournalOpLocked(name, &it->second, FrameType::kPush, std::move(payload),
+                  /*accepted=*/1, ts);
+  return Status::Ok();
 }
 
 StatusOr<BatchPushResult> Supervisor::PushBatch(const std::string& name,
@@ -278,11 +341,22 @@ StatusOr<BatchPushResult> Supervisor::PushBatch(const std::string& name,
   for (const auto& [index, reject_status] : reply.rejects) {
     result.rejects.push_back({index, reject_status});
   }
+  // The newest accepted item is the last one the rejects (ascending by
+  // index) do not name.
+  Timestamp newest_ts = 0.0;
+  auto reject = reply.rejects.rbegin();
+  for (size_t i = batch.size(); i-- > 0;) {
+    if (reject != reply.rejects.rend() && reject->first == i) {
+      ++reject;
+      continue;
+    }
+    newest_ts = batch[i].ts;
+    break;
+  }
   // Journal even a partially-rejected batch: the accepted items mutated
   // the engine, and a replay re-derives the same rejects.
-  status = JournalOpLocked(name, &it->second, FrameType::kPushBatch,
-                           std::move(payload));
-  if (!status.ok()) return status;
+  JournalOpLocked(name, &it->second, FrameType::kPushBatch, std::move(payload),
+                  reply.accepted, newest_ts);
   return result;
 }
 
@@ -303,8 +377,9 @@ Status Supervisor::Flush(const std::string& name,
     pairs->insert(pairs->end(), reply.pairs.begin(), reply.pairs.end());
   }
   // Flush mutates MB window state, so it journals like a push.
-  return JournalOpLocked(name, &it->second, FrameType::kFlush,
-                         std::move(payload));
+  JournalOpLocked(name, &it->second, FrameType::kFlush, std::move(payload),
+                  /*accepted=*/0, 0.0);
+  return Status::Ok();
 }
 
 Status Supervisor::CloseSession(const std::string& name,
@@ -379,7 +454,9 @@ Status Supervisor::Migrate(const std::string& name, int target) {
   // session from this very checkpoint, and the retried restore simply
   // reports kAlreadyExists.
   rec.checkpoint = std::move(out_reply.blob);
+  rec.seeded = false;
   rec.journal.clear();
+  rec.journal_bytes = 0;
   rec.worker = target;
 
   RestoreRequest in_req;
@@ -421,6 +498,25 @@ StatusOr<int> Supervisor::OwnerOf(const std::string& name) const {
 uint64_t Supervisor::restarts() const {
   MutexLock lock(mu_);
   return restarts_;
+}
+
+uint64_t Supervisor::checkpoint_pulls() const {
+  MutexLock lock(mu_);
+  return checkpoint_pulls_;
+}
+
+StatusOr<Supervisor::JournalInfo> Supervisor::journal_info(
+    const std::string& name) const {
+  MutexLock lock(mu_);
+  auto it = sessions_.find(name);
+  if (it == sessions_.end()) return NoSession(name);
+  const SessionRec& rec = it->second;
+  JournalInfo info;
+  info.ops = rec.journal.size();
+  info.bytes = rec.journal_bytes;
+  info.checkpoint_bytes = rec.checkpoint.size();
+  info.checkpoint_pulls = rec.pulls;
+  return info;
 }
 
 StatusOr<pid_t> Supervisor::worker_pid(int slot) const {

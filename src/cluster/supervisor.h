@@ -10,22 +10,34 @@
 // engine's portable SSSJENG3 bytes verbatim, so a migrated session's
 // output is bit-identical to one that never moved.
 //
-// Failover: the supervisor keeps, per session, (a) the latest
-// checkpoint bytes and (b) a journal of the encoded mutating request
-// payloads (push / batch / flush) completed since that checkpoint.
-// Requests are synchronous, so a journaled operation is by definition
-// *acked*: its reply — including the pairs it emitted — already reached
-// the caller. When a worker channel returns kIoError (the one signal
-// for worker death: kill -9, crash, closed pipe), the supervisor reaps
-// the corpse, forks a fresh worker on the same slot, restores every
-// session homed there from its stored checkpoint, replays each journal
-// in order *discarding the replayed replies' pairs* (they were already
-// delivered — that discard is the exactly-once rule), and finally
-// retries the in-flight request, whose reply is delivered normally.
-// Net effect: no pair is lost, no pair is delivered twice, and the
-// stream continues from the acked watermark as if the crash never
-// happened. Periodic checkpoints (every checkpoint_interval journaled
-// ops) bound replay work.
+// Failover: the supervisor keeps, per session, a restore point and a
+// journal of the encoded mutating request payloads (push / batch /
+// flush) completed since it. Requests are synchronous, so a journaled
+// operation is by definition *acked*: its reply — including the pairs
+// it emitted — already reached the caller. When a worker channel returns
+// kIoError (the one signal for worker death: kill -9, crash, closed
+// pipe), the supervisor reaps the corpse, forks a fresh worker on the
+// same slot, restores every session homed there from its restore point,
+// replays each journal in order *discarding the replayed replies' pairs*
+// (they were already delivered — that discard is the exactly-once rule),
+// and finally retries the in-flight request, whose reply is delivered
+// normally. Net effect: no pair is lost, no pair is delivered twice, and
+// the stream continues from the acked watermark as if the crash never
+// happened.
+//
+// What bounds the journal depends on the session:
+//   * STR with a finite horizon τ (λ > 0): an item older than τ can never
+//     pair again, so after every journaled op the supervisor drops the
+//     leading ops whose accepted items are all OutsideHorizon of the
+//     newest accepted ts. Once an op with items is dropped, the restore
+//     point becomes a zero-item SSSJENG3 seed (next id = the first kept
+//     op's first id, clock = the newest dropped ts, watermark = next id),
+//     and the replay of the kept ops rebuilds the index a restore of
+//     those items would build. These sessions pull no checkpoints.
+//   * MB, and STR with λ = 0 (τ infinite): the restore point is a pulled
+//     SSSJENG3 checkpoint, refreshed when the journal's bytes reach
+//     checkpoint_ratio × the last checkpoint's bytes — at most that many
+//     checkpoint bytes pulled per journaled byte.
 //
 // Fork model: workers are forked (no exec) with a socketpair as their
 // only link to the supervisor. Fork only happens while the supervisor
@@ -39,6 +51,8 @@
 
 #include <sys/types.h>
 
+#include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,11 +71,14 @@ namespace cluster {
 struct SupervisorOptions {
   // Worker fleet size; fixed for the supervisor's lifetime.
   int num_workers = 2;
-  // Refresh a session's stored checkpoint (and truncate its journal)
-  // after this many journaled mutating operations. Smaller = cheaper
-  // replay after a crash, more checkpoint traffic. 0 = only explicit
-  // Checkpoint() calls truncate journals.
-  uint64_t checkpoint_interval = 64;
+  // For sessions that pull checkpoints (MB, and STR with λ = 0): refresh
+  // the stored checkpoint (and truncate the journal) once the journal's
+  // payload bytes reach this multiple of the last checkpoint's bytes (a
+  // session with no checkpoint yet refreshes after its first op).
+  // Smaller = cheaper replay after a crash, more checkpoint traffic.
+  // 0 = only explicit Checkpoint() calls truncate journals. STR sessions
+  // with a finite horizon ignore it: their journals are trimmed at τ.
+  double checkpoint_ratio = 1.0;
   // Forwarded to each worker's JoinService (num_threads is forced to 1
   // inside the worker regardless).
   JoinServiceOptions worker_service;
@@ -101,8 +118,8 @@ class Supervisor {
   // Final flush + destroy; the name becomes reusable.
   Status CloseSession(const std::string& name, std::vector<ResultPair>* pairs)
       SSSJ_EXCLUDES(mu_);
-  // Snapshots the session's checkpoint into the supervisor (truncating
-  // its journal) — also the failover restore point.
+  // Pulls the session's checkpoint into the supervisor (truncating its
+  // journal) — the failover restore point until a trim replaces it.
   Status Checkpoint(const std::string& name) SSSJ_EXCLUDES(mu_);
   StatusOr<SessionWireStats> SessionStats(const std::string& name)
       SSSJ_EXCLUDES(mu_);
@@ -119,6 +136,18 @@ class Supervisor {
   int num_workers() const { return options_.num_workers; }
   // Lifetime count of crash-restarts (not graceful shutdowns).
   uint64_t restarts() const SSSJ_EXCLUDES(mu_);
+  // Lifetime count of checkpoints pulled from workers: ratio refreshes
+  // plus explicit Checkpoint() calls (a Migrate's transfer is not one).
+  uint64_t checkpoint_pulls() const SSSJ_EXCLUDES(mu_);
+  // A session's failover state: what a restart would restore and replay.
+  struct JournalInfo {
+    size_t ops = 0;               // journaled ops a failover replays
+    size_t bytes = 0;             // their payload bytes
+    size_t checkpoint_bytes = 0;  // the pulled restore point; 0 = none
+    uint64_t checkpoint_pulls = 0;
+  };
+  StatusOr<JournalInfo> journal_info(const std::string& name) const
+      SSSJ_EXCLUDES(mu_);
   // The worker's pid — for tests that kill -9 it.
   StatusOr<pid_t> worker_pid(int slot) const SSSJ_EXCLUDES(mu_);
 
@@ -130,17 +159,33 @@ class Supervisor {
   };
 
   // One journaled mutating request: the frame type + encoded payload,
-  // replayed verbatim on failover (replies discarded — already acked).
+  // replayed verbatim on failover (replies discarded — already acked),
+  // plus what a trim needs: the ids and newest ts the op got accepted.
   struct JournalOp {
     FrameType type;
     std::string payload;
+    VectorId first_id = 0;      // the session's next id before the op
+    uint64_t accepted = 0;      // items the engine accepted
+    Timestamp newest_ts = 0.0;  // newest accepted ts (when accepted > 0)
   };
 
   struct SessionRec {
     WireConfig config;
+    // τ for STR sessions with λ > 0, whose journals are trimmed; +inf for
+    // the sessions that pull checkpoints instead.
+    double horizon = std::numeric_limits<double>::infinity();
     int worker = 0;
-    std::string checkpoint;  // empty = restore is a fresh CreateSession
-    std::vector<JournalOp> journal;
+    // The pulled restore point; empty = a fresh CreateSession, or the
+    // zero-item seed once `seeded`.
+    std::string checkpoint;
+    // A trim dropped an op with items: restore from SeedCheckpoint().
+    bool seeded = false;
+    std::deque<JournalOp> journal;
+    size_t journal_bytes = 0;
+    VectorId next_id = 0;        // ids the session has assigned
+    Timestamp newest_ts = 0.0;   // newest accepted ts
+    Timestamp dropped_ts = 0.0;  // newest ts a trim dropped: the seed clock
+    uint64_t pulls = 0;
   };
 
   // Forks slot `slot` and runs the Hello exchange.
@@ -152,15 +197,19 @@ class Supervisor {
   // Any non-transport failure is returned as the reply's status.
   Status CallWorker(int slot, FrameType type, const std::string& payload,
                     Reply* reply) SSSJ_REQUIRES(mu_);
-  // Journal bookkeeping after a successful mutating call; may trigger a
-  // periodic checkpoint refresh.
-  Status JournalOpLocked(const std::string& name, SessionRec* rec,
-                         FrameType type, std::string payload)
-      SSSJ_REQUIRES(mu_);
+  // Journal bookkeeping after a successful mutating call that got
+  // `accepted` items accepted, the newest at `newest_ts`: trims an STR
+  // journal at the horizon, or refreshes a pulled checkpoint by the byte
+  // ratio.
+  void JournalOpLocked(const std::string& name, SessionRec* rec,
+                       FrameType type, std::string payload, uint64_t accepted,
+                       Timestamp newest_ts) SSSJ_REQUIRES(mu_);
   // kCheckpoint to the session's worker; stores the blob, clears the
   // journal.
   Status CheckpointLocked(const std::string& name, SessionRec* rec)
       SSSJ_REQUIRES(mu_);
+  // The zero-item SSSJENG3 restore point of a seeded session.
+  static std::string SeedCheckpoint(const SessionRec& rec);
 
   const SupervisorOptions options_;
 
@@ -170,6 +219,7 @@ class Supervisor {
   // std::map: failover restores sessions in name order — deterministic.
   std::map<std::string, SessionRec> sessions_ SSSJ_GUARDED_BY(mu_);
   uint64_t restarts_ SSSJ_GUARDED_BY(mu_) = 0;
+  uint64_t checkpoint_pulls_ SSSJ_GUARDED_BY(mu_) = 0;
 };
 
 // Thin client presenting one Status-based session API over either

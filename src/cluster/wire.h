@@ -190,7 +190,8 @@ class WireReader {
 // Execution knobs (threads, kernels, tiering, ingestion) stay host-local:
 // the worker resolves them, so two placements of one session always
 // produce bit-identical output. enable_migration is implied, so every
-// cluster session keeps the retention deque its checkpoint pulls copy.
+// cluster session keeps the retention deque that migrations and
+// checkpoint pulls copy.
 struct WireConfig {
   Framework framework = Framework::kStreaming;
   IndexScheme index = IndexScheme::kL2;

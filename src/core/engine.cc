@@ -427,33 +427,21 @@ constexpr RetiredFormat kRetiredFormats[] = {
 
 }  // namespace
 
-Status SssjEngine::SaveCheckpoint(std::ostream& os) const {
+Status WriteCheckpoint(const CheckpointHeader& header, const Stream& live,
+                       std::ostream& os) {
   os.write(kCheckpointMagic, sizeof(kCheckpointMagic));
   WriteRaw(os, kCheckpointVersion);
-  // The writing combination is metadata: the loader replays into ITS
-  // configured combination, which is what makes migration a load.
   const uint8_t framework_byte =
-      active_framework_ == Framework::kMiniBatch ? 0 : 1;
-  const uint8_t scheme_byte = static_cast<uint8_t>(active_scheme_);
+      header.framework == Framework::kMiniBatch ? 0 : 1;
+  const uint8_t scheme_byte = static_cast<uint8_t>(header.scheme);
   WriteRaw(os, framework_byte);
   WriteRaw(os, scheme_byte);
-  WriteRaw(os, config_.theta);
-  WriteRaw(os, config_.lambda);
-  const uint64_t next_id = next_id_;
-  WriteRaw(os, next_id);
-  const Timestamp last_ts = core_->last_ts();
-  WriteRaw(os, last_ts);
-  const uint8_t started = core_->started() ? 1 : 0;
-  WriteRaw(os, started);
-  // Watermark: every pair with BOTH ids below it has been reported to the
-  // external sink. STR emits at push, so everything below next_id is out;
-  // MB windows hold pending pairs among the live items, so only the
-  // carried watermark (from an earlier restore/migration, else 0) is safe.
-  const uint64_t watermark =
-      active_framework_ == Framework::kStreaming ? next_id_ : watermark_;
-  WriteRaw(os, watermark);
-  Stream live;
-  core_->CollectLiveItems(&live);
+  WriteRaw(os, header.theta);
+  WriteRaw(os, header.lambda);
+  WriteRaw(os, header.next_id);
+  WriteRaw(os, header.last_ts);
+  WriteRaw(os, static_cast<uint8_t>(header.started ? 1 : 0));
+  WriteRaw(os, header.watermark);
   WriteRaw(os, static_cast<uint64_t>(live.size()));
   for (const StreamItem& item : live) {
     WriteRaw(os, static_cast<uint64_t>(item.id));
@@ -468,6 +456,26 @@ Status SssjEngine::SaveCheckpoint(std::ostream& os) const {
     return Status::IoError("checkpoint write failure");
   }
   return Status::Ok();
+}
+
+Status SssjEngine::SaveCheckpoint(std::ostream& os) const {
+  CheckpointHeader header;
+  header.framework = active_framework_;
+  header.scheme = active_scheme_;
+  header.theta = config_.theta;
+  header.lambda = config_.lambda;
+  header.next_id = next_id_;
+  header.last_ts = core_->last_ts();
+  header.started = core_->started();
+  // Watermark: every pair with BOTH ids below it has been reported to the
+  // external sink. STR emits at push, so everything below next_id is out;
+  // MB windows hold pending pairs among the live items, so only the
+  // carried watermark (from an earlier restore/migration, else 0) is safe.
+  header.watermark =
+      active_framework_ == Framework::kStreaming ? next_id_ : watermark_;
+  Stream live;
+  core_->CollectLiveItems(&live);
+  return WriteCheckpoint(header, live, os);
 }
 
 Status SssjEngine::RestorePortable(std::istream& is, Framework framework,

@@ -142,6 +142,27 @@ struct BatchPushResult {
   bool all_accepted() const { return rejects.empty(); }
 };
 
+// The SSSJENG3 header: the writing combination (metadata — a loader
+// replays into its own), the exact-matched parameters, the id counter,
+// the stream clock and the reported-pair watermark.
+struct CheckpointHeader {
+  Framework framework = Framework::kStreaming;
+  IndexScheme scheme = IndexScheme::kL2;
+  double theta = 0.0;
+  double lambda = 0.0;
+  VectorId next_id = 0;
+  Timestamp last_ts = 0.0;
+  bool started = false;
+  VectorId watermark = 0;
+};
+
+// Writes one SSSJENG3 checkpoint: `header`, then `live` in arrival order.
+// The format's only writer: SssjEngine::SaveCheckpoint and the cluster
+// supervisor's zero-item recovery seed both call it. kIoError when the
+// stream fails.
+Status WriteCheckpoint(const CheckpointHeader& header, const Stream& live,
+                       std::ostream& os);
+
 // Builds a join core for the given framework×scheme, honoring the
 // config's thread/pool/kernel/tiering knobs (STR cores additionally keep
 // their in-horizon items in a retention deque when the config enables

@@ -237,6 +237,54 @@ TEST(CheckpointTest, EveryConfigurationRoundTrips) {
   EXPECT_EQ(configurations, 21u);  // 2 × 4 × 3, less STR-AP's 3
 }
 
+// A zero-item seed from WriteCheckpoint (the format's one writer; the
+// cluster supervisor restores horizon-trimmed STR sessions from it): it
+// loads into a fresh engine of every STR scheme without emitting, the
+// next accepted push gets the seeded id, and the seeded clock refuses an
+// older push.
+TEST(CheckpointTest, ZeroItemSeedLoadsIntoEveryStrScheme) {
+  for (const IndexScheme scheme :
+       {IndexScheme::kInv, IndexScheme::kL2ap, IndexScheme::kL2}) {
+    SCOPED_TRACE(ToString(scheme));
+    EngineConfig cfg;
+    cfg.framework = Framework::kStreaming;
+    cfg.index = scheme;
+    cfg.theta = 0.6;
+    cfg.lambda = 0.02;
+    CheckpointHeader seed;
+    seed.framework = Framework::kStreaming;
+    seed.scheme = scheme;
+    seed.theta = cfg.theta;
+    seed.lambda = cfg.lambda;
+    seed.next_id = 17;
+    seed.last_ts = 5.0;
+    seed.started = true;
+    seed.watermark = 17;
+    std::stringstream blob;
+    ASSERT_TRUE(WriteCheckpoint(seed, Stream(), blob).ok());
+
+    CollectorSink sink;
+    auto engine = *SssjEngine::Make(cfg, &sink);
+    const Status loaded = engine->LoadCheckpoint(blob);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    EXPECT_TRUE(sink.pairs().empty());
+    EXPECT_EQ(engine->next_id(), 17u);
+    EXPECT_EQ(engine->reported_watermark(), 17u);
+
+    const SparseVector vec = UnitVec({{1, 1.0}, {2, 1.0}});
+    const Status older = engine->Push(4.5, vec);
+    EXPECT_EQ(older.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(older.message().find("timestamp regression"), std::string::npos)
+        << older.ToString();
+    ASSERT_TRUE(engine->Push(5.0, vec).ok());
+    ASSERT_TRUE(engine->Push(5.5, vec).ok());
+    ASSERT_EQ(sink.pairs().size(), 1u);
+    EXPECT_EQ(sink.pairs()[0].a, 17u);
+    EXPECT_EQ(sink.pairs()[0].b, 18u);
+    EXPECT_EQ(engine->next_id(), 19u);
+  }
+}
+
 // The framework byte (offset 12, after the magic and the u32 version) and
 // the scheme byte (offset 13) are range-checked: a framework past STR, or a
 // scheme one past kL2 (the value of the retired AUTO), is refused as

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,12 +23,16 @@
 #include "cluster/wire.h"
 #include "cluster/worker.h"
 #include "core/engine.h"
+#include "core/similarity.h"
+#include "index/stream_index.h"
 #include "tests/test_util.h"
 
 namespace sssj {
 namespace cluster {
 namespace {
 
+using sssj::testing::Item;
+using sssj::testing::PairSet;
 using sssj::testing::RandomStream;
 using sssj::testing::RandomStreamSpec;
 using sssj::testing::UnitVec;
@@ -123,11 +129,12 @@ TEST(ClusterEquivalenceTest, HeterogeneousSessionsBitwiseMatchInProcess) {
 
   SupervisorOptions options;
   options.num_workers = 3;
-  options.checkpoint_interval = 10;  // exercise periodic checkpoints too
+  options.checkpoint_ratio = 0.25;  // exercise MB refreshes mid-stream too
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   ClusterClient remote(&supervisor);
   const auto clustered = RunSessions(&remote, specs);
+  EXPECT_GE(supervisor.checkpoint_pulls(), 10u);
   supervisor.Shutdown();
 
   ASSERT_EQ(in_process.size(), clustered.size());
@@ -262,7 +269,7 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
   {
     SupervisorOptions options;
     options.num_workers = 2;
-    options.checkpoint_interval = 7;
+    options.checkpoint_ratio = 0.25;
     Supervisor supervisor(options);
     ASSERT_TRUE(supervisor.Start().ok());
     ClusterClient client(&supervisor);
@@ -275,7 +282,7 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
   // un-acked work while suppressing already-delivered pairs.
   SupervisorOptions options;
   options.num_workers = 2;
-  options.checkpoint_interval = 7;
+  options.checkpoint_ratio = 0.25;
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   std::map<std::string, std::vector<ResultPair>> got;
@@ -307,6 +314,16 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
     }
   }
   for (const SessionSpec& spec : specs) {
+    // STR sessions recover from their horizon-trimmed journal through a
+    // zero-item seed; only the MB sessions pull checkpoints.
+    const auto info = supervisor.journal_info(spec.name);
+    ASSERT_TRUE(info.ok());
+    if (spec.config.framework == Framework::kStreaming) {
+      EXPECT_EQ(info->checkpoint_pulls, 0u) << spec.name;
+      EXPECT_LT(info->ops, spec.stream.size()) << spec.name << ": no trim";
+    } else {
+      EXPECT_GT(info->checkpoint_pulls, 0u) << spec.name;
+    }
     ASSERT_TRUE(supervisor.Flush(spec.name, &got[spec.name]).ok());
     ASSERT_TRUE(supervisor.CloseSession(spec.name, &got[spec.name]).ok());
   }
@@ -323,7 +340,7 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
 TEST(ClusterFailoverTest, KillDuringIdlePeriodStillRecovers) {
   SupervisorOptions options;
   options.num_workers = 1;
-  options.checkpoint_interval = 0;  // journal-only restore path
+  options.checkpoint_ratio = 0;  // journal-only restore path
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   WireConfig config;
@@ -355,6 +372,319 @@ TEST(ClusterFailoverTest, KillDuringIdlePeriodStillRecovers) {
   }
   ASSERT_TRUE(supervisor.CloseSession("solo", &pairs).ok());
   supervisor.Shutdown();
+}
+
+// ---- seeded random kills: the horizon-trimmed journal under fire ----
+
+// One scripted call against a fleet; both runs of a seed execute the
+// same script, so their per-session outputs can be compared.
+struct FleetOp {
+  enum Kind { kPush, kBatch, kFlush, kMigrate, kCheckpoint } kind = kPush;
+  size_t session = 0;
+  StreamItem item;  // kPush
+  Stream batch;     // kBatch
+};
+
+std::vector<SessionSpec> KillSessions(uint64_t seed) {
+  std::vector<SessionSpec> specs;
+  auto add = [&specs, seed](const std::string& name, Framework framework,
+                            IndexScheme index, double theta, double lambda) {
+    SessionSpec spec;
+    spec.name = name;
+    spec.config.framework = framework;
+    spec.config.index = index;
+    spec.config.theta = theta;
+    spec.config.lambda = lambda;
+    RandomStreamSpec stream_spec;
+    stream_spec.n = 90;
+    stream_spec.dims = 30;
+    stream_spec.seed = seed * 16 + specs.size();
+    spec.stream = RandomStream(stream_spec);
+    specs.push_back(std::move(spec));
+  };
+  // τ between 5 and 12 time units; every stream spans ~90.
+  add("str-inv", Framework::kStreaming, IndexScheme::kInv, 0.5, 0.1);
+  add("str-l2", Framework::kStreaming, IndexScheme::kL2, 0.6, 0.08);
+  add("str-l2ap", Framework::kStreaming, IndexScheme::kL2ap, 0.5, 0.06);
+  add("mb-l2", Framework::kMiniBatch, IndexScheme::kL2, 0.55, 0.1);
+  return specs;
+}
+
+// Per session, in stream order: pushes; one batch with an empty vector
+// and a decreasing ts among three good items; an all-rejected batch and
+// a Flush mid-stream; a Migrate with the rest of the stream (far past τ)
+// after it; an explicit Checkpoint() later.
+std::vector<FleetOp> KillScript(const std::vector<SessionSpec>& specs,
+                                Rng* rng) {
+  struct Cursor {
+    size_t next = 0;
+    size_t batch_at = 0;
+    size_t flush_at = 0;
+    size_t migrate_at = 0;
+    size_t checkpoint_at = 0;
+  };
+  std::vector<Cursor> cursors;
+  for (const SessionSpec& spec : specs) {
+    const size_t n = spec.stream.size();
+    Cursor c;
+    c.batch_at = 5 + rng->NextBelow(n / 4);
+    c.flush_at = n / 4 + rng->NextBelow(n / 4);
+    c.migrate_at = n / 3 + rng->NextBelow(n / 6);
+    c.checkpoint_at = n / 2 + rng->NextBelow(n / 4);
+    cursors.push_back(c);
+  }
+  std::vector<FleetOp> ops;
+  for (bool more = true; more;) {
+    more = false;
+    for (size_t s = 0; s < specs.size(); ++s) {
+      const Stream& stream = specs[s].stream;
+      Cursor& c = cursors[s];
+      if (c.next >= stream.size()) continue;
+      more = true;
+      FleetOp op;
+      op.session = s;
+      if (c.next >= c.flush_at) {
+        FleetOp rejected = op;
+        rejected.kind = FleetOp::kBatch;
+        rejected.batch.push_back(Item(0, stream[c.next].ts, SparseVector()));
+        ops.push_back(std::move(rejected));
+        op.kind = FleetOp::kFlush;
+        c.flush_at = SIZE_MAX;
+      } else if (c.next >= c.migrate_at) {
+        op.kind = FleetOp::kMigrate;
+        c.migrate_at = SIZE_MAX;
+      } else if (c.next >= c.checkpoint_at) {
+        op.kind = FleetOp::kCheckpoint;
+        c.checkpoint_at = SIZE_MAX;
+      } else if (c.next >= c.batch_at && c.next + 3 <= stream.size()) {
+        const StreamItem& a = stream[c.next];
+        const StreamItem& b = stream[c.next + 1];
+        op.kind = FleetOp::kBatch;
+        op.batch = {a, Item(0, a.ts, SparseVector()), b,
+                    Item(0, a.ts - 1.0, b.vec), stream[c.next + 2]};
+        c.next += 3;
+        c.batch_at = SIZE_MAX;
+      } else {
+        op.kind = FleetOp::kPush;
+        op.item = stream[c.next++];
+      }
+      ops.push_back(std::move(op));
+    }
+  }
+  return ops;
+}
+
+// Runs the script; SIGKILLs the session's owner before each op index in
+// `kill_before`, and once right after the first push at or past
+// `kill_after_trim_from` that shrank its session's journal (an STR trim
+// or an MB refresh; SIZE_MAX: never).
+std::map<std::string, std::vector<ResultPair>> RunKillScript(
+    Supervisor* supervisor, const std::vector<SessionSpec>& specs,
+    const std::vector<FleetOp>& script, const std::set<size_t>& kill_before,
+    size_t kill_after_trim_from) {
+  std::map<std::string, std::vector<ResultPair>> out;
+  for (const SessionSpec& spec : specs) {
+    EXPECT_TRUE(supervisor->CreateSession(spec.name, spec.config).ok());
+    out[spec.name];
+  }
+  auto kill_owner = [supervisor](const std::string& name) {
+    ::kill(*supervisor->worker_pid(*supervisor->OwnerOf(name)), SIGKILL);
+  };
+  for (size_t k = 0; k < script.size(); ++k) {
+    const FleetOp& op = script[k];
+    const SessionSpec& spec = specs[op.session];
+    std::vector<ResultPair>* pairs = &out[spec.name];
+    if (kill_before.count(k) != 0) kill_owner(spec.name);
+    const size_t ops_before = supervisor->journal_info(spec.name)->ops;
+    switch (op.kind) {
+      case FleetOp::kPush:
+        EXPECT_TRUE(
+            supervisor->Push(spec.name, op.item.ts, op.item.vec, pairs).ok());
+        break;
+      case FleetOp::kBatch: {
+        auto result = supervisor->PushBatch(spec.name, op.batch, pairs);
+        if (!result.ok()) {
+          ADD_FAILURE() << result.status().ToString();
+          break;
+        }
+        EXPECT_EQ(result->accepted, op.batch.size() == 1 ? 0u : 3u);
+        break;
+      }
+      case FleetOp::kFlush:
+        EXPECT_TRUE(supervisor->Flush(spec.name, pairs).ok());
+        break;
+      case FleetOp::kMigrate:
+        EXPECT_TRUE(
+            supervisor->Migrate(spec.name, 1 - *supervisor->OwnerOf(spec.name))
+                .ok());
+        break;
+      case FleetOp::kCheckpoint:
+        EXPECT_TRUE(supervisor->Checkpoint(spec.name).ok());
+        break;
+    }
+    const bool trimmed = op.kind == FleetOp::kPush &&
+                         supervisor->journal_info(spec.name)->ops <= ops_before;
+    if (trimmed && k >= kill_after_trim_from) {
+      kill_owner(spec.name);
+      kill_after_trim_from = SIZE_MAX;
+    }
+  }
+  for (const SessionSpec& spec : specs) {
+    const auto info = supervisor->journal_info(spec.name);
+    EXPECT_TRUE(info.ok());
+    // STR sessions pull only the scripted Checkpoint().
+    if (spec.config.framework == Framework::kStreaming) {
+      EXPECT_EQ(info->checkpoint_pulls, 1u) << spec.name;
+    }
+    EXPECT_TRUE(supervisor->Flush(spec.name, &out[spec.name]).ok());
+    EXPECT_TRUE(supervisor->CloseSession(spec.name, &out[spec.name]).ok());
+  }
+  return out;
+}
+
+TEST(ClusterFailoverTest, SeededRandomKillsMatchUndisturbedFleet) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<SessionSpec> specs = KillSessions(seed);
+    Rng rng(seed);
+    const std::vector<FleetOp> script = KillScript(specs, &rng);
+
+    SupervisorOptions options;
+    options.num_workers = 2;
+    std::map<std::string, std::vector<ResultPair>> want;
+    {
+      Supervisor supervisor(options);
+      ASSERT_TRUE(supervisor.Start().ok());
+      want = RunKillScript(&supervisor, specs, script, {}, SIZE_MAX);
+      EXPECT_EQ(supervisor.restarts(), 0u);
+    }
+
+    std::set<size_t> kill_before;
+    for (int i = 0; i < 3; ++i) {
+      kill_before.insert(rng.NextBelow(script.size()));
+    }
+    const size_t kill_after_trim_from = rng.NextBelow(script.size() / 2);
+    Supervisor supervisor(options);
+    ASSERT_TRUE(supervisor.Start().ok());
+    const auto got = RunKillScript(&supervisor, specs, script, kill_before,
+                                   kill_after_trim_from);
+    EXPECT_GE(supervisor.restarts(), 1u);
+    EXPECT_LE(supervisor.restarts(), kill_before.size() + 1);
+    for (const SessionSpec& spec : specs) {
+      const std::vector<ResultPair>& pairs = want.at(spec.name);
+      const std::vector<ResultPair>& mine = got.at(spec.name);
+      EXPECT_FALSE(pairs.empty())
+          << spec.name << ": no pairs — the pin is vacuous";
+      if (spec.config.framework == Framework::kMiniBatch) {
+        // Not compared: a restored MB core re-anchors its windows at its
+        // first live item, so a journal replay after it can emit a
+        // window's pairs at other ops than the original did, and failover
+        // then loses or repeats them. The session still shares the
+        // fleet's restarts, so its byte-rule pulls and restores run here.
+        continue;
+      }
+      if (spec.config.index == IndexScheme::kL2ap) {
+        // Any restore rebuilds STR-L2AP's max vector from the replayed
+        // items only, which can move an item's prefix boundary and with
+        // it a score's summation order: the pair set holds, not the bits.
+        EXPECT_EQ(mine.size(), pairs.size()) << spec.name;
+        EXPECT_EQ(PairSet(mine), PairSet(pairs)) << spec.name;
+        continue;
+      }
+      ExpectBitwiseEqual(mine, pairs, spec.name);
+    }
+  }
+}
+
+// ---- journal bounds: what each session keeps for failover ----
+
+TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
+  SupervisorOptions options;
+  options.num_workers = 2;
+  Supervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  struct Tenant {
+    std::string name;
+    IndexScheme index;
+  };
+  const std::vector<Tenant> tenants = {{"inv", IndexScheme::kInv},
+                                       {"l2", IndexScheme::kL2},
+                                       {"l2ap", IndexScheme::kL2ap}};
+  WireConfig config;
+  config.theta = 0.6;
+  config.lambda = 0.1;
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(config.theta, config.lambda, &params));
+  for (const Tenant& tenant : tenants) {
+    config.index = tenant.index;
+    ASSERT_TRUE(supervisor.CreateSession(tenant.name, config).ok());
+  }
+  RandomStreamSpec stream_spec;
+  stream_spec.n = 300;
+  stream_spec.seed = 5;
+  const Stream stream = RandomStream(stream_spec);
+  ASSERT_GT(stream.back().ts - stream.front().ts, 20 * params.tau);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    size_t in_horizon = 0;
+    for (size_t j = 0; j <= i; ++j) {
+      if (!OutsideHorizon(stream[j].ts, stream[i].ts, params.tau)) {
+        ++in_horizon;
+      }
+    }
+    for (const Tenant& tenant : tenants) {
+      ASSERT_TRUE(
+          supervisor.Push(tenant.name, stream[i].ts, stream[i].vec, nullptr)
+              .ok());
+      const auto info = supervisor.journal_info(tenant.name);
+      ASSERT_TRUE(info.ok());
+      // Exactly the in-horizon pushes: one op per push, trimmed at τ.
+      ASSERT_EQ(info->ops, in_horizon) << tenant.name << " after push " << i;
+      EXPECT_EQ(info->checkpoint_bytes, 0u);
+    }
+  }
+  EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
+}
+
+TEST(ClusterJournalTest, PullingSessionsKeepTheByteRule) {
+  SupervisorOptions options;
+  options.num_workers = 2;
+  Supervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  WireConfig mb;
+  mb.framework = Framework::kMiniBatch;
+  mb.theta = 0.6;
+  mb.lambda = 0.1;
+  WireConfig forever;  // STR with λ = 0: τ is infinite, nothing expires
+  forever.theta = 0.6;
+  forever.lambda = 0.0;
+  ASSERT_TRUE(supervisor.CreateSession("mb", mb).ok());
+  ASSERT_TRUE(supervisor.CreateSession("forever", forever).ok());
+  RandomStreamSpec stream_spec;
+  stream_spec.n = 300;
+  stream_spec.seed = 6;
+  const Stream stream = RandomStream(stream_spec);
+  for (const StreamItem& item : stream) {
+    for (const std::string name : {"mb", "forever"}) {
+      ASSERT_TRUE(supervisor.Push(name, item.ts, item.vec, nullptr).ok());
+      const auto info = supervisor.journal_info(name);
+      ASSERT_TRUE(info.ok());
+      // After every op the journal is empty (a refresh just ran) or
+      // below ratio × the last checkpoint's bytes.
+      EXPECT_TRUE(info->bytes == 0 ||
+                  static_cast<double>(info->bytes) <
+                      options.checkpoint_ratio *
+                          static_cast<double>(info->checkpoint_bytes))
+          << name << ": " << info->bytes << " journal bytes over a "
+          << info->checkpoint_bytes << "-byte checkpoint";
+    }
+  }
+  const auto mb_info = supervisor.journal_info("mb");
+  const auto forever_info = supervisor.journal_info("forever");
+  EXPECT_GT(mb_info->checkpoint_pulls, 1u);
+  EXPECT_GT(forever_info->checkpoint_pulls, 1u);
+  EXPECT_LT(forever_info->ops, stream.size() / 2);
+  EXPECT_EQ(supervisor.checkpoint_pulls(),
+            mb_info->checkpoint_pulls + forever_info->checkpoint_pulls);
 }
 
 // ---- restore-path cross-version sniffing (worker must refuse retired
