@@ -251,8 +251,7 @@ int Run(int argc, char** argv) {
                             .Set("kvec_per_s",
                                  pushes / baseline_seconds / 1000.0)
                             .Set("pairs", baseline_pairs)
-                            .Set("overhead_vs_inproc", 1.0)
-                            .Set("checkpoint_pulls", uint64_t{0}));
+                            .Set("overhead_vs_inproc", 1.0));
     }
     for (double workers_d : worker_list) {
       const int workers = workers_d < 1 ? 1 : static_cast<int>(workers_d);

@@ -3,7 +3,7 @@
 // across workers by rendezvous hash and supervising crashes.
 //
 //   ./sssj_clusterd --workers=4 --socket=/tmp/sssj-cluster.sock
-//                   [--spill-dir=DIR] [--checkpoint-ratio=R]
+//                   [--spill-dir=DIR] [--checkpoint-interval=N]
 //
 // Clients speak the same wire format a worker does; the router maps
 // each request to the session's home worker, journals acked mutations,
@@ -148,13 +148,14 @@ int main(int argc, char** argv) {
       options.num_workers = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--spill-dir", &value)) {
       options.worker_service.spill_dir = value;
-    } else if (ParseFlag(argv[i], "--checkpoint-ratio", &value)) {
-      options.checkpoint_ratio = std::strtod(value.c_str(), nullptr);
+    } else if (ParseFlag(argv[i], "--checkpoint-interval", &value)) {
+      options.checkpoint_interval =
+          std::strtoull(value.c_str(), nullptr, 10);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr,
                    "usage: sssj_clusterd --workers=K --socket=PATH "
-                   "[--spill-dir=DIR] [--checkpoint-ratio=R]\n");
+                   "[--spill-dir=DIR] [--checkpoint-interval=N]\n");
       return 2;
     }
   }

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -128,10 +129,10 @@ Status Supervisor::RecoverWorker(int slot) {
   ++restarts_;
   // Restore every session homed on this slot, in name order (sessions_
   // is an ordered map) so recovery is deterministic. Each session comes
-  // back from its stored checkpoint, then its journal — the mutating
-  // requests acked since that checkpoint — replays verbatim with the
-  // replies' pairs DISCARDED: those pairs were already delivered, and
-  // this discard is exactly what makes failover exactly-once.
+  // back from its restore point, then its journal — the mutating
+  // requests acked since that point — replays with the replies' pairs
+  // DISCARDED: those pairs were already delivered, and this discard is
+  // what makes failover exactly-once.
   for (auto& [name, rec] : sessions_) {
     if (rec.worker != slot) continue;
     Reply reply;
@@ -154,6 +155,11 @@ Status Supervisor::RecoverWorker(int slot) {
       return Status::Internal("failover restore of session '" + name +
                               "' failed: " + reply.status.message());
     }
+    if (rec.config.framework == Framework::kStreaming) {
+      status = ReplayAsBatches(&proc.channel, name, rec.journal);
+      if (!status.ok()) return status;
+      continue;
+    }
     for (const JournalOp& op : rec.journal) {
       status = proc.channel.Call(op.type, op.payload, &reply);
       if (!status.ok()) return status;
@@ -163,6 +169,57 @@ Status Supervisor::RecoverWorker(int slot) {
       }
       // reply.pairs dropped on the floor: acked = already delivered.
     }
+  }
+  return Status::Ok();
+}
+
+Status Supervisor::ReplayAsBatches(FrameChannel* channel,
+                                   const std::string& name,
+                                   const std::deque<JournalOp>& journal) {
+  // A batch payload is at most its ops' payload bytes + 4 (one name and a
+  // count instead of one name per op), so a chunk of at most half a frame
+  // fits one frame. A chunk of one op goes verbatim, whatever its size.
+  constexpr size_t kChunkBytes = kMaxFramePayload / 2;
+  auto op = journal.begin();
+  while (op != journal.end()) {
+    const auto first = op;
+    PushBatchRequest batch;
+    batch.name = name;
+    uint64_t accepted = 0;
+    size_t bytes = 0;
+    for (; op != journal.end() &&
+           (bytes == 0 || bytes + op->payload.size() <= kChunkBytes);
+         ++op) {
+      bytes += op->payload.size();
+      accepted += op->accepted;
+      if (op->type == FrameType::kPush) {
+        PushRequest req;
+        Status status = DecodePush(op->payload, &req);
+        if (!status.ok()) return status;
+        batch.items.emplace_back(req.ts, std::move(req.vec));
+      } else if (op->type == FrameType::kPushBatch) {
+        PushBatchRequest req;
+        Status status = DecodePushBatch(op->payload, &req);
+        if (!status.ok()) return status;
+        for (auto& item : req.items) batch.items.push_back(std::move(item));
+      }  // kFlush: a no-op on an STR engine
+    }
+    if (batch.items.empty()) continue;
+    Reply reply;
+    Status status =
+        std::next(first) == op
+            ? channel->Call(first->type, first->payload, &reply)
+            : channel->Call(FrameType::kPushBatch, EncodePushBatch(batch),
+                            &reply);
+    if (!status.ok()) return status;
+    if (!reply.status.ok() || reply.accepted != accepted) {
+      return Status::Internal(
+          "failover replay for session '" + name + "' failed: " +
+          (reply.status.ok() ? "it accepted " + std::to_string(reply.accepted) +
+                                   " items, not " + std::to_string(accepted)
+                             : std::string(reply.status.message())));
+    }
+    // reply.pairs dropped on the floor: acked = already delivered.
   }
   return Status::Ok();
 }
@@ -188,7 +245,6 @@ Status Supervisor::CallWorker(int slot, FrameType type,
 void Supervisor::JournalOpLocked(const std::string& name, SessionRec* rec,
                                  FrameType type, std::string payload,
                                  uint64_t accepted, Timestamp newest_ts) {
-  rec->journal_bytes += payload.size();
   rec->journal.push_back(
       JournalOp{type, std::move(payload), rec->next_id, accepted, newest_ts});
   if (accepted > 0) {
@@ -212,16 +268,15 @@ void Supervisor::JournalOpLocked(const std::string& name, SessionRec* rec,
         rec->checkpoint.clear();
         rec->checkpoint.shrink_to_fit();
       }
-      rec->journal_bytes -= front.payload.size();
       rec->journal.pop_front();
     }
     return;
   }
-  const double ratio = options_.checkpoint_ratio;
-  if (ratio > 0.0 && static_cast<double>(rec->journal_bytes) >=
-                         ratio * static_cast<double>(rec->checkpoint.size())) {
-    // Best-effort: a failed refresh must not fail the op that triggered
-    // it — the journal simply keeps growing and the next op retries.
+  if (options_.checkpoint_interval > 0 &&
+      rec->journal.size() >= options_.checkpoint_interval) {
+    // Best-effort: a failed periodic checkpoint must not fail the push
+    // that triggered it — the journal simply keeps growing and the next
+    // op retries the refresh.
     (void)CheckpointLocked(name, rec);
   }
 }
@@ -237,7 +292,6 @@ Status Supervisor::CheckpointLocked(const std::string& name, SessionRec* rec) {
   rec->checkpoint = std::move(reply.blob);
   rec->seeded = false;
   rec->journal.clear();
-  rec->journal_bytes = 0;
   ++rec->pulls;
   ++checkpoint_pulls_;
   return Status::Ok();
@@ -456,7 +510,6 @@ Status Supervisor::Migrate(const std::string& name, int target) {
   rec.checkpoint = std::move(out_reply.blob);
   rec.seeded = false;
   rec.journal.clear();
-  rec.journal_bytes = 0;
   rec.worker = target;
 
   RestoreRequest in_req;
@@ -513,7 +566,6 @@ StatusOr<Supervisor::JournalInfo> Supervisor::journal_info(
   const SessionRec& rec = it->second;
   JournalInfo info;
   info.ops = rec.journal.size();
-  info.bytes = rec.journal_bytes;
   info.checkpoint_bytes = rec.checkpoint.size();
   info.checkpoint_pulls = rec.pulls;
   return info;

@@ -1,6 +1,7 @@
 // Cluster supervisor — partitions sessions across forked worker
 // processes, forwards calls over the frame protocol, and survives
-// worker death with exactly-once pair delivery.
+// worker death by restore and journal replay (what that guarantees, per
+// framework and scheme, is stated under Failover below).
 //
 // Placement: a session's home worker is RendezvousOwner(name, K) —
 // every router instance computes the same owner, and resizing the fleet
@@ -21,9 +22,9 @@
 // replays each journal in order *discarding the replayed replies' pairs*
 // (they were already delivered — that discard is the exactly-once rule),
 // and finally retries the in-flight request, whose reply is delivered
-// normally. Net effect: no pair is lost, no pair is delivered twice, and
-// the stream continues from the acked watermark as if the crash never
-// happened.
+// normally. An STR journal replays as kPushBatch frames of its items (an
+// STR Flush is a no-op, and a batch re-derives each reject in order); an
+// MB journal replays op by op.
 //
 // What bounds the journal depends on the session:
 //   * STR with a finite horizon τ (λ > 0): an item older than τ can never
@@ -35,9 +36,20 @@
 //     and the replay of the kept ops rebuilds the index a restore of
 //     those items would build. These sessions pull no checkpoints.
 //   * MB, and STR with λ = 0 (τ infinite): the restore point is a pulled
-//     SSSJENG3 checkpoint, refreshed when the journal's bytes reach
-//     checkpoint_ratio × the last checkpoint's bytes — at most that many
-//     checkpoint bytes pulled per journaled byte.
+//     SSSJENG3 checkpoint, refreshed every checkpoint_interval ops.
+//
+// What failover guarantees depends on the framework and scheme:
+//   * STR-INV and STR-L2: no pair is lost, none is delivered twice, and
+//     every pair has the bits it would have had without the crash.
+//   * STR-L2AP: the pair set is the same, the bits of a score may not
+//     be. A restore rebuilds the max vector from the replayed items only,
+//     which can move a prefix boundary and a score's summation order.
+//   * MB: exactly-once and bitwise while the session's restore point is
+//     its CreateSession (no checkpoint pulled or migrated yet). From a
+//     checkpoint, a restored MB core re-anchors its windows at its first
+//     live item, so the replay can close a window at another op than the
+//     original did, and that window's pairs are then lost or delivered
+//     twice (ROADMAP item 6). A Migrate discards nothing and is exact.
 //
 // Fork model: workers are forked (no exec) with a socketpair as their
 // only link to the supervisor. Fork only happens while the supervisor
@@ -72,13 +84,12 @@ struct SupervisorOptions {
   // Worker fleet size; fixed for the supervisor's lifetime.
   int num_workers = 2;
   // For sessions that pull checkpoints (MB, and STR with λ = 0): refresh
-  // the stored checkpoint (and truncate the journal) once the journal's
-  // payload bytes reach this multiple of the last checkpoint's bytes (a
-  // session with no checkpoint yet refreshes after its first op).
-  // Smaller = cheaper replay after a crash, more checkpoint traffic.
-  // 0 = only explicit Checkpoint() calls truncate journals. STR sessions
-  // with a finite horizon ignore it: their journals are trimmed at τ.
-  double checkpoint_ratio = 1.0;
+  // the stored checkpoint (and truncate the journal) after this many
+  // journaled mutating operations. Smaller = cheaper replay after a
+  // crash, more checkpoint traffic. 0 = only explicit Checkpoint() calls
+  // truncate journals. STR sessions with a finite horizon ignore it:
+  // their journals are trimmed at τ.
+  uint64_t checkpoint_interval = 64;
   // Forwarded to each worker's JoinService (num_threads is forced to 1
   // inside the worker regardless).
   JoinServiceOptions worker_service;
@@ -136,13 +147,12 @@ class Supervisor {
   int num_workers() const { return options_.num_workers; }
   // Lifetime count of crash-restarts (not graceful shutdowns).
   uint64_t restarts() const SSSJ_EXCLUDES(mu_);
-  // Lifetime count of checkpoints pulled from workers: ratio refreshes
+  // Lifetime count of checkpoints pulled from workers: periodic refreshes
   // plus explicit Checkpoint() calls (a Migrate's transfer is not one).
   uint64_t checkpoint_pulls() const SSSJ_EXCLUDES(mu_);
   // A session's failover state: what a restart would restore and replay.
   struct JournalInfo {
     size_t ops = 0;               // journaled ops a failover replays
-    size_t bytes = 0;             // their payload bytes
     size_t checkpoint_bytes = 0;  // the pulled restore point; 0 = none
     uint64_t checkpoint_pulls = 0;
   };
@@ -181,7 +191,6 @@ class Supervisor {
     // A trim dropped an op with items: restore from SeedCheckpoint().
     bool seeded = false;
     std::deque<JournalOp> journal;
-    size_t journal_bytes = 0;
     VectorId next_id = 0;        // ids the session has assigned
     Timestamp newest_ts = 0.0;   // newest accepted ts
     Timestamp dropped_ts = 0.0;  // newest ts a trim dropped: the seed clock
@@ -193,14 +202,18 @@ class Supervisor {
   // SIGKILL + reap + refork + restore every session homed on `slot`
   // (checkpoint, then journal replay with pairs discarded).
   Status RecoverWorker(int slot) SSSJ_REQUIRES(mu_);
+  // RecoverWorker's replay of an STR journal, pairs discarded: the ops'
+  // items as kPushBatch frames instead of one frame per op.
+  static Status ReplayAsBatches(FrameChannel* channel, const std::string& name,
+                                const std::deque<JournalOp>& journal);
   // Sends one request; on kIoError runs RecoverWorker and retries once.
   // Any non-transport failure is returned as the reply's status.
   Status CallWorker(int slot, FrameType type, const std::string& payload,
                     Reply* reply) SSSJ_REQUIRES(mu_);
   // Journal bookkeeping after a successful mutating call that got
   // `accepted` items accepted, the newest at `newest_ts`: trims an STR
-  // journal at the horizon, or refreshes a pulled checkpoint by the byte
-  // ratio.
+  // journal at the horizon, or refreshes a pulled checkpoint every
+  // checkpoint_interval ops.
   void JournalOpLocked(const std::string& name, SessionRec* rec,
                        FrameType type, std::string payload, uint64_t accepted,
                        Timestamp newest_ts) SSSJ_REQUIRES(mu_);

@@ -129,7 +129,7 @@ TEST(ClusterEquivalenceTest, HeterogeneousSessionsBitwiseMatchInProcess) {
 
   SupervisorOptions options;
   options.num_workers = 3;
-  options.checkpoint_ratio = 0.25;  // exercise MB refreshes mid-stream too
+  options.checkpoint_interval = 10;  // exercise periodic checkpoints too
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   ClusterClient remote(&supervisor);
@@ -269,7 +269,7 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
   {
     SupervisorOptions options;
     options.num_workers = 2;
-    options.checkpoint_ratio = 0.25;
+    options.checkpoint_interval = 7;
     Supervisor supervisor(options);
     ASSERT_TRUE(supervisor.Start().ok());
     ClusterClient client(&supervisor);
@@ -282,7 +282,7 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
   // un-acked work while suppressing already-delivered pairs.
   SupervisorOptions options;
   options.num_workers = 2;
-  options.checkpoint_ratio = 0.25;
+  options.checkpoint_interval = 7;
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   std::map<std::string, std::vector<ResultPair>> got;
@@ -340,7 +340,6 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
 TEST(ClusterFailoverTest, KillDuringIdlePeriodStillRecovers) {
   SupervisorOptions options;
   options.num_workers = 1;
-  options.checkpoint_ratio = 0;  // journal-only restore path
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   WireConfig config;
@@ -576,11 +575,13 @@ TEST(ClusterFailoverTest, SeededRandomKillsMatchUndisturbedFleet) {
       EXPECT_FALSE(pairs.empty())
           << spec.name << ": no pairs — the pin is vacuous";
       if (spec.config.framework == Framework::kMiniBatch) {
-        // Not compared: a restored MB core re-anchors its windows at its
-        // first live item, so a journal replay after it can emit a
-        // window's pairs at other ops than the original did, and failover
-        // then loses or repeats them. The session still shares the
-        // fleet's restarts, so its byte-rule pulls and restores run here.
+        // Not compared: once this session has pulled a checkpoint or
+        // migrated, a restored MB core re-anchors its windows at its first
+        // live item, so a journal replay after it can emit a window's
+        // pairs at other ops than the original did, and failover then
+        // loses or repeats them (ROADMAP item 6). The session still shares
+        // the fleet's restarts, so its restores and replays run here;
+        // MbKillsBeforeAnyPullMatchUndisturbedFleet pins the exact case.
         continue;
       }
       if (spec.config.index == IndexScheme::kL2ap) {
@@ -592,6 +593,63 @@ TEST(ClusterFailoverTest, SeededRandomKillsMatchUndisturbedFleet) {
         continue;
       }
       ExpectBitwiseEqual(mine, pairs, spec.name);
+    }
+  }
+}
+
+// MB failover is exact while a session's restore point is its
+// CreateSession: the replay then runs every acked op, a mid-stream Flush
+// included, through a fresh core, whose windows are the original's. The
+// streams end before the first periodic pull.
+TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
+  SupervisorOptions options;
+  options.num_workers = 2;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::vector<SessionSpec> specs;
+    for (IndexScheme index : {IndexScheme::kL2, IndexScheme::kInv}) {
+      SessionSpec spec;
+      spec.name = "mb-" + std::to_string(specs.size());
+      spec.config.framework = Framework::kMiniBatch;
+      spec.config.index = index;
+      spec.config.theta = 0.5;
+      spec.config.lambda = 0.1;  // τ ≈ 7; the streams span ~60
+      RandomStreamSpec stream_spec;
+      stream_spec.n = options.checkpoint_interval - 5;  // + 1 Flush
+      stream_spec.dims = 30;
+      stream_spec.seed = seed * 16 + specs.size();
+      spec.stream = RandomStream(stream_spec);
+      specs.push_back(std::move(spec));
+    }
+    std::vector<FleetOp> script;
+    const size_t n = specs.front().stream.size();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t s = 0; s < specs.size(); ++s) {
+        script.push_back({FleetOp::kPush, s, specs[s].stream[i], {}});
+        if (i == n / 2) script.push_back({FleetOp::kFlush, s, {}, {}});
+      }
+    }
+    std::map<std::string, std::vector<ResultPair>> want;
+    {
+      Supervisor supervisor(options);
+      ASSERT_TRUE(supervisor.Start().ok());
+      want = RunKillScript(&supervisor, specs, script, {}, SIZE_MAX);
+    }
+    Rng rng(seed);
+    std::set<size_t> kill_before;
+    for (int i = 0; i < 4; ++i) {
+      kill_before.insert(rng.NextBelow(script.size()));
+    }
+    Supervisor supervisor(options);
+    ASSERT_TRUE(supervisor.Start().ok());
+    const auto got =
+        RunKillScript(&supervisor, specs, script, kill_before, SIZE_MAX);
+    EXPECT_GE(supervisor.restarts(), 1u);
+    EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
+    for (const SessionSpec& spec : specs) {
+      EXPECT_FALSE(want.at(spec.name).empty())
+          << spec.name << ": no pairs — the pin is vacuous";
+      ExpectBitwiseEqual(got.at(spec.name), want.at(spec.name), spec.name);
     }
   }
 }
@@ -645,7 +703,7 @@ TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
   EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
 }
 
-TEST(ClusterJournalTest, PullingSessionsKeepTheByteRule) {
+TEST(ClusterJournalTest, PullingSessionsKeepTheIntervalRule) {
   SupervisorOptions options;
   options.num_workers = 2;
   Supervisor supervisor(options);
@@ -663,28 +721,21 @@ TEST(ClusterJournalTest, PullingSessionsKeepTheByteRule) {
   stream_spec.n = 300;
   stream_spec.seed = 6;
   const Stream stream = RandomStream(stream_spec);
-  for (const StreamItem& item : stream) {
+  const uint64_t interval = options.checkpoint_interval;
+  for (size_t i = 0; i < stream.size(); ++i) {
     for (const std::string name : {"mb", "forever"}) {
-      ASSERT_TRUE(supervisor.Push(name, item.ts, item.vec, nullptr).ok());
+      ASSERT_TRUE(
+          supervisor.Push(name, stream[i].ts, stream[i].vec, nullptr).ok());
       const auto info = supervisor.journal_info(name);
       ASSERT_TRUE(info.ok());
-      // After every op the journal is empty (a refresh just ran) or
-      // below ratio × the last checkpoint's bytes.
-      EXPECT_TRUE(info->bytes == 0 ||
-                  static_cast<double>(info->bytes) <
-                      options.checkpoint_ratio *
-                          static_cast<double>(info->checkpoint_bytes))
-          << name << ": " << info->bytes << " journal bytes over a "
-          << info->checkpoint_bytes << "-byte checkpoint";
+      // A pull after every `interval` ops and at no other op: the first
+      // ops of a session replay from its CreateSession.
+      EXPECT_EQ(info->ops, (i + 1) % interval) << name << " after push " << i;
+      EXPECT_EQ(info->checkpoint_pulls, (i + 1) / interval)
+          << name << " after push " << i;
     }
   }
-  const auto mb_info = supervisor.journal_info("mb");
-  const auto forever_info = supervisor.journal_info("forever");
-  EXPECT_GT(mb_info->checkpoint_pulls, 1u);
-  EXPECT_GT(forever_info->checkpoint_pulls, 1u);
-  EXPECT_LT(forever_info->ops, stream.size() / 2);
-  EXPECT_EQ(supervisor.checkpoint_pulls(),
-            mb_info->checkpoint_pulls + forever_info->checkpoint_pulls);
+  EXPECT_EQ(supervisor.checkpoint_pulls(), 2 * (stream.size() / interval));
 }
 
 // ---- restore-path cross-version sniffing (worker must refuse retired
