@@ -12,6 +12,11 @@
 // served at a time; a disconnected client can reconnect and continue
 // (sessions live in the workers, not the connection). kShutdown stops
 // the fleet and exits.
+//
+// --checkpoint-interval=N (default 64) bounds an MB session's journal:
+// the router pulls its checkpoint every N journaled ops (0: only on an
+// explicit checkpoint). STR sessions pull none; their journals are
+// trimmed at the horizon τ.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -155,7 +160,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr,
                    "usage: sssj_clusterd --workers=K --socket=PATH "
-                   "[--spill-dir=DIR] [--checkpoint-interval=N]\n");
+                   "[--spill-dir=DIR] [--checkpoint-interval=N]\n"
+                   "  --checkpoint-interval=N  MB sessions: pull a "
+                   "checkpoint every N journaled ops (default 64; 0 = only "
+                   "on request)\n");
       return 2;
     }
   }

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <sstream>
@@ -251,12 +250,15 @@ void Supervisor::JournalOpLocked(const std::string& name, SessionRec* rec,
     rec->next_id += accepted;
     rec->newest_ts = newest_ts;
   }
-  if (std::isfinite(rec->horizon)) {
+  if (rec->config.framework == Framework::kStreaming) {
     // Items OutsideHorizon of the newest accepted ts can never pair with
     // a later arrival (time order), so the ops holding only such items
     // no longer shape future output: drop them from the front. An op
     // with no accepted items (an STR flush, an all-rejected batch) left
-    // the engine as it was.
+    // the engine as it was. At λ = 0 τ is infinite and no item falls
+    // outside it: only such zero-item ops drop, and the journal holds
+    // every op since the last restore point, as the index holds every
+    // item.
     while (!rec->journal.empty()) {
       const JournalOp& front = rec->journal.front();
       if (front.accepted > 0) {

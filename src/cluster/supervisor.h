@@ -26,17 +26,20 @@
 // STR Flush is a no-op, and a batch re-derives each reject in order); an
 // MB journal replays op by op.
 //
-// What bounds the journal depends on the session:
-//   * STR with a finite horizon τ (λ > 0): an item older than τ can never
-//     pair again, so after every journaled op the supervisor drops the
-//     leading ops whose accepted items are all OutsideHorizon of the
-//     newest accepted ts. Once an op with items is dropped, the restore
-//     point becomes a zero-item SSSJENG3 seed (next id = the first kept
-//     op's first id, clock = the newest dropped ts, watermark = next id),
-//     and the replay of the kept ops rebuilds the index a restore of
-//     those items would build. These sessions pull no checkpoints.
-//   * MB, and STR with λ = 0 (τ infinite): the restore point is a pulled
-//     SSSJENG3 checkpoint, refreshed every checkpoint_interval ops.
+// What bounds the journal depends on the framework:
+//   * STR: an item older than the horizon τ can never pair again, so
+//     after every journaled op the supervisor drops the leading ops whose
+//     accepted items are all OutsideHorizon of the newest accepted ts.
+//     Once an op with items is dropped, the restore point becomes a
+//     zero-item SSSJENG3 seed (next id = the first kept op's first id,
+//     clock = the newest dropped ts, watermark = next id), and the replay
+//     of the kept ops rebuilds the index a restore of those items would
+//     build. At λ = 0 τ is infinite, so no op with items drops: the
+//     journal holds every op since CreateSession or the last
+//     Checkpoint()/Migrate, as the index holds every item. STR sessions
+//     pull a checkpoint only on an explicit Checkpoint().
+//   * MB: the restore point is a pulled SSSJENG3 checkpoint, refreshed
+//     every checkpoint_interval ops.
 //
 // What failover guarantees depends on the framework and scheme:
 //   * STR-INV and STR-L2: no pair is lost, none is delivered twice, and
@@ -83,12 +86,11 @@ namespace cluster {
 struct SupervisorOptions {
   // Worker fleet size; fixed for the supervisor's lifetime.
   int num_workers = 2;
-  // For sessions that pull checkpoints (MB, and STR with λ = 0): refresh
-  // the stored checkpoint (and truncate the journal) after this many
-  // journaled mutating operations. Smaller = cheaper replay after a
-  // crash, more checkpoint traffic. 0 = only explicit Checkpoint() calls
-  // truncate journals. STR sessions with a finite horizon ignore it:
-  // their journals are trimmed at τ.
+  // MB sessions: refresh the stored checkpoint (and truncate the journal)
+  // after this many journaled mutating operations. Smaller = cheaper
+  // replay after a crash, more checkpoint traffic. 0 = only explicit
+  // Checkpoint() calls truncate journals. STR sessions ignore it: their
+  // journals are trimmed at τ.
   uint64_t checkpoint_interval = 64;
   // Forwarded to each worker's JoinService (num_threads is forced to 1
   // inside the worker regardless).
@@ -181,8 +183,8 @@ class Supervisor {
 
   struct SessionRec {
     WireConfig config;
-    // τ for STR sessions with λ > 0, whose journals are trimmed; +inf for
-    // the sessions that pull checkpoints instead.
+    // τ, the horizon an STR session's journal is trimmed at (+inf at
+    // λ = 0). MB sessions pull checkpoints instead and never read it.
     double horizon = std::numeric_limits<double>::infinity();
     int worker = 0;
     // The pulled restore point; empty = a fresh CreateSession, or the
@@ -212,8 +214,8 @@ class Supervisor {
                     Reply* reply) SSSJ_REQUIRES(mu_);
   // Journal bookkeeping after a successful mutating call that got
   // `accepted` items accepted, the newest at `newest_ts`: trims an STR
-  // journal at the horizon, or refreshes a pulled checkpoint every
-  // checkpoint_interval ops.
+  // journal at the horizon, or refreshes an MB session's pulled
+  // checkpoint every checkpoint_interval ops.
   void JournalOpLocked(const std::string& name, SessionRec* rec,
                        FrameType type, std::string payload, uint64_t accepted,
                        Timestamp newest_ts) SSSJ_REQUIRES(mu_);

@@ -158,11 +158,6 @@ EngineConfig WireConfig::ToEngineConfig() const {
   config.theta = theta;
   config.lambda = lambda;
   config.normalize_inputs = normalize_inputs;
-  // Checkpoints are the wire format for migration and crash-restore, and
-  // the supervisor pulls them from MB and λ = 0 sessions every few
-  // operations: the retention deque this keeps makes each pull a copy
-  // instead of an index scan.
-  config.enable_migration = true;
   return config;
 }
 

@@ -189,9 +189,7 @@ class WireReader {
 // The deterministic engine-config subset that travels with a session.
 // Execution knobs (threads, kernels, tiering, ingestion) stay host-local:
 // the worker resolves them, so two placements of one session always
-// produce bit-identical output. enable_migration is implied, so every
-// cluster session keeps the retention deque that migrations and
-// checkpoint pulls copy.
+// produce bit-identical output.
 struct WireConfig {
   Framework framework = Framework::kStreaming;
   IndexScheme index = IndexScheme::kL2;
@@ -199,8 +197,8 @@ struct WireConfig {
   double lambda = 0.01;
   bool normalize_inputs = true;
 
-  // The engine config a worker builds from this: the fields above plus
-  // enable_migration = true.
+  // The engine config a worker builds from this: the fields above, every
+  // other knob at its default.
   EngineConfig ToEngineConfig() const;
   static WireConfig FromEngineConfig(const EngineConfig& config);
 };

@@ -180,12 +180,8 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
     case IndexScheme::kAp:
       return Status::Internal("invalid STR scheme slipped past validation");
   }
-  // A checkpoint of an STR core rebuilds the live items from the index
-  // unless the core keeps them in the retention deque. Migration-capable
-  // engines keep it: SwitchScheme and the fleet's checkpoint pulls copy it
-  // instead of scanning the index.
-  std::unique_ptr<JoinCore> core = std::make_unique<StreamingJoin>(
-      params, std::move(index), config.enable_migration);
+  std::unique_ptr<JoinCore> core =
+      std::make_unique<StreamingJoin>(std::move(index));
   return core;
 }
 
@@ -600,10 +596,6 @@ Status SssjEngine::RestorePortable(std::istream& is, Framework framework,
 }
 
 Status SssjEngine::SwitchScheme(Framework framework, IndexScheme scheme) {
-  if (!config_.enable_migration) {
-    return Status::FailedPrecondition(
-        "scheme migration requires EngineConfig::enable_migration");
-  }
   if (framework == active_framework_ && scheme == active_scheme_) {
     return Status::Ok();  // already running it
   }

@@ -122,11 +122,6 @@ struct EngineConfig {
   // private pump thread; AsyncPush enqueues, Drain barriers, and results
   // are bit-identical to inline Push fed the same arrival order.
   IngestOptions ingest;
-  // Enables live scheme migration (SwitchScheme). STR cores then keep
-  // their in-horizon items in a retention deque, which checkpoints copy
-  // instead of rebuilding the items from the index; it costs resident
-  // bytes (+1.2% to +21% of live state on the perfbench workloads).
-  bool enable_migration = false;
 };
 
 // Outcome of PushBatch: how many items were accepted, and for each
@@ -164,9 +159,8 @@ Status WriteCheckpoint(const CheckpointHeader& header, const Stream& live,
                        std::ostream& os);
 
 // Builds a join core for the given framework×scheme, honoring the
-// config's thread/pool/kernel/tiering knobs (STR cores additionally keep
-// their in-horizon items in a retention deque when the config enables
-// migration).
+// config's thread/pool/kernel/tiering knobs. An STR core's checkpoint
+// items are its index's rebuild of the in-horizon items.
 // Fails with kUnimplemented for STR-AP and kInvalidArgument for a scheme
 // value outside INV..L2. Used by the engine shell and the
 // checkpoint-restore path that scheme migration runs through.
@@ -270,7 +264,6 @@ class SssjEngine {
   // restored from the same checkpoint would emit them — the post-switch
   // output is bit-identical to that restored engine (tested for every
   // source→target pair). Valid at any push boundary. Failures:
-  //   kFailedPrecondition  migration is not enabled on this engine
   //   kUnimplemented       target is STR-AP
   //   kInvalidArgument     target scheme value outside INV..L2
   // On failure the active core is untouched. Never call it concurrently
@@ -301,19 +294,18 @@ class SssjEngine {
 
   // Checkpoint/restore for long-running streaming jobs, in one format
   // (SSSJENG3) for every framework×scheme and thread count: the live item
-  // set plus the clock/id/watermark state. STR engines write the items of
-  // their retention deque when they keep one, else the items rebuilt from
-  // the index (StreamIndex::CollectLiveItems); MB engines write their two
-  // buffered windows. Loading replays the items through a fresh core of
-  // the LOADING engine's active combination — the file's own scheme is
-  // metadata — emitting any still-unreported pairs into the bound sink, so
-  // a checkpoint written by MB-INV restores cleanly into STR-L2, and
-  // stats() then count the replay's work. Restoring into an engine with
-  // the same config and pushing the remainder of the stream yields the
-  // uninterrupted run's pairs (tested). LoadCheckpoint rejects stale,
-  // truncated, or mismatched files with kDataLoss without touching the
-  // live engine state; a file in a retired format (SSSJENG2 and the index
-  // image it wrapped) is refused by name.
+  // set plus the clock/id/watermark state. STR engines write the items
+  // rebuilt from the index (StreamIndex::CollectLiveItems); MB engines
+  // write their two buffered windows. Loading replays the items through a
+  // fresh core of the LOADING engine's active combination — the file's
+  // own scheme is metadata — emitting any still-unreported pairs into the
+  // bound sink, so a checkpoint written by MB-INV restores cleanly into
+  // STR-L2, and stats() then count the replay's work. Restoring into an
+  // engine with the same config and pushing the remainder of the stream
+  // yields the uninterrupted run's pairs (tested). LoadCheckpoint rejects
+  // stale, truncated, or mismatched files with kDataLoss without touching
+  // the live engine state; a file in a retired format (SSSJENG2 and the
+  // index image it wrapped) is refused by name.
   Status SaveCheckpoint(const std::string& path) const;
   Status LoadCheckpoint(const std::string& path);
   // Stream-based cores of the two above (the path overloads wrap these).

@@ -17,11 +17,10 @@
 //                         future — pair with later arrivals or carry
 //                         pending unreported pairs — in arrival order.
 //                         This is exactly what a checkpoint must persist
-//                         and a migration must replay. STR: a copy of the
-//                         retention deque when the core was built with
-//                         retain_live, else the items rebuilt from the
-//                         index (StreamIndex::CollectLiveItems). MB: the
-//                         two buffered windows W_{k−1} ∪ W_k.
+//                         and a migration must replay. STR: the items
+//                         rebuilt from the index
+//                         (StreamIndex::CollectLiveItems). MB: the two
+//                         buffered windows W_{k−1} ∪ W_k.
 #ifndef SSSJ_CORE_JOIN_CORE_H_
 #define SSSJ_CORE_JOIN_CORE_H_
 

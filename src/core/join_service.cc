@@ -413,10 +413,10 @@ Status JoinService::CloseSession(SessionHandle handle) {
     ingest_pump_->Unregister(session->pump_registration);
   }
   MutexLock lock(session->mu);
-  // An evicted session reloads before its final flush: migration-enabled
-  // MB sessions can have pairs pending in the spilled window state, and
-  // flushing the empty stand-in engine would silently drop them. (For
-  // STR-L2 spills the flush is a no-op either way.)
+  // An evicted session reloads before its final flush: MB sessions can
+  // have pairs pending in the spilled window state, and flushing the
+  // empty stand-in engine would silently drop them. (For STR spills the
+  // flush is a no-op either way.)
   Status resident = EnsureResident(session.get());
   if (!resident.ok()) return resident;
   session->engine->Flush();

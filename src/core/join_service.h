@@ -190,11 +190,10 @@ class JoinService {
   // larger container (the cluster layer ships them as migration frames).
   Status SaveCheckpoint(SessionHandle handle, std::ostream& os) const;
   Status LoadCheckpoint(SessionHandle handle, std::istream& is);
-  // Live scheme migration on one session (its engine must have
-  // EngineConfig::enable_migration set). Runs under the session lock like
-  // every per-session call, so it can never interleave with a Push/Flush
-  // on the same session; other sessions are unaffected. Forwards exactly
-  // what SssjEngine::SwitchScheme returns.
+  // Live scheme migration on one session. Runs under the session lock
+  // like every per-session call, so it can never interleave with a
+  // Push/Flush on the same session; other sessions are unaffected.
+  // Forwards exactly what SssjEngine::SwitchScheme returns.
   Status SwitchScheme(SessionHandle handle, Framework framework,
                       IndexScheme scheme) SSSJ_EXCLUDES(mu_);
   StatusOr<RunStats> SessionStats(SessionHandle handle) const;

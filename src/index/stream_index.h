@@ -13,8 +13,8 @@ namespace sssj {
 // True when an item that arrived at `ts` lies outside the time horizon τ
 // of the newest arrival. It is the test every STR index expires by (the
 // residual store and the posting lists drop ts < newest − τ), so the
-// retention deque (stream/streaming.h) and the live-item rebuild use it
-// too: the three can never disagree on an item that lands exactly on the
+// live-item rebuild and the cluster supervisor's journal trim use it
+// too: they can never disagree on an item that lands exactly on the
 // boundary under rounding.
 inline bool OutsideHorizon(Timestamp ts, Timestamp newest, double tau) {
   return ts < newest - tau;

@@ -189,6 +189,37 @@ TEST(ClusterEquivalenceTest, PushBatchMatchesInProcess) {
   ExpectBitwiseEqual(clustered, in_process, "batch");
 }
 
+// A worker runs the engine its wire config names and keeps nothing more:
+// a session's footprint equals that of an in-process engine built from
+// the same five fields. For STR the index is the one copy of the live
+// items.
+TEST(ClusterEquivalenceTest, SessionFootprintMatchesInProcessEngine) {
+  SupervisorOptions options;
+  options.num_workers = 2;
+  Supervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  for (const SessionSpec& spec : HeterogeneousSessions()) {
+    SCOPED_TRACE(spec.name);
+    EngineConfig reference;
+    reference.framework = spec.config.framework;
+    reference.index = spec.config.index;
+    reference.theta = spec.config.theta;
+    reference.lambda = spec.config.lambda;
+    auto engine = SssjEngine::Make(reference);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE(supervisor.CreateSession(spec.name, spec.config).ok());
+    for (const StreamItem& item : spec.stream) {
+      ASSERT_TRUE(
+          supervisor.Push(spec.name, item.ts, item.vec, nullptr).ok());
+      ASSERT_TRUE((*engine)->Push(item.ts, item.vec).ok());
+    }
+    const auto stats = supervisor.SessionStats(spec.name);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_GT(stats->memory_bytes, 0u);
+    EXPECT_EQ(stats->memory_bytes, (*engine)->MemoryBytes());
+  }
+}
+
 // ---- pin 2: live migration is bitwise invisible ----
 
 TEST(ClusterMigrationTest, LiveMigrationIsBitwiseInvisible) {
@@ -401,11 +432,13 @@ std::vector<SessionSpec> KillSessions(uint64_t seed) {
     spec.stream = RandomStream(stream_spec);
     specs.push_back(std::move(spec));
   };
-  // τ between 5 and 12 time units; every stream spans ~90.
+  // τ between 5 and 12 time units; every stream spans ~90. At λ = 0 τ is
+  // infinite: the journal keeps every op since the last restore point.
   add("str-inv", Framework::kStreaming, IndexScheme::kInv, 0.5, 0.1);
   add("str-l2", Framework::kStreaming, IndexScheme::kL2, 0.6, 0.08);
   add("str-l2ap", Framework::kStreaming, IndexScheme::kL2ap, 0.5, 0.06);
   add("mb-l2", Framework::kMiniBatch, IndexScheme::kL2, 0.55, 0.1);
+  add("str-l2-forever", Framework::kStreaming, IndexScheme::kL2, 0.6, 0.0);
   return specs;
 }
 
@@ -654,6 +687,65 @@ TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
   }
 }
 
+// At λ = 0 nothing leaves the horizon, so an STR session pulls no
+// checkpoint of its own: a failover replays its whole journal onto its
+// restore point, its CreateSession before the scripted Checkpoint() and
+// that checkpoint after it.
+TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
+  SupervisorOptions options;
+  options.num_workers = 2;
+  std::vector<SessionSpec> specs;
+  for (IndexScheme index :
+       {IndexScheme::kInv, IndexScheme::kL2, IndexScheme::kL2ap}) {
+    SessionSpec spec;
+    spec.name = "forever-" + std::to_string(specs.size());
+    spec.config.index = index;
+    spec.config.theta = 0.6;
+    spec.config.lambda = 0.0;
+    RandomStreamSpec stream_spec;
+    stream_spec.n = 2 * options.checkpoint_interval + 10;
+    stream_spec.dims = 30;
+    stream_spec.seed = 90 + specs.size();
+    spec.stream = RandomStream(stream_spec);
+    specs.push_back(std::move(spec));
+  }
+  std::vector<FleetOp> script;
+  const size_t n = specs.front().stream.size();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t s = 0; s < specs.size(); ++s) {
+      script.push_back({FleetOp::kPush, s, specs[s].stream[i], {}});
+      if (i == n / 2) script.push_back({FleetOp::kCheckpoint, s, {}, {}});
+    }
+  }
+  std::map<std::string, std::vector<ResultPair>> want;
+  {
+    Supervisor supervisor(options);
+    ASSERT_TRUE(supervisor.Start().ok());
+    want = RunKillScript(&supervisor, specs, script, {}, SIZE_MAX);
+  }
+  // One kill before the Checkpoint() ops, one after them.
+  const std::set<size_t> kill_before = {script.size() * 2 / 5,
+                                        script.size() * 4 / 5};
+  Supervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  const auto got =
+      RunKillScript(&supervisor, specs, script, kill_before, SIZE_MAX);
+  EXPECT_EQ(supervisor.restarts(), kill_before.size());
+  EXPECT_EQ(supervisor.checkpoint_pulls(), specs.size());
+  for (const SessionSpec& spec : specs) {
+    const std::vector<ResultPair>& pairs = want.at(spec.name);
+    const std::vector<ResultPair>& mine = got.at(spec.name);
+    EXPECT_FALSE(pairs.empty())
+        << spec.name << ": no pairs — the pin is vacuous";
+    if (spec.config.index == IndexScheme::kL2ap) {
+      EXPECT_EQ(mine.size(), pairs.size()) << spec.name;
+      EXPECT_EQ(PairSet(mine), PairSet(pairs)) << spec.name;
+      continue;
+    }
+    ExpectBitwiseEqual(mine, pairs, spec.name);
+  }
+}
+
 // ---- journal bounds: what each session keeps for failover ----
 
 TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
@@ -664,17 +756,24 @@ TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
   struct Tenant {
     std::string name;
     IndexScheme index;
+    double lambda;
   };
-  const std::vector<Tenant> tenants = {{"inv", IndexScheme::kInv},
-                                       {"l2", IndexScheme::kL2},
-                                       {"l2ap", IndexScheme::kL2ap}};
+  // At λ = 0.1 the stream spans over 20 horizons; at λ = 0 τ is infinite
+  // and every push stays in the journal.
+  const std::vector<Tenant> tenants = {
+      {"inv", IndexScheme::kInv, 0.1},
+      {"l2", IndexScheme::kL2, 0.1},
+      {"l2ap", IndexScheme::kL2ap, 0.1},
+      {"inv-forever", IndexScheme::kInv, 0.0},
+      {"l2-forever", IndexScheme::kL2, 0.0},
+      {"l2ap-forever", IndexScheme::kL2ap, 0.0}};
   WireConfig config;
   config.theta = 0.6;
-  config.lambda = 0.1;
   DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(config.theta, config.lambda, &params));
+  ASSERT_TRUE(DecayParams::Make(config.theta, 0.1, &params));
   for (const Tenant& tenant : tenants) {
     config.index = tenant.index;
+    config.lambda = tenant.lambda;
     ASSERT_TRUE(supervisor.CreateSession(tenant.name, config).ok());
   }
   RandomStreamSpec stream_spec;
@@ -696,8 +795,10 @@ TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
       const auto info = supervisor.journal_info(tenant.name);
       ASSERT_TRUE(info.ok());
       // Exactly the in-horizon pushes: one op per push, trimmed at τ.
-      ASSERT_EQ(info->ops, in_horizon) << tenant.name << " after push " << i;
+      ASSERT_EQ(info->ops, tenant.lambda > 0.0 ? in_horizon : i + 1)
+          << tenant.name << " after push " << i;
       EXPECT_EQ(info->checkpoint_bytes, 0u);
+      EXPECT_EQ(info->checkpoint_pulls, 0u);
     }
   }
   EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
@@ -712,30 +813,80 @@ TEST(ClusterJournalTest, PullingSessionsKeepTheIntervalRule) {
   mb.framework = Framework::kMiniBatch;
   mb.theta = 0.6;
   mb.lambda = 0.1;
-  WireConfig forever;  // STR with λ = 0: τ is infinite, nothing expires
-  forever.theta = 0.6;
-  forever.lambda = 0.0;
   ASSERT_TRUE(supervisor.CreateSession("mb", mb).ok());
-  ASSERT_TRUE(supervisor.CreateSession("forever", forever).ok());
   RandomStreamSpec stream_spec;
   stream_spec.n = 300;
   stream_spec.seed = 6;
   const Stream stream = RandomStream(stream_spec);
   const uint64_t interval = options.checkpoint_interval;
   for (size_t i = 0; i < stream.size(); ++i) {
-    for (const std::string name : {"mb", "forever"}) {
-      ASSERT_TRUE(
-          supervisor.Push(name, stream[i].ts, stream[i].vec, nullptr).ok());
-      const auto info = supervisor.journal_info(name);
-      ASSERT_TRUE(info.ok());
-      // A pull after every `interval` ops and at no other op: the first
-      // ops of a session replay from its CreateSession.
-      EXPECT_EQ(info->ops, (i + 1) % interval) << name << " after push " << i;
-      EXPECT_EQ(info->checkpoint_pulls, (i + 1) / interval)
-          << name << " after push " << i;
-    }
+    ASSERT_TRUE(
+        supervisor.Push("mb", stream[i].ts, stream[i].vec, nullptr).ok());
+    const auto info = supervisor.journal_info("mb");
+    ASSERT_TRUE(info.ok());
+    // A pull after every `interval` ops and at no other op: the first ops
+    // of a session replay from its CreateSession.
+    EXPECT_EQ(info->ops, (i + 1) % interval) << "after push " << i;
+    EXPECT_EQ(info->checkpoint_pulls, (i + 1) / interval)
+        << "after push " << i;
   }
-  EXPECT_EQ(supervisor.checkpoint_pulls(), 2 * (stream.size() / interval));
+  EXPECT_EQ(supervisor.checkpoint_pulls(), stream.size() / interval);
+}
+
+// At λ = 0 an STR journal drops only leading ops that got no item
+// accepted (a flush, an all-rejected batch); every op with items stays
+// until a Checkpoint() or a Migrate replaces the restore point.
+TEST(ClusterJournalTest, LambdaZeroJournalDropsOnlyLeadingZeroItemOps) {
+  SupervisorOptions options;
+  options.num_workers = 2;
+  Supervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  WireConfig forever;
+  forever.theta = 0.6;
+  forever.lambda = 0.0;
+  ASSERT_TRUE(supervisor.CreateSession("forever", forever).ok());
+  RandomStreamSpec stream_spec;
+  stream_spec.n = 3 * options.checkpoint_interval;
+  stream_spec.seed = 8;
+  const Stream stream = RandomStream(stream_spec);
+  auto ops = [&supervisor] { return supervisor.journal_info("forever")->ops; };
+  auto rejected_batch = [&supervisor](Timestamp ts) {
+    const auto result = supervisor.PushBatch(
+        "forever", {Item(0, ts, SparseVector())}, nullptr);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->accepted, 0u);
+  };
+
+  ASSERT_TRUE(supervisor.Flush("forever", nullptr).ok());
+  rejected_batch(stream.front().ts);
+  EXPECT_EQ(ops(), 0u);  // both led the journal and changed nothing
+  const size_t half = stream.size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    ASSERT_TRUE(
+        supervisor.Push("forever", stream[i].ts, stream[i].vec, nullptr).ok());
+  }
+  EXPECT_EQ(ops(), half);
+  ASSERT_TRUE(supervisor.Flush("forever", nullptr).ok());
+  rejected_batch(stream[half].ts);
+  EXPECT_EQ(ops(), half + 2);  // behind ops with items: kept
+
+  ASSERT_TRUE(supervisor.Checkpoint("forever").ok());
+  EXPECT_EQ(ops(), 0u);
+  EXPECT_GT(supervisor.journal_info("forever")->checkpoint_bytes, 0u);
+  ASSERT_TRUE(supervisor.Flush("forever", nullptr).ok());
+  EXPECT_EQ(ops(), 0u);
+  for (size_t i = half; i < stream.size(); ++i) {
+    ASSERT_TRUE(
+        supervisor.Push("forever", stream[i].ts, stream[i].vec, nullptr).ok());
+  }
+  EXPECT_EQ(ops(), stream.size() - half);
+  ASSERT_TRUE(supervisor
+                  .Migrate("forever", 1 - *supervisor.OwnerOf("forever"))
+                  .ok());
+  EXPECT_EQ(ops(), 0u);
+  // The explicit Checkpoint() is the only pull.
+  EXPECT_EQ(supervisor.journal_info("forever")->checkpoint_pulls, 1u);
+  EXPECT_EQ(supervisor.checkpoint_pulls(), 1u);
 }
 
 // ---- restore-path cross-version sniffing (worker must refuse retired

@@ -1,10 +1,11 @@
 // The live-item rebuild (StreamIndex::CollectLiveItems, index/live_items.cc).
 //
-//   * An STR engine without the retention deque writes the same SSSJENG3
-//     bytes as one with it, after every push: same items, same order, same
-//     coordinate bits. Covers STR-L2, STR-INV and STR-L2AP (untiered and
-//     tiered-exact) and sharded STR-L2, on a sparse and a dense generated
-//     stream and on a stream whose arrivals land exactly on newest − τ.
+//   * After every push an STR engine saves exactly the SSSJENG3 bytes of
+//     the pushed items that are not OutsideHorizon of that push: same
+//     items, same order, same coordinate bits. Covers STR-L2, STR-INV and
+//     STR-L2AP (untiered and tiered-exact) and sharded STR-L2, on a sparse
+//     and a dense generated stream and on a stream whose arrivals land
+//     exactly on newest − τ.
 //   * A checkpoint saved at any cut and loaded into a fresh engine resumes
 //     to the uninterrupted run's pairs: the same sequence, bit for bit, for
 //     STR-L2, STR-INV and sharded STR-L2; the same set for STR-L2AP (its
@@ -171,25 +172,50 @@ std::string VariantName(const ::testing::TestParamInfo<Variant>& info) {
 
 class LiveItemRebuildTest : public ::testing::TestWithParam<Variant> {};
 
-TEST_P(LiveItemRebuildTest, RebuiltItemsEqualTheDequeAfterEveryPush) {
-  const EngineConfig plain_cfg = ConfigFor(GetParam());
-  EngineConfig retaining_cfg = plain_cfg;
-  retaining_cfg.enable_migration = true;  // keeps the deque
+// The SSSJENG3 bytes an STR engine must save after push `i` of `pushed`:
+// the items not OutsideHorizon of that push's ts, with the ids the engine
+// assigned and the vectors it normalized.
+std::string ExpectedCheckpoint(const EngineConfig& cfg, const Stream& pushed,
+                               size_t i) {
+  const double tau = Tau();
+  const Timestamp newest = pushed[i].ts;
+  CheckpointHeader header;
+  header.framework = cfg.framework;
+  header.scheme = cfg.index;
+  header.theta = cfg.theta;
+  header.lambda = cfg.lambda;
+  header.next_id = i + 1;
+  header.last_ts = newest;
+  header.started = true;
+  header.watermark = i + 1;
+  Stream live;
+  for (size_t j = 0; j <= i; ++j) {
+    if (OutsideHorizon(pushed[j].ts, newest, tau)) continue;
+    SparseVector vec = pushed[j].vec;
+    vec.Normalize();
+    live.push_back(Item(j, pushed[j].ts, std::move(vec)));
+  }
+  std::ostringstream os;
+  EXPECT_TRUE(WriteCheckpoint(header, live, os).ok());
+  return std::move(os).str();
+}
+
+TEST_P(LiveItemRebuildTest, RebuiltItemsEqualTheInHorizonItemsAfterEveryPush) {
+  const EngineConfig cfg = ConfigFor(GetParam());
   for (const NamedStream& named : Streams()) {
     SCOPED_TRACE(named.name);
-    auto plain = *SssjEngine::Make(plain_cfg);
-    auto retaining = *SssjEngine::Make(retaining_cfg);
+    auto engine = *SssjEngine::Make(cfg);
     uint64_t most_live = 0;
     for (size_t i = 0; i < named.stream.size(); ++i) {
       const StreamItem& item = named.stream[i];
-      ASSERT_TRUE(plain->Push(item.ts, item.vec).ok());
-      ASSERT_TRUE(retaining->Push(item.ts, item.vec).ok());
-      const std::string rebuilt = Save(*plain);
-      ASSERT_TRUE(rebuilt == Save(*retaining)) << "after push " << i;
+      ASSERT_TRUE(engine->Push(item.ts, item.vec).ok());
+      const std::string rebuilt = Save(*engine);
+      ASSERT_TRUE(rebuilt == ExpectedCheckpoint(cfg, named.stream, i))
+          << "after push " << i;
       most_live = std::max(most_live, LiveCount(rebuilt));
     }
     EXPECT_GT(most_live, 1u);
-    EXPECT_GT(plain->stats().pairs_emitted, 0u);
+    EXPECT_GT(engine->stats().pairs_emitted, 0u);
   }
 }
 

@@ -218,13 +218,12 @@ TEST(MemoryBudgetTest, SaveCheckpointOnEvictedSessionReloadsFirst) {
   std::remove(path.c_str());
 }
 
-// A migration-enabled MB-L2 session: evictable through the portable
-// checkpoint, and its pairs stay pending in the windows until a flush.
+// An MB-L2 session: evictable through the portable checkpoint, and its
+// pairs stay pending in the windows until a flush.
 EngineConfig MigratableMbConfig(double lambda) {
   EngineConfig cfg = BudgetedEngineConfig();
   cfg.framework = Framework::kMiniBatch;
   cfg.lambda = lambda;
-  cfg.enable_migration = true;
   return cfg;
 }
 

@@ -418,20 +418,18 @@ struct EngineVariant {
   Framework framework;
   IndexScheme scheme;
   size_t threads;
-  bool migration;  // false: no retention deque; STR rebuilds from the index
 };
 
 const EngineVariant kEngineVariants[] = {
-    {"StrInv", Framework::kStreaming, IndexScheme::kInv, 1, true},
-    {"StrL2", Framework::kStreaming, IndexScheme::kL2, 1, true},
-    {"StrL2Native", Framework::kStreaming, IndexScheme::kL2, 1, false},
-    {"StrL2ap", Framework::kStreaming, IndexScheme::kL2ap, 1, true},
-    {"StrL2Sharded2", Framework::kStreaming, IndexScheme::kL2, 2, true},
-    {"StrL2Sharded4", Framework::kStreaming, IndexScheme::kL2, 4, true},
-    {"MbInv", Framework::kMiniBatch, IndexScheme::kInv, 1, true},
-    {"MbAp", Framework::kMiniBatch, IndexScheme::kAp, 1, true},
-    {"MbL2ap", Framework::kMiniBatch, IndexScheme::kL2ap, 1, true},
-    {"MbL2", Framework::kMiniBatch, IndexScheme::kL2, 2, true},
+    {"StrInv", Framework::kStreaming, IndexScheme::kInv, 1},
+    {"StrL2", Framework::kStreaming, IndexScheme::kL2, 1},
+    {"StrL2ap", Framework::kStreaming, IndexScheme::kL2ap, 1},
+    {"StrL2Sharded2", Framework::kStreaming, IndexScheme::kL2, 2},
+    {"StrL2Sharded4", Framework::kStreaming, IndexScheme::kL2, 4},
+    {"MbInv", Framework::kMiniBatch, IndexScheme::kInv, 1},
+    {"MbAp", Framework::kMiniBatch, IndexScheme::kAp, 1},
+    {"MbL2ap", Framework::kMiniBatch, IndexScheme::kL2ap, 1},
+    {"MbL2", Framework::kMiniBatch, IndexScheme::kL2, 2},
 };
 
 class EngineMemoryOracleTest
@@ -446,7 +444,6 @@ TEST_P(EngineMemoryOracleTest, CounterEqualsWalkThroughEngineSurface) {
   cfg.theta = kTheta;
   cfg.lambda = kLambda;
   cfg.tiered = StorageOptions(std::get<1>(GetParam()));
-  cfg.enable_migration = variant.migration;
 
   CountingSink sink;
   auto made = SssjEngine::Make(cfg, &sink);
@@ -491,21 +488,17 @@ TEST_P(EngineMemoryOracleTest, CounterEqualsWalkThroughEngineSurface) {
   ASSERT_TRUE(engine->LoadCheckpoint(blob).ok());
   check("in-place restore");
 
-  if (variant.migration) {
-    const Framework other_framework =
-        variant.framework == Framework::kStreaming ? Framework::kMiniBatch
-                                                   : Framework::kStreaming;
-    ASSERT_TRUE(engine->SwitchScheme(other_framework, IndexScheme::kL2ap).ok());
-    check("switch away");
-  }
+  const Framework other_framework = variant.framework == Framework::kStreaming
+                                        ? Framework::kMiniBatch
+                                        : Framework::kStreaming;
+  ASSERT_TRUE(engine->SwitchScheme(other_framework, IndexScheme::kL2ap).ok());
+  check("switch away");
   for (size_t i = 2 * third; i < stream.size(); ++i) {
     ASSERT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
     check("push " + std::to_string(i));
   }
-  if (variant.migration) {
-    ASSERT_TRUE(engine->SwitchScheme(variant.framework, variant.scheme).ok());
-    check("switch back");
-  }
+  ASSERT_TRUE(engine->SwitchScheme(variant.framework, variant.scheme).ok());
+  check("switch back");
   engine->Flush();
   check("flush");
   EXPECT_GT(sink.count(), 0u);

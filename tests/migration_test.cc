@@ -40,7 +40,6 @@ EngineConfig MigrationConfig(Framework framework, IndexScheme scheme) {
   cfg.index = scheme;
   cfg.theta = 0.7;
   cfg.lambda = 0.05;
-  cfg.enable_migration = true;
   return cfg;
 }
 
@@ -156,13 +155,16 @@ INSTANTIATE_TEST_SUITE_P(
              ToString(info.param.dst_fw) + ToString(info.param.dst_scheme);
     });
 
-TEST(MigrationTest, SwitchRequiresMigrationEnabled) {
-  EngineConfig cfg;  // defaults: STR-L2, no migration
+TEST(MigrationTest, SwitchIsAllowedOnADefaultEngine) {
+  EngineConfig cfg;  // defaults: STR-L2
   auto engine = SssjEngine::Make(cfg, nullptr);
   ASSERT_TRUE(engine.ok());
   const Status status =
       (*engine)->SwitchScheme(Framework::kMiniBatch, IndexScheme::kInv);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ((*engine)->active_framework(), Framework::kMiniBatch);
+  EXPECT_EQ((*engine)->active_scheme(), IndexScheme::kInv);
+  EXPECT_EQ((*engine)->scheme_switches(), 1u);
 }
 
 TEST(MigrationTest, SwitchToUnknownSchemeIsInvalidArgument) {
@@ -358,7 +360,7 @@ TEST(MigrationTest, CheckpointAfterSwitchRestoresIntoStaticEngine) {
   ASSERT_TRUE(writer.SaveCheckpoint(snapshot).ok());
 
   CollectorSink loader_sink;
-  EngineConfig static_cfg;  // no migration
+  EngineConfig static_cfg;
   static_cfg.framework = Framework::kStreaming;
   static_cfg.index = IndexScheme::kInv;
   static_cfg.theta = 0.7;
@@ -471,9 +473,9 @@ TEST(MigrationTest, NativeFileIntoMigrationEngineIsRefused) {
 }
 
 TEST(MigrationTest, PortableFileIntoNativeEngineRestores) {
-  // The reverse direction IS allowed: a plain STR-L2 engine can read a
-  // portable file (the replay rebuilds its index), so operators can move
-  // state out of an adaptive deployment into a fixed one.
+  // An STR-L2 engine reads an MB-INV engine's file (the replay rebuilds
+  // its index), so state moves between configurations through a file as
+  // well as through SwitchScheme.
   CollectorSink writer_sink;
   auto writer_or = SssjEngine::Make(
       MigrationConfig(Framework::kMiniBatch, IndexScheme::kInv), &writer_sink);
@@ -487,7 +489,7 @@ TEST(MigrationTest, PortableFileIntoNativeEngineRestores) {
   ASSERT_TRUE((*writer_or)->SaveCheckpoint(snapshot).ok());
 
   CollectorSink sink;
-  EngineConfig native_cfg;  // STR-L2, no migration
+  EngineConfig native_cfg;  // STR-L2
   native_cfg.theta = 0.7;
   native_cfg.lambda = 0.05;
   auto loader_or = SssjEngine::Make(native_cfg, &sink);
@@ -562,18 +564,19 @@ TEST(MigrationTest, ServiceSwitchSchemeMigratesSession) {
   ExpectMatchesOracle(stream, params, sink.pairs());
 }
 
-TEST(MigrationTest, ServiceSwitchSchemeRequiresMigrationEnabled) {
+TEST(MigrationTest, ServiceSwitchSchemeIsAllowedOnADefaultSession) {
   JoinService service;
-  auto session_or = service.CreateSession({"fixed", EngineConfig{}, nullptr});
+  auto session_or =
+      service.CreateSession({"default", EngineConfig{}, nullptr});
   ASSERT_TRUE(session_or.ok());
   const Status status = service.SwitchScheme(
       *session_or, Framework::kMiniBatch, IndexScheme::kInv);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
-// Migration-enabled sessions are evictable through the portable format —
-// including MB sessions with pairs pending in their windows, which must
-// survive the spill/reload/close cycle.
+// Sessions are evictable through the portable format — including MB
+// sessions with pairs pending in their windows, which must survive the
+// spill/reload/close cycle.
 TEST(MigrationTest, MigrationEnabledSessionSurvivesEviction) {
   const EngineConfig cfg =
       MigrationConfig(Framework::kMiniBatch, IndexScheme::kL2);

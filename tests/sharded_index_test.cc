@@ -203,13 +203,11 @@ TEST(StreamingJoinTest, PushBatchOverShardedIndex) {
   DecayParams params;
   ASSERT_TRUE(DecayParams::Make(0.6, 0.05, &params));
 
-  StreamingJoin batched(params,
-                        std::make_unique<ShardedStreamIndex>(params, 2));
+  StreamingJoin batched(std::make_unique<ShardedStreamIndex>(params, 2));
   CollectorSink batch_sink;
   EXPECT_EQ(batched.PushBatch(stream, &batch_sink), stream.size());
 
-  StreamingJoin itemized(params,
-                         std::make_unique<ShardedStreamIndex>(params, 2));
+  StreamingJoin itemized(std::make_unique<ShardedStreamIndex>(params, 2));
   CollectorSink item_sink;
   for (const StreamItem& item : stream) {
     EXPECT_TRUE(itemized.Push(item, &item_sink));

@@ -40,8 +40,6 @@ EngineConfig SpillableConfig() {
   config.index = IndexScheme::kL2;
   config.theta = 0.6;
   config.lambda = 0.05;
-  // Portable checkpoints: the format another process can always load.
-  config.enable_migration = true;
   return config;
 }
 
