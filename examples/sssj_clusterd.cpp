@@ -3,7 +3,7 @@
 // across workers by rendezvous hash and supervising crashes.
 //
 //   ./sssj_clusterd --workers=4 --socket=/tmp/sssj-cluster.sock
-//                   [--spill-dir=DIR] [--checkpoint-interval=N]
+//                   [--spill-dir=DIR]
 //
 // Clients speak the same wire format a worker does; the router maps
 // each request to the session's home worker, journals acked mutations,
@@ -13,17 +13,22 @@
 // (sessions live in the workers, not the connection). kShutdown stops
 // the fleet and exits.
 //
-// --checkpoint-interval=N (default 64) bounds an MB session's journal:
-// the router pulls its checkpoint every N journaled ops (0: only on an
-// explicit checkpoint). STR sessions pull none; their journals are
-// trimmed at the horizon τ.
+// The router pulls no checkpoint of its own: a session's journal is
+// trimmed at the horizon τ (STR) or at two windows (MB), and a crashed
+// worker's sessions recover from it. A kCheckpoint frame pulls one on
+// request.
+//
+// Exit status: 0 after kShutdown; 2 on a bad command line (an unknown
+// flag, a missing --socket, --workers not a positive integer), before
+// any worker is forked; 1 when the fleet or the listener cannot start.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "cluster/channel.h"
 #include "cluster/supervisor.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -150,20 +155,28 @@ int main(int argc, char** argv) {
     if (ParseFlag(argv[i], "--socket", &value)) {
       socket_path = value;
     } else if (ParseFlag(argv[i], "--workers", &value)) {
-      options.num_workers = std::atoi(value.c_str());
+      int64_t workers = 0;
+      if (!sssj::ParseFlagInt(value, &workers) || workers < 1 ||
+          workers > INT_MAX) {
+        std::fprintf(stderr,
+                     "sssj_clusterd: --workers must be a positive integer; "
+                     "got '%s'\n",
+                     value.c_str());
+        return 2;
+      }
+      options.num_workers = static_cast<int>(workers);
     } else if (ParseFlag(argv[i], "--spill-dir", &value)) {
       options.worker_service.spill_dir = value;
-    } else if (ParseFlag(argv[i], "--checkpoint-interval", &value)) {
-      options.checkpoint_interval =
-          std::strtoull(value.c_str(), nullptr, 10);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr,
                    "usage: sssj_clusterd --workers=K --socket=PATH "
-                   "[--spill-dir=DIR] [--checkpoint-interval=N]\n"
-                   "  --checkpoint-interval=N  MB sessions: pull a "
-                   "checkpoint every N journaled ops (default 64; 0 = only "
-                   "on request)\n");
+                   "[--spill-dir=DIR]\n"
+                   "  --workers=K      worker processes to fork (default 2)\n"
+                   "  --socket=PATH    Unix-domain socket to serve on\n"
+                   "  --spill-dir=DIR  where workers spill evicted sessions\n"
+                   "Sessions recover from their journals; the router pulls "
+                   "a checkpoint only on a kCheckpoint request.\n");
       return 2;
     }
   }

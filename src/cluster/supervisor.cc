@@ -14,6 +14,7 @@
 #include "cluster/worker.h"
 #include "core/similarity.h"
 #include "index/stream_index.h"
+#include "stream/minibatch.h"
 
 namespace sssj {
 namespace cluster {
@@ -154,20 +155,8 @@ Status Supervisor::RecoverWorker(int slot) {
       return Status::Internal("failover restore of session '" + name +
                               "' failed: " + reply.status.message());
     }
-    if (rec.config.framework == Framework::kStreaming) {
-      status = ReplayAsBatches(&proc.channel, name, rec.journal);
-      if (!status.ok()) return status;
-      continue;
-    }
-    for (const JournalOp& op : rec.journal) {
-      status = proc.channel.Call(op.type, op.payload, &reply);
-      if (!status.ok()) return status;
-      if (!reply.status.ok()) {
-        return Status::Internal("failover replay for session '" + name +
-                                "' failed: " + reply.status.message());
-      }
-      // reply.pairs dropped on the floor: acked = already delivered.
-    }
+    status = ReplayAsBatches(&proc.channel, name, rec.journal);
+    if (!status.ok()) return status;
   }
   return Status::Ok();
 }
@@ -201,7 +190,7 @@ Status Supervisor::ReplayAsBatches(FrameChannel* channel,
         Status status = DecodePushBatch(op->payload, &req);
         if (!status.ok()) return status;
         for (auto& item : req.items) batch.items.push_back(std::move(item));
-      }  // kFlush: a no-op on an STR engine
+      }  // kFlush: a no-op on an STR engine (an MB journal holds none)
     }
     if (batch.items.empty()) continue;
     Reply reply;
@@ -241,46 +230,53 @@ Status Supervisor::CallWorker(int slot, FrameType type,
                                                           reply);
 }
 
-void Supervisor::JournalOpLocked(const std::string& name, SessionRec* rec,
-                                 FrameType type, std::string payload,
-                                 uint64_t accepted, Timestamp newest_ts) {
+void Supervisor::JournalOpLocked(SessionRec* rec, FrameType type,
+                                 std::string payload, uint64_t accepted,
+                                 Timestamp newest_ts) {
+  const bool mini_batch = rec->config.framework == Framework::kMiniBatch;
+  if (mini_batch && type == FrameType::kFlush) {
+    // An MB Flush empties the core and restarts its clock: no earlier op
+    // shapes future output, and a not-started zero-item seed is the core
+    // the Flush left.
+    rec->journal.clear();
+    Reseed(rec, /*started=*/false, 0.0);
+    return;
+  }
   rec->journal.push_back(
       JournalOp{type, std::move(payload), rec->next_id, accepted, newest_ts});
   if (accepted > 0) {
     rec->next_id += accepted;
     rec->newest_ts = newest_ts;
   }
-  if (rec->config.framework == Framework::kStreaming) {
-    // Items OutsideHorizon of the newest accepted ts can never pair with
-    // a later arrival (time order), so the ops holding only such items
-    // no longer shape future output: drop them from the front. An op
-    // with no accepted items (an STR flush, an all-rejected batch) left
-    // the engine as it was. At λ = 0 τ is infinite and no item falls
-    // outside it: only such zero-item ops drop, and the journal holds
-    // every op since the last restore point, as the index holds every
-    // item.
-    while (!rec->journal.empty()) {
-      const JournalOp& front = rec->journal.front();
-      if (front.accepted > 0) {
-        if (!OutsideHorizon(front.newest_ts, rec->newest_ts, rec->horizon)) {
-          break;
-        }
-        rec->dropped_ts = front.newest_ts;
-        rec->seeded = true;
-        rec->checkpoint.clear();
-        rec->checkpoint.shrink_to_fit();
-      }
-      rec->journal.pop_front();
+  // Drop the leading ops that no longer shape future output. STR: items
+  // OutsideHorizon of the newest accepted ts can never pair with a later
+  // arrival (time order). MB: items in windows below the newest item's
+  // previous one were closed out of the core, and their pairs emitted.
+  // An op with no accepted items (an STR flush, an all-rejected batch)
+  // left the engine as it was. At λ = 0 τ is infinite and no item falls
+  // outside it (MB: everything is one window): only such zero-item ops
+  // drop, and the journal holds every op since the last restore point.
+  auto expired = [rec, mini_batch](Timestamp ts) {
+    return mini_batch ? MbWindowIndex(ts, rec->tau) <
+                            MbWindowIndex(rec->newest_ts, rec->tau) - 1.0
+                      : OutsideHorizon(ts, rec->newest_ts, rec->tau);
+  };
+  while (!rec->journal.empty()) {
+    const JournalOp& front = rec->journal.front();
+    if (front.accepted > 0) {
+      if (!expired(front.newest_ts)) break;
+      Reseed(rec, /*started=*/true, front.newest_ts);
     }
-    return;
+    rec->journal.pop_front();
   }
-  if (options_.checkpoint_interval > 0 &&
-      rec->journal.size() >= options_.checkpoint_interval) {
-    // Best-effort: a failed periodic checkpoint must not fail the push
-    // that triggered it — the journal simply keeps growing and the next
-    // op retries the refresh.
-    (void)CheckpointLocked(name, rec);
-  }
+}
+
+void Supervisor::Reseed(SessionRec* rec, bool started, Timestamp clock) {
+  rec->seeded = true;
+  rec->seed_started = started;
+  rec->seed_clock = clock;
+  rec->checkpoint.clear();
+  rec->checkpoint.shrink_to_fit();
 }
 
 Status Supervisor::CheckpointLocked(const std::string& name, SessionRec* rec) {
@@ -302,18 +298,18 @@ Status Supervisor::CheckpointLocked(const std::string& name, SessionRec* rec) {
 std::string Supervisor::SeedCheckpoint(const SessionRec& rec) {
   // The engine a restore of the kept ops' items would build, before
   // those items replay: no live items, the id counter at the first kept
-  // op, the clock at the newest dropped item (the last accepted ts
-  // before that op, so the replay re-derives every reject), and nothing
-  // below the first kept id left to report.
+  // op, the clock the seed was taken at (after a trim, the newest dropped
+  // item: the last accepted ts before that op, so the replay re-derives
+  // every reject), and nothing below the first kept id left to report.
   CheckpointHeader header;
-  header.framework = Framework::kStreaming;
+  header.framework = rec.config.framework;
   header.scheme = rec.config.index;
   header.theta = rec.config.theta;
   header.lambda = rec.config.lambda;
   header.next_id =
       rec.journal.empty() ? rec.next_id : rec.journal.front().first_id;
-  header.last_ts = rec.dropped_ts;
-  header.started = true;
+  header.last_ts = rec.seed_clock;
+  header.started = rec.seed_started;
   header.watermark = header.next_id;
   std::ostringstream os;
   (void)WriteCheckpoint(header, Stream(), os);  // a string stream: no I/O
@@ -330,9 +326,8 @@ Status Supervisor::CreateSession(const std::string& name,
   SessionRec rec;
   rec.config = config;
   DecayParams params;
-  if (config.framework == Framework::kStreaming &&
-      DecayParams::Make(config.theta, config.lambda, &params)) {
-    rec.horizon = params.tau;  // the engine's own τ, bit for bit
+  if (DecayParams::Make(config.theta, config.lambda, &params)) {
+    rec.tau = params.tau;  // the engine's own τ, bit for bit
   }
   rec.worker = RendezvousOwner(name, options_.num_workers);
   CreateSessionRequest req;
@@ -365,7 +360,7 @@ Status Supervisor::Push(const std::string& name, Timestamp ts, SparseVector vec,
   if (pairs != nullptr) {
     pairs->insert(pairs->end(), reply.pairs.begin(), reply.pairs.end());
   }
-  JournalOpLocked(name, &it->second, FrameType::kPush, std::move(payload),
+  JournalOpLocked(&it->second, FrameType::kPush, std::move(payload),
                   /*accepted=*/1, ts);
   return Status::Ok();
 }
@@ -411,7 +406,7 @@ StatusOr<BatchPushResult> Supervisor::PushBatch(const std::string& name,
   }
   // Journal even a partially-rejected batch: the accepted items mutated
   // the engine, and a replay re-derives the same rejects.
-  JournalOpLocked(name, &it->second, FrameType::kPushBatch, std::move(payload),
+  JournalOpLocked(&it->second, FrameType::kPushBatch, std::move(payload),
                   reply.accepted, newest_ts);
   return result;
 }
@@ -432,8 +427,9 @@ Status Supervisor::Flush(const std::string& name,
   if (pairs != nullptr) {
     pairs->insert(pairs->end(), reply.pairs.begin(), reply.pairs.end());
   }
-  // Flush mutates MB window state, so it journals like a push.
-  JournalOpLocked(name, &it->second, FrameType::kFlush, std::move(payload),
+  // An STR Flush journals like a push; an MB Flush, which empties the
+  // core, becomes the restore point.
+  JournalOpLocked(&it->second, FrameType::kFlush, std::move(payload),
                   /*accepted=*/0, 0.0);
   return Status::Ok();
 }

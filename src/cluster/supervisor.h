@@ -22,37 +22,42 @@
 // replays each journal in order *discarding the replayed replies' pairs*
 // (they were already delivered — that discard is the exactly-once rule),
 // and finally retries the in-flight request, whose reply is delivered
-// normally. An STR journal replays as kPushBatch frames of its items (an
-// STR Flush is a no-op, and a batch re-derives each reject in order); an
-// MB journal replays op by op.
+// normally. A journal replays as kPushBatch frames of its ops' items (an
+// STR Flush is a no-op, and a batch re-derives each reject in order).
 //
-// What bounds the journal depends on the framework:
-//   * STR: an item older than the horizon τ can never pair again, so
-//     after every journaled op the supervisor drops the leading ops whose
-//     accepted items are all OutsideHorizon of the newest accepted ts.
-//     Once an op with items is dropped, the restore point becomes a
-//     zero-item SSSJENG3 seed (next id = the first kept op's first id,
-//     clock = the newest dropped ts, watermark = next id), and the replay
-//     of the kept ops rebuilds the index a restore of those items would
-//     build. At λ = 0 τ is infinite, so no op with items drops: the
-//     journal holds every op since CreateSession or the last
-//     Checkpoint()/Migrate, as the index holds every item. STR sessions
-//     pull a checkpoint only on an explicit Checkpoint().
-//   * MB: the restore point is a pulled SSSJENG3 checkpoint, refreshed
-//     every checkpoint_interval ops.
+// No session pulls a checkpoint except on an explicit Checkpoint(). After
+// every journaled op the supervisor drops the leading ops that no longer
+// shape future output; what bounds the journal depends on the framework:
+//   * STR: an item older than the horizon τ can never pair again, so the
+//     dropped ops are those whose accepted items are all OutsideHorizon
+//     of the newest accepted ts.
+//   * MB: windows sit on the grid [kτ, (k+1)τ) (MbWindowIndex), and the
+//     core buffers only the newest item's window k and window k − 1, so
+//     the dropped ops are those whose items all lie in windows below
+//     k − 1. An MB Flush empties the core and restarts its clock: it
+//     clears the journal and becomes the restore point itself (a
+//     not-started seed with the clock at 0), so an MB journal never holds
+//     a Flush.
+// Once an op with items is dropped, the restore point becomes a zero-item
+// SSSJENG3 seed (next id = the first kept op's first id, clock = the
+// newest dropped ts, watermark = next id), and the replay of the kept
+// ops rebuilds the core a restore of those items would build: the STR
+// index, or the MB windows, whose first close on replay indexes an empty
+// window. At λ = 0 τ is infinite (MB: one window), so no op with items
+// drops: the journal holds every op since CreateSession, the last MB
+// Flush, or the last Checkpoint()/Migrate, as the core holds every item.
 //
-// What failover guarantees depends on the framework and scheme:
-//   * STR-INV and STR-L2: no pair is lost, none is delivered twice, and
-//     every pair has the bits it would have had without the crash.
-//   * STR-L2AP: the pair set is the same, the bits of a score may not
-//     be. A restore rebuilds the max vector from the replayed items only,
-//     which can move a prefix boundary and a score's summation order.
-//   * MB: exactly-once and bitwise while the session's restore point is
-//     its CreateSession (no checkpoint pulled or migrated yet). From a
-//     checkpoint, a restored MB core re-anchors its windows at its first
-//     live item, so the replay can close a window at another op than the
-//     original did, and that window's pairs are then lost or delivered
-//     twice (ROADMAP item 6). A Migrate discards nothing and is exact.
+// What failover guarantees, per framework and scheme:
+//
+//   session            pairs lost or repeated   a pair's bits
+//   MB (any scheme)    none                     as without the crash
+//   STR-INV, STR-L2    none                     as without the crash
+//   STR-L2AP           none                     may differ
+//
+// A restore rebuilds STR-L2AP's max vector from the replayed items only,
+// which can move a prefix boundary and a score's summation order: the
+// pair set holds, not the bits. A Migrate discards nothing and is exact
+// for every scheme.
 //
 // Fork model: workers are forked (no exec) with a socketpair as their
 // only link to the supervisor. Fork only happens while the supervisor
@@ -86,12 +91,6 @@ namespace cluster {
 struct SupervisorOptions {
   // Worker fleet size; fixed for the supervisor's lifetime.
   int num_workers = 2;
-  // MB sessions: refresh the stored checkpoint (and truncate the journal)
-  // after this many journaled mutating operations. Smaller = cheaper
-  // replay after a crash, more checkpoint traffic. 0 = only explicit
-  // Checkpoint() calls truncate journals. STR sessions ignore it: their
-  // journals are trimmed at τ.
-  uint64_t checkpoint_interval = 64;
   // Forwarded to each worker's JoinService (num_threads is forced to 1
   // inside the worker regardless).
   JoinServiceOptions worker_service;
@@ -149,8 +148,8 @@ class Supervisor {
   int num_workers() const { return options_.num_workers; }
   // Lifetime count of crash-restarts (not graceful shutdowns).
   uint64_t restarts() const SSSJ_EXCLUDES(mu_);
-  // Lifetime count of checkpoints pulled from workers: periodic refreshes
-  // plus explicit Checkpoint() calls (a Migrate's transfer is not one).
+  // Lifetime count of checkpoints pulled from workers: explicit
+  // Checkpoint() calls (a Migrate's transfer is not one).
   uint64_t checkpoint_pulls() const SSSJ_EXCLUDES(mu_);
   // A session's failover state: what a restart would restore and replay.
   struct JournalInfo {
@@ -183,19 +182,22 @@ class Supervisor {
 
   struct SessionRec {
     WireConfig config;
-    // τ, the horizon an STR session's journal is trimmed at (+inf at
-    // λ = 0). MB sessions pull checkpoints instead and never read it.
-    double horizon = std::numeric_limits<double>::infinity();
+    // τ (+inf at λ = 0): an STR journal is trimmed at the horizon τ, an
+    // MB journal at windows of length τ.
+    double tau = std::numeric_limits<double>::infinity();
     int worker = 0;
     // The pulled restore point; empty = a fresh CreateSession, or the
     // zero-item seed once `seeded`.
     std::string checkpoint;
-    // A trim dropped an op with items: restore from SeedCheckpoint().
+    // Restore from SeedCheckpoint(): a trim dropped an op with items (a
+    // started seed, clocked at the newest dropped ts), or an MB Flush
+    // emptied the core (a not-started seed at 0).
     bool seeded = false;
+    bool seed_started = false;
+    Timestamp seed_clock = 0.0;
     std::deque<JournalOp> journal;
-    VectorId next_id = 0;        // ids the session has assigned
-    Timestamp newest_ts = 0.0;   // newest accepted ts
-    Timestamp dropped_ts = 0.0;  // newest ts a trim dropped: the seed clock
+    VectorId next_id = 0;       // ids the session has assigned
+    Timestamp newest_ts = 0.0;  // newest accepted ts
     uint64_t pulls = 0;
   };
 
@@ -204,8 +206,8 @@ class Supervisor {
   // SIGKILL + reap + refork + restore every session homed on `slot`
   // (checkpoint, then journal replay with pairs discarded).
   Status RecoverWorker(int slot) SSSJ_REQUIRES(mu_);
-  // RecoverWorker's replay of an STR journal, pairs discarded: the ops'
-  // items as kPushBatch frames instead of one frame per op.
+  // RecoverWorker's replay of a journal, pairs discarded: the ops' items
+  // as kPushBatch frames instead of one frame per op.
   static Status ReplayAsBatches(FrameChannel* channel, const std::string& name,
                                 const std::deque<JournalOp>& journal);
   // Sends one request; on kIoError runs RecoverWorker and retries once.
@@ -214,16 +216,19 @@ class Supervisor {
                     Reply* reply) SSSJ_REQUIRES(mu_);
   // Journal bookkeeping after a successful mutating call that got
   // `accepted` items accepted, the newest at `newest_ts`: trims an STR
-  // journal at the horizon, or refreshes an MB session's pulled
-  // checkpoint every checkpoint_interval ops.
-  void JournalOpLocked(const std::string& name, SessionRec* rec,
-                       FrameType type, std::string payload, uint64_t accepted,
-                       Timestamp newest_ts) SSSJ_REQUIRES(mu_);
+  // journal at the horizon and an MB journal at two windows; an MB Flush
+  // becomes the restore point.
+  void JournalOpLocked(SessionRec* rec, FrameType type, std::string payload,
+                       uint64_t accepted, Timestamp newest_ts)
+      SSSJ_REQUIRES(mu_);
+  // Makes the zero-item seed the session's restore point.
+  static void Reseed(SessionRec* rec, bool started, Timestamp clock);
   // kCheckpoint to the session's worker; stores the blob, clears the
   // journal.
   Status CheckpointLocked(const std::string& name, SessionRec* rec)
       SSSJ_REQUIRES(mu_);
-  // The zero-item SSSJENG3 restore point of a seeded session.
+  // The zero-item SSSJENG3 restore point of a seeded session, written
+  // with the session's framework.
   static std::string SeedCheckpoint(const SessionRec& rec);
 
   const SupervisorOptions options_;

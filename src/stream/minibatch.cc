@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 namespace sssj {
@@ -25,16 +24,13 @@ MiniBatchJoin::MiniBatchJoin(const DecayParams& params, IndexFactory factory,
   if (pool_ != nullptr && pool_->num_threads() == 1) pool_.reset();
 }
 
-namespace {
-// End of the window anchored at `start`. For the degenerate τ = 0 (θ = 1
-// with λ > 0: only simultaneous pairs can qualify) the window is the
-// smallest half-open interval containing `start`, so equal timestamps
-// share a window and any later timestamp closes it.
-Timestamp WindowEndFor(Timestamp start, double tau) {
-  if (tau > 0.0) return start + tau;  // +inf tau → window never closes
-  return std::nextafter(start, std::numeric_limits<Timestamp>::infinity());
+double MbWindowIndex(Timestamp ts, double window_len) {
+  if (std::isinf(window_len)) return 0.0;
+  if (window_len == 0.0) return ts;
+  return std::floor(ts / window_len);
 }
 
+namespace {
 size_t WindowBytes(const Stream& window) {
   size_t bytes = 0;
   for (const StreamItem& item : window) bytes += StreamItemBytes(item);
@@ -50,23 +46,20 @@ bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
     started_ = true;
     stats_ = RunStats{};
     peak_index_bytes_ = 0;
-    window_end_ = WindowEndFor(x.ts, window_len_);
   }
   last_ts_ = x.ts;
-  if (x.ts >= window_end_) {
-    // x starts a new window. O(1) advance, even across long silent gaps:
+  const double window = MbWindowIndex(x.ts, window_len_);
+  if (!cur_.empty() && window > window_) {
+    // x starts a new window. O(1), even across long silent gaps:
     CloseWindow(sink);
-    if (window_len_ > 0.0 && x.ts < window_end_ + window_len_) {
-      // x lands in the window adjacent to the one just closed — the only
-      // case where pairs may span the boundary.
-      window_end_ += window_len_;
-    } else {
-      // The gap exceeds a full window: nothing in the buffered window can
-      // pair with x, so flush it too and re-anchor at x.
+    if (window_len_ == 0.0 || window > window_ + 1.0) {
+      // x is not in the window after the one just closed (at τ = 0 no
+      // two windows pair), so nothing buffered can pair with it: close
+      // that one too.
       CloseWindow(sink);
-      window_end_ = WindowEndFor(x.ts, window_len_);
     }
   }
+  window_ = window;
   cur_.push_back(x);
   cur_bytes_ += StreamItemBytes(x);
   ++stats_.vectors_processed;
@@ -79,7 +72,6 @@ void MiniBatchJoin::Flush(ResultSink* sink) {
   CloseWindow(sink);
   CloseWindow(sink);
   started_ = false;
-  window_end_ = 0.0;
   last_ts_ = 0.0;
 }
 

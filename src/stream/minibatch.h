@@ -1,6 +1,10 @@
 // MB-IDX — the MiniBatch framework (Algorithm 1, refined per §6.1).
 //
-// The stream is chopped into consecutive windows of length τ. The index
+// The stream is chopped into consecutive windows of length τ on the grid
+// [kτ, (k+1)τ) (MbWindowIndex): an item's window depends on its timestamp
+// alone, not on where the stream began, so a core rebuilt from its live
+// items W_{k−1} ∪ W_k (a checkpoint restore, a migration, a fleet replay)
+// closes every later window exactly where the original did. The index
 // over window W_{k−1} is built lazily, at the *end* of window W_k, so that
 // the AP-family prefix-filter invariant can be established with a max
 // vector covering both the indexed data (W_{k−1}) and all its future
@@ -20,8 +24,10 @@
 // notes, MB reports pairs with a delay of up to 2τ and wastes work on
 // candidate pairs with Δt ∈ (τ, 2τ] that ApplyDecay then rejects.
 //
-// Special case λ = 0 (τ = ∞): the window never closes and Flush() performs
-// one classic batch apss over the whole stream.
+// Special cases: at λ = 0 (τ = ∞) there is one window, which never closes,
+// and Flush() performs one classic batch apss over the whole stream; at
+// τ = 0 (θ = 1) every distinct timestamp is a window of its own, and no
+// two of them pair.
 //
 // Parallel window close (num_threads > 1): once the index over W_{k−1} is
 // built it is immutable, so the query phase — each vector of W_k probing
@@ -49,6 +55,13 @@
 #include "util/thread_pool.h"
 
 namespace sssj {
+
+// The index of the MB window holding `ts`, for windows of length
+// `window_len`: floor(ts / window_len), so window k is [k·len, (k+1)·len).
+// One window (index 0) at window_len = ∞; one per distinct ts (the ts
+// itself) at window_len = 0. The fleet supervisor trims an MB session's
+// journal with this same function.
+double MbWindowIndex(Timestamp ts, double window_len);
 
 class MiniBatchJoin final : public JoinCore {
  public:
@@ -89,7 +102,6 @@ class MiniBatchJoin final : public JoinCore {
   // Statistics over all window indexes built in the current run (i.e.
   // since construction or the first Push after a Flush).
   const RunStats& stats() const override { return stats_; }
-  const DecayParams& params() const { return params_; }
 
   // Approximate resident bytes: the buffered windows W_{k−1} and W_k plus
   // the peak footprint of a per-window index seen this run (the index
@@ -116,10 +128,9 @@ class MiniBatchJoin final : public JoinCore {
 
   // Checkpoint-restore hook: re-arms the clock after a replay rebuilt the
   // windows. With items replayed the clock is already correct and this is
-  // a re-assertion; for a started-but-empty snapshot (possible only in
-  // adversarial inputs) the window anchor stays at its default and the
-  // next Push's gap logic re-anchors it — completeness holds for any
-  // window ≥ τ.
+  // a re-assertion. A started core with no items (the fleet's zero-item
+  // seed) has no current window: its next Push takes that item's window,
+  // as any later arrival's window is fixed by the grid.
   void RestoreClock(Timestamp last_ts, bool started) override {
     last_ts_ = last_ts;
     started_ = started;
@@ -156,7 +167,7 @@ class MiniBatchJoin final : public JoinCore {
   Stream cur_;   // W_k: accumulating
   size_t prev_bytes_ = 0;  // WindowBytes(prev_)
   size_t cur_bytes_ = 0;   // WindowBytes(cur_)
-  Timestamp window_end_ = 0.0;
+  double window_ = 0.0;  // MbWindowIndex of cur_ (meaningless while empty)
   Timestamp last_ts_ = 0.0;
   bool started_ = false;
   RunStats stats_;

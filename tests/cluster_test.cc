@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -25,6 +26,7 @@
 #include "core/engine.h"
 #include "core/similarity.h"
 #include "index/stream_index.h"
+#include "stream/minibatch.h"
 #include "tests/test_util.h"
 
 namespace sssj {
@@ -129,12 +131,11 @@ TEST(ClusterEquivalenceTest, HeterogeneousSessionsBitwiseMatchInProcess) {
 
   SupervisorOptions options;
   options.num_workers = 3;
-  options.checkpoint_interval = 10;  // exercise periodic checkpoints too
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   ClusterClient remote(&supervisor);
   const auto clustered = RunSessions(&remote, specs);
-  EXPECT_GE(supervisor.checkpoint_pulls(), 10u);
+  EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
   supervisor.Shutdown();
 
   ASSERT_EQ(in_process.size(), clustered.size());
@@ -300,7 +301,6 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
   {
     SupervisorOptions options;
     options.num_workers = 2;
-    options.checkpoint_interval = 7;
     Supervisor supervisor(options);
     ASSERT_TRUE(supervisor.Start().ok());
     ClusterClient client(&supervisor);
@@ -313,7 +313,6 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
   // un-acked work while suppressing already-delivered pairs.
   SupervisorOptions options;
   options.num_workers = 2;
-  options.checkpoint_interval = 7;
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   std::map<std::string, std::vector<ResultPair>> got;
@@ -345,16 +344,12 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
     }
   }
   for (const SessionSpec& spec : specs) {
-    // STR sessions recover from their horizon-trimmed journal through a
-    // zero-item seed; only the MB sessions pull checkpoints.
+    // Every session recovers from its trimmed journal through a zero-item
+    // seed; none pulls a checkpoint.
     const auto info = supervisor.journal_info(spec.name);
     ASSERT_TRUE(info.ok());
-    if (spec.config.framework == Framework::kStreaming) {
-      EXPECT_EQ(info->checkpoint_pulls, 0u) << spec.name;
-      EXPECT_LT(info->ops, spec.stream.size()) << spec.name << ": no trim";
-    } else {
-      EXPECT_GT(info->checkpoint_pulls, 0u) << spec.name;
-    }
+    EXPECT_EQ(info->checkpoint_pulls, 0u) << spec.name;
+    EXPECT_LT(info->ops, spec.stream.size()) << spec.name << ": no trim";
     ASSERT_TRUE(supervisor.Flush(spec.name, &got[spec.name]).ok());
     ASSERT_TRUE(supervisor.CloseSession(spec.name, &got[spec.name]).ok());
   }
@@ -508,13 +503,14 @@ std::vector<FleetOp> KillScript(const std::vector<SessionSpec>& specs,
 
 // Runs the script; SIGKILLs the session's owner before each op index in
 // `kill_before`, and once right after the first push at or past
-// `kill_after_trim_from` that shrank its session's journal (an STR trim
-// or an MB refresh; SIZE_MAX: never).
+// `kill_after_trim_from` that shrank its session's journal (a trim;
+// SIZE_MAX: never).
 std::map<std::string, std::vector<ResultPair>> RunKillScript(
     Supervisor* supervisor, const std::vector<SessionSpec>& specs,
     const std::vector<FleetOp>& script, const std::set<size_t>& kill_before,
     size_t kill_after_trim_from) {
   std::map<std::string, std::vector<ResultPair>> out;
+  std::map<std::string, uint64_t> checkpoints;
   for (const SessionSpec& spec : specs) {
     EXPECT_TRUE(supervisor->CreateSession(spec.name, spec.config).ok());
     out[spec.name];
@@ -552,6 +548,7 @@ std::map<std::string, std::vector<ResultPair>> RunKillScript(
         break;
       case FleetOp::kCheckpoint:
         EXPECT_TRUE(supervisor->Checkpoint(spec.name).ok());
+        ++checkpoints[spec.name];
         break;
     }
     const bool trimmed = op.kind == FleetOp::kPush &&
@@ -564,10 +561,8 @@ std::map<std::string, std::vector<ResultPair>> RunKillScript(
   for (const SessionSpec& spec : specs) {
     const auto info = supervisor->journal_info(spec.name);
     EXPECT_TRUE(info.ok());
-    // STR sessions pull only the scripted Checkpoint().
-    if (spec.config.framework == Framework::kStreaming) {
-      EXPECT_EQ(info->checkpoint_pulls, 1u) << spec.name;
-    }
+    // A session pulls only the scripted Checkpoint()s.
+    EXPECT_EQ(info->checkpoint_pulls, checkpoints[spec.name]) << spec.name;
     EXPECT_TRUE(supervisor->Flush(spec.name, &out[spec.name]).ok());
     EXPECT_TRUE(supervisor->CloseSession(spec.name, &out[spec.name]).ok());
   }
@@ -607,16 +602,6 @@ TEST(ClusterFailoverTest, SeededRandomKillsMatchUndisturbedFleet) {
       const std::vector<ResultPair>& mine = got.at(spec.name);
       EXPECT_FALSE(pairs.empty())
           << spec.name << ": no pairs — the pin is vacuous";
-      if (spec.config.framework == Framework::kMiniBatch) {
-        // Not compared: once this session has pulled a checkpoint or
-        // migrated, a restored MB core re-anchors its windows at its first
-        // live item, so a journal replay after it can emit a window's
-        // pairs at other ops than the original did, and failover then
-        // loses or repeats them (ROADMAP item 6). The session still shares
-        // the fleet's restarts, so its restores and replays run here;
-        // MbKillsBeforeAnyPullMatchUndisturbedFleet pins the exact case.
-        continue;
-      }
       if (spec.config.index == IndexScheme::kL2ap) {
         // Any restore rebuilds STR-L2AP's max vector from the replayed
         // items only, which can move an item's prefix boundary and with
@@ -630,10 +615,11 @@ TEST(ClusterFailoverTest, SeededRandomKillsMatchUndisturbedFleet) {
   }
 }
 
-// MB failover is exact while a session's restore point is its
-// CreateSession: the replay then runs every acked op, a mid-stream Flush
-// included, through a fresh core, whose windows are the original's. The
-// streams end before the first periodic pull.
+// MB failover is exact from every restore point: the CreateSession, the
+// not-started seed a mid-stream Flush leaves, and the started seed of a
+// trimmed journal, whose replay rebuilds the original's windows because
+// they sit on the grid. No session pulls a checkpoint. The streams span
+// over 20 windows, and one kill lands right after a trim.
 TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
   SupervisorOptions options;
   options.num_workers = 2;
@@ -646,9 +632,9 @@ TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
       spec.config.framework = Framework::kMiniBatch;
       spec.config.index = index;
       spec.config.theta = 0.5;
-      spec.config.lambda = 0.1;  // τ ≈ 7; the streams span ~60
+      spec.config.lambda = 0.1;  // τ ≈ 7; the streams span ~150
       RandomStreamSpec stream_spec;
-      stream_spec.n = options.checkpoint_interval - 5;  // + 1 Flush
+      stream_spec.n = 150;  // + 1 Flush
       stream_spec.dims = 30;
       stream_spec.seed = seed * 16 + specs.size();
       spec.stream = RandomStream(stream_spec);
@@ -673,11 +659,12 @@ TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
     for (int i = 0; i < 4; ++i) {
       kill_before.insert(rng.NextBelow(script.size()));
     }
+    const size_t kill_after_trim_from = rng.NextBelow(script.size() / 2);
     Supervisor supervisor(options);
     ASSERT_TRUE(supervisor.Start().ok());
-    const auto got =
-        RunKillScript(&supervisor, specs, script, kill_before, SIZE_MAX);
-    EXPECT_GE(supervisor.restarts(), 1u);
+    const auto got = RunKillScript(&supervisor, specs, script, kill_before,
+                                   kill_after_trim_from);
+    EXPECT_GE(supervisor.restarts(), 2u);
     EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
     for (const SessionSpec& spec : specs) {
       EXPECT_FALSE(want.at(spec.name).empty())
@@ -703,7 +690,7 @@ TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
     spec.config.theta = 0.6;
     spec.config.lambda = 0.0;
     RandomStreamSpec stream_spec;
-    stream_spec.n = 2 * options.checkpoint_interval + 10;
+    stream_spec.n = 138;
     stream_spec.dims = 30;
     stream_spec.seed = 90 + specs.size();
     spec.stream = RandomStream(stream_spec);
@@ -748,30 +735,37 @@ TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
 
 // ---- journal bounds: what each session keeps for failover ----
 
-TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
+// Every journal is bounded without a pull: an STR journal holds the
+// pushes inside the horizon, an MB journal the pushes in the newest
+// item's window and the one before it; at λ = 0 both hold every push.
+TEST(ClusterJournalTest, FleetPastHorizonPullsNothing) {
   SupervisorOptions options;
   options.num_workers = 2;
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   struct Tenant {
     std::string name;
+    Framework framework;
     IndexScheme index;
     double lambda;
   };
   // At λ = 0.1 the stream spans over 20 horizons; at λ = 0 τ is infinite
   // and every push stays in the journal.
   const std::vector<Tenant> tenants = {
-      {"inv", IndexScheme::kInv, 0.1},
-      {"l2", IndexScheme::kL2, 0.1},
-      {"l2ap", IndexScheme::kL2ap, 0.1},
-      {"inv-forever", IndexScheme::kInv, 0.0},
-      {"l2-forever", IndexScheme::kL2, 0.0},
-      {"l2ap-forever", IndexScheme::kL2ap, 0.0}};
+      {"inv", Framework::kStreaming, IndexScheme::kInv, 0.1},
+      {"l2", Framework::kStreaming, IndexScheme::kL2, 0.1},
+      {"l2ap", Framework::kStreaming, IndexScheme::kL2ap, 0.1},
+      {"mb-l2", Framework::kMiniBatch, IndexScheme::kL2, 0.1},
+      {"inv-forever", Framework::kStreaming, IndexScheme::kInv, 0.0},
+      {"l2-forever", Framework::kStreaming, IndexScheme::kL2, 0.0},
+      {"l2ap-forever", Framework::kStreaming, IndexScheme::kL2ap, 0.0},
+      {"mb-l2-forever", Framework::kMiniBatch, IndexScheme::kL2, 0.0}};
   WireConfig config;
   config.theta = 0.6;
   DecayParams params;
   ASSERT_TRUE(DecayParams::Make(config.theta, 0.1, &params));
   for (const Tenant& tenant : tenants) {
+    config.framework = tenant.framework;
     config.index = tenant.index;
     config.lambda = tenant.lambda;
     ASSERT_TRUE(supervisor.CreateSession(tenant.name, config).ok());
@@ -781,11 +775,17 @@ TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
   stream_spec.seed = 5;
   const Stream stream = RandomStream(stream_spec);
   ASSERT_GT(stream.back().ts - stream.front().ts, 20 * params.tau);
+  size_t most_mb_ops = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
     size_t in_horizon = 0;
+    size_t in_two_windows = 0;
+    const double newest_window = MbWindowIndex(stream[i].ts, params.tau);
     for (size_t j = 0; j <= i; ++j) {
       if (!OutsideHorizon(stream[j].ts, stream[i].ts, params.tau)) {
         ++in_horizon;
+      }
+      if (MbWindowIndex(stream[j].ts, params.tau) >= newest_window - 1.0) {
+        ++in_two_windows;
       }
     }
     for (const Tenant& tenant : tenants) {
@@ -794,43 +794,70 @@ TEST(ClusterJournalTest, StrFleetPastHorizonPullsNothing) {
               .ok());
       const auto info = supervisor.journal_info(tenant.name);
       ASSERT_TRUE(info.ok());
-      // Exactly the in-horizon pushes: one op per push, trimmed at τ.
-      ASSERT_EQ(info->ops, tenant.lambda > 0.0 ? in_horizon : i + 1)
-          << tenant.name << " after push " << i;
+      // One op per push, trimmed at τ (STR) or at two windows (MB).
+      const size_t want =
+          tenant.lambda == 0.0 ? i + 1
+          : tenant.framework == Framework::kStreaming ? in_horizon
+                                                      : in_two_windows;
+      ASSERT_EQ(info->ops, want) << tenant.name << " after push " << i;
       EXPECT_EQ(info->checkpoint_bytes, 0u);
       EXPECT_EQ(info->checkpoint_pulls, 0u);
     }
+    most_mb_ops = std::max(most_mb_ops, in_two_windows);
   }
+  EXPECT_LT(most_mb_ops, stream.size() / 10) << "the MB trim is vacuous";
   EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
 }
 
-TEST(ClusterJournalTest, PullingSessionsKeepTheIntervalRule) {
+// An MB Flush empties the core, so it empties the journal too, and the
+// core's clock restarts, so a push may go back in time; a failover then
+// restores the not-started seed the Flush left and replays only what came
+// after it, and the output matches the in-process run.
+TEST(ClusterJournalTest, MbFlushRestartsTheJournal) {
+  WireConfig mb;
+  mb.framework = Framework::kMiniBatch;
+  mb.theta = 0.55;
+  mb.lambda = 0.1;
+  RandomStreamSpec stream_spec;
+  stream_spec.n = 60;
+  stream_spec.dims = 20;
+  stream_spec.seed = 12;
+  const Stream stream = RandomStream(stream_spec);
+  const size_t half = stream.size() / 2;
+  auto run = [&](ClusterClient* client, Supervisor* supervisor) {
+    std::vector<ResultPair> pairs;
+    EXPECT_TRUE(client->CreateSession("mb", mb).ok());
+    for (const StreamItem& item : stream) {
+      EXPECT_TRUE(client->Push("mb", item.ts, item.vec, &pairs).ok());
+    }
+    EXPECT_TRUE(client->Flush("mb", &pairs).ok());
+    if (supervisor != nullptr) {
+      EXPECT_EQ(supervisor->journal_info("mb")->ops, 0u);
+    }
+    // The same stream again, from ts 0: accepted after the Flush.
+    for (size_t i = 0; i < stream.size(); ++i) {
+      if (supervisor != nullptr && (i == 3 || i == half)) {
+        ::kill(*supervisor->worker_pid(*supervisor->OwnerOf("mb")), SIGKILL);
+      }
+      EXPECT_TRUE(
+          client->Push("mb", stream[i].ts, stream[i].vec, &pairs).ok());
+    }
+    EXPECT_TRUE(client->CloseSession("mb", &pairs).ok());
+    return pairs;
+  };
+  ClusterClient local{JoinServiceOptions{}};
+  const std::vector<ResultPair> want = run(&local, nullptr);
+
   SupervisorOptions options;
   options.num_workers = 2;
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
-  WireConfig mb;
-  mb.framework = Framework::kMiniBatch;
-  mb.theta = 0.6;
-  mb.lambda = 0.1;
-  ASSERT_TRUE(supervisor.CreateSession("mb", mb).ok());
-  RandomStreamSpec stream_spec;
-  stream_spec.n = 300;
-  stream_spec.seed = 6;
-  const Stream stream = RandomStream(stream_spec);
-  const uint64_t interval = options.checkpoint_interval;
-  for (size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(
-        supervisor.Push("mb", stream[i].ts, stream[i].vec, nullptr).ok());
-    const auto info = supervisor.journal_info("mb");
-    ASSERT_TRUE(info.ok());
-    // A pull after every `interval` ops and at no other op: the first ops
-    // of a session replay from its CreateSession.
-    EXPECT_EQ(info->ops, (i + 1) % interval) << "after push " << i;
-    EXPECT_EQ(info->checkpoint_pulls, (i + 1) / interval)
-        << "after push " << i;
-  }
-  EXPECT_EQ(supervisor.checkpoint_pulls(), stream.size() / interval);
+  ClusterClient remote(&supervisor);
+  const std::vector<ResultPair> got = run(&remote, &supervisor);
+  EXPECT_EQ(supervisor.restarts(), 2u);
+  EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
+  EXPECT_FALSE(want.empty());
+  ExpectBitwiseEqual(got, want, "mb");
 }
 
 // At λ = 0 an STR journal drops only leading ops that got no item
@@ -846,7 +873,7 @@ TEST(ClusterJournalTest, LambdaZeroJournalDropsOnlyLeadingZeroItemOps) {
   forever.lambda = 0.0;
   ASSERT_TRUE(supervisor.CreateSession("forever", forever).ok());
   RandomStreamSpec stream_spec;
-  stream_spec.n = 3 * options.checkpoint_interval;
+  stream_spec.n = 192;
   stream_spec.seed = 8;
   const Stream stream = RandomStream(stream_spec);
   auto ops = [&supervisor] { return supervisor.journal_info("forever")->ops; };

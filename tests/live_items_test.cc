@@ -8,9 +8,10 @@
 //     exactly on newest − τ.
 //   * A checkpoint saved at any cut and loaded into a fresh engine resumes
 //     to the uninterrupted run's pairs: the same sequence, bit for bit, for
-//     STR-L2, STR-INV and sharded STR-L2; the same set for STR-L2AP (its
-//     max vector then covers only the live items, so dot summation order
-//     can change) and MB.
+//     STR-L2, STR-INV, sharded STR-L2 and MB (its windows sit on a grid,
+//     so the restored core closes each window where the original did); the
+//     same set for STR-L2AP (its max vector then covers only the live
+//     items, so dot summation order can change).
 //   * A general-decay index rebuilds over its own horizon.
 #include <gtest/gtest.h>
 
@@ -33,6 +34,8 @@ namespace {
 
 using ::sssj::testing::Item;
 using ::sssj::testing::PairSet;
+using ::sssj::testing::RandomStream;
+using ::sssj::testing::RandomStreamSpec;
 using ::sssj::testing::UnitVec;
 
 constexpr double kTheta = 0.5;
@@ -148,8 +151,8 @@ const Variant kStrVariants[] = {
 };
 
 const Variant kMbVariants[] = {
-    {"MbL2", Framework::kMiniBatch, IndexScheme::kL2, 1, false, false},
-    {"MbInv", Framework::kMiniBatch, IndexScheme::kInv, 2, false, false},
+    {"MbL2", Framework::kMiniBatch, IndexScheme::kL2, 1, false, true},
+    {"MbInv", Framework::kMiniBatch, IndexScheme::kInv, 2, false, true},
 };
 
 std::string Save(const SssjEngine& engine) {
@@ -287,6 +290,57 @@ INSTANTIATE_TEST_SUITE_P(Str, LiveItemContinuationTest,
                          ::testing::ValuesIn(kStrVariants), VariantName);
 INSTANTIATE_TEST_SUITE_P(Mb, LiveItemContinuationTest,
                          ::testing::ValuesIn(kMbVariants), VariantName);
+
+// A restored MB core rebuilds the original's windows from its live items
+// alone. Its first live item seldom sits on a window boundary (gaps up to
+// 0.3 against τ ≈ 7.1), so a core that anchored its windows there rather
+// than on the grid would close every later window at other arrivals than
+// the original, and emit other pairs, or the same pairs in another order.
+TEST(LiveItemMbContinuationTest, RestoredWindowsCloseWhereTheOriginalsDid) {
+  EngineConfig cfg;
+  cfg.framework = Framework::kMiniBatch;
+  cfg.index = IndexScheme::kL2;
+  cfg.theta = 0.7;
+  cfg.lambda = 0.05;
+  for (const uint64_t seed : {2, 15, 32, 36}) {
+    RandomStreamSpec spec;
+    spec.n = 300;
+    spec.dims = 30;
+    spec.min_nnz = 2;
+    spec.max_nnz = 6;
+    spec.max_gap = 0.3;
+    spec.seed = seed;
+    const Stream stream = RandomStream(spec);
+    CollectorSink ref_sink;
+    auto ref = *SssjEngine::Make(cfg, &ref_sink);
+    for (const StreamItem& item : stream) {
+      ASSERT_TRUE(ref->Push(item.ts, item.vec).ok());
+    }
+    ref->Flush();
+    ASSERT_GT(ref_sink.pairs().size(), 0u);
+    for (const size_t cut : {101, 222}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", cut " +
+                   std::to_string(cut));
+      CollectorSink sink;
+      std::string bytes;
+      {
+        auto first = *SssjEngine::Make(cfg, &sink);
+        for (size_t i = 0; i < cut; ++i) {
+          ASSERT_TRUE(first->Push(stream[i].ts, stream[i].vec).ok());
+        }
+        bytes = Save(*first);
+      }
+      auto resumed = *SssjEngine::Make(cfg, &sink);
+      std::istringstream is(bytes);
+      ASSERT_TRUE(resumed->LoadCheckpoint(is).ok());
+      for (size_t i = cut; i < stream.size(); ++i) {
+        ASSERT_TRUE(resumed->Push(stream[i].ts, stream[i].vec).ok());
+      }
+      resumed->Flush();
+      ExpectSameSequence(sink.pairs(), ref_sink.pairs());
+    }
+  }
+}
 
 // A general-decay index rebuilds over its own horizon τ_f(θ): under a
 // sliding window of width w, exactly the items with ts >= newest − w, with

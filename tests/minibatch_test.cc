@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <set>
 #include <tuple>
+#include <utility>
 
 #include "index/inv_index.h"
 #include "index/prefix_index.h"
@@ -90,12 +93,13 @@ TEST(MiniBatchTest, LambdaZeroDegeneratesToBatchApss) {
   CollectorSink sink;
   for (const StreamItem& item : stream) mb.Push(item, &sink);
   EXPECT_TRUE(sink.pairs().empty());  // nothing until the window closes
+  EXPECT_EQ(mb.pending_current(), stream.size());
   mb.Flush(&sink);
   ExpectMatchesOracle(stream, params, sink.pairs());
 }
 
 TEST(MiniBatchTest, CrossWindowPairsReported) {
-  // Windows are anchored at the first arrival: [0, τ), [τ, 2τ), …
+  // Windows sit on the grid: [0, τ), [τ, 2τ), …
   // An unrelated anchor item starts window 1; the similar pair straddles
   // the boundary (0.9τ and 1.1τ, Δt = 0.2τ → sim = θ^0.2 ≥ θ).
   DecayParams params;
@@ -157,8 +161,14 @@ TEST(MiniBatchTest, ThetaOneZeroHorizonOnlyPairsTies) {
   SparseVector v = UnitVec({{1, 3.0}});  // single-coordinate: dot is exact 1
   mb.Push(Item(0, 5.0, v), &sink);
   mb.Push(Item(1, 5.0, v), &sink);  // tie: sim = 1 ≥ θ
+  EXPECT_EQ(mb.pending_current(), 2u);
   mb.Push(Item(2, 6.0, v), &sink);  // later: decayed below 1
-  mb.Push(Item(3, 1e9, v), &sink);  // far future: exercises re-anchoring
+  // Each distinct ts is a window, and no two of them pair: 6.0 closes the
+  // tie's window and the one after it, emitting the tie.
+  EXPECT_EQ(mb.pending_previous(), 0u);
+  EXPECT_EQ(mb.pending_current(), 1u);
+  EXPECT_EQ(sink.pairs().size(), 1u);
+  mb.Push(Item(3, 1e9, v), &sink);  // far future
   mb.Flush(&sink);
   ASSERT_EQ(sink.pairs().size(), 1u);
   EXPECT_EQ(sink.pairs()[0].a, 0u);
@@ -181,6 +191,120 @@ TEST(MiniBatchTest, HugeGapIsConstantTime) {
   EXPECT_TRUE(got.count({0, 1}));
   EXPECT_TRUE(got.count({2, 3}));
   EXPECT_EQ(got.size(), 2u);
+}
+
+TEST(MiniBatchTest, WindowIndexIsTheGridCell) {
+  EXPECT_EQ(MbWindowIndex(0.0, 2.0), 0.0);
+  EXPECT_EQ(MbWindowIndex(1.999, 2.0), 0.0);
+  EXPECT_EQ(MbWindowIndex(2.0, 2.0), 1.0);
+  EXPECT_EQ(MbWindowIndex(-0.001, 2.0), -1.0);
+  EXPECT_EQ(MbWindowIndex(-2.0, 2.0), -1.0);
+  EXPECT_EQ(MbWindowIndex(-2.001, 2.0), -2.0);
+  // τ = ∞ (λ = 0): one window for every ts.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(MbWindowIndex(-1e9, inf), 0.0);
+  EXPECT_EQ(MbWindowIndex(1e9, inf), 0.0);
+  // τ = 0 (θ = 1): one window per distinct ts.
+  EXPECT_EQ(MbWindowIndex(5.0, 0.0), 5.0);
+  EXPECT_EQ(MbWindowIndex(-5.0, 0.0), -5.0);
+}
+
+TEST(MiniBatchTest, FirstArrivalOffTheGridKeepsTheGrid) {
+  // The first item lands at 0.7τ, in window 0; 1.2τ is in window 1, so it
+  // closes window 0 although it is less than τ after the first item.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.8, 0.01, &params));
+  const double tau = params.tau;
+  MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, 0.8));
+  CollectorSink sink;
+  SparseVector v = UnitVec({{1, 0.5}, {2, 0.5}});
+  ASSERT_TRUE(mb.Push(Item(0, 0.7 * tau, v), &sink));
+  ASSERT_TRUE(mb.Push(Item(1, 0.9 * tau, v), &sink));
+  EXPECT_EQ(mb.pending_current(), 2u);
+  ASSERT_TRUE(mb.Push(Item(2, 1.2 * tau, v), &sink));
+  EXPECT_EQ(mb.pending_previous(), 2u);
+  EXPECT_EQ(mb.pending_current(), 1u);
+  ASSERT_TRUE(mb.Push(Item(3, 2.1 * tau, v), &sink));  // window 2: adjacent
+  EXPECT_EQ(mb.pending_previous(), 1u);
+  EXPECT_EQ(mb.pending_current(), 1u);
+  mb.Flush(&sink);
+  const auto got = ::sssj::testing::PairSet(sink.pairs());
+  // Δt ≤ τ: {0,1}, {0,2}, {1,2}, {2,3}; {1,3} is 1.2τ apart.
+  EXPECT_EQ(got, (std::set<std::pair<VectorId, VectorId>>{
+                     {0, 1}, {0, 2}, {1, 2}, {2, 3}}));
+}
+
+TEST(MiniBatchTest, NegativeTimestampsUseTheGrid) {
+  // A stream shifted to end 0.3τ before 0: windows k < 0 behave as any
+  // other, and the output still matches the oracle.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.1, &params));
+  RandomStreamSpec spec;
+  spec.n = 200;
+  spec.dims = 25;
+  spec.seed = 46;
+  Stream stream = RandomStream(spec);
+  const double shift = stream.back().ts + 0.3 * params.tau;
+  for (StreamItem& item : stream) item.ts -= shift;
+  ASSERT_LT(stream.back().ts, 0.0);
+  ExpectMatchesOracle(stream, params, RunMb(Scheme::kL2, params, stream));
+
+  // −0.1τ and 0.1τ straddle the boundary at 0: one close.
+  MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, 0.6));
+  CollectorSink sink;
+  SparseVector v = UnitVec({{1, 1.0}});
+  ASSERT_TRUE(mb.Push(Item(0, -0.1 * params.tau, v), &sink));
+  ASSERT_TRUE(mb.Push(Item(1, 0.1 * params.tau, v), &sink));
+  EXPECT_EQ(mb.pending_previous(), 1u);
+  EXPECT_EQ(mb.pending_current(), 1u);
+}
+
+TEST(MiniBatchTest, ZeroItemSeedTakesItsFirstPushWindow) {
+  // A started core with no items (the fleet's zero-item seed) has no
+  // current window: its first push opens that push's grid window and
+  // closes nothing, and the next grid boundary closes it, less than τ
+  // after that push.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.5, 0.1, &params));
+  const double tau = params.tau;
+  SparseVector v = UnitVec({{1, 1.0}});
+  MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, 0.5));
+  mb.RestoreClock(30.0 * tau, /*started=*/true);
+  CollectorSink sink;
+  EXPECT_FALSE(mb.Push(Item(0, 29.0 * tau, v), &sink));  // behind the clock
+  ASSERT_TRUE(mb.Push(Item(0, 40.3 * tau, v), &sink));
+  ASSERT_TRUE(mb.Push(Item(1, 40.9 * tau, v), &sink));
+  EXPECT_EQ(mb.pending_previous(), 0u);
+  EXPECT_EQ(mb.pending_current(), 2u);
+  ASSERT_TRUE(mb.Push(Item(2, 41.1 * tau, v), &sink));
+  EXPECT_EQ(mb.pending_previous(), 2u);
+  EXPECT_EQ(mb.pending_current(), 1u);
+
+  // Seeded or fresh, a core fed the same items emits the same pairs.
+  RandomStreamSpec spec;
+  spec.n = 120;
+  spec.dims = 20;
+  spec.seed = 47;
+  Stream stream = RandomStream(spec);
+  for (StreamItem& item : stream) item.ts += 40.3 * tau;
+  MiniBatchJoin seeded(params, FactoryFor(Scheme::kL2, 0.5));
+  seeded.RestoreClock(stream.front().ts, /*started=*/true);
+  MiniBatchJoin fresh(params, FactoryFor(Scheme::kL2, 0.5));
+  CollectorSink seeded_sink;
+  CollectorSink fresh_sink;
+  for (const StreamItem& item : stream) {
+    ASSERT_TRUE(seeded.Push(item, &seeded_sink));
+    ASSERT_TRUE(fresh.Push(item, &fresh_sink));
+  }
+  seeded.Flush(&seeded_sink);
+  fresh.Flush(&fresh_sink);
+  ASSERT_FALSE(fresh_sink.pairs().empty());
+  ASSERT_EQ(seeded_sink.pairs().size(), fresh_sink.pairs().size());
+  for (size_t i = 0; i < fresh_sink.pairs().size(); ++i) {
+    EXPECT_EQ(seeded_sink.pairs()[i].a, fresh_sink.pairs()[i].a);
+    EXPECT_EQ(seeded_sink.pairs()[i].b, fresh_sink.pairs()[i].b);
+    EXPECT_EQ(seeded_sink.pairs()[i].sim, fresh_sink.pairs()[i].sim);
+  }
 }
 
 TEST(MiniBatchTest, StatsAggregateAcrossWindows) {
