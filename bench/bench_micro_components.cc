@@ -275,8 +275,7 @@ void BM_L2GenerateScan(benchmark::State& state) {
         x, params.theta, ExponentialDecay{params.lambda}, L2IndexOptions{},
         prefix_norms, x.ts - params.tau,
         [&list](DimId dim) { return dim == kListDim ? &list : nullptr; },
-        [](VectorId) { return true; }, [](PostingList&, size_t) {}, &kern,
-        &cands, &stats);
+        [](PostingList&, size_t) {}, &kern, &cands, &stats);
     admitted += cands.admitted();
     benchmark::DoNotOptimize(admitted);
   }

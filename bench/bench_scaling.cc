@@ -7,16 +7,17 @@
 // Everything measured is also written as machine-readable JSON to
 // --json-out (default BENCH_scaling.json; empty string disables).
 //
-// A second table sweeps the sharded engine's thread count (--thread-list,
-// default 1,2,4,8) at a fixed stream and reports throughput and speedup
-// over the sequential num_threads=1 baseline. A third does the same for
-// the MiniBatch window-close fan-out on the dense WebSpam-like profile
-// (--mb-thread-list / --mb-scale), where per-window query cost dominates;
-// MB output is bit-identical across thread counts, so the pairs column
-// doubles as a determinism check. A fourth sweeps JoinService tenancy
-// (--session-list, default 1,2,4,8): K concurrent sessions each fed the
-// full stream from its own thread, so the per-session throughput column
-// is the multi-tenant overhead. Skip all of them with --no-threads.
+// A second table sweeps the MiniBatch window-close fan-out's thread count
+// (--mb-thread-list, default 1,2,4,8) on the dense WebSpam-like profile
+// (--mb-scale), where per-window query cost dominates, and reports
+// throughput and speedup over the sequential num_threads=1 baseline. MB
+// output is bit-identical across thread counts, so the pairs column
+// doubles as a determinism check. (STR runs one sequential scan at every
+// num_threads, so it has no thread sweep.) A third sweeps JoinService
+// tenancy (--session-list, default 1,2,4,8): K concurrent sessions each
+// fed the full stream from its own thread, so the per-session throughput
+// column is the multi-tenant overhead. Skip all of them with
+// --no-threads.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -34,19 +35,19 @@
 namespace sssj {
 namespace {
 
-// One thread-count sweep table for `framework` over `stream`: runs the
-// whole stream per thread count and reports throughput and speedup. The
-// speedup column is always relative to a measured num_threads=1 run, even
-// when 1 is not in `thread_list`.
-void PrintThreadSweep(const Stream& stream, Framework framework, double theta,
-                      double lambda, const std::vector<double>& thread_list,
-                      bool tsv, const std::string& caption) {
+// The MB thread-count sweep table over `stream`: runs the whole stream
+// per thread count and reports throughput and speedup. The speedup column
+// is always relative to a measured num_threads=1 run, even when 1 is not
+// in `thread_list`.
+void PrintThreadSweep(const Stream& stream, double theta, double lambda,
+                      const std::vector<double>& thread_list, bool tsv,
+                      const std::string& caption) {
   TablePrinter table({"threads", "time(s)", "kvec/s", "pairs", "speedup",
                       "mem(MB)"},
                      tsv);
   const auto run = [&](int threads, uint64_t* pairs, uint64_t* mem) {
     EngineConfig cfg;
-    cfg.framework = framework;
+    cfg.framework = Framework::kMiniBatch;
     cfg.index = IndexScheme::kL2;
     cfg.theta = theta;
     cfg.lambda = lambda;
@@ -55,7 +56,7 @@ void PrintThreadSweep(const Stream& stream, Framework framework, double theta,
     auto engine = *SssjEngine::Make(cfg, &sink);
     Timer timer;
     engine->PushBatch(stream);
-    engine->Flush();  // MB drains its windows; no-op for STR
+    engine->Flush();  // drains the windows
     *pairs = sink.count();
     *mem = engine->MemoryBytes();
     return timer.ElapsedSeconds();
@@ -90,6 +91,15 @@ double Percentile(const std::vector<double>& sorted, double p) {
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
+  // A retired sweep's flags (--thread-list, --thread-scale) must not be
+  // accepted and ignored.
+  flags.RejectUnknown(
+      {"scale", "seed", "tsv", "theta-list", "lambda-list", "budget-ms",
+       "theta", "lambda", "scale-list", "json-out", "no-cluster",
+       "worker-list", "cluster-sessions", "cluster-json-out",
+       "cluster-scale", "no-threads", "mb-thread-list", "mb-scale",
+       "session-list", "service-scale", "producer-list", "queue-capacity",
+       "epoch-items", "ingest-scale"});
   const auto args = bench::ParseCommon(flags, /*default_scale=*/1.0);
   const double theta = flags.GetDouble("theta", 0.7);
   const double lambda = flags.GetDouble("lambda", 0.01);
@@ -318,37 +328,23 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  // ---- Thread-count sweep over the sharded STR-L2 engine ----
-  const std::vector<double> thread_list =
-      flags.GetDoubleList("thread-list", {1, 2, 4, 8});
-  const double thread_scale = flags.GetDouble("thread-scale", args.scale);
-  {
-    const Stream stream =
-        GenerateProfile(DatasetProfile::kRcv1, thread_scale, args.seed);
-    std::ostringstream caption;
-    caption << "\nThread sweep: sharded STR-L2, n=" << stream.size()
-            << ", theta=" << theta << ", lambda=" << lambda
-            << " (speedup vs num_threads=1; hardware threads available: "
-            << std::thread::hardware_concurrency() << ")\n";
-    PrintThreadSweep(stream, Framework::kStreaming, theta, lambda,
-                     thread_list, args.tsv, caption.str());
-  }
-
   // ---- Thread-count sweep over the MB window-close fan-out ----
   // The dense profile: avg |x| ≈ 500 makes the per-window probe phase the
   // dominant cost, which is exactly the work the fan-out parallelizes.
   {
     const std::vector<double> mb_thread_list =
-        flags.GetDoubleList("mb-thread-list", thread_list);
+        flags.GetDoubleList("mb-thread-list", {1, 2, 4, 8});
     const double mb_scale = flags.GetDouble("mb-scale", args.scale);
     const Stream stream =
         GenerateProfile(DatasetProfile::kWebSpam, mb_scale, args.seed);
     std::ostringstream caption;
     caption << "\nThread sweep: MB-L2 window-close fan-out, WebSpamLike n="
             << stream.size() << ", theta=" << theta << ", lambda=" << lambda
-            << " (bit-identical output at every thread count)\n";
-    PrintThreadSweep(stream, Framework::kMiniBatch, theta, lambda,
-                     mb_thread_list, args.tsv, caption.str());
+            << " (speedup vs num_threads=1, bit-identical output at every "
+               "thread count; hardware threads available: "
+            << std::thread::hardware_concurrency() << ")\n";
+    PrintThreadSweep(stream, theta, lambda, mb_thread_list, args.tsv,
+                     caption.str());
   }
 
   // ---- Multi-tenant sweep: K concurrent JoinService sessions vs 1 ----

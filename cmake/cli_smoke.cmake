@@ -7,6 +7,12 @@
 #   3. async ingestion: --async runs must write the inline run's pair
 #      file byte for byte, for STR-L2 and MB through a 3-item queue with
 #      2-item epochs, and for --submit=timeout;
+#   3b. threads: STR-L2 at --threads=2 must write the default run's pair
+#      file byte for byte and print a note naming num_threads on stderr
+#      (every STR scheme runs one sequential scan); MB at --threads=2
+#      must write the --threads=1 run's pair file byte for byte;
+#   3c. --threads=-3, --threads=4294967297, --async --queue-capacity=-1
+#      and --async --epoch-items=-1 must exit 2 naming the flag;
 #   4. sssj_cli on a directory must fail (a read error is not an empty
 #      stream);
 #   5. tiered storage: at --lambda=0.001, --index=L2 and --index=INV with
@@ -16,7 +22,7 @@
 #   5b. the retired AUTO scheme: --index=AUTO must exit 1 naming AUTO (a
 #      bad --index), and --duel-epoch=2048 must exit 2 as an unknown flag;
 #   6. checkpoint round trip: the text file is split in two, and for
-#      --index=L2, --index=INV, --index=L2AP, --threads=2 and
+#      --index=L2, --index=INV, --index=L2AP and
 #      --tiered --index=INV (at --lambda=0.001) the first half runs with
 #      --checkpoint-out and the second with --checkpoint-in. The two pair
 #      files, concatenated, must equal one run over the whole file: byte
@@ -109,6 +115,55 @@ foreach(variant STR MB timeout)
                         "run's")
   endif()
 endforeach()
+
+# Threads. STR ignores --threads and says so; MB's window-close fan-out
+# emits the sequential pair sequence. The MB run above used the default
+# --threads=1.
+execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --theta=0.6
+                        --lambda=0.01 --threads=2 --quiet
+                        "--output=${WORK_DIR}/threads2-STR.txt"
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT err MATCHES "note: [^\n]*num_threads")
+  message(FATAL_ERROR "sssj_cli --threads=2 exited ${rc} without a note "
+                      "naming num_threads:\n${err}")
+endif()
+run_step("sssj_cli MB --threads=2" "${SSSJ_CLI}" "--input=${text}"
+         --theta=0.6 --lambda=0.01 --framework=MB --threads=2 --quiet
+         "--output=${WORK_DIR}/threads2-MB.txt")
+foreach(variant STR MB)
+  if(variant STREQUAL "STR")
+    set(want "${WORK_DIR}/pairs.text")
+  else()
+    set(want "${WORK_DIR}/pairs-MB.txt")
+  endif()
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${want}"
+                          "${WORK_DIR}/threads2-${variant}.txt"
+                  RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "${variant} --threads=2: pairs differ from the "
+                        "--threads=1 run's")
+  endif()
+endforeach()
+
+# Integer flags take a value >= 1 that fits their type. Each of these
+# exits before the stream is read, so none starts a pool.
+function(expect_bad_int flag)
+  execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --quiet ${ARGN}
+                  RESULT_VARIABLE rc
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "invalid value for --${flag}")
+    message(FATAL_ERROR "sssj_cli ${ARGN} exited ${rc}, not 2 naming "
+                        "--${flag}:\n${err}")
+  endif()
+  message(STATUS "sssj_cli ${ARGN} (exit 2): ${err}")
+endfunction()
+expect_bad_int(threads --threads=-3)
+expect_bad_int(threads --threads=4294967297)
+expect_bad_int(queue-capacity --async --queue-capacity=-1)
+expect_bad_int(epoch-items --async --epoch-items=-1)
 
 execute_process(COMMAND "${SSSJ_CLI}" "--input=${WORK_DIR}" --quiet
                 RESULT_VARIABLE rc
@@ -212,11 +267,9 @@ function(pair_ids path out_var)
   set(${out_var} "${ids}" PARENT_SCOPE)
 endfunction()
 
-foreach(variant L2 INV L2AP threads2 tiered-INV)
+foreach(variant L2 INV L2AP tiered-INV)
   set(lambda 0.01)
-  if(variant STREQUAL "threads2")
-    set(args --threads=2)
-  elseif(variant STREQUAL "tiered-INV")
+  if(variant STREQUAL "tiered-INV")
     set(args --tiered --index=INV)
     set(lambda 0.001)  # long enough lists to freeze, see above
   else()

@@ -19,13 +19,11 @@
 //                        bit-identical to scalar for every scheme. auto
 //                        picks simd when the CPU has a vector ISA
 //                        (AVX2/SSE2/NEON).
-//   --threads=<n>        worker threads for the parallel hot paths
-//                        (default 1 = sequential). STR-L2: the sharded
-//                        index — same pair set and scores, but line order
-//                        in --output may differ across thread counts.
-//                        Any MB scheme: the window-close query fan-out —
-//                        output is bit-identical for every thread count.
-//                        STR-INV/STR-L2AP ignore it.
+//   --threads=<n>        worker threads for any MB scheme's window-close
+//                        query fan-out (default 1 = sequential); output
+//                        is bit-identical for every thread count. Every
+//                        STR scheme runs one sequential scan and ignores
+//                        it (a note on stderr says so).
 //   --output=<path>      write pairs as "a b t_a t_b dot sim" (default:
 //                        stdout)
 //   --quiet              suppress per-pair output on stdout; pairs still
@@ -48,6 +46,9 @@
 //   --queue-capacity=<n> async queue bound in items, exact (default 4096)
 //   --epoch-items=<n>    the most items the pump applies per epoch
 //                        (default 256)
+//                        (--threads, --queue-capacity and --epoch-items
+//                        take an integer >= 1 that fits their type; any
+//                        other value exits 2)
 //   --submit=try|block|timeout
 //                        what AsyncPush does when the queue is full
 //                        (default block; try surfaces
@@ -82,9 +83,12 @@
 //
 // Unknown flags are an error (exit 2): a typo like --thta=0.9 must not
 // silently run with the default.
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -98,6 +102,31 @@
 #include "data/io.h"
 #include "util/flags.h"
 #include "util/timer.h"
+
+namespace {
+
+// Reads an integer flag that must be >= 1 and fit T. Anything else exits
+// 2 naming the flag: a non-integer inside GetInt, an out-of-range value
+// here (a cast would turn --threads=4294967297 into 1 and
+// --queue-capacity=-1 into an unbounded queue).
+template <typename T>
+T PositiveFlag(const sssj::Flags& flags, const char* name, T def) {
+  const int64_t v = flags.GetInt(name, static_cast<int64_t>(def));
+  const uint64_t max =
+      std::min<uint64_t>(std::numeric_limits<T>::max(),
+                         std::numeric_limits<int64_t>::max());
+  if (v < 1 || static_cast<uint64_t>(v) > max) {
+    std::fprintf(stderr,
+                 "invalid value for --%s: %lld (expected an integer from 1 "
+                 "to %llu)\n",
+                 name, static_cast<long long>(v),
+                 static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return static_cast<T>(v);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   sssj::Flags flags(argc, argv);
@@ -126,14 +155,14 @@ int main(int argc, char** argv) {
   config.index = *index;
   config.theta = flags.GetDouble("theta", 0.7);
   config.lambda = flags.GetDouble("lambda", 0.01);
-  config.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  config.num_threads = PositiveFlag<int>(flags, "threads", 1);
   const bool async = flags.GetBool("async", false);
   if (async) {
     config.ingest.mode = sssj::IngestMode::kAsync;
     config.ingest.queue_capacity =
-        static_cast<size_t>(flags.GetInt("queue-capacity", 4096));
+        PositiveFlag<size_t>(flags, "queue-capacity", 4096);
     config.ingest.epoch_max_items =
-        static_cast<size_t>(flags.GetInt("epoch-items", 256));
+        PositiveFlag<size_t>(flags, "epoch-items", 256);
     const std::string submit = flags.GetString("submit", "block");
     if (submit == "try") {
       config.ingest.submit = sssj::SubmitPolicy::kTry;
@@ -301,7 +330,7 @@ int main(int argc, char** argv) {
     }
     engine = *std::move(engine_or);
     // Knobs the chosen configuration accepts but ignores (e.g. --threads
-    // under STR-INV) are silently-dropped settings; surface them.
+    // under any STR scheme) are silently-dropped settings; surface them.
     for (const std::string& note : engine->configuration_notes()) {
       std::fprintf(stderr, "note: %s\n", note.c_str());
     }

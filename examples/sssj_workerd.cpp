@@ -13,13 +13,17 @@
 // (The in-process Supervisor forks its own workers over socketpairs and
 // does not need this binary; sssj_workerd exists for deployments that
 // manage worker processes themselves.)
+//
+// --memory-budget-bytes takes an integer >= 0 (0 = unlimited); any other
+// value exits 2 before the socket is opened.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "cluster/channel.h"
 #include "cluster/worker.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -42,8 +46,15 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--spill-dir", &value)) {
       options.service.spill_dir = value;
     } else if (ParseFlag(argv[i], "--memory-budget-bytes", &value)) {
-      options.service.memory_budget_bytes =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+      int64_t budget = 0;
+      if (!sssj::ParseFlagInt(value, &budget) || budget < 0) {
+        std::fprintf(stderr,
+                     "sssj_workerd: --memory-budget-bytes must be an "
+                     "integer >= 0; got '%s'\n",
+                     value.c_str());
+        return 2;
+      }
+      options.service.memory_budget_bytes = static_cast<size_t>(budget);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr,

@@ -7,7 +7,6 @@
 
 #include "index/inv_index.h"
 #include "index/prefix_index.h"
-#include "index/sharded_stream_index.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
@@ -137,22 +136,21 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
         "forces continual re-indexing, see §5.2); use STR-L2AP or MB-AP "
         "instead");
   }
-  const size_t num_threads =
-      config.num_threads < 1 ? 1 : static_cast<size_t>(config.num_threads);
   const bool use_simd = KernelModeUsesSimd(config.kernel);
   if (framework == Framework::kMiniBatch) {
     const double theta = config.theta;
     auto factory = [scheme, theta, use_simd] {
       return MakeBatchIndex(scheme, theta, use_simd);
     };
-    std::unique_ptr<JoinCore> core;
-    if (config.pool != nullptr && num_threads > 1) {
-      core = std::make_unique<MiniBatchJoin>(
-          params, std::move(factory), /*window_factor=*/1.0, config.pool);
-    } else {
-      core = std::make_unique<MiniBatchJoin>(
-          params, std::move(factory), /*window_factor=*/1.0, num_threads);
+    std::shared_ptr<ThreadPool> pool;
+    if (config.num_threads > 1) {
+      pool = config.pool != nullptr
+                 ? config.pool
+                 : std::make_shared<ThreadPool>(
+                       static_cast<size_t>(config.num_threads));
     }
+    std::unique_ptr<JoinCore> core = std::make_unique<MiniBatchJoin>(
+        params, std::move(factory), std::move(pool));
     return core;
   }
   std::unique_ptr<StreamIndex> index;
@@ -168,14 +166,8 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
                                                 use_simd, config.tiered);
       break;
     case IndexScheme::kL2:
-      if (num_threads > 1) {
-        index = std::make_unique<ShardedStreamIndex>(
-            params, num_threads, config.pool, L2IndexOptions{}, use_simd,
-            config.tiered);
-      } else {
-        index = std::make_unique<StreamL2Index>(params, L2IndexOptions{},
-                                                use_simd, config.tiered);
-      }
+      index = std::make_unique<StreamL2Index>(params, L2IndexOptions{},
+                                              use_simd, config.tiered);
       break;
     case IndexScheme::kAp:
       return Status::Internal("invalid STR scheme slipped past validation");
@@ -245,13 +237,11 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
   // Knobs this combination accepts but does not use: say so once, here,
   // instead of silently dropping the setting (engine.h documents each
   // case; these notes make the drop observable at runtime).
-  if (config.num_threads > 1 && config.framework == Framework::kStreaming &&
-      (config.index == IndexScheme::kInv ||
-       config.index == IndexScheme::kL2ap)) {
+  if (config.num_threads > 1 && config.framework == Framework::kStreaming) {
     engine->config_notes_.push_back(
         "num_threads=" + std::to_string(config.num_threads) +
-        " is ignored: STR-INV and STR-L2AP run sequentially (only STR-L2 "
-        "shards its index; every MB scheme parallelizes window closes)");
+        " is ignored: every STR scheme runs one sequential scan per arrival "
+        "(only MB parallelizes, across its window closes)");
   }
   if (config.tiered.enabled && config.framework == Framework::kMiniBatch) {
     engine->config_notes_.push_back(

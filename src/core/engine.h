@@ -7,7 +7,6 @@
 //   cfg.index = sssj::IndexScheme::kL2;
 //   cfg.theta = 0.7;
 //   cfg.lambda = 0.01;
-//   cfg.num_threads = 4;            // shard the STR-L2 hot path (optional)
 //   sssj::CallbackSink sink([](const sssj::ResultPair& p) { ... });
 //   auto engine = sssj::SssjEngine::Make(cfg, &sink);
 //   if (!engine.ok()) { /* engine.status() says exactly why */ }
@@ -29,18 +28,12 @@
 // engines behind one manager with a shared thread pool — lives one layer
 // up in core/join_service.h.
 //
-// Parallel execution: with num_threads > 1 the STR-L2 configuration runs
-// on a dimension-sharded index (index/sharded_stream_index.h) that
-// parallelizes candidate generation, verification, and index maintenance
-// across a fixed thread pool while emitting exactly the pair set the
-// sequential engine would, with bit-identical per-pair scores. Output is
-// fully deterministic for a fixed thread count; across different thread
-// counts the *set* is identical but the per-arrival emission order may
-// differ (pairs are merged in shard order rather than candidate-touch
-// order). Every MB configuration (MB-INV/AP/L2AP/L2) parallelizes the
-// query phase of each window close (stream/minibatch.h) and emits a pair
-// sequence bit-identical to the sequential engine for any thread count.
-// STR-INV and STR-L2AP ignore num_threads and run sequentially.
+// Parallel execution: with num_threads > 1 every MB configuration
+// (MB-INV/AP/L2AP/L2) parallelizes the query phase of each window close
+// (stream/minibatch.h). Every STR scheme runs one sequential scan per
+// arrival and ignores num_threads (configuration_notes() says so). Either
+// way the emitted pair sequence is bit-identical to the num_threads = 1
+// engine's.
 #ifndef SSSJ_CORE_ENGINE_H_
 #define SSSJ_CORE_ENGINE_H_
 
@@ -82,20 +75,16 @@ struct EngineConfig {
   // When true (default), Push() unit-normalizes input vectors. When false,
   // non-unit vectors are rejected (the similarity bounds require ||x||=1).
   bool normalize_inputs = true;
-  // Worker threads for the parallel hot paths: the sharded STR-L2 index
-  // and the MiniBatch window-close query fan-out (any MB scheme). 1
-  // (default) keeps the exact sequential engine. Values > 1 are
-  // deterministic: MB output is bit-identical for any thread count;
-  // sharded STR-L2 emits the same pair set with bit-identical scores.
-  // Checkpoints work at every thread count. Ignored by STR-INV and
-  // STR-L2AP. Values < 1 are clamped to 1.
+  // Worker threads for the MiniBatch window-close query fan-out (any MB
+  // scheme). 1 (default) keeps the sequential engine; MB output is
+  // bit-identical for any thread count. Checkpoints work at every thread
+  // count. Every STR scheme ignores it. Values < 1 are clamped to 1.
   int num_threads = 1;
-  // Optional pool for those parallel paths, shared with other engines
+  // Optional pool for that fan-out, shared with other engines
   // (JoinService sets this so N sessions share one pool instead of
-  // spawning N). Null (default) gives the engine a private pool when
+  // spawning N). Null (default) gives an MB engine a private pool when
   // num_threads > 1. The pool serializes concurrent fork/join jobs, and
-  // which pool runs the work never affects the output (determinism hangs
-  // on num_threads — the shard/chunk count — not on pool size).
+  // which pool runs the work never affects the output.
   std::shared_ptr<ThreadPool> pool;
   // Scoring-kernel selection for the hot posting-scan loops
   // (index/kernels.h). kScalar (default) is the bit-exact reference path.
@@ -112,8 +101,8 @@ struct EngineConfig {
   // scans decompress one block at a time into per-caller scratch. The
   // value/prefix_norm columns decode to the exact doubles, so the emitted
   // pair sequence and scores are bit-identical to the untiered engine for
-  // every STR scheme (sequential and sharded, any thread count). Applies
-  // to the STR schemes; MB windows are short-lived and ignore it.
+  // every STR scheme. Applies to the STR schemes; MB windows are
+  // short-lived and ignore it.
   TieredStorageOptions tiered;
   // Ingestion mode and queue/epoch/backpressure tuning (core/ingest_pump.h).
   // The default (IngestMode::kInline) keeps Push synchronous and makes
@@ -285,7 +274,7 @@ class SssjEngine {
   VectorId reported_watermark() const { return watermark_; }
 
   // Human-readable diagnostics for configuration knobs this combination
-  // accepts but does not use (e.g. num_threads under STR-INV/STR-L2AP,
+  // accepts but does not use (e.g. num_threads under any STR scheme,
   // tiered storage under MB). Empty when every knob is in effect.
   // Stable for the engine's lifetime.
   const std::vector<std::string>& configuration_notes() const {

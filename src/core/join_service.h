@@ -4,8 +4,9 @@
 // tenant (a user's feed, a topic, a shard of the corpus) gets a named
 // *session* — its own engine with its own EngineConfig, sink chain,
 // stats, id space, and memory accounting — while the service owns the
-// shared machinery: one ThreadPool for every session's parallel hot
-// paths (instead of one pool per engine) and the aggregate capacity view.
+// shared machinery: one ThreadPool for every MB session's window-close
+// fan-out (instead of one pool per engine) and the aggregate capacity
+// view.
 //
 //   sssj::JoinService service({/*num_threads=*/8});
 //   sssj::CollectorSink news_sink;
@@ -22,8 +23,8 @@
 // totally ordered sequence, exactly like a standalone engine. Output per
 // session is bit-identical to a standalone engine with the same config
 // fed the same stream (tested with TSan), because engines never share
-// mutable state — the shared pool only lends threads, and pool size
-// never affects results (determinism hangs on EngineConfig::num_threads).
+// mutable state — the shared pool only lends threads, and neither pool
+// size nor EngineConfig::num_threads ever affects results.
 //
 // Sink lifetime: a session's sink chain is bound at creation. A borrowed
 // `sink` must outlive the session; an `owned_sink` chain head is adopted
@@ -52,9 +53,10 @@ namespace sssj {
 // Service-wide knobs (namespace-scope so it can default-construct in the
 // JoinService constructor's default argument).
 struct JoinServiceOptions {
-  // Worker threads shared by every session's parallel hot paths (sharded
-  // STR-L2, MB window close). 1 disables the shared pool: sessions with
-  // num_threads > 1 then get private pools, as standalone engines do.
+  // Worker threads shared by every MB session's window-close fan-out. 1
+  // disables the shared pool: MB sessions with num_threads > 1 then get
+  // private pools, as standalone engines do. STR sessions run
+  // sequentially either way.
   size_t num_threads = 1;
   // Service-wide cap on the sum of every live session's MemoryBytes().
   // 0 (default) = unlimited. When a Push/PushBatch would run while the

@@ -14,8 +14,8 @@
 //
 // Callers gate on a `use_simd` flag resolved once from
 // EngineConfig::kernel; with the flag off every kernel reduces to the
-// exact scalar reference code, which keeps the sharded/MB determinism
-// pins untouched.
+// exact scalar reference code, which keeps the determinism pins
+// untouched.
 #ifndef SSSJ_INDEX_KERNELS_H_
 #define SSSJ_INDEX_KERNELS_H_
 

@@ -1,41 +1,22 @@
 // Phase decomposition of STR-L2 arrival processing (Algorithms 6–8, green
-// lines). StreamL2Index originally implemented candidate generation,
-// verification, and index construction as one monolithic ProcessArrival;
-// the phases live here as free function templates so that the sequential
-// index (under any decay function) and the sharded parallel index
-// (sharded_stream_index.h) execute the *same* code, bound check for bound
-// check.
+// lines): candidate generation, verification and index construction as
+// free function templates. StreamL2Index runs them once per arrival under
+// any decay function; the micro-benchmarks and the AoS equivalence test
+// drive them directly.
 //
-// The templates are parameterized over four policy hooks:
+// The generate scan is parameterized over three policy hooks:
 //   Decay         double (Timestamp dt)     — the decay factor f(Δt) ≤ 1
 //                                             (ExponentialDecay, the
 //                                             paper's e^{−λΔt}, or any
 //                                             DecayFunction: the ℓ2 bounds
 //                                             only need f ≤ 1, core/decay.h)
 //   ListLookup    PostingList* (DimId)      — where posting lists live
-//                                             (one map, or dim-sharded maps)
-//   OwnsCandidate bool (VectorId)           — which candidates this caller
-//                                             accumulates (always-true for
-//                                             the sequential index; id-hash
-//                                             partition for a shard worker)
 //   OnExpired     void (PostingList&, size_t n) — what to do with a
 //                                             list's expired front run of
-//                                             n entries (truncate eagerly,
-//                                             or defer so the scan stays
-//                                             read-only for concurrent
-//                                             workers)
-//
-// Correctness of the candidate partition: every pruning decision in the L2
-// scheme (remscore admission, l2bound early prune, ps1 verification) reads
-// only the query vector, the candidate's own accumulator slot, and the
-// candidate's posting entries — never another candidate's state. A worker
-// that scans all lists but accumulates only its own candidates therefore
-// reproduces the sequential per-candidate computation exactly, including
-// floating-point accumulation order, which is what makes the sharded
-// engine's output deterministic and identical to the sequential one.
-// (Per-dim partitioning of the *bound checks* would not be sound: a shard
-// seeing only its own dimensions would under-estimate the partial dot
-// product and could prune a globally similar pair.)
+//                                             n entries (the index
+//                                             truncates it; a benchmark
+//                                             that rescans one list leaves
+//                                             it in place)
 #ifndef SSSJ_INDEX_L2_PHASES_H_
 #define SSSJ_INDEX_L2_PHASES_H_
 
@@ -68,9 +49,8 @@ struct L2ResolvedList {
 // Kernel selection plus the per-caller scan scratch. With use_simd true,
 // verification's full dot products go through kernels::SparseDot
 // (bit-identical to the scalar path); the generate scan is the same on
-// both paths. Each concurrent caller (the sequential index, or one shard
-// worker) owns its own state, reused across arrivals, so a steady-state
-// scan allocates nothing.
+// both paths. The caller owns its state and reuses it across arrivals,
+// so a steady-state scan allocates nothing.
 struct L2KernelState {
   bool use_simd = false;
   // The resolve pass's output, one entry per coordinate of the query
@@ -78,8 +58,6 @@ struct L2KernelState {
   std::vector<L2ResolvedList> resolved;
   // Frozen-block decompression scratch for the tiered posting lists:
   // the generate scan thaws one cold block at a time into this buffer.
-  // Per caller (sequential index / shard worker), so concurrent workers
-  // never share decode state even when reading the same frozen block.
   FrozenColumns posting;
 };
 
@@ -108,9 +86,8 @@ struct L2IndexOptions {
   bool use_ps1_bound = true;       // verification: (C + Q)·f(Δt) ≥ θ
 };
 
-// Counters produced by one phase invocation. Workers keep a private copy
-// and the coordinator folds them into the index-wide RunStats, so the
-// merged numbers match a sequential run field for field.
+// Counters produced by one arrival's phases, folded into the index-wide
+// RunStats once the arrival is done.
 struct L2PhaseStats {
   uint64_t entries_traversed = 0;
   uint64_t candidates_generated = 0;
@@ -151,25 +128,22 @@ inline void L2ComputePrefixNorms(const SparseVector& v,
 // behind the previous list's walk.
 //
 // Walk: each live run newest → oldest over raw per-column pointers,
-// accumulating dot-product contributions into `cands` for every
-// candidate accepted by `owns`. The `id`/`ts` columns are read densely;
-// `value` and `prefix_norm` are only touched for owned, admitted
-// candidates. The list order, the entry order and so the per-candidate
-// floating-point accumulation order are those of the original
-// one-pass scan, which keeps the sharded determinism contract.
+// accumulating dot-product contributions into `cands`. The `id`/`ts`
+// columns are read densely; `value` and `prefix_norm` are only touched
+// for admitted candidates. The list order, the entry order and so the
+// per-candidate floating-point accumulation order are those of the
+// original one-pass scan.
 //
 // `kernel` is required: it carries the kernel selection and the resolve
 // and thaw scratch.
-template <typename Decay, typename ListLookup, typename OwnsCandidate,
-          typename OnExpired>
+template <typename Decay, typename ListLookup, typename OnExpired>
 void L2GenerateCandidates(const StreamItem& x, double theta,
                           const Decay& decay_fn,
                           const L2IndexOptions& options,
                           const std::vector<double>& prefix_norms,
                           Timestamp cutoff, ListLookup&& lookup,
-                          OwnsCandidate&& owns, OnExpired&& on_expired,
-                          L2KernelState* kernel, CandidateMap* cands,
-                          L2PhaseStats* stats) {
+                          OnExpired&& on_expired, L2KernelState* kernel,
+                          CandidateMap* cands, L2PhaseStats* stats) {
   const SparseVector& v = x.vec;
   const size_t n = v.nnz();
   std::vector<L2ResolvedList>& resolved = kernel->resolved;
@@ -181,9 +155,10 @@ void L2GenerateCandidates(const StreamItem& x, double theta,
       const size_t expired = list->LowerBoundTs(cutoff);
       live = list->size() - expired;
       if (expired > 0) on_expired(*list, expired);
-      // A truncating on_expired leaves the live run at [0, live); a
-      // deferring one at [expired, size). Either way it is the last
-      // `live` entries. Map nodes are stable, so `list` stays valid.
+      // A truncating on_expired leaves the live run at [0, live); one
+      // that leaves the list alone, at [expired, size). Either way it is
+      // the last `live` entries. Map nodes are stable, so `list` stays
+      // valid.
     }
     resolved[i] = L2ResolvedList{list, live};
   }
@@ -204,7 +179,6 @@ void L2GenerateCandidates(const StreamItem& x, double theta,
         size - r.live, size, &kernel->posting, [&](const PostingSpan& sp) {
       for (size_t k = sp.len; k-- > 0;) {  // newest entry first
         const VectorId eid = sp.id[k];
-        if (!owns(eid)) continue;
         ++stats->entries_traversed;
         CandidateMap::Slot* slot = cands->FindOrCreate(eid);
         if (slot->score < 0.0) continue;  // l2-pruned: final

@@ -19,7 +19,6 @@
 
 #include "index/posting_list.h"
 #include "index/residual_store.h"
-#include "index/sharded_stream_index.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
@@ -34,24 +33,21 @@ struct LiveCoord {
   Coord coord;
 };
 
-// Gathers every in-horizon posting of `maps` plus every in-horizon
+// Gathers every in-horizon posting of `lists` plus every in-horizon
 // residual prefix (null for STR-INV), groups the coordinates by id, and
 // appends one item per id in id order.
-void CollectFromIndex(const std::vector<const PostingMap*>& maps,
-                      const ResidualStore* residuals, Timestamp newest,
-                      double tau, Stream* out) {
+void CollectFromIndex(const PostingMap& lists, const ResidualStore* residuals,
+                      Timestamp newest, double tau, Stream* out) {
   std::vector<LiveCoord> coords;
   FrozenColumns scratch;  // thaws one frozen block at a time
-  for (const PostingMap* map : maps) {
-    for (const auto& [dim, list] : *map) {
-      list.ForSpansOldestFirst(
-          0, list.size(), &scratch, [&, dim = dim](const PostingSpan& sp) {
-            for (size_t k = 0; k < sp.len; ++k) {
-              if (OutsideHorizon(sp.ts[k], newest, tau)) continue;
-              coords.push_back({sp.id[k], sp.ts[k], Coord{dim, sp.value[k]}});
-            }
-          });
-    }
+  for (const auto& [dim, list] : lists) {
+    list.ForSpansOldestFirst(
+        0, list.size(), &scratch, [&, dim = dim](const PostingSpan& sp) {
+          for (size_t k = 0; k < sp.len; ++k) {
+            if (OutsideHorizon(sp.ts[k], newest, tau)) continue;
+            coords.push_back({sp.id[k], sp.ts[k], Coord{dim, sp.value[k]}});
+          }
+        });
   }
   if (residuals != nullptr) {
     residuals->ForEachInOrder([&](VectorId id, const ResidualRecord& rec) {
@@ -80,21 +76,15 @@ void CollectFromIndex(const std::vector<const PostingMap*>& maps,
 }  // namespace
 
 void StreamInvIndex::CollectLiveItems(Timestamp newest, Stream* out) const {
-  CollectFromIndex({&lists_}, nullptr, newest, tau_, out);
+  CollectFromIndex(lists_, nullptr, newest, tau_, out);
 }
 
 void StreamL2Index::CollectLiveItems(Timestamp newest, Stream* out) const {
-  CollectFromIndex({&lists_}, &residuals_, newest, tau_, out);
+  CollectFromIndex(lists_, &residuals_, newest, tau_, out);
 }
 
 void StreamL2apIndex::CollectLiveItems(Timestamp newest, Stream* out) const {
-  CollectFromIndex({&lists_}, &residuals_, newest, params_.tau, out);
-}
-
-void ShardedStreamIndex::CollectLiveItems(Timestamp newest, Stream* out) const {
-  std::vector<const PostingMap*> maps;
-  for (const Shard& shard : shards_) maps.push_back(&shard.lists);
-  CollectFromIndex(maps, &residuals_, newest, params_.tau, out);
+  CollectFromIndex(lists_, &residuals_, newest, params_.tau, out);
 }
 
 }  // namespace sssj

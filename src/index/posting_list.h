@@ -122,9 +122,7 @@ class PostingList {
   // Marks the list as scan-active (resets the dormancy counter) and,
   // when the index passes its arrival counter as `tick`, feeds the
   // scan-rate classifier: an EWMA of arrivals elapsed between
-  // consecutive scans of this list. Indexes call this from
-  // mutation-safe contexts only — the sharded engine from its
-  // owner-writes phase, never from the read-only generate phase.
+  // consecutive scans of this list.
   void NoteScanned(uint64_t tick = 0) {
     appends_since_scan_ = 0;
     if (tick != 0) {

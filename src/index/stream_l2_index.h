@@ -24,10 +24,9 @@
 
 namespace sssj {
 
-// The per-arrival processing is decomposed into generation / verification /
-// construction phase templates shared with the parallel ShardedStreamIndex
-// — see index/l2_phases.h (which also defines the L2IndexOptions ablation
-// switches).
+// The per-arrival processing runs the generation / verification /
+// construction phase templates of index/l2_phases.h (which also defines
+// the L2IndexOptions ablation switches).
 
 class StreamL2Index : public StreamIndex {
  public:
@@ -120,7 +119,6 @@ void StreamL2Index::ProcessUnder(const Decay& decay_fn, const StreamItem& x,
         }
         return list;
       },
-      [](VectorId) { return true; },
       [this](PostingList& list, size_t n) {
         NotePruned(lists_.TruncateFront(&list, n));
       },

@@ -7,19 +7,9 @@
 namespace sssj {
 
 MiniBatchJoin::MiniBatchJoin(const DecayParams& params, IndexFactory factory,
-                             double window_factor, size_t num_threads)
-    : params_(params),
-      factory_(std::move(factory)),
-      window_len_(params.tau * std::max(window_factor, 1.0)) {
-  if (num_threads > 1) pool_ = std::make_shared<ThreadPool>(num_threads);
-}
-
-MiniBatchJoin::MiniBatchJoin(const DecayParams& params, IndexFactory factory,
-                             double window_factor,
                              std::shared_ptr<ThreadPool> pool)
     : params_(params),
       factory_(std::move(factory)),
-      window_len_(params.tau * std::max(window_factor, 1.0)),
       pool_(std::move(pool)) {
   if (pool_ != nullptr && pool_->num_threads() == 1) pool_.reset();
 }
@@ -48,11 +38,11 @@ bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
     peak_index_bytes_ = 0;
   }
   last_ts_ = x.ts;
-  const double window = MbWindowIndex(x.ts, window_len_);
+  const double window = MbWindowIndex(x.ts, params_.tau);
   if (!cur_.empty() && window > window_) {
     // x starts a new window. O(1), even across long silent gaps:
     CloseWindow(sink);
-    if (window_len_ == 0.0 || window > window_ + 1.0) {
+    if (params_.tau == 0.0 || window > window_ + 1.0) {
       // x is not in the window after the one just closed (at τ = 0 no
       // two windows pair), so nothing buffered can pair with it: close
       // that one too.

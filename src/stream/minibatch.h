@@ -67,26 +67,14 @@ class MiniBatchJoin final : public JoinCore {
  public:
   using IndexFactory = std::function<std::unique_ptr<BatchIndex>()>;
 
-  // `window_factor` (≥ 1) sets the window length to window_factor·τ. The
-  // paper fixes it at 1; larger windows are still complete (any window
-  // ≥ τ makes in-horizon pairs intra- or adjacent-window) and trade fewer
-  // index rebuilds against larger per-window indexes and more decay-
-  // rejected candidates (MB tests pairs up to 2·window apart). Values < 1
-  // would lose pairs and are clamped to 1.
-  //
-  // `num_threads` (≥ 1, including the calling thread) parallelizes the
-  // query phase of every window close; 1 keeps the fully sequential path.
-  // Output is bit-identical for any value.
+  // Windows are τ long, on the grid MbWindowIndex(ts, τ) that the fleet
+  // supervisor's journal trim also uses. `pool` runs the query phase of
+  // every window close; null or a 1-thread pool keeps the sequential
+  // path. The pool may be private or shared with other joins (JoinService
+  // creates one per service). Output is bit-identical for any pool size:
+  // chunk buffers are drained in arrival order.
   MiniBatchJoin(const DecayParams& params, IndexFactory factory,
-                double window_factor = 1.0, size_t num_threads = 1);
-
-  // Same, but running window closes on an injected pool shared with other
-  // joins (JoinService creates one pool per service, not one per engine).
-  // A null pool keeps the sequential path. Output is bit-identical to the
-  // own-pool constructor for any pool size: chunk buffers are drained in
-  // arrival order either way.
-  MiniBatchJoin(const DecayParams& params, IndexFactory factory,
-                double window_factor, std::shared_ptr<ThreadPool> pool);
+                std::shared_ptr<ThreadPool> pool = nullptr);
 
   // Feeds one arrival; emits any pairs that became reportable (i.e. when
   // `x` closes one or more windows). Returns false on a time-order
@@ -116,9 +104,6 @@ class MiniBatchJoin final : public JoinCore {
   // Window sizes, exposed for tests.
   size_t pending_current() const { return cur_.size(); }
   size_t pending_previous() const { return prev_.size(); }
-  size_t num_threads() const {
-    return pool_ == nullptr ? 1 : pool_->num_threads();
-  }
 
   // Stream-clock state, exposed so the engine can diagnose a time
   // regression precisely before delegating. `started()` is false again
@@ -162,7 +147,6 @@ class MiniBatchJoin final : public JoinCore {
 
   DecayParams params_;
   IndexFactory factory_;
-  double window_len_;  // window_factor · τ
   Stream prev_;  // W_{k−1}: awaiting indexing
   Stream cur_;   // W_k: accumulating
   size_t prev_bytes_ = 0;  // WindowBytes(prev_)

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -25,8 +26,10 @@ namespace {
 bool ParseFlagInt(const std::string& value, int64_t* out) {
   const char* s = value.c_str();
   char* end = nullptr;
+  errno = 0;
   const int64_t v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  // Out of range, strtoll clamps to INT64_MIN/MAX: reject it instead.
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
   *out = v;
   return true;
 }

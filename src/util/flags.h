@@ -19,9 +19,10 @@ namespace sssj {
 
 // Non-exiting strict parse cores behind the numeric getters: full-value
 // consumption (no trailing junk, no empty values/elements), false on any
-// malformation without touching *out. Exposed so tools that want a Status
-// instead of exit(2) — and the flag-parsing fuzz harness — can reuse the
-// exact validation the binaries apply.
+// malformation (an integer outside int64_t counts as one) without
+// touching *out. Exposed so tools that want a Status instead of exit(2)
+// — and the flag-parsing fuzz harness — can reuse the exact validation
+// the binaries apply.
 bool ParseFlagInt(const std::string& value, int64_t* out);
 bool ParseFlagDouble(const std::string& value, double* out);
 bool ParseFlagDoubleList(const std::string& value, std::vector<double>* out);

@@ -23,13 +23,11 @@
 // ~1.5-2x with zero per-scan cost. The all-zero prefix_norm elision
 // applies here too.
 //
-// Blocks are immutable after Freeze() and all accessors are const, so a
-// block may be read concurrently by any number of shard workers without
-// synchronization (the sharded index freezes only in its owner-writes
-// phase, after the read barrier). Scans decompress one block at a time
-// into caller-owned FrozenColumns scratch — cold entries cost
-// decompression only when a scan actually reaches them; expiry drops
-// whole blocks by the max_ts header without touching the bytes.
+// Blocks are immutable after Freeze() and all accessors are const. Scans
+// decompress one block at a time into caller-owned FrozenColumns scratch
+// — cold entries cost decompression only when a scan actually reaches
+// them; expiry drops whole blocks by the max_ts header without touching
+// the bytes.
 #ifndef SSSJ_UTIL_FROZEN_BLOCK_H_
 #define SSSJ_UTIL_FROZEN_BLOCK_H_
 
@@ -80,8 +78,8 @@ struct TieredStorageOptions {
 };
 
 // Decode scratch: one growable vector per posting column. Owned by the
-// caller (per thread / per shard worker), reused across blocks and
-// arrivals so steady-state scans allocate nothing.
+// caller, reused across blocks and arrivals so steady-state scans
+// allocate nothing.
 struct FrozenColumns {
   std::vector<VectorId> id;
   std::vector<double> value;

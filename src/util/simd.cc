@@ -14,9 +14,9 @@ namespace {
 
 // Active dispatch level. A function-local static gives thread-safe
 // first-use initialization: with kernel=simd and num_threads > 1 the
-// first callers can be concurrent shard workers, and they must all
-// observe the same level (mixed levels would break the bit-identical
-// determinism contract on the very first arrival).
+// first callers can be concurrent MB window-close workers, and they must
+// all observe the same level (mixed levels would break the bit-identical
+// determinism contract on the very first window).
 SimdLevel& ActiveLevelRef() {
   static SimdLevel level = DetectSimdLevel();
   return level;

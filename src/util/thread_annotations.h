@@ -20,11 +20,6 @@
 //     called with it held carry SSSJ_EXCLUDES(mu) (the checked form of
 //     the AsyncPush/Drain "lock-free on the session mutex" deadlock
 //     rationale);
-//   * single-owner structures without a mutex (the sharded index's
-//     owner-writes phase) express their ownership discipline with a
-//     zero-size Role capability: the exclusive operations carry
-//     SSSJ_REQUIRES(role) and the owning thread holds the role via a
-//     scoped RoleLock;
 //   * deliberately lock-free-by-design reads (the thread pool's claim
 //     loop) are the only places allowed to carry
 //     SSSJ_NO_THREAD_SAFETY_ANALYSIS, each with a rationale comment.
@@ -131,33 +126,6 @@ class SSSJ_SCOPED_CAPABILITY MutexLock {
 
  private:
   std::unique_lock<std::mutex> lock_;
-};
-
-// A zero-size capability for single-owner disciplines that have no mutex:
-// "only shard w writes shard w's lists". Operations reserved to the owner
-// carry SSSJ_REQUIRES(role); the owning thread wraps its exclusive region
-// in a RoleLock. Outside clang (and at runtime everywhere) this compiles
-// to nothing — the annotations prove call-graph discipline, not runtime
-// exclusion.
-class SSSJ_CAPABILITY("role") Role {
- public:
-  Role() = default;
-  Role(const Role&) = delete;
-  Role& operator=(const Role&) = delete;
-
-  void Acquire() SSSJ_ACQUIRE() {}
-  void Release() SSSJ_RELEASE() {}
-};
-
-class SSSJ_SCOPED_CAPABILITY RoleLock {
- public:
-  explicit RoleLock(const Role& role) SSSJ_ACQUIRE(role) {
-    (void)role;
-  }
-  ~RoleLock() SSSJ_RELEASE() {}
-
-  RoleLock(const RoleLock&) = delete;
-  RoleLock& operator=(const RoleLock&) = delete;
 };
 
 }  // namespace sssj

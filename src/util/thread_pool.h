@@ -1,12 +1,11 @@
-// Fixed-size fork/join thread pool for the sharded streaming hot path.
+// Fixed-size fork/join thread pool for the MiniBatch window-close fan-out
+// (stream/minibatch.h): one ParallelFor per closed window.
 //
 // Deliberately minimal: no task queue, no work stealing, no futures. The
 // only primitive is ParallelFor(n, fn), which runs fn(0..n-1) across the
 // pool (caller thread included) and blocks until every task finished.
 // Tasks are claimed with a single atomic counter, so the scheduling
-// overhead per call is two condition-variable hand-offs — cheap enough to
-// run twice per stream arrival, which is exactly how ShardedStreamIndex
-// uses it.
+// overhead per call is two condition-variable hand-offs.
 //
 // Worker participation is gated through the mutex: a worker enters the
 // claim loop only after observing a new epoch under the lock (bumping

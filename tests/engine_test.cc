@@ -406,12 +406,13 @@ TEST(EngineTest, ConfigurationNotesSurfaceIgnoredKnobs) {
     EXPECT_TRUE((*engine)->configuration_notes().empty());
   }
   {
-    // STR-L2 with threads uses them → no num_threads note.
+    // STR-L2 ignores num_threads too: every STR scheme runs one
+    // sequential scan.
     EngineConfig cfg;
     cfg.num_threads = 2;
     auto engine = SssjEngine::Make(cfg);
     ASSERT_TRUE(engine.ok());
-    EXPECT_FALSE(has_note((*engine)->configuration_notes(), "num_threads"));
+    EXPECT_TRUE(has_note((*engine)->configuration_notes(), "num_threads"));
   }
   {
     // A shared pool with num_threads <= 1 is never used, and says so once.

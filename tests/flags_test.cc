@@ -106,6 +106,7 @@ TEST(FlagsParseCoreTest, IntAcceptsAndRejects) {
   EXPECT_FALSE(ParseFlagInt("12x", &v));
   EXPECT_FALSE(ParseFlagInt("x12", &v));
   EXPECT_FALSE(ParseFlagInt("1.5", &v));
+  EXPECT_FALSE(ParseFlagInt("9223372036854775808", &v));  // > INT64_MAX
   EXPECT_EQ(v, 42);  // untouched on every failure
 }
 

@@ -124,6 +124,67 @@ TEST(JoinServiceTest, ConcurrentSessionsMatchStandaloneEnginesBitwise) {
   EXPECT_GT(stats.memory_bytes, 0u);
 }
 
+// Every STR scheme runs one sequential scan whatever num_threads says:
+// at 2 and 4 threads, standalone and as a session of a service with a
+// 4-thread pool, it emits the 1-thread run's pair sequence bit for bit
+// with the same counters, and the engine notes that the setting is
+// ignored.
+TEST(JoinServiceTest, StrSchemesEmitTheOneThreadSequenceAtAnyNumThreads) {
+  // Few dims and short gaps: long posting lists, so many arrivals emit
+  // several pairs each and the emission order is exercised.
+  RandomStreamSpec spec;
+  spec.n = 400;
+  spec.dims = 30;
+  spec.min_nnz = 2;
+  spec.max_nnz = 6;
+  spec.max_gap = 0.5;
+  spec.seed = 77;
+  const Stream stream = RandomStream(spec);
+  JoinServiceOptions service_options;
+  service_options.num_threads = 4;
+  JoinService service(service_options);
+  for (const IndexScheme scheme :
+       {IndexScheme::kInv, IndexScheme::kL2, IndexScheme::kL2ap}) {
+    EngineConfig cfg;
+    cfg.framework = Framework::kStreaming;
+    cfg.index = scheme;
+    cfg.theta = 0.6;
+    cfg.lambda = 0.05;
+    CollectorSink ref_sink;
+    auto ref = *SssjEngine::Make(cfg, &ref_sink);
+    ASSERT_EQ(ref->PushBatch(stream).accepted, stream.size());
+    ASSERT_GT(ref_sink.pairs().size(), 10u) << ToString(scheme);
+
+    for (const int threads : {2, 4}) {
+      cfg.num_threads = threads;
+      const std::string label = std::string("STR-") + ToString(scheme) +
+                                " threads=" + std::to_string(threads);
+      CollectorSink sink;
+      auto engine = *SssjEngine::Make(cfg, &sink);
+      ASSERT_EQ(engine->PushBatch(stream).accepted, stream.size());
+      ExpectBitIdentical(sink.pairs(), ref_sink.pairs(), label);
+      EXPECT_EQ(engine->stats().ToString(), ref->stats().ToString()) << label;
+      const std::vector<std::string>& notes = engine->configuration_notes();
+      EXPECT_TRUE(notes.size() == 1 &&
+                  notes[0].find("num_threads") != std::string::npos)
+          << label;
+
+      CollectorSink session_sink;
+      auto session = service.CreateSession({label, cfg, &session_sink});
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (const StreamItem& item : stream) {
+        ASSERT_TRUE(service.Push(*session, item.ts, item.vec).ok());
+      }
+      ExpectBitIdentical(session_sink.pairs(), ref_sink.pairs(),
+                         label + " session");
+      const StatusOr<RunStats> session_stats = service.SessionStats(*session);
+      ASSERT_TRUE(session_stats.ok());
+      EXPECT_EQ(session_stats->ToString(), ref->stats().ToString()) << label;
+      ASSERT_TRUE(service.CloseSession(*session).ok());
+    }
+  }
+}
+
 TEST(JoinServiceTest, CreateValidatesNameAndConfig) {
   JoinService service;
   CollectorSink sink;

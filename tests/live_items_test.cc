@@ -3,13 +3,13 @@
 //   * After every push an STR engine saves exactly the SSSJENG3 bytes of
 //     the pushed items that are not OutsideHorizon of that push: same
 //     items, same order, same coordinate bits. Covers STR-L2, STR-INV and
-//     STR-L2AP (untiered and tiered-exact) and sharded STR-L2, on a sparse
-//     and a dense generated stream and on a stream whose arrivals land
-//     exactly on newest − τ.
+//     STR-L2AP (untiered and tiered-exact), on a sparse and a dense
+//     generated stream and on a stream whose arrivals land exactly on
+//     newest − τ.
 //   * A checkpoint saved at any cut and loaded into a fresh engine resumes
 //     to the uninterrupted run's pairs: the same sequence, bit for bit, for
-//     STR-L2, STR-INV, sharded STR-L2 and MB (its windows sit on a grid,
-//     so the restored core closes each window where the original did); the
+//     STR-L2, STR-INV and MB (its windows sit on a grid, so the restored
+//     core closes each window where the original did); the
 //     same set for STR-L2AP (its max vector then covers only the live
 //     items, so dot summation order can change).
 //   * A general-decay index rebuilds over its own horizon.
@@ -144,10 +144,6 @@ const Variant kStrVariants[] = {
     {"InvTiered", Framework::kStreaming, IndexScheme::kInv, 1, true, true},
     {"L2ap", Framework::kStreaming, IndexScheme::kL2ap, 1, false, false},
     {"L2apTiered", Framework::kStreaming, IndexScheme::kL2ap, 1, true, false},
-    {"L2Sharded2", Framework::kStreaming, IndexScheme::kL2, 2, false, true},
-    {"L2Sharded4", Framework::kStreaming, IndexScheme::kL2, 4, false, true},
-    {"L2Sharded4Tiered", Framework::kStreaming, IndexScheme::kL2, 4, true,
-     true},
 };
 
 const Variant kMbVariants[] = {

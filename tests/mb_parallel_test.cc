@@ -1,11 +1,10 @@
 // Parallel MiniBatch window execution: with num_threads > 1 the query
 // phase of every window close fans out across the thread pool, and the
-// determinism bar is stricter than the sharded STR engine's — the emitted
-// pair SEQUENCE (order, ids, timestamps, and bit-exact dot/sim scores)
-// must be identical to the sequential engine for any thread count, for
-// every batch index scheme. The suite name intentionally matches the TSan
-// CI filter (MiniBatchParallel), so these tests also run under
-// ThreadSanitizer to watch the concurrent const-Query path.
+// emitted pair SEQUENCE (order, ids, timestamps, and bit-exact dot/sim
+// scores) must be identical to the sequential engine for any thread
+// count, for every batch index scheme. The suite name intentionally
+// matches the TSan CI filter (MiniBatchParallel), so these tests also run
+// under ThreadSanitizer to watch the concurrent const-Query path.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -43,8 +42,9 @@ MiniBatchJoin::IndexFactory FactoryFor(Scheme s, double theta) {
 
 std::vector<ResultPair> RunMb(Scheme s, const DecayParams& params,
                               const Stream& stream, size_t num_threads) {
+  // A 1-thread pool keeps the sequential path.
   MiniBatchJoin mb(params, FactoryFor(s, params.theta),
-                   /*window_factor=*/1.0, num_threads);
+                   std::make_shared<ThreadPool>(num_threads));
   CollectorSink sink;
   for (const StreamItem& item : stream) {
     EXPECT_TRUE(mb.Push(item, &sink));
@@ -114,8 +114,8 @@ TEST(MiniBatchParallelTest, StatsMatchSequentialRun) {
   const Stream stream = RandomStream(spec);
 
   const auto run = [&](size_t threads) {
-    MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, params.theta), 1.0,
-                     threads);
+    MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, params.theta),
+                     std::make_shared<ThreadPool>(threads));
     CollectorSink sink;
     for (const StreamItem& item : stream) mb.Push(item, &sink);
     mb.Flush(&sink);

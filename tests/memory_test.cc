@@ -17,7 +17,6 @@
 #include "core/engine.h"
 #include "index/posting_list.h"
 #include "index/residual_store.h"
-#include "index/sharded_stream_index.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
@@ -349,16 +348,6 @@ std::vector<IndexVariant> IndexVariants() {
        [](const DecayParams& p, const TieredStorageOptions& t) {
          return std::make_unique<StreamL2apIndex>(p, 0.0, false, false, t);
        }},
-      {"L2-SHARDED-2",
-       [](const DecayParams& p, const TieredStorageOptions& t) {
-         return std::make_unique<ShardedStreamIndex>(p, 2, L2IndexOptions{},
-                                                     false, t);
-       }},
-      {"L2-SHARDED-4",
-       [](const DecayParams& p, const TieredStorageOptions& t) {
-         return std::make_unique<ShardedStreamIndex>(p, 4, L2IndexOptions{},
-                                                     false, t);
-       }},
       {"INV(gen)",
        [](const DecayParams& p, const TieredStorageOptions& t) {
          return std::make_unique<StreamInvIndex>(
@@ -409,10 +398,10 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(StorageName(info.param));
     });
 
-// Engine level: every framework x scheme (and the sharded STR-L2), through
-// the whole engine surface — push, batch, flush, evict + reload (save to
-// a file, fresh stand-in engine, load), in-place checkpoint restore and
-// live scheme migration.
+// Engine level: every framework x scheme, through the whole engine
+// surface — push, batch, flush, evict + reload (save to a file, fresh
+// stand-in engine, load), in-place checkpoint restore and live scheme
+// migration.
 struct EngineVariant {
   const char* name;
   Framework framework;
@@ -424,8 +413,6 @@ const EngineVariant kEngineVariants[] = {
     {"StrInv", Framework::kStreaming, IndexScheme::kInv, 1},
     {"StrL2", Framework::kStreaming, IndexScheme::kL2, 1},
     {"StrL2ap", Framework::kStreaming, IndexScheme::kL2ap, 1},
-    {"StrL2Sharded2", Framework::kStreaming, IndexScheme::kL2, 2},
-    {"StrL2Sharded4", Framework::kStreaming, IndexScheme::kL2, 4},
     {"MbInv", Framework::kMiniBatch, IndexScheme::kInv, 1},
     {"MbAp", Framework::kMiniBatch, IndexScheme::kAp, 1},
     {"MbL2ap", Framework::kMiniBatch, IndexScheme::kL2ap, 1},

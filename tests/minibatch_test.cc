@@ -322,49 +322,6 @@ TEST(MiniBatchTest, StatsAggregateAcrossWindows) {
   EXPECT_GT(mb.stats().index_rebuilds, 1u);  // many windows
 }
 
-class WindowFactorTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(WindowFactorTest, LargerWindowsStayComplete) {
-  // Any window length ≥ τ preserves the completeness argument; the factor
-  // trades rebuild frequency for per-window size.
-  const double factor = GetParam();
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.05, &params));
-  RandomStreamSpec spec;
-  spec.n = 300;
-  spec.dims = 30;
-  spec.seed = 40;
-  const Stream stream = RandomStream(spec);
-
-  MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, params.theta), factor);
-  CollectorSink sink;
-  for (const StreamItem& item : stream) {
-    ASSERT_TRUE(mb.Push(item, &sink));
-  }
-  mb.Flush(&sink);
-  ExpectMatchesOracle(stream, params, sink.pairs());
-}
-
-INSTANTIATE_TEST_SUITE_P(Factors, WindowFactorTest,
-                         ::testing::Values(1.0, 1.5, 2.0, 4.0));
-
-TEST(WindowFactorTest, LargerWindowsRebuildLessOften) {
-  DecayParams params;
-  ASSERT_TRUE(DecayParams::Make(0.6, 0.1, &params));
-  RandomStreamSpec spec;
-  spec.n = 400;
-  spec.seed = 41;
-  const Stream stream = RandomStream(spec);
-  const auto rebuilds = [&](double factor) {
-    MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, params.theta), factor);
-    CollectorSink sink;
-    for (const StreamItem& item : stream) mb.Push(item, &sink);
-    mb.Flush(&sink);
-    return mb.stats().index_rebuilds;
-  };
-  EXPECT_GT(rebuilds(1.0), rebuilds(4.0));
-}
-
 TEST(MiniBatchTest, ReuseAfterFlushDoesNotDoubleCountStats) {
   // Flush's contract says the join is reusable; stats_ used to survive the
   // reset, so a reused join reported run-1 + run-2 aggregates. Counters

@@ -1,12 +1,14 @@
 // Composable sink pipeline (core/sinks.h): Tee/Filter/TopK/Sampling
 // verified against CollectorSink ground truth, plus chain composition
-// through a real engine.
+// through a real engine, and the thread-safe ConcurrentCollectingSink.
 #include "core/sinks.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <thread>
 
 #include "core/engine.h"
 #include "tests/test_util.h"
@@ -235,6 +237,35 @@ TEST(SinkPipelineTest, ChainMatchesCollectorGroundTruthThroughEngine) {
   for (size_t i = 0; i < top.size(); ++i) {
     EXPECT_EQ(top[i].sim, expected[i].sim);
   }
+}
+
+TEST(ConcurrentCollectingSinkTest, ParallelEmitsAreAllRecorded) {
+  ConcurrentCollectingSink sink;
+  const int kThreads = 4;
+  const int kPerThread = 2500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sink, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        ResultPair p;
+        p.a = static_cast<VectorId>(t);
+        p.b = static_cast<VectorId>(kThreads + i);
+        p.sim = 1.0;
+        sink.Emit(p);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(sink.size(), static_cast<size_t>(kThreads * kPerThread));
+
+  std::map<VectorId, int> per_thread;
+  for (const ResultPair& p : sink.Snapshot()) ++per_thread[p.a];
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(per_thread[static_cast<VectorId>(t)], kPerThread);
+  }
+  sink.Clear();
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_TRUE(sink.SortedPairs().empty());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tiered posting storage: the frozen-block cold tier under PostingList,
 // and the engine-level contract that tiering changes memory layout but
-// never output — for every STR scheme, sequential and sharded.
+// never output — for every STR scheme.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -309,9 +309,7 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, TieredEquivalenceTest,
     ::testing::Values(SchemeThreads{IndexScheme::kInv, 1},
                       SchemeThreads{IndexScheme::kL2ap, 1},
-                      SchemeThreads{IndexScheme::kL2, 1},
-                      SchemeThreads{IndexScheme::kL2, 2},
-                      SchemeThreads{IndexScheme::kL2, 4}));
+                      SchemeThreads{IndexScheme::kL2, 1}));
 
 TEST(TieredEquivalenceTest, SimdKernelsAlsoUnaffectedByTiering) {
   RandomStreamSpec spec;
