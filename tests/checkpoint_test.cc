@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -240,6 +241,63 @@ TEST(CheckpointTest, EveryConfigurationRoundTrips) {
     }
   }
   EXPECT_EQ(configurations, 15u);  // STR: 3 schemes × 1; MB: 4 × 3
+}
+
+// The thread count is not part of a checkpoint: every STR scheme saves the
+// same bytes at any num_threads, and MB's fan-out emits the sequential
+// sequence, so a checkpoint saved at 4 threads resumes at 1 and one saved
+// at 1 resumes at 4, each with the uninterrupted run's pairs.
+TEST(CheckpointTest, ResumesAcrossThreadCounts) {
+  const Stream stream = TestStream();
+  const size_t cut = stream.size() / 2;
+  for (const Framework framework :
+       {Framework::kStreaming, Framework::kMiniBatch}) {
+    for (const IndexScheme scheme :
+         {IndexScheme::kInv, IndexScheme::kL2ap, IndexScheme::kL2}) {
+      EngineConfig cfg;
+      cfg.framework = framework;
+      cfg.index = scheme;
+      cfg.theta = 0.6;
+      cfg.lambda = 0.02;
+      cfg.normalize_inputs = false;
+      CollectorSink ref_sink;
+      auto ref = *SssjEngine::Make(cfg, &ref_sink);
+      for (const StreamItem& item : stream) {
+        ASSERT_TRUE(ref->Push(item.ts, item.vec).ok());
+      }
+      ref->Flush();
+      ASSERT_GT(ref_sink.pairs().size(), 0u);
+
+      for (const auto& [save_threads, load_threads] :
+           {std::pair<int, int>{4, 1}, std::pair<int, int>{1, 4}}) {
+        SCOPED_TRACE(std::string(ToString(framework)) + "-" +
+                     ToString(scheme) + " saved at " +
+                     std::to_string(save_threads) + " threads, loaded at " +
+                     std::to_string(load_threads));
+        CollectorSink sink;
+        std::stringstream blob;
+        {
+          cfg.num_threads = save_threads;
+          auto first = *SssjEngine::Make(cfg, &sink);
+          for (size_t i = 0; i < cut; ++i) {
+            ASSERT_TRUE(first->Push(stream[i].ts, stream[i].vec).ok());
+          }
+          const Status saved = first->SaveCheckpoint(blob);
+          ASSERT_TRUE(saved.ok()) << saved.ToString();
+        }
+        cfg.num_threads = load_threads;
+        auto second = *SssjEngine::Make(cfg, &sink);
+        const Status loaded = second->LoadCheckpoint(blob);
+        ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+        for (size_t i = cut; i < stream.size(); ++i) {
+          ASSERT_TRUE(second->Push(stream[i].ts, stream[i].vec).ok());
+        }
+        second->Flush();
+        EXPECT_EQ(sink.pairs().size(), ref_sink.pairs().size());
+        EXPECT_EQ(PairSet(sink.pairs()), PairSet(ref_sink.pairs()));
+      }
+    }
+  }
 }
 
 // A zero-item seed from WriteCheckpoint (the format's one writer; the

@@ -17,6 +17,7 @@ namespace {
 
 using ::sssj::testing::ExpectMatchesOracle;
 using ::sssj::testing::Item;
+using ::sssj::testing::PairSet;
 using ::sssj::testing::RandomStream;
 using ::sssj::testing::RandomStreamSpec;
 using ::sssj::testing::RawVec;
@@ -425,6 +426,90 @@ TEST(EngineTest, ConfigurationNotesSurfaceIgnoredKnobs) {
     EXPECT_TRUE(has_note(notes, "shared thread pool is unused"));
   }
 }
+
+// STR engines at num_threads > 1: every STR scheme runs its one
+// sequential scan at any thread count, so batch ingestion, per-item
+// rejects and the oracle all hold as at one thread.
+class StrNumThreadsTest : public ::testing::TestWithParam<IndexScheme> {};
+
+// Few dims and short gaps: long posting lists, many candidates.
+Stream DenseishStream(uint64_t seed) {
+  RandomStreamSpec spec;
+  spec.n = 500;
+  spec.dims = 30;
+  spec.min_nnz = 2;
+  spec.max_nnz = 6;
+  spec.max_gap = 0.5;
+  spec.seed = seed;
+  return RandomStream(spec);
+}
+
+EngineConfig StrConfig(IndexScheme scheme, int threads, double theta,
+                       double lambda) {
+  EngineConfig cfg;
+  cfg.framework = Framework::kStreaming;
+  cfg.index = scheme;
+  cfg.theta = theta;
+  cfg.lambda = lambda;
+  cfg.num_threads = threads;
+  return cfg;
+}
+
+TEST_P(StrNumThreadsTest, MatchesBruteForceOracle) {
+  const Stream stream = DenseishStream(3);
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.05, &params));
+  CollectorSink sink;
+  auto engine = *SssjEngine::Make(
+      StrConfig(GetParam(), 4, params.theta, params.lambda), &sink);
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(engine->PushBatch(stream).accepted, stream.size());
+  EXPECT_FALSE(sink.pairs().empty()) << "vacuous test stream";
+  ExpectMatchesOracle(stream, params, sink.pairs());
+}
+
+TEST_P(StrNumThreadsTest, PushBatchMatchesPerItemPush) {
+  const Stream stream = DenseishStream(19);
+  const EngineConfig cfg = StrConfig(GetParam(), 2, 0.6, 0.05);
+  CollectorSink batch_sink, item_sink;
+  auto batch_engine = *SssjEngine::Make(cfg, &batch_sink);
+  auto item_engine = *SssjEngine::Make(cfg, &item_sink);
+  ASSERT_NE(batch_engine, nullptr);
+  ASSERT_NE(item_engine, nullptr);
+  EXPECT_EQ(batch_engine->PushBatch(stream).accepted, stream.size());
+  for (const StreamItem& item : stream) {
+    EXPECT_TRUE(item_engine->Push(item.ts, item.vec).ok());
+  }
+  EXPECT_FALSE(batch_sink.pairs().empty()) << "vacuous test stream";
+  EXPECT_EQ(batch_sink.pairs().size(), item_sink.pairs().size());
+  EXPECT_EQ(PairSet(batch_sink.pairs()), PairSet(item_sink.pairs()));
+  EXPECT_EQ(batch_engine->next_id(), item_engine->next_id());
+}
+
+TEST_P(StrNumThreadsTest, PushBatchSkipsInvalidItemsAndContinues) {
+  CollectorSink sink;
+  auto engine = *SssjEngine::Make(StrConfig(GetParam(), 2, 0.7, 0.01), &sink);
+  ASSERT_NE(engine, nullptr);
+
+  Stream batch;
+  batch.push_back(Item(0, 10.0, UnitVec({{1, 1.0}})));
+  batch.push_back(Item(1, 5.0, UnitVec({{1, 1.0}})));  // time goes backwards
+  batch.push_back(Item(2, 11.0, UnitVec({{1, 1.0}})));
+  const BatchPushResult pushed = engine->PushBatch(batch);
+  EXPECT_EQ(pushed.accepted, 2u);
+  ASSERT_EQ(pushed.rejects.size(), 1u);
+  EXPECT_EQ(pushed.rejects[0].index, 1u);
+  EXPECT_EQ(pushed.rejects[0].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine->next_id(), 2u);
+  ASSERT_EQ(sink.pairs().size(), 1u);  // items 0 and 2 are near-identical
+}
+
+INSTANTIATE_TEST_SUITE_P(Str, StrNumThreadsTest,
+                         ::testing::Values(IndexScheme::kInv, IndexScheme::kL2,
+                                           IndexScheme::kL2ap),
+                         [](const ::testing::TestParamInfo<IndexScheme>& info) {
+                           return std::string(ToString(info.param));
+                         });
 
 }  // namespace
 }  // namespace sssj

@@ -53,6 +53,14 @@ TEST(FlagsValidationDeathTest, BadIntExitsNamingFlag) {
   EXPECT_EXIT(f.GetInt("seed", 42), ::testing::ExitedWithCode(2), "--seed");
 }
 
+TEST(FlagsValidationDeathTest, IntOutsideInt64ExitsNamingFlag) {
+  // strtoll clamps an overflow to INT64_MAX; reading that clamp as the
+  // value would turn a typo'd --seed into a different run.
+  const char* argv[] = {"prog", "--seed=9223372036854775808"};
+  Flags f(2, const_cast<char**>(argv));
+  EXPECT_EXIT(f.GetInt("seed", 42), ::testing::ExitedWithCode(2), "--seed");
+}
+
 TEST(FlagsValidationDeathTest, BadListElementExitsNamingFlag) {
   const char* argv[] = {"prog", "--theta-list=0.5,oops,0.9"};
   Flags f(2, const_cast<char**>(argv));
@@ -106,7 +114,17 @@ TEST(FlagsParseCoreTest, IntAcceptsAndRejects) {
   EXPECT_FALSE(ParseFlagInt("12x", &v));
   EXPECT_FALSE(ParseFlagInt("x12", &v));
   EXPECT_FALSE(ParseFlagInt("1.5", &v));
+  EXPECT_EQ(v, 42);  // untouched on every failure
+}
+
+TEST(FlagsParseCoreTest, IntRejectsValuesOutsideInt64) {
+  int64_t v = 42;
+  EXPECT_TRUE(ParseFlagInt("9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MAX);
+  v = 42;
   EXPECT_FALSE(ParseFlagInt("9223372036854775808", &v));  // > INT64_MAX
+  EXPECT_FALSE(ParseFlagInt("-9223372036854775809", &v));  // < INT64_MIN
+  EXPECT_FALSE(ParseFlagInt("18446744073709551616", &v));  // 2^64
   EXPECT_EQ(v, 42);  // untouched on every failure
 }
 

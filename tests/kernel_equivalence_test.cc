@@ -122,5 +122,22 @@ TEST_F(KernelEquivalenceTest, MiniBatchSimdThreadCountInvariant) {
   ExpectSamePairs(seq, fanned, "MB-simd");
 }
 
+// Every STR scheme runs its one sequential scan at any num_threads, so
+// the simd path emits the 1-thread simd sequence at every thread count.
+TEST_F(KernelEquivalenceTest, StreamingSimdThreadCountInvariant) {
+  const Stream& stream = WebSpamStream();
+  for (IndexScheme ix :
+       {IndexScheme::kInv, IndexScheme::kL2ap, IndexScheme::kL2}) {
+    const auto seq =
+        RunEngine(Framework::kStreaming, ix, KernelMode::kSimd, 1, stream);
+    EXPECT_FALSE(seq.empty()) << "degenerate test input";
+    for (int threads : {2, 4, 8}) {
+      const auto run = RunEngine(Framework::kStreaming, ix, KernelMode::kSimd,
+                                 threads, stream);
+      ExpectSamePairs(seq, run, ToString(ix));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sssj

@@ -3,9 +3,9 @@
 //   * After every push an STR engine saves exactly the SSSJENG3 bytes of
 //     the pushed items that are not OutsideHorizon of that push: same
 //     items, same order, same coordinate bits. Covers STR-L2, STR-INV and
-//     STR-L2AP (untiered and tiered-exact), on a sparse and a dense
-//     generated stream and on a stream whose arrivals land exactly on
-//     newest − τ.
+//     STR-L2AP (untiered and tiered-exact), and STR-L2 at 2 and 4 threads,
+//     on a sparse and a dense generated stream and on a stream whose
+//     arrivals land exactly on newest − τ.
 //   * A checkpoint saved at any cut and loaded into a fresh engine resumes
 //     to the uninterrupted run's pairs: the same sequence, bit for bit, for
 //     STR-L2, STR-INV and MB (its windows sit on a grid, so the restored
@@ -144,6 +144,12 @@ const Variant kStrVariants[] = {
     {"InvTiered", Framework::kStreaming, IndexScheme::kInv, 1, true, true},
     {"L2ap", Framework::kStreaming, IndexScheme::kL2ap, 1, false, false},
     {"L2apTiered", Framework::kStreaming, IndexScheme::kL2ap, 1, true, false},
+    // STR ignores num_threads: these must save and resume exactly like
+    // the 1-thread L2 rows.
+    {"L2Threads2", Framework::kStreaming, IndexScheme::kL2, 2, false, true},
+    {"L2Threads4", Framework::kStreaming, IndexScheme::kL2, 4, false, true},
+    {"L2Threads4Tiered", Framework::kStreaming, IndexScheme::kL2, 4, true,
+     true},
 };
 
 const Variant kMbVariants[] = {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -179,6 +181,62 @@ TEST(MiniBatchParallelTest, TinyWindowsFallBackToSequentialPath) {
   const auto sequential = RunMb(Scheme::kInv, params, stream, 1);
   const auto parallel = RunMb(Scheme::kInv, params, stream, 8);
   ExpectBitIdentical(sequential, parallel, 8);
+}
+
+TEST(MiniBatchParallelTest, NullPoolRunsTheSequentialPath) {
+  // The default (no pool) is the sequential configuration: the same
+  // sequence as a 1-thread pool and as a 4-thread one.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.5, 0.02, &params));
+  RandomStreamSpec spec;
+  spec.n = 400;
+  spec.dims = 40;
+  spec.max_gap = 1.0;
+  spec.seed = 81;
+  const Stream stream = RandomStream(spec);
+
+  MiniBatchJoin mb(params, FactoryFor(Scheme::kL2ap, params.theta));
+  CollectorSink sink;
+  for (const StreamItem& item : stream) ASSERT_TRUE(mb.Push(item, &sink));
+  mb.Flush(&sink);
+  ASSERT_FALSE(sink.pairs().empty());
+  ExpectBitIdentical(sink.pairs(), RunMb(Scheme::kL2ap, params, stream, 1), 1);
+  ExpectBitIdentical(sink.pairs(), RunMb(Scheme::kL2ap, params, stream, 4), 4);
+}
+
+TEST(MiniBatchParallelTest, OneSharedPoolServesConcurrentJoins) {
+  // JoinService hands one pool to every MB session; two joins pushed
+  // from their own threads queue their window closes on it, and each
+  // still emits its sequential run's sequence.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.5, 0.02, &params));
+  RandomStreamSpec spec;
+  spec.n = 500;
+  spec.dims = 40;
+  spec.max_gap = 1.0;
+  spec.seed = 82;
+  const Stream first = RandomStream(spec);
+  spec.seed = 83;
+  const Stream second = RandomStream(spec);
+
+  const auto pool = std::make_shared<ThreadPool>(4);
+  const auto run = [&pool](Scheme scheme, const DecayParams& p,
+                           const Stream& stream, CollectorSink* sink) {
+    MiniBatchJoin mb(p, FactoryFor(scheme, p.theta), pool);
+    for (const StreamItem& item : stream) mb.Push(item, sink);
+    mb.Flush(sink);
+  };
+  CollectorSink first_sink, second_sink;
+  std::thread other(run, Scheme::kInv, params, std::cref(first), &first_sink);
+  run(Scheme::kL2, params, second, &second_sink);
+  other.join();
+
+  ASSERT_FALSE(first_sink.pairs().empty());
+  ASSERT_FALSE(second_sink.pairs().empty());
+  ExpectBitIdentical(first_sink.pairs(),
+                     RunMb(Scheme::kInv, params, first, 1), 4);
+  ExpectBitIdentical(second_sink.pairs(),
+                     RunMb(Scheme::kL2, params, second, 1), 4);
 }
 
 }  // namespace

@@ -401,7 +401,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Engine level: every framework x scheme, through the whole engine
 // surface — push, batch, flush, evict + reload (save to a file, fresh
 // stand-in engine, load), in-place checkpoint restore and live scheme
-// migration.
+// migration. The StrL2Threads rows run STR-L2 (which ignores num_threads)
+// and then migrate to MB, whose window closes fan out across that many
+// threads.
 struct EngineVariant {
   const char* name;
   Framework framework;
@@ -413,6 +415,8 @@ const EngineVariant kEngineVariants[] = {
     {"StrInv", Framework::kStreaming, IndexScheme::kInv, 1},
     {"StrL2", Framework::kStreaming, IndexScheme::kL2, 1},
     {"StrL2ap", Framework::kStreaming, IndexScheme::kL2ap, 1},
+    {"StrL2Threads2", Framework::kStreaming, IndexScheme::kL2, 2},
+    {"StrL2Threads4", Framework::kStreaming, IndexScheme::kL2, 4},
     {"MbInv", Framework::kMiniBatch, IndexScheme::kInv, 1},
     {"MbAp", Framework::kMiniBatch, IndexScheme::kAp, 1},
     {"MbL2ap", Framework::kMiniBatch, IndexScheme::kL2ap, 1},

@@ -322,6 +322,35 @@ TEST(MiniBatchTest, StatsAggregateAcrossWindows) {
   EXPECT_GT(mb.stats().index_rebuilds, 1u);  // many windows
 }
 
+TEST(MiniBatchTest, BuildsOneIndexPerTauGridClose) {
+  // Windows are exactly τ long: a move to the next grid cell closes one
+  // window, a move further on closes two, and Flush closes the last two,
+  // each with one index build. The count follows from the cells alone.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.1, &params));
+  RandomStreamSpec spec;
+  spec.n = 400;
+  spec.max_gap = 0.4 * params.tau;
+  spec.seed = 41;
+  Stream stream = RandomStream(spec);
+  // One silent gap of several windows.
+  for (size_t i = stream.size() / 2; i < stream.size(); ++i) {
+    stream[i].ts += 3.5 * params.tau;
+  }
+  uint64_t closes = 2;  // Flush
+  for (size_t i = 1; i < stream.size(); ++i) {
+    const double from = MbWindowIndex(stream[i - 1].ts, params.tau);
+    const double to = MbWindowIndex(stream[i].ts, params.tau);
+    if (to > from) closes += to > from + 1.0 ? 2 : 1;
+  }
+  MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, params.theta));
+  CollectorSink sink;
+  for (const StreamItem& item : stream) ASSERT_TRUE(mb.Push(item, &sink));
+  mb.Flush(&sink);
+  EXPECT_GT(closes, 10u);  // many windows
+  EXPECT_EQ(mb.stats().index_rebuilds, closes);
+}
+
 TEST(MiniBatchTest, ReuseAfterFlushDoesNotDoubleCountStats) {
   // Flush's contract says the join is reusable; stats_ used to survive the
   // reset, so a reused join reported run-1 + run-2 aggregates. Counters

@@ -9,6 +9,7 @@
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
+#include "stream/streaming.h"
 #include "tests/test_util.h"
 
 namespace sssj {
@@ -307,6 +308,43 @@ TEST(StreamIndexTest, ClearResetsState) {
     index->ProcessArrival(Item(1, 0.1, v), &sink2);
     EXPECT_TRUE(sink2.pairs().empty()) << index->name();
   }
+}
+
+// The framework-layer batch API (for pre-validated items with ids already
+// assigned) matches per-item pushes, and skips a time-order violation
+// inside a batch instead of failing the batch.
+TEST(StreamingJoinTest, PushBatchMatchesPerItemPushAndSkipsRegressions) {
+  RandomStreamSpec spec;
+  spec.n = 500;
+  spec.dims = 30;
+  spec.min_nnz = 2;
+  spec.max_nnz = 6;
+  spec.max_gap = 0.5;
+  spec.seed = 23;
+  const Stream stream = RandomStream(spec);
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.05, &params));
+
+  StreamingJoin batched(std::make_unique<StreamL2Index>(params));
+  CollectorSink batch_sink;
+  EXPECT_EQ(batched.PushBatch(stream, &batch_sink), stream.size());
+
+  StreamingJoin itemized(std::make_unique<StreamL2Index>(params));
+  CollectorSink item_sink;
+  for (const StreamItem& item : stream) {
+    EXPECT_TRUE(itemized.Push(item, &item_sink));
+  }
+  EXPECT_FALSE(batch_sink.pairs().empty()) << "vacuous test stream";
+  EXPECT_EQ(batch_sink.pairs().size(), item_sink.pairs().size());
+  EXPECT_EQ(PairSet(batch_sink.pairs()), PairSet(item_sink.pairs()));
+
+  Stream bad;
+  bad.push_back(Item(stream.back().id + 1, stream.back().ts - 1.0,
+                     UnitVec({{1, 1.0}})));
+  bad.push_back(Item(stream.back().id + 2, stream.back().ts + 1.0,
+                     UnitVec({{1, 1.0}})));
+  EXPECT_EQ(batched.PushBatch(bad, &batch_sink), 1u);
+  EXPECT_EQ(batched.last_ts(), stream.back().ts + 1.0);
 }
 
 }  // namespace

@@ -305,11 +305,15 @@ TEST_P(TieredEquivalenceTest, RawBlockOutputBitIdenticalToUntiered) {
   ExpectBitIdentical(flat, raw);
 }
 
+// STR ignores num_threads, so the L2 rows at 2 and 4 threads must hold
+// exactly as the 1-thread row does.
 INSTANTIATE_TEST_SUITE_P(
     Schemes, TieredEquivalenceTest,
     ::testing::Values(SchemeThreads{IndexScheme::kInv, 1},
                       SchemeThreads{IndexScheme::kL2ap, 1},
-                      SchemeThreads{IndexScheme::kL2, 1}));
+                      SchemeThreads{IndexScheme::kL2, 1},
+                      SchemeThreads{IndexScheme::kL2, 2},
+                      SchemeThreads{IndexScheme::kL2, 4}));
 
 TEST(TieredEquivalenceTest, SimdKernelsAlsoUnaffectedByTiering) {
   RandomStreamSpec spec;
