@@ -277,7 +277,6 @@ int Run(int argc, char** argv) {
       cluster::ClusterClient remote(&supervisor);
       uint64_t pairs = 0;
       const double seconds = drive(&remote, &pairs);
-      const uint64_t pulls = supervisor.checkpoint_pulls();
       supervisor.Shutdown();
       if (pairs != baseline_pairs) {
         std::cerr << "ERROR: cluster pairs " << pairs
@@ -296,8 +295,7 @@ int Run(int argc, char** argv) {
                             .Set("kvec_per_s", pushes / seconds / 1000.0)
                             .Set("pairs", pairs)
                             .Set("overhead_vs_inproc",
-                                 seconds / baseline_seconds)
-                            .Set("checkpoint_pulls", pulls));
+                                 seconds / baseline_seconds));
     }
     std::cout << "\nCluster layer: " << cluster_sessions
               << " STR-L2 sessions fed round-robin (n=" << stream.size()

@@ -9,8 +9,10 @@
 #      2-item epochs, and for --submit=timeout;
 #   3b. threads: STR-L2 at --threads=2 must write the default run's pair
 #      file byte for byte and print a note naming num_threads on stderr
-#      (every STR scheme runs one sequential scan); MB at --threads=2
-#      must write the --threads=1 run's pair file byte for byte;
+#      (every STR scheme runs one sequential scan), and so must the
+#      budgeted run --threads=4 --memory-budget=100000000, which goes
+#      through a JoinService session; MB at --threads=2 must write the
+#      --threads=1 run's pair file byte for byte;
 #   3c. --threads=-3, --threads=4294967297, --async --queue-capacity=-1
 #      and --async --epoch-items=-1 must exit 2 naming the flag;
 #   4. sssj_cli on a directory must fail (a read error is not an empty
@@ -128,6 +130,16 @@ execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --theta=0.6
 if(NOT rc EQUAL 0 OR NOT err MATCHES "note: [^\n]*num_threads")
   message(FATAL_ERROR "sssj_cli --threads=2 exited ${rc} without a note "
                       "naming num_threads:\n${err}")
+endif()
+execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --theta=0.6
+                        --lambda=0.01 --threads=4 --memory-budget=100000000
+                        --quiet "--output=${WORK_DIR}/threads4-budget.txt"
+                RESULT_VARIABLE rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT err MATCHES "note: num_threads=4 is ignored")
+  message(FATAL_ERROR "sssj_cli --threads=4 --memory-budget exited ${rc} "
+                      "without the num_threads note:\n${err}")
 endif()
 run_step("sssj_cli MB --threads=2" "${SSSJ_CLI}" "--input=${text}"
          --theta=0.6 --lambda=0.01 --framework=MB --threads=2 --quiet

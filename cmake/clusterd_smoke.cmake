@@ -2,8 +2,9 @@
 # as the `clusterd-smoke` ctest entry). Every call below must exit with
 # status 2 exactly, so a crash or an abort does not pass for a rejection,
 # and must exit before the daemon forks a worker or opens its socket:
-#   1. --checkpoint-interval=64 is an unknown flag (the option is gone:
-#      no session pulls a checkpoint except on request);
+#   1. --checkpoint-interval=64 and --spill-dir=DIR are unknown flags
+#      (both options are gone: no session pulls a checkpoint, and the
+#      fleet's workers run without a memory budget, so none spills);
 #   2. --workers=abc and --workers=2x are not integers, and --workers=0
 #      is not positive;
 #   3. sssj_workerd --memory-budget-bytes=abc and =2x are not integers,
@@ -44,6 +45,8 @@ endfunction()
 
 expect_rejected("${SSSJ_CLUSTERD}" "unknown flag: --checkpoint-interval=64"
                 --checkpoint-interval=64 "--socket=${socket}")
+expect_rejected("${SSSJ_CLUSTERD}" "unknown flag: --spill-dir="
+                "--spill-dir=${WORK_DIR}" "--socket=${socket}")
 foreach(bad abc 2x 0)
   expect_rejected("${SSSJ_CLUSTERD}"
                   "--workers must be a positive integer; got '${bad}'"

@@ -305,6 +305,13 @@ int main(int argc, char** argv) {
     };
   }
 
+  // Knobs the chosen configuration accepts but ignores (e.g. --threads
+  // under any STR scheme) are silently-dropped settings; surface them on
+  // either path below.
+  for (const std::string& note : sssj::ConfigurationNotes(config)) {
+    std::fprintf(stderr, "note: %s\n", note.c_str());
+  }
+
   // Budgeted runs go through a single-session JoinService so the
   // service-wide budget gate applies; unbudgeted runs keep the direct
   // engine (identical push path, no session lock).
@@ -329,11 +336,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     engine = *std::move(engine_or);
-    // Knobs the chosen configuration accepts but ignores (e.g. --threads
-    // under any STR scheme) are silently-dropped settings; surface them.
-    for (const std::string& note : engine->configuration_notes()) {
-      std::fprintf(stderr, "note: %s\n", note.c_str());
-    }
   }
 
   if (!checkpoint_in.empty()) {

@@ -3,7 +3,6 @@
 // across workers by rendezvous hash and supervising crashes.
 //
 //   ./sssj_clusterd --workers=4 --socket=/tmp/sssj-cluster.sock
-//                   [--spill-dir=DIR]
 //
 // Clients speak the same wire format a worker does; the router maps
 // each request to the session's home worker, journals acked mutations,
@@ -13,10 +12,9 @@
 // (sessions live in the workers, not the connection). kShutdown stops
 // the fleet and exits.
 //
-// The router pulls no checkpoint of its own: a session's journal is
-// trimmed at the horizon τ (STR) or at two windows (MB), and a crashed
-// worker's sessions recover from it. A kCheckpoint frame pulls one on
-// request.
+// The router pulls no checkpoints: a session's journal is trimmed at the
+// horizon τ (STR) or at two windows (MB), and a crashed worker's
+// sessions recover from a zero-item seed plus that journal.
 //
 // Exit status: 0 after kShutdown; 2 on a bad command line (an unknown
 // flag, a missing --socket, --workers not a positive integer), before
@@ -108,13 +106,6 @@ sssj::cluster::Reply Route(sssj::cluster::Supervisor* supervisor,
       reply.status = supervisor->Flush(req.name, &reply.pairs);
       return reply;
     }
-    case cl::FrameType::kCheckpoint: {
-      cl::NameRequest req;
-      reply.status = cl::DecodeName(payload, &req);
-      if (!reply.status.ok()) return reply;
-      reply.status = supervisor->Checkpoint(req.name);
-      return reply;
-    }
     case cl::FrameType::kCloseSession: {
       cl::NameRequest req;
       reply.status = cl::DecodeName(payload, &req);
@@ -165,18 +156,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.num_workers = static_cast<int>(workers);
-    } else if (ParseFlag(argv[i], "--spill-dir", &value)) {
-      options.worker_service.spill_dir = value;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr,
-                   "usage: sssj_clusterd --workers=K --socket=PATH "
-                   "[--spill-dir=DIR]\n"
-                   "  --workers=K      worker processes to fork (default 2)\n"
-                   "  --socket=PATH    Unix-domain socket to serve on\n"
-                   "  --spill-dir=DIR  where workers spill evicted sessions\n"
-                   "Sessions recover from their journals; the router pulls "
-                   "a checkpoint only on a kCheckpoint request.\n");
+                   "usage: sssj_clusterd --workers=K --socket=PATH\n"
+                   "  --workers=K    worker processes to fork (default 2)\n"
+                   "  --socket=PATH  Unix-domain socket to serve on\n"
+                   "Sessions recover from a seed and their journals.\n");
       return 2;
     }
   }

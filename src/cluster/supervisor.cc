@@ -94,7 +94,7 @@ Status Supervisor::SpawnWorker(int slot) {
     for (WorkerProc& w : workers_) w.channel.Close();
     {
       FrameChannel channel(fds[1]);
-      Worker worker(WorkerOptions{options_.worker_service});
+      Worker worker;
       (void)worker.Serve(&channel);
     }
     // _exit, not exit: the child shares the parent's atexit state and
@@ -129,27 +129,18 @@ Status Supervisor::RecoverWorker(int slot) {
   ++restarts_;
   // Restore every session homed on this slot, in name order (sessions_
   // is an ordered map) so recovery is deterministic. Each session comes
-  // back from its restore point, then its journal — the mutating
-  // requests acked since that point — replays with the replies' pairs
-  // DISCARDED: those pairs were already delivered, and this discard is
-  // what makes failover exactly-once.
+  // back from its seed, then its journal — the mutating requests acked
+  // since that point — replays with the replies' pairs DISCARDED: those
+  // pairs were already delivered, and this discard is what makes
+  // failover exactly-once.
   for (auto& [name, rec] : sessions_) {
     if (rec.worker != slot) continue;
+    RestoreRequest req;
+    req.name = name;
+    req.config = rec.config;
+    req.checkpoint = SeedCheckpoint(rec);
     Reply reply;
-    if (rec.checkpoint.empty() && !rec.seeded) {
-      CreateSessionRequest req;
-      req.name = name;
-      req.config = rec.config;
-      status = proc.channel.Call(FrameType::kCreateSession,
-                                 EncodeCreateSession(req), &reply);
-    } else {
-      RestoreRequest req;
-      req.name = name;
-      req.config = rec.config;
-      req.checkpoint = rec.seeded ? SeedCheckpoint(rec) : rec.checkpoint;
-      status =
-          proc.channel.Call(FrameType::kRestore, EncodeRestore(req), &reply);
-    }
+    status = proc.channel.Call(FrameType::kRestore, EncodeRestore(req), &reply);
     if (!status.ok()) return status;
     if (!reply.status.ok()) {
       return Status::Internal("failover restore of session '" + name +
@@ -239,7 +230,8 @@ void Supervisor::JournalOpLocked(SessionRec* rec, FrameType type,
     // shapes future output, and a not-started zero-item seed is the core
     // the Flush left.
     rec->journal.clear();
-    Reseed(rec, /*started=*/false, 0.0);
+    rec->seed_started = false;
+    rec->seed_clock = 0.0;
     return;
   }
   rec->journal.push_back(
@@ -255,7 +247,7 @@ void Supervisor::JournalOpLocked(SessionRec* rec, FrameType type,
   // An op with no accepted items (an STR flush, an all-rejected batch)
   // left the engine as it was. At λ = 0 τ is infinite and no item falls
   // outside it (MB: everything is one window): only such zero-item ops
-  // drop, and the journal holds every op since the last restore point.
+  // drop, and the journal holds every op since the seed.
   auto expired = [rec, mini_batch](Timestamp ts) {
     return mini_batch ? MbWindowIndex(ts, rec->tau) <
                             MbWindowIndex(rec->newest_ts, rec->tau) - 1.0
@@ -265,34 +257,11 @@ void Supervisor::JournalOpLocked(SessionRec* rec, FrameType type,
     const JournalOp& front = rec->journal.front();
     if (front.accepted > 0) {
       if (!expired(front.newest_ts)) break;
-      Reseed(rec, /*started=*/true, front.newest_ts);
+      rec->seed_started = true;
+      rec->seed_clock = front.newest_ts;
     }
     rec->journal.pop_front();
   }
-}
-
-void Supervisor::Reseed(SessionRec* rec, bool started, Timestamp clock) {
-  rec->seeded = true;
-  rec->seed_started = started;
-  rec->seed_clock = clock;
-  rec->checkpoint.clear();
-  rec->checkpoint.shrink_to_fit();
-}
-
-Status Supervisor::CheckpointLocked(const std::string& name, SessionRec* rec) {
-  NameRequest req;
-  req.name = name;
-  Reply reply;
-  Status status =
-      CallWorker(rec->worker, FrameType::kCheckpoint, EncodeName(req), &reply);
-  if (!status.ok()) return status;
-  if (!reply.status.ok()) return reply.status;
-  rec->checkpoint = std::move(reply.blob);
-  rec->seeded = false;
-  rec->journal.clear();
-  ++rec->pulls;
-  ++checkpoint_pulls_;
-  return Status::Ok();
 }
 
 std::string Supervisor::SeedCheckpoint(const SessionRec& rec) {
@@ -453,13 +422,6 @@ Status Supervisor::CloseSession(const std::string& name,
   return Status::Ok();
 }
 
-Status Supervisor::Checkpoint(const std::string& name) {
-  MutexLock lock(mu_);
-  auto it = sessions_.find(name);
-  if (it == sessions_.end()) return NoSession(name);
-  return CheckpointLocked(name, &it->second);
-}
-
 StatusOr<SessionWireStats> Supervisor::SessionStats(const std::string& name) {
   MutexLock lock(mu_);
   auto it = sessions_.find(name);
@@ -503,17 +465,14 @@ Status Supervisor::Migrate(const std::string& name, int target) {
 
   // Commit the move before the restore call: if the target dies mid-
   // restore, RecoverWorker (keyed on rec.worker == target) replants the
-  // session from this very checkpoint, and the retried restore simply
-  // reports kAlreadyExists.
-  rec.checkpoint = std::move(out_reply.blob);
-  rec.seeded = false;
-  rec.journal.clear();
+  // session from its seed and journal, the same state these bytes hold,
+  // and the retried restore simply reports kAlreadyExists.
   rec.worker = target;
 
   RestoreRequest in_req;
   in_req.name = name;
   in_req.config = rec.config;
-  in_req.checkpoint = rec.checkpoint;
+  in_req.checkpoint = std::move(out_reply.blob);
   Reply in_reply;
   status =
       CallWorker(target, FrameType::kRestore, EncodeRestore(in_req), &in_reply);
@@ -551,21 +510,13 @@ uint64_t Supervisor::restarts() const {
   return restarts_;
 }
 
-uint64_t Supervisor::checkpoint_pulls() const {
-  MutexLock lock(mu_);
-  return checkpoint_pulls_;
-}
-
 StatusOr<Supervisor::JournalInfo> Supervisor::journal_info(
     const std::string& name) const {
   MutexLock lock(mu_);
   auto it = sessions_.find(name);
   if (it == sessions_.end()) return NoSession(name);
-  const SessionRec& rec = it->second;
   JournalInfo info;
-  info.ops = rec.journal.size();
-  info.checkpoint_bytes = rec.checkpoint.size();
-  info.checkpoint_pulls = rec.pulls;
+  info.ops = it->second.journal.size();
   return info;
 }
 

@@ -11,23 +11,26 @@
 // engine's portable SSSJENG3 bytes verbatim, so a migrated session's
 // output is bit-identical to one that never moved.
 //
-// Failover: the supervisor keeps, per session, a restore point and a
-// journal of the encoded mutating request payloads (push / batch /
-// flush) completed since it. Requests are synchronous, so a journaled
-// operation is by definition *acked*: its reply — including the pairs
-// it emitted — already reached the caller. When a worker channel returns
-// kIoError (the one signal for worker death: kill -9, crash, closed
-// pipe), the supervisor reaps the corpse, forks a fresh worker on the
-// same slot, restores every session homed there from its restore point,
-// replays each journal in order *discarding the replayed replies' pairs*
-// (they were already delivered — that discard is the exactly-once rule),
-// and finally retries the in-flight request, whose reply is delivered
-// normally. A journal replays as kPushBatch frames of its ops' items (an
-// STR Flush is a no-op, and a batch re-derives each reject in order).
+// Failover: the supervisor keeps, per session, one restore point — a
+// zero-item SSSJENG3 seed — and a journal of the encoded mutating request
+// payloads (push / batch / flush) completed since it. Requests are
+// synchronous, so a journaled operation is by definition *acked*: its
+// reply — including the pairs it emitted — already reached the caller.
+// When a worker channel returns kIoError (the one signal for worker
+// death: kill -9, crash, closed pipe), the supervisor reaps the corpse,
+// forks a fresh worker on the same slot, restores every session homed
+// there from its seed, replays each journal in order *discarding the
+// replayed replies' pairs* (they were already delivered — that discard is
+// the exactly-once rule), and finally retries the in-flight request,
+// whose reply is delivered normally. A journal replays as kPushBatch
+// frames of its ops' items (an STR Flush is a no-op, and a batch
+// re-derives each reject in order). A Migrate changes where the session
+// runs, not what it holds, so it keeps the seed and the journal.
 //
-// No session pulls a checkpoint except on an explicit Checkpoint(). After
-// every journaled op the supervisor drops the leading ops that no longer
-// shape future output; what bounds the journal depends on the framework:
+// No session ever pulls a checkpoint. A fresh session's seed is not
+// started, with the clock at 0. After every journaled op the supervisor
+// drops the leading ops that no longer shape future output; what bounds
+// the journal depends on the framework:
 //   * STR: an item older than the horizon τ can never pair again, so the
 //     dropped ops are those whose accepted items are all OutsideHorizon
 //     of the newest accepted ts.
@@ -35,17 +38,16 @@
 //     core buffers only the newest item's window k and window k − 1, so
 //     the dropped ops are those whose items all lie in windows below
 //     k − 1. An MB Flush empties the core and restarts its clock: it
-//     clears the journal and becomes the restore point itself (a
-//     not-started seed with the clock at 0), so an MB journal never holds
-//     a Flush.
-// Once an op with items is dropped, the restore point becomes a zero-item
-// SSSJENG3 seed (next id = the first kept op's first id, clock = the
-// newest dropped ts, watermark = next id), and the replay of the kept
-// ops rebuilds the core a restore of those items would build: the STR
-// index, or the MB windows, whose first close on replay indexes an empty
-// window. At λ = 0 τ is infinite (MB: one window), so no op with items
-// drops: the journal holds every op since CreateSession, the last MB
-// Flush, or the last Checkpoint()/Migrate, as the core holds every item.
+//     clears the journal and resets the seed to a not-started one with
+//     the clock at 0, so an MB journal never holds a Flush.
+// Once an op with items is dropped, the seed becomes a started one (next
+// id = the first kept op's first id, clock = the newest dropped ts,
+// watermark = next id), and the replay of the kept ops rebuilds the core
+// a restore of those items would build: the STR index, or the MB
+// windows, whose first close on replay indexes an empty window. At λ = 0
+// τ is infinite (MB: one window), so no op with items drops: the journal
+// holds every op since CreateSession or the last MB Flush, as the core
+// holds every item.
 //
 // What failover guarantees, per framework and scheme:
 //
@@ -56,8 +58,8 @@
 //
 // A restore rebuilds STR-L2AP's max vector from the replayed items only,
 // which can move a prefix boundary and a score's summation order: the
-// pair set holds, not the bits. A Migrate discards nothing and is exact
-// for every scheme.
+// pair set holds, not the bits. A Migrate moves the engine's own bytes
+// and is exact for every scheme.
 //
 // Fork model: workers are forked (no exec) with a socketpair as their
 // only link to the supervisor. Fork only happens while the supervisor
@@ -91,9 +93,6 @@ namespace cluster {
 struct SupervisorOptions {
   // Worker fleet size; fixed for the supervisor's lifetime.
   int num_workers = 2;
-  // Forwarded to each worker's JoinService (num_threads is forced to 1
-  // inside the worker regardless).
-  JoinServiceOptions worker_service;
 };
 
 class Supervisor {
@@ -130,16 +129,12 @@ class Supervisor {
   // Final flush + destroy; the name becomes reusable.
   Status CloseSession(const std::string& name, std::vector<ResultPair>* pairs)
       SSSJ_EXCLUDES(mu_);
-  // Pulls the session's checkpoint into the supervisor (truncating its
-  // journal) — the failover restore point until a trim replaces it.
-  Status Checkpoint(const std::string& name) SSSJ_EXCLUDES(mu_);
   StatusOr<SessionWireStats> SessionStats(const std::string& name)
       SSSJ_EXCLUDES(mu_);
 
   // Moves the session to worker slot `target` (checkpoint bytes travel
   // verbatim; output is bit-identical to never migrating). The session's
-  // journal is truncated — the migration checkpoint is the new restore
-  // point.
+  // seed and journal stay as they were.
   Status Migrate(const std::string& name, int target) SSSJ_EXCLUDES(mu_);
 
   // The slot a session currently lives on (kNotFound if unknown).
@@ -148,14 +143,10 @@ class Supervisor {
   int num_workers() const { return options_.num_workers; }
   // Lifetime count of crash-restarts (not graceful shutdowns).
   uint64_t restarts() const SSSJ_EXCLUDES(mu_);
-  // Lifetime count of checkpoints pulled from workers: explicit
-  // Checkpoint() calls (a Migrate's transfer is not one).
-  uint64_t checkpoint_pulls() const SSSJ_EXCLUDES(mu_);
-  // A session's failover state: what a restart would restore and replay.
+  // A session's failover state: what a restart would replay onto its
+  // seed.
   struct JournalInfo {
-    size_t ops = 0;               // journaled ops a failover replays
-    size_t checkpoint_bytes = 0;  // the pulled restore point; 0 = none
-    uint64_t checkpoint_pulls = 0;
+    size_t ops = 0;  // journaled ops a failover replays
   };
   StatusOr<JournalInfo> journal_info(const std::string& name) const
       SSSJ_EXCLUDES(mu_);
@@ -186,25 +177,20 @@ class Supervisor {
     // MB journal at windows of length τ.
     double tau = std::numeric_limits<double>::infinity();
     int worker = 0;
-    // The pulled restore point; empty = a fresh CreateSession, or the
-    // zero-item seed once `seeded`.
-    std::string checkpoint;
-    // Restore from SeedCheckpoint(): a trim dropped an op with items (a
-    // started seed, clocked at the newest dropped ts), or an MB Flush
-    // emptied the core (a not-started seed at 0).
-    bool seeded = false;
+    // The restore point, written by SeedCheckpoint(): not started at 0
+    // until a trim drops an op with items (then started, clocked at the
+    // newest dropped ts), and again after an MB Flush empties the core.
     bool seed_started = false;
     Timestamp seed_clock = 0.0;
     std::deque<JournalOp> journal;
     VectorId next_id = 0;       // ids the session has assigned
     Timestamp newest_ts = 0.0;  // newest accepted ts
-    uint64_t pulls = 0;
   };
 
   // Forks slot `slot` and runs the Hello exchange.
   Status SpawnWorker(int slot) SSSJ_REQUIRES(mu_);
   // SIGKILL + reap + refork + restore every session homed on `slot`
-  // (checkpoint, then journal replay with pairs discarded).
+  // (seed, then journal replay with pairs discarded).
   Status RecoverWorker(int slot) SSSJ_REQUIRES(mu_);
   // RecoverWorker's replay of a journal, pairs discarded: the ops' items
   // as kPushBatch frames instead of one frame per op.
@@ -217,18 +203,11 @@ class Supervisor {
   // Journal bookkeeping after a successful mutating call that got
   // `accepted` items accepted, the newest at `newest_ts`: trims an STR
   // journal at the horizon and an MB journal at two windows; an MB Flush
-  // becomes the restore point.
+  // resets the seed.
   void JournalOpLocked(SessionRec* rec, FrameType type, std::string payload,
                        uint64_t accepted, Timestamp newest_ts)
       SSSJ_REQUIRES(mu_);
-  // Makes the zero-item seed the session's restore point.
-  static void Reseed(SessionRec* rec, bool started, Timestamp clock);
-  // kCheckpoint to the session's worker; stores the blob, clears the
-  // journal.
-  Status CheckpointLocked(const std::string& name, SessionRec* rec)
-      SSSJ_REQUIRES(mu_);
-  // The zero-item SSSJENG3 restore point of a seeded session, written
-  // with the session's framework.
+  // The session's zero-item SSSJENG3 seed, written with its framework.
   static std::string SeedCheckpoint(const SessionRec& rec);
 
   const SupervisorOptions options_;
@@ -239,7 +218,6 @@ class Supervisor {
   // std::map: failover restores sessions in name order — deterministic.
   std::map<std::string, SessionRec> sessions_ SSSJ_GUARDED_BY(mu_);
   uint64_t restarts_ SSSJ_GUARDED_BY(mu_) = 0;
-  uint64_t checkpoint_pulls_ SSSJ_GUARDED_BY(mu_) = 0;
 };
 
 // Thin client presenting one Status-based session API over either

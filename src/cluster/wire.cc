@@ -17,8 +17,6 @@ const char* ToString(FrameType type) {
       return "kPushBatch";
     case FrameType::kFlush:
       return "kFlush";
-    case FrameType::kCheckpoint:
-      return "kCheckpoint";
     case FrameType::kRestore:
       return "kRestore";
     case FrameType::kMigrateOut:

@@ -21,7 +21,6 @@
 //   kPush           name, ts f64, vector             pairs emitted by it
 //   kPushBatch      name, count u32, (ts, vector)*   pairs + per-item rejects
 //   kFlush          name                             pairs drained
-//   kCheckpoint     name                             SSSJENG3 bytes in blob
 //   kRestore        name, WireConfig, blob           — (create + load bytes)
 //   kMigrateOut     name                             SSSJENG3 bytes in blob;
 //                                                    session destroyed
@@ -34,8 +33,9 @@
 // bitwise-equivalence pins hang on this), per-item reject statuses for
 // batches, and an opaque blob (checkpoint bytes, encoded stats). Moving
 // session state always reuses the engine's portable SSSJENG3 checkpoint
-// verbatim: migration and crash-restore are a save→transfer→load of
-// bytes this protocol never looks inside.
+// verbatim: a migration is a save→transfer→load of bytes this protocol
+// never looks inside, and a crash-restore loads the supervisor's
+// zero-item seed the same way before the journal replays.
 #ifndef SSSJ_CLUSTER_WIRE_H_
 #define SSSJ_CLUSTER_WIRE_H_
 
@@ -55,7 +55,7 @@ namespace cluster {
 // Protocol identity. Bump kWireVersion on any frame/payload change; the
 // Hello exchange turns a mismatch into a named refusal.
 inline constexpr uint32_t kWireMagic = 0x50575353;  // "SSWP" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 
 // Hard caps on untrusted declared sizes: nothing a hostile peer declares
 // may drive an allocation past these before the bytes actually arrive.
@@ -71,13 +71,12 @@ enum class FrameType : uint8_t {
   kPush = 3,
   kPushBatch = 4,
   kFlush = 5,
-  kCheckpoint = 6,
-  kRestore = 7,
-  kMigrateOut = 8,
-  kCloseSession = 9,
-  kStats = 10,
-  kShutdown = 11,
-  kReply = 12,
+  kRestore = 6,
+  kMigrateOut = 7,
+  kCloseSession = 8,
+  kStats = 9,
+  kShutdown = 10,
+  kReply = 11,
 };
 
 // "kPush", ... for diagnostics.
@@ -226,8 +225,8 @@ struct PushBatchRequest {
   std::vector<std::pair<Timestamp, SparseVector>> items;
 };
 
-// Flush / Checkpoint / MigrateOut / CloseSession / Stats all carry just
-// the session name.
+// Flush / MigrateOut / CloseSession / Stats all carry just the session
+// name.
 struct NameRequest {
   std::string name;
 };

@@ -52,8 +52,6 @@ Reply Worker::Handle(FrameType type, const std::string& payload,
       return HandlePushBatch(payload);
     case FrameType::kFlush:
       return HandleFlush(payload);
-    case FrameType::kCheckpoint:
-      return HandleCheckpoint(payload);
     case FrameType::kRestore:
       return HandleRestore(payload);
     case FrameType::kMigrateOut:
@@ -184,23 +182,6 @@ Reply Worker::HandleFlush(const std::string& payload) {
   Reply reply;
   reply.status = service_.Flush(rec->handle);
   DrainPairs(rec->sink.get(), &reply);
-  return reply;
-}
-
-Reply Worker::HandleCheckpoint(const std::string& payload) {
-  NameRequest req;
-  Status status = DecodeName(payload, &req);
-  if (!status.ok()) return ErrorReply(std::move(status));
-  SessionRec* rec = Find(req.name);
-  if (rec == nullptr) {
-    return ErrorReply(
-        Status::NotFound("no session named '" + req.name + "' on this worker"));
-  }
-  std::ostringstream os;
-  status = service_.SaveCheckpoint(rec->handle, os);
-  if (!status.ok()) return ErrorReply(std::move(status));
-  Reply reply;
-  reply.blob = std::move(os).str();
   return reply;
 }
 

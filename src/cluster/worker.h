@@ -10,12 +10,13 @@
 // suppress the pairs of already-acked ones.
 //
 // Session state never leaves the engine's SSSJENG3 checkpoint format:
-// kCheckpoint returns those bytes, kMigrateOut returns them and destroys
-// the session WITHOUT flushing (the pending MB pairs travel inside the
-// bytes), kRestore creates a session and loads them. A kRestore whose
-// bytes the engine refuses — truncated, corrupt, or a retired format
-// such as SSSJENG2 — rolls the half-born session back, leaving the
-// worker pristine.
+// kMigrateOut returns those bytes and destroys the session WITHOUT
+// flushing (the pending MB pairs travel inside the bytes), and kRestore
+// creates a session and loads them: a migration's bytes, or the
+// zero-item seed the supervisor replays a journal onto after a crash. A
+// kRestore whose bytes the engine refuses — truncated, corrupt, or a
+// retired format such as SSSJENG2 — rolls the half-born session back,
+// leaving the worker pristine.
 //
 // The worker is single-threaded by design: one serve loop, sessions
 // forced to num_threads = 1, requests totally ordered per connection.
@@ -74,7 +75,6 @@ class Worker {
   Reply HandlePush(const std::string& payload);
   Reply HandlePushBatch(const std::string& payload);
   Reply HandleFlush(const std::string& payload);
-  Reply HandleCheckpoint(const std::string& payload);
   Reply HandleRestore(const std::string& payload);
   Reply HandleMigrateOut(const std::string& payload);
   Reply HandleCloseSession(const std::string& payload);

@@ -177,6 +177,28 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
   return core;
 }
 
+std::vector<std::string> ConfigurationNotes(const EngineConfig& config) {
+  std::vector<std::string> notes;
+  if (config.num_threads > 1 && config.framework == Framework::kStreaming) {
+    notes.push_back(
+        "num_threads=" + std::to_string(config.num_threads) +
+        " is ignored: every STR scheme runs one sequential scan per arrival "
+        "(only MB parallelizes, across its window closes)");
+  }
+  if (config.tiered.enabled && config.framework == Framework::kMiniBatch) {
+    notes.push_back(
+        "tiered posting storage is ignored: MiniBatch window indexes are "
+        "short-lived and dropped wholesale at window close, so there is "
+        "no cold prefix to freeze");
+  }
+  if (config.pool != nullptr && config.num_threads <= 1) {
+    notes.push_back(
+        "the shared thread pool is unused: num_threads <= 1 keeps the "
+        "sequential path");
+  }
+  return notes;
+}
+
 SssjEngine::SssjEngine(const EngineConfig& config, const DecayParams& params,
                        ResultSink* sink)
     : config_(config), params_(params), sink_(sink) {}
@@ -233,27 +255,7 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
                               engine->active_scheme_, params);
   if (!core_or.ok()) return core_or.status();
   engine->core_ = std::move(*core_or);
-
-  // Knobs this combination accepts but does not use: say so once, here,
-  // instead of silently dropping the setting (engine.h documents each
-  // case; these notes make the drop observable at runtime).
-  if (config.num_threads > 1 && config.framework == Framework::kStreaming) {
-    engine->config_notes_.push_back(
-        "num_threads=" + std::to_string(config.num_threads) +
-        " is ignored: every STR scheme runs one sequential scan per arrival "
-        "(only MB parallelizes, across its window closes)");
-  }
-  if (config.tiered.enabled && config.framework == Framework::kMiniBatch) {
-    engine->config_notes_.push_back(
-        "tiered posting storage is ignored: MiniBatch window indexes are "
-        "short-lived and dropped wholesale at window close, so there is "
-        "no cold prefix to freeze");
-  }
-  if (config.pool != nullptr && config.num_threads <= 1) {
-    engine->config_notes_.push_back(
-        "the shared thread pool is unused: num_threads <= 1 keeps the "
-        "sequential path");
-  }
+  engine->config_notes_ = ConfigurationNotes(config);
 
   if (config.ingest.mode == IngestMode::kAsync) {
     engine->ingest_queue_ = std::make_unique<IngestQueue>(config.ingest);
@@ -614,7 +616,10 @@ Status SssjEngine::SaveCheckpoint(const std::string& path) const {
     return Status::IoError("cannot open " + path + " for writing");
   }
   Status status = SaveCheckpoint(f);
-  if (status.code() == StatusCode::kIoError) {
+  // close() runs the final flush. A checkpoint smaller than the stream
+  // buffer reaches the file only there, so a full disk fails it there.
+  f.close();
+  if (status.code() == StatusCode::kIoError || f.fail()) {
     return Status::IoError("write failure on " + path);
   }
   return status;

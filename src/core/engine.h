@@ -31,7 +31,7 @@
 // Parallel execution: with num_threads > 1 every MB configuration
 // (MB-INV/AP/L2AP/L2) parallelizes the query phase of each window close
 // (stream/minibatch.h). Every STR scheme runs one sequential scan per
-// arrival and ignores num_threads (configuration_notes() says so). Either
+// arrival and ignores num_threads (ConfigurationNotes() says so). Either
 // way the emitted pair sequence is bit-identical to the num_threads = 1
 // engine's.
 #ifndef SSSJ_CORE_ENGINE_H_
@@ -158,6 +158,13 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
                                                  IndexScheme scheme,
                                                  const DecayParams& params);
 
+// Human-readable diagnostics for the knobs `config` sets that its
+// combination accepts but does not use (num_threads under any STR scheme,
+// tiered storage under MB, a pool at num_threads <= 1). Empty when every
+// knob is in effect. Depends on the config alone, so a caller can print
+// it before building an engine or a service session.
+std::vector<std::string> ConfigurationNotes(const EngineConfig& config);
+
 class SssjEngine {
  public:
   // Validates the config and builds the engine, with `sink` (borrowed,
@@ -273,10 +280,7 @@ class SssjEngine {
   // restore happens.
   VectorId reported_watermark() const { return watermark_; }
 
-  // Human-readable diagnostics for configuration knobs this combination
-  // accepts but does not use (e.g. num_threads under any STR scheme,
-  // tiered storage under MB). Empty when every knob is in effect.
-  // Stable for the engine's lifetime.
+  // ConfigurationNotes(config()), computed once by Make.
   const std::vector<std::string>& configuration_notes() const {
     return config_notes_;
   }

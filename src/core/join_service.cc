@@ -1,144 +1,18 @@
 #include "core/join_service.h"
 
-#include <dirent.h>
+#include <stdlib.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "core/sinks.h"
 
 namespace sssj {
-
-namespace {
-
-// ---- spill manifest format (version 1) ----
-//
-//   SSSJSPILL 1
-//   name_hex=<lowercase hex of the session name bytes>
-//   checkpoint=<checkpoint filename, relative to the spill dir>
-//
-// The session name is hex-encoded because it is user-controlled (it may
-// contain '=', '\n', anything); the checkpoint filename is generated by
-// this file and needs no escaping.
-constexpr char kSpillMagicLine[] = "SSSJSPILL 1";
-constexpr char kSpillPrefix[] = "sssj-spill-";
-constexpr char kSpillManifestSuffix[] = ".manifest";
-constexpr char kSpillCheckpointSuffix[] = ".ckpt";
-
-std::string HexEncode(const std::string& raw) {
-  static const char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(raw.size() * 2);
-  for (const char c : raw) {
-    const uint8_t b = static_cast<uint8_t>(c);
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
-  }
-  return out;
-}
-
-bool HexDecode(const std::string& hex, std::string* raw) {
-  if (hex.size() % 2 != 0) return false;
-  raw->clear();
-  raw->reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    int value = 0;
-    for (int k = 0; k < 2; ++k) {
-      const char c = hex[i + k];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= c - '0';
-      } else if (c >= 'a' && c <= 'f') {
-        value |= c - 'a' + 10;
-      } else {
-        return false;
-      }
-    }
-    raw->push_back(static_cast<char>(value));
-  }
-  return true;
-}
-
-uint64_t Fnv64(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-// Filesystem-safe stem unique per session name: full hex for short
-// names; a hex prefix plus the full-name hash for pathological ones
-// (filenames must stay under the typical 255-byte component limit).
-std::string SpillStem(const std::string& name) {
-  if (name.size() <= 100) return std::string(kSpillPrefix) + HexEncode(name);
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(Fnv64(name)));
-  return std::string(kSpillPrefix) + HexEncode(name.substr(0, 50)) + "-" +
-         hash_hex;
-}
-
-// The manifest always sits next to its checkpoint with the same stem.
-std::string ManifestFor(const std::string& checkpoint_path) {
-  const size_t suffix_len = sizeof(kSpillCheckpointSuffix) - 1;
-  return checkpoint_path.substr(0, checkpoint_path.size() - suffix_len) +
-         kSpillManifestSuffix;
-}
-
-// Writes the version-1 manifest; on failure the caller deletes the
-// checkpoint so no orphaned state file survives.
-Status WriteSpillManifest(const std::string& manifest_path,
-                          const std::string& session_name,
-                          const std::string& checkpoint_filename) {
-  std::ofstream os(manifest_path, std::ios::trunc);
-  if (!os) {
-    return Status::IoError("cannot open spill manifest for writing: " +
-                           manifest_path);
-  }
-  os << kSpillMagicLine << "\n";
-  os << "name_hex=" << HexEncode(session_name) << "\n";
-  os << "checkpoint=" << checkpoint_filename << "\n";
-  os.flush();
-  if (!os) {
-    return Status::IoError("short write to spill manifest: " + manifest_path);
-  }
-  return Status::Ok();
-}
-
-// Parses a version-1 manifest. A malformed or unknown-version file is a
-// failed parse, not a crash: the spill dir may be shared with other
-// processes or hold leftovers from a future format.
-bool ParseSpillManifest(const std::string& manifest_path, std::string* name,
-                        std::string* checkpoint_filename) {
-  std::ifstream is(manifest_path);
-  if (!is) return false;
-  std::string magic;
-  if (!std::getline(is, magic) || magic != kSpillMagicLine) return false;
-  std::string line;
-  if (!std::getline(is, line) || line.rfind("name_hex=", 0) != 0) return false;
-  if (!HexDecode(line.substr(sizeof("name_hex=") - 1), name)) return false;
-  if (name->empty()) return false;
-  if (!std::getline(is, line) || line.rfind("checkpoint=", 0) != 0) {
-    return false;
-  }
-  *checkpoint_filename = line.substr(sizeof("checkpoint=") - 1);
-  // The filename is generated by SpillStem, never user-controlled; refuse
-  // anything with a path separator so a doctored manifest cannot point the
-  // restore at a file outside the spill dir.
-  if (checkpoint_filename->empty() ||
-      checkpoint_filename->find('/') != std::string::npos) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 JoinService::JoinService(const Options& options) : options_(options) {
   if (options_.num_threads > 1) {
@@ -147,6 +21,10 @@ JoinService::JoinService(const Options& options) : options_(options) {
 }
 
 JoinService::~JoinService() = default;
+
+JoinService::Session::~Session() {
+  if (evicted) std::remove(spill_path.c_str());
+}
 
 Status JoinService::UnknownSession() {
   return Status::NotFound("unknown or closed session handle");
@@ -182,30 +60,31 @@ Status JoinService::EnsureResident(Session* session) const {
   const RunStats& replayed = session->engine->stats();
   session->carried_vectors -= replayed.vectors_processed;
   session->carried_pairs -= replayed.pairs_emitted - delivered.count();
-  std::remove(ManifestFor(session->spill_path).c_str());
-  std::remove(session->spill_path.c_str());
-  session->evicted = false;
-  session->spill_path.clear();
+  DropSpill(session);
   session->mem_bytes.store(session->engine->MemoryBytes(),
                            std::memory_order_relaxed);
   reloads_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
+void JoinService::DropSpill(Session* session) {
+  std::remove(session->spill_path.c_str());
+  session->evicted = false;
+  session->spill_path.clear();
+}
+
 Status JoinService::EvictLocked(Session* victim) {
-  // The filename is derived from the session *name*, not the per-instance
-  // registry id, and a manifest records the mapping — so a different
-  // JoinService instance (after a restart, or a supervisor restoring a
-  // dead worker's sessions) can enumerate the spill dir and re-adopt the
-  // state via ListSpilled/RestoreSession.
-  const std::string stem = SpillStem(victim->name);
-  const std::string path =
-      options_.spill_dir + "/" + stem + kSpillCheckpointSuffix;
+  // One private file per eviction: mkstemp creates it under a fresh name,
+  // so no session name reaches the path, and no other service sharing the
+  // directory can write over it.
+  std::string path = options_.spill_dir + "/sssj-spill-XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  if (fd < 0) {
+    return Status::IoError("cannot create a spill file in " +
+                           options_.spill_dir + ": " + std::strerror(errno));
+  }
+  ::close(fd);
   Status status = victim->engine->SaveCheckpoint(path);
-  if (!status.ok()) return status;
-  status = WriteSpillManifest(options_.spill_dir + "/" + stem +
-                                  kSpillManifestSuffix,
-                              victim->name, stem + kSpillCheckpointSuffix);
   if (!status.ok()) {
     std::remove(path.c_str());
     return status;
@@ -215,7 +94,6 @@ Status JoinService::EvictLocked(Session* victim) {
   StatusOr<std::unique_ptr<SssjEngine>> fresh =
       SssjEngine::Make(victim->config, victim->bound_sink);
   if (!fresh.ok()) {
-    std::remove(ManifestFor(path).c_str());
     std::remove(path.c_str());
     return fresh.status();
   }
@@ -437,22 +315,15 @@ Status JoinService::AbandonSession(SessionHandle handle) {
   if (session->pump_registration != 0) {
     // Same teardown order as CloseSession: apply what was already
     // submitted, then detach. Skipping the drain would risk the pump
-    // applying an epoch concurrently with our teardown below.
+    // applying an epoch concurrently with the teardown.
     session->async_engine->Drain();
     ingest_pump_->Unregister(session->pump_registration);
   }
-  MutexLock lock(session->mu);
-  if (session->evicted) {
-    // The caller has its own copy of the state (that is the contract of
-    // Abandon); the spilled one is garbage, not something to restore.
-    std::remove(ManifestFor(session->spill_path).c_str());
-    std::remove(session->spill_path.c_str());
-    session->evicted = false;
-    session->spill_path.clear();
-  }
   // Deliberately no Flush: pairs still pending in MB windows travel
   // inside the checkpoint the caller took and emit at the destination;
-  // flushing here would emit them a second time at the source.
+  // flushing here would emit them a second time at the source. The
+  // caller has its own copy of the state (that is the contract of
+  // Abandon), so a spill is garbage: ~Session deletes it.
   return Status::Ok();
 }
 
@@ -540,43 +411,13 @@ Status JoinService::Flush(SessionHandle handle) {
 }
 
 Status JoinService::SaveCheckpoint(SessionHandle handle,
-                                   const std::string& path) const {
+                                   std::ostream& os) const {
   std::shared_ptr<Session> session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
   // An evicted session must reload first, or we would checkpoint the
   // fresh empty stand-in engine.
-  Status resident = EnsureResident(session.get());
-  if (!resident.ok()) return resident;
-  return session->engine->SaveCheckpoint(path);
-}
-
-Status JoinService::LoadCheckpoint(SessionHandle handle,
-                                   const std::string& path) {
-  std::shared_ptr<Session> session = Lookup(handle);
-  if (session == nullptr) return UnknownSession();
-  MutexLock lock(session->mu);
-  if (session->closed) return UnknownSession();
-  if (session->evicted) {
-    // The caller is replacing the session's state wholesale; the spilled
-    // copy is dead either way.
-    std::remove(ManifestFor(session->spill_path).c_str());
-    std::remove(session->spill_path.c_str());
-    session->evicted = false;
-    session->spill_path.clear();
-  }
-  Status status = session->engine->LoadCheckpoint(path);
-  if (status.ok()) NoteActivity(session.get());
-  return status;
-}
-
-Status JoinService::SaveCheckpoint(SessionHandle handle,
-                                   std::ostream& os) const {
-  std::shared_ptr<Session> session = Lookup(handle);
-  if (session == nullptr) return UnknownSession();
-  MutexLock lock(session->mu);
-  if (session->closed) return UnknownSession();
   Status resident = EnsureResident(session.get());
   if (!resident.ok()) return resident;
   return session->engine->SaveCheckpoint(os);
@@ -587,12 +428,9 @@ Status JoinService::LoadCheckpoint(SessionHandle handle, std::istream& is) {
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  if (session->evicted) {
-    std::remove(ManifestFor(session->spill_path).c_str());
-    std::remove(session->spill_path.c_str());
-    session->evicted = false;
-    session->spill_path.clear();
-  }
+  // The caller is replacing the session's state wholesale; the spilled
+  // copy is dead either way.
+  if (session->evicted) DropSpill(session.get());
   Status status = session->engine->LoadCheckpoint(is);
   if (status.ok()) NoteActivity(session.get());
   return status;
@@ -650,66 +488,6 @@ StatusOr<size_t> JoinService::SessionMemoryBytes(SessionHandle handle) const {
 size_t JoinService::num_sessions() const {
   MutexLock lock(mu_);
   return sessions_.size();
-}
-
-StatusOr<std::vector<JoinService::SpillEntry>> JoinService::ListSpilled(
-    const std::string& spill_dir) {
-  if (spill_dir.empty()) {
-    return Status::InvalidArgument("spill_dir must be non-empty");
-  }
-  DIR* dir = ::opendir(spill_dir.c_str());
-  if (dir == nullptr) {
-    return Status::IoError("cannot open spill dir: " + spill_dir);
-  }
-  std::vector<SpillEntry> entries;
-  const std::string prefix = kSpillPrefix;
-  const std::string suffix = kSpillManifestSuffix;
-  for (dirent* ent = ::readdir(dir); ent != nullptr; ent = ::readdir(dir)) {
-    const std::string filename = ent->d_name;
-    if (filename.size() <= prefix.size() + suffix.size()) continue;
-    if (filename.compare(0, prefix.size(), prefix) != 0) continue;
-    if (filename.compare(filename.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-      continue;
-    }
-    const std::string manifest_path = spill_dir + "/" + filename;
-    SpillEntry entry;
-    std::string checkpoint_filename;
-    // Unreadable / malformed / future-version manifests are skipped, not
-    // errors: the scan must tolerate leftovers and concurrent writers.
-    if (!ParseSpillManifest(manifest_path, &entry.name,
-                            &checkpoint_filename)) {
-      continue;
-    }
-    entry.manifest_path = manifest_path;
-    entry.checkpoint_path = spill_dir + "/" + checkpoint_filename;
-    entries.push_back(std::move(entry));
-  }
-  ::closedir(dir);
-  std::sort(entries.begin(), entries.end(),
-            [](const SpillEntry& a, const SpillEntry& b) {
-              return a.name < b.name;
-            });
-  return entries;
-}
-
-StatusOr<JoinService::SessionHandle> JoinService::RestoreSession(
-    SessionOptions options, const std::string& checkpoint_path) {
-  StatusOr<SessionHandle> handle = CreateSession(std::move(options));
-  if (!handle.ok()) return handle.status();
-  Status loaded = LoadCheckpoint(*handle, checkpoint_path);
-  if (!loaded.ok()) {
-    // The half-born session holds no state worth keeping; drop it so the
-    // caller sees a clean failure, not a stray empty session.
-    AbandonSession(*handle);
-    return loaded;
-  }
-  return handle;
-}
-
-void JoinService::RemoveSpill(const SpillEntry& entry) {
-  std::remove(entry.checkpoint_path.c_str());
-  std::remove(entry.manifest_path.c_str());
 }
 
 ServiceStats JoinService::Stats() const {

@@ -61,18 +61,24 @@ struct JoinServiceOptions {
   // Service-wide cap on the sum of every live session's MemoryBytes().
   // 0 (default) = unlimited. When a Push/PushBatch would run while the
   // total is over budget, the service first evicts dormant sessions
-  // (least-recently-active first) to checkpoint files under `spill_dir`;
-  // an evicted session reloads transparently on its next push. If no
-  // evictable session remains and the total is still over budget, the
-  // push is refused with kResourceExhausted — deterministic backpressure
-  // instead of an OOM kill. Every inline (non-async) session is evictable,
-  // whatever its framework, scheme and thread count; async sessions count
-  // toward the total but are never evicted. A reload replays the spilled
-  // live items, so the session's output does not change.
+  // (least-recently-active first) to private checkpoint files under
+  // `spill_dir`; an evicted session reloads transparently on its next
+  // push. If no evictable session remains and the total is still over
+  // budget, the push is refused with kResourceExhausted — deterministic
+  // backpressure instead of an OOM kill. Every inline (non-async) session
+  // is evictable, whatever its framework, scheme and thread count; async
+  // sessions count toward the total but are never evicted. A reload
+  // replays the spilled live items, so the session's output does not
+  // change.
   size_t memory_budget_bytes = 0;
   // Directory for eviction checkpoints. Empty (default) disables
   // eviction: budget enforcement then has only the kResourceExhausted
-  // lever. The directory must exist and be writable.
+  // lever. The directory must exist and be writable. Each eviction
+  // creates its own file with mkstemp, so a session name never reaches a
+  // path and services may share the directory. The reload, an
+  // AbandonSession or LoadCheckpoint of the session, or the service's
+  // destruction deletes the file: no spill outlives the service that
+  // wrote it.
   std::string spill_dir;
 };
 
@@ -164,7 +170,7 @@ class JoinService {
   // the session's state in a portable checkpoint (the cluster layer's
   // MigrateOut: the pending pairs live on in the checkpoint and emit at
   // the destination; flushing here would emit them twice). An evicted
-  // session's spill files are deleted, not restored.
+  // session's spill file is deleted, not restored.
   Status AbandonSession(SessionHandle handle) SSSJ_EXCLUDES(mu_);
 
   // Per-session mirrors of the engine API; all return kNotFound for an
@@ -186,10 +192,9 @@ class JoinService {
   // Blocks until everything submitted so far on the session is applied.
   Status Drain(SessionHandle handle);
   Status Flush(SessionHandle handle);
-  Status SaveCheckpoint(SessionHandle handle, const std::string& path) const;
-  Status LoadCheckpoint(SessionHandle handle, const std::string& path);
-  // Stream-based checkpoint cores, for embedding a session's state in a
-  // larger container (the cluster layer ships them as migration frames).
+  // The session's SSSJENG3 checkpoint, as SssjEngine writes and reads it
+  // (the cluster layer ships it as migration frames). An evicted session
+  // reloads before a save; a load replaces its spilled state.
   Status SaveCheckpoint(SessionHandle handle, std::ostream& os) const;
   Status LoadCheckpoint(SessionHandle handle, std::istream& is);
   // Live scheme migration on one session. Runs under the session lock
@@ -204,46 +209,16 @@ class JoinService {
 
   size_t num_sessions() const SSSJ_EXCLUDES(mu_);
 
-  // ---- spill manifests (eviction that survives the process) ----
-  //
-  // Every evicted session leaves TWO files in spill_dir: the checkpoint
-  // and a versioned manifest recording which session the checkpoint
-  // belongs to. The manifest is what makes a spill restorable by a
-  // *different* JoinService instance (a restarted worker): filenames
-  // alone used to embed a per-instance registry id, so nothing could map
-  // files back to sessions after the instance died.
-  struct SpillEntry {
-    std::string name;             // session name, decoded from the manifest
-    std::string checkpoint_path;  // the spilled engine checkpoint
-    std::string manifest_path;
-  };
-
-  // Scans `spill_dir` for manifests this library wrote (any instance,
-  // any process). Unreadable or version-mismatched manifests are
-  // skipped, not fatal — a newer build's spills must not brick an older
-  // supervisor's scan. kIoError when the directory cannot be opened.
-  static StatusOr<std::vector<SpillEntry>> ListSpilled(
-      const std::string& spill_dir);
-
-  // CreateSession, then restore the new session's engine from
-  // `checkpoint_path` before returning. On a failed load the session is
-  // abandoned (never observable with partial state) and the load error
-  // is returned. The checkpoint file is left in place — pair it with
-  // RemoveSpill once the restored session is confirmed live.
-  StatusOr<SessionHandle> RestoreSession(SessionOptions options,
-                                         const std::string& checkpoint_path)
-      SSSJ_EXCLUDES(mu_);
-
-  // Deletes a spill's checkpoint + manifest pair (after a successful
-  // RestoreSession adoption).
-  static void RemoveSpill(const SpillEntry& entry);
-
   // Aggregates per-session RunStats / MemoryBytes under the session locks
   // — safe while other threads keep pushing.
   ServiceStats Stats() const SSSJ_EXCLUDES(mu_);
 
  private:
   struct Session {
+    // An evicted session's spill goes with it (CloseSession, Abandon,
+    // ~JoinService), whatever state the session is left in.
+    ~Session();
+
     Mutex mu;
     std::string name;
     // Declared before `engine` so it outlives engine teardown (members
@@ -301,8 +276,10 @@ class JoinService {
   // Brings an evicted session back (LoadCheckpoint from its spill file,
   // which is then deleted).
   Status EnsureResident(Session* session) const SSSJ_REQUIRES(session->mu);
-  // Spills the session to a checkpoint file and swaps in a fresh empty
-  // engine.
+  // Deletes an evicted session's spill file and clears its evicted mark.
+  static void DropSpill(Session* session) SSSJ_REQUIRES(session->mu);
+  // Spills the session to a new private checkpoint file in spill_dir and
+  // swaps in a fresh empty engine.
   Status EvictLocked(Session* victim) SSSJ_REQUIRES(victim->mu);
   // Called before a push while holding current->mu: if the service total
   // is over budget, evicts dormant sessions (LRU first, TryLock only —

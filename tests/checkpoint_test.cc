@@ -2,6 +2,7 @@
 // resumed job produces exactly the output of an uninterrupted run, and the
 // loader refuses bad bytes without touching the live engine.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -414,6 +415,32 @@ TEST(CheckpointTest, MissingAndUnwritablePathsReportPreciseCodes) {
   const Status unwritable = engine->SaveCheckpoint("/nonexistent/dir/s.ckp");
   EXPECT_EQ(unwritable.code(), StatusCode::kIoError);
   EXPECT_NE(unwritable.message().find("for writing"), std::string::npos);
+}
+
+// A checkpoint smaller than the stream buffer reaches the file only at
+// the final flush; a full disk must fail the save there too, not report
+// it written. At λ = 0 every pushed item is live, so 3 items fit the
+// buffer and 250 overflow it mid-write.
+TEST(CheckpointTest, SaveToAFullDeviceReportsIoError) {
+  if (::access("/dev/full", W_OK) != 0) {
+    GTEST_SKIP() << "/dev/full is not available on this host";
+  }
+  const Stream stream = TestStream();
+  EngineConfig cfg;
+  cfg.lambda = 0.0;
+  for (const size_t items : {size_t{3}, size_t{250}}) {
+    SCOPED_TRACE(std::to_string(items) + " items");
+    auto engine = *SssjEngine::Make(cfg);
+    for (size_t i = 0; i < items; ++i) {
+      ASSERT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
+    }
+    std::ostringstream bytes;
+    ASSERT_TRUE(engine->SaveCheckpoint(bytes).ok());
+    EXPECT_EQ(bytes.str().size() < BUFSIZ, items == 3) << bytes.str().size();
+    const Status status = engine->SaveCheckpoint("/dev/full");
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    EXPECT_NE(status.message().find("/dev/full"), std::string::npos);
+  }
 }
 
 // ---- adversarial loader coverage (fuzz-harness twins) ----

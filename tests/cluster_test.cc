@@ -135,7 +135,6 @@ TEST(ClusterEquivalenceTest, HeterogeneousSessionsBitwiseMatchInProcess) {
   ASSERT_TRUE(supervisor.Start().ok());
   ClusterClient remote(&supervisor);
   const auto clustered = RunSessions(&remote, specs);
-  EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
   supervisor.Shutdown();
 
   ASSERT_EQ(in_process.size(), clustered.size());
@@ -345,10 +344,9 @@ TEST(ClusterFailoverTest, KillNineMidStreamLosesAndDuplicatesNothing) {
   }
   for (const SessionSpec& spec : specs) {
     // Every session recovers from its trimmed journal through a zero-item
-    // seed; none pulls a checkpoint.
+    // seed.
     const auto info = supervisor.journal_info(spec.name);
     ASSERT_TRUE(info.ok());
-    EXPECT_EQ(info->checkpoint_pulls, 0u) << spec.name;
     EXPECT_LT(info->ops, spec.stream.size()) << spec.name << ": no trim";
     ASSERT_TRUE(supervisor.Flush(spec.name, &got[spec.name]).ok());
     ASSERT_TRUE(supervisor.CloseSession(spec.name, &got[spec.name]).ok());
@@ -404,7 +402,7 @@ TEST(ClusterFailoverTest, KillDuringIdlePeriodStillRecovers) {
 // One scripted call against a fleet; both runs of a seed execute the
 // same script, so their per-session outputs can be compared.
 struct FleetOp {
-  enum Kind { kPush, kBatch, kFlush, kMigrate, kCheckpoint } kind = kPush;
+  enum Kind { kPush, kBatch, kFlush, kMigrate } kind = kPush;
   size_t session = 0;
   StreamItem item;  // kPush
   Stream batch;     // kBatch
@@ -440,7 +438,7 @@ std::vector<SessionSpec> KillSessions(uint64_t seed) {
 // Per session, in stream order: pushes; one batch with an empty vector
 // and a decreasing ts among three good items; an all-rejected batch and
 // a Flush mid-stream; a Migrate with the rest of the stream (far past τ)
-// after it; an explicit Checkpoint() later.
+// after it.
 std::vector<FleetOp> KillScript(const std::vector<SessionSpec>& specs,
                                 Rng* rng) {
   struct Cursor {
@@ -448,7 +446,6 @@ std::vector<FleetOp> KillScript(const std::vector<SessionSpec>& specs,
     size_t batch_at = 0;
     size_t flush_at = 0;
     size_t migrate_at = 0;
-    size_t checkpoint_at = 0;
   };
   std::vector<Cursor> cursors;
   for (const SessionSpec& spec : specs) {
@@ -457,7 +454,6 @@ std::vector<FleetOp> KillScript(const std::vector<SessionSpec>& specs,
     c.batch_at = 5 + rng->NextBelow(n / 4);
     c.flush_at = n / 4 + rng->NextBelow(n / 4);
     c.migrate_at = n / 3 + rng->NextBelow(n / 6);
-    c.checkpoint_at = n / 2 + rng->NextBelow(n / 4);
     cursors.push_back(c);
   }
   std::vector<FleetOp> ops;
@@ -480,9 +476,6 @@ std::vector<FleetOp> KillScript(const std::vector<SessionSpec>& specs,
       } else if (c.next >= c.migrate_at) {
         op.kind = FleetOp::kMigrate;
         c.migrate_at = SIZE_MAX;
-      } else if (c.next >= c.checkpoint_at) {
-        op.kind = FleetOp::kCheckpoint;
-        c.checkpoint_at = SIZE_MAX;
       } else if (c.next >= c.batch_at && c.next + 3 <= stream.size()) {
         const StreamItem& a = stream[c.next];
         const StreamItem& b = stream[c.next + 1];
@@ -510,7 +503,6 @@ std::map<std::string, std::vector<ResultPair>> RunKillScript(
     const std::vector<FleetOp>& script, const std::set<size_t>& kill_before,
     size_t kill_after_trim_from) {
   std::map<std::string, std::vector<ResultPair>> out;
-  std::map<std::string, uint64_t> checkpoints;
   for (const SessionSpec& spec : specs) {
     EXPECT_TRUE(supervisor->CreateSession(spec.name, spec.config).ok());
     out[spec.name];
@@ -546,10 +538,6 @@ std::map<std::string, std::vector<ResultPair>> RunKillScript(
             supervisor->Migrate(spec.name, 1 - *supervisor->OwnerOf(spec.name))
                 .ok());
         break;
-      case FleetOp::kCheckpoint:
-        EXPECT_TRUE(supervisor->Checkpoint(spec.name).ok());
-        ++checkpoints[spec.name];
-        break;
     }
     const bool trimmed = op.kind == FleetOp::kPush &&
                          supervisor->journal_info(spec.name)->ops <= ops_before;
@@ -559,10 +547,6 @@ std::map<std::string, std::vector<ResultPair>> RunKillScript(
     }
   }
   for (const SessionSpec& spec : specs) {
-    const auto info = supervisor->journal_info(spec.name);
-    EXPECT_TRUE(info.ok());
-    // A session pulls only the scripted Checkpoint()s.
-    EXPECT_EQ(info->checkpoint_pulls, checkpoints[spec.name]) << spec.name;
     EXPECT_TRUE(supervisor->Flush(spec.name, &out[spec.name]).ok());
     EXPECT_TRUE(supervisor->CloseSession(spec.name, &out[spec.name]).ok());
   }
@@ -615,11 +599,11 @@ TEST(ClusterFailoverTest, SeededRandomKillsMatchUndisturbedFleet) {
   }
 }
 
-// MB failover is exact from every restore point: the CreateSession, the
+// MB failover is exact from every seed: a fresh session's, the
 // not-started seed a mid-stream Flush leaves, and the started seed of a
 // trimmed journal, whose replay rebuilds the original's windows because
-// they sit on the grid. No session pulls a checkpoint. The streams span
-// over 20 windows, and one kill lands right after a trim.
+// they sit on the grid. The streams span over 20 windows, and one kill
+// lands right after a trim.
 TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
   SupervisorOptions options;
   options.num_workers = 2;
@@ -665,7 +649,6 @@ TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
     const auto got = RunKillScript(&supervisor, specs, script, kill_before,
                                    kill_after_trim_from);
     EXPECT_GE(supervisor.restarts(), 2u);
-    EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
     for (const SessionSpec& spec : specs) {
       EXPECT_FALSE(want.at(spec.name).empty())
           << spec.name << ": no pairs — the pin is vacuous";
@@ -674,10 +657,9 @@ TEST(ClusterFailoverTest, MbKillsBeforeAnyPullMatchUndisturbedFleet) {
   }
 }
 
-// At λ = 0 nothing leaves the horizon, so an STR session pulls no
-// checkpoint of its own: a failover replays its whole journal onto its
-// restore point, its CreateSession before the scripted Checkpoint() and
-// that checkpoint after it.
+// At λ = 0 nothing leaves the horizon, so a failover replays an STR
+// session's whole journal onto its fresh seed, before a mid-stream Migrate
+// and after it: the Migrate moves the session, not its restore point.
 TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
   SupervisorOptions options;
   options.num_workers = 2;
@@ -701,7 +683,7 @@ TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t s = 0; s < specs.size(); ++s) {
       script.push_back({FleetOp::kPush, s, specs[s].stream[i], {}});
-      if (i == n / 2) script.push_back({FleetOp::kCheckpoint, s, {}, {}});
+      if (i == n / 2) script.push_back({FleetOp::kMigrate, s, {}, {}});
     }
   }
   std::map<std::string, std::vector<ResultPair>> want;
@@ -710,7 +692,7 @@ TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
     ASSERT_TRUE(supervisor.Start().ok());
     want = RunKillScript(&supervisor, specs, script, {}, SIZE_MAX);
   }
-  // One kill before the Checkpoint() ops, one after them.
+  // One kill before the Migrate ops, one after them.
   const std::set<size_t> kill_before = {script.size() * 2 / 5,
                                         script.size() * 4 / 5};
   Supervisor supervisor(options);
@@ -718,7 +700,6 @@ TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
   const auto got =
       RunKillScript(&supervisor, specs, script, kill_before, SIZE_MAX);
   EXPECT_EQ(supervisor.restarts(), kill_before.size());
-  EXPECT_EQ(supervisor.checkpoint_pulls(), specs.size());
   for (const SessionSpec& spec : specs) {
     const std::vector<ResultPair>& pairs = want.at(spec.name);
     const std::vector<ResultPair>& mine = got.at(spec.name);
@@ -730,6 +711,55 @@ TEST(ClusterFailoverTest, LambdaZeroStrKillsMatchUndisturbedFleet) {
       continue;
     }
     ExpectBitwiseEqual(mine, pairs, spec.name);
+  }
+}
+
+// A Migrate keeps the session's seed and journal, so a crash of the new
+// owner right after it restores the same state the migration moved:
+// every KillSessions kind (STR-INV, STR-L2, STR-L2AP, MB-L2, and STR-L2 at
+// λ = 0) migrates two thirds of the way in, past several horizons, and its
+// new owner is SIGKILLed before its next op.
+TEST(ClusterFailoverTest, KillAfterMigrateMatchesUndisturbedFleet) {
+  SupervisorOptions options;
+  options.num_workers = 2;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<SessionSpec> specs = KillSessions(seed);
+    std::vector<FleetOp> script;
+    std::set<size_t> kill_before;
+    const size_t n = specs.front().stream.size();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t s = 0; s < specs.size(); ++s) {
+        // The op right after the session's Migrate: the new owner dies
+        // just before it.
+        if (i == 2 * n / 3 + 1) kill_before.insert(script.size());
+        script.push_back({FleetOp::kPush, s, specs[s].stream[i], {}});
+        if (i == 2 * n / 3) script.push_back({FleetOp::kMigrate, s, {}, {}});
+      }
+    }
+    std::map<std::string, std::vector<ResultPair>> want;
+    {
+      Supervisor supervisor(options);
+      ASSERT_TRUE(supervisor.Start().ok());
+      want = RunKillScript(&supervisor, specs, script, {}, SIZE_MAX);
+    }
+    Supervisor supervisor(options);
+    ASSERT_TRUE(supervisor.Start().ok());
+    const auto got =
+        RunKillScript(&supervisor, specs, script, kill_before, SIZE_MAX);
+    EXPECT_GE(supervisor.restarts(), 2u);
+    for (const SessionSpec& spec : specs) {
+      const std::vector<ResultPair>& pairs = want.at(spec.name);
+      const std::vector<ResultPair>& mine = got.at(spec.name);
+      EXPECT_FALSE(pairs.empty())
+          << spec.name << ": no pairs — the pin is vacuous";
+      if (spec.config.index == IndexScheme::kL2ap) {
+        EXPECT_EQ(mine.size(), pairs.size()) << spec.name;
+        EXPECT_EQ(PairSet(mine), PairSet(pairs)) << spec.name;
+        continue;
+      }
+      ExpectBitwiseEqual(mine, pairs, spec.name);
+    }
   }
 }
 
@@ -800,13 +830,10 @@ TEST(ClusterJournalTest, FleetPastHorizonPullsNothing) {
           : tenant.framework == Framework::kStreaming ? in_horizon
                                                       : in_two_windows;
       ASSERT_EQ(info->ops, want) << tenant.name << " after push " << i;
-      EXPECT_EQ(info->checkpoint_bytes, 0u);
-      EXPECT_EQ(info->checkpoint_pulls, 0u);
     }
     most_mb_ops = std::max(most_mb_ops, in_two_windows);
   }
   EXPECT_LT(most_mb_ops, stream.size() / 10) << "the MB trim is vacuous";
-  EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
 }
 
 // An MB Flush empties the core, so it empties the journal too, and the
@@ -855,14 +882,13 @@ TEST(ClusterJournalTest, MbFlushRestartsTheJournal) {
   ClusterClient remote(&supervisor);
   const std::vector<ResultPair> got = run(&remote, &supervisor);
   EXPECT_EQ(supervisor.restarts(), 2u);
-  EXPECT_EQ(supervisor.checkpoint_pulls(), 0u);
   EXPECT_FALSE(want.empty());
   ExpectBitwiseEqual(got, want, "mb");
 }
 
 // At λ = 0 an STR journal drops only leading ops that got no item
-// accepted (a flush, an all-rejected batch); every op with items stays
-// until a Checkpoint() or a Migrate replaces the restore point.
+// accepted (a flush, an all-rejected batch); every op with items stays,
+// across a Migrate too, and a failover replays them all.
 TEST(ClusterJournalTest, LambdaZeroJournalDropsOnlyLeadingZeroItemOps) {
   SupervisorOptions options;
   options.num_workers = 2;
@@ -897,23 +923,21 @@ TEST(ClusterJournalTest, LambdaZeroJournalDropsOnlyLeadingZeroItemOps) {
   rejected_batch(stream[half].ts);
   EXPECT_EQ(ops(), half + 2);  // behind ops with items: kept
 
-  ASSERT_TRUE(supervisor.Checkpoint("forever").ok());
-  EXPECT_EQ(ops(), 0u);
-  EXPECT_GT(supervisor.journal_info("forever")->checkpoint_bytes, 0u);
-  ASSERT_TRUE(supervisor.Flush("forever", nullptr).ok());
-  EXPECT_EQ(ops(), 0u);
+  ASSERT_TRUE(supervisor
+                  .Migrate("forever", 1 - *supervisor.OwnerOf("forever"))
+                  .ok());
+  EXPECT_EQ(ops(), half + 2);  // a Migrate keeps the journal
   for (size_t i = half; i < stream.size(); ++i) {
     ASSERT_TRUE(
         supervisor.Push("forever", stream[i].ts, stream[i].vec, nullptr).ok());
   }
-  EXPECT_EQ(ops(), stream.size() - half);
-  ASSERT_TRUE(supervisor
-                  .Migrate("forever", 1 - *supervisor.OwnerOf("forever"))
-                  .ok());
-  EXPECT_EQ(ops(), 0u);
-  // The explicit Checkpoint() is the only pull.
-  EXPECT_EQ(supervisor.journal_info("forever")->checkpoint_pulls, 1u);
-  EXPECT_EQ(supervisor.checkpoint_pulls(), 1u);
+  EXPECT_EQ(ops(), stream.size() + 2);
+  // A failover on the new owner replays all of it onto the fresh seed.
+  ::kill(*supervisor.worker_pid(*supervisor.OwnerOf("forever")), SIGKILL);
+  const auto stats = supervisor.SessionStats("forever");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->vectors_processed, stream.size());
+  EXPECT_EQ(supervisor.restarts(), 1u);
 }
 
 // ---- restore-path cross-version sniffing (worker must refuse retired
@@ -980,24 +1004,30 @@ TEST(WorkerRestoreTest, NativeCheckpointIsRefusedWithNamedReason) {
 }
 
 TEST(WorkerRestoreTest, SupervisorRefusesNativeBytesViaRestorePath) {
-  // The same sniff through the forked-fleet path: a Restore frame with
-  // native bytes must come back refused and leave the worker pristine.
+  // The same restore path through the forked fleet. The supervisor has no
+  // public restore entry (a Migrate and a failover are its only callers),
+  // so drive the worker end through a Migrate round trip instead: create,
+  // push, migrate there and back, close, then re-create with the same
+  // name on both workers to prove nothing stuck.
   SupervisorOptions options;
-  options.num_workers = 1;
+  options.num_workers = 2;
   Supervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
-  // No public restore entry on the supervisor (it is failover-internal),
-  // so drive the worker end through a fresh session + checkpoint round
-  // trip instead: create, checkpoint, close, then re-create with the
-  // same name to prove nothing stuck.
   WireConfig config;
   config.theta = 0.6;
   config.lambda = 0.05;
   ASSERT_TRUE(supervisor.CreateSession("s", config).ok());
-  ASSERT_TRUE(supervisor.Checkpoint("s").ok());
   std::vector<ResultPair> pairs;
+  ASSERT_TRUE(supervisor.Push("s", 0.0, UnitVec({{1, 1.0}}), &pairs).ok());
+  const int home = *supervisor.OwnerOf("s");
+  ASSERT_TRUE(supervisor.Migrate("s", 1 - home).ok());
+  ASSERT_TRUE(supervisor.Migrate("s", home).ok());
+  ASSERT_TRUE(supervisor.Push("s", 0.1, UnitVec({{1, 1.0}}), &pairs).ok());
+  EXPECT_EQ(pairs.size(), 1u);
   ASSERT_TRUE(supervisor.CloseSession("s", &pairs).ok());
   ASSERT_TRUE(supervisor.CreateSession("s", config).ok());
+  ASSERT_TRUE(supervisor.Migrate("s", 1 - home).ok());
+  EXPECT_EQ(*supervisor.OwnerOf("s"), 1 - home);
   supervisor.Shutdown();
 }
 
@@ -1068,8 +1098,8 @@ TEST(WorkerDispatchTest, UnknownSessionAndBadPayloadsAreClean) {
   NameRequest req;
   req.name = "ghost";
   for (const FrameType type :
-       {FrameType::kFlush, FrameType::kCheckpoint, FrameType::kMigrateOut,
-        FrameType::kCloseSession, FrameType::kStats}) {
+       {FrameType::kFlush, FrameType::kMigrateOut, FrameType::kCloseSession,
+        FrameType::kStats}) {
     const Reply reply = worker.Handle(type, EncodeName(req), &shutdown);
     EXPECT_EQ(reply.status.code(), StatusCode::kNotFound) << ToString(type);
   }

@@ -425,6 +425,19 @@ TEST(EngineTest, ConfigurationNotesSurfaceIgnoredKnobs) {
     ASSERT_EQ(notes.size(), 1u);
     EXPECT_TRUE(has_note(notes, "shared thread pool is unused"));
   }
+  {
+    // The notes depend on the config alone: a caller reads them without
+    // an engine, and Make stores the same list.
+    EngineConfig cfg;
+    cfg.framework = Framework::kMiniBatch;
+    cfg.tiered.enabled = true;
+    cfg.pool = std::make_shared<ThreadPool>(2);
+    const std::vector<std::string> notes = ConfigurationNotes(cfg);
+    ASSERT_EQ(notes.size(), 2u);
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_EQ((*engine)->configuration_notes(), notes);
+  }
 }
 
 // STR engines at num_threads > 1: every STR scheme runs its one

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -318,7 +318,6 @@ TEST(JoinServiceTest, CheckpointRoundTripThroughHandles) {
   cfg.normalize_inputs = false;
   const Stream stream = SessionStream(31);
   const size_t cut = stream.size() / 2;
-  const std::string path = ::testing::TempDir() + "/sssj_service.ckp";
 
   CollectorSink ref_sink;
   {
@@ -333,19 +332,19 @@ TEST(JoinServiceTest, CheckpointRoundTripThroughHandles) {
   for (size_t i = 0; i < cut; ++i) {
     service.Push(*first, stream[i].ts, stream[i].vec);
   }
-  const Status saved = service.SaveCheckpoint(*first, path);
+  std::stringstream checkpoint;
+  const Status saved = service.SaveCheckpoint(*first, checkpoint);
   ASSERT_TRUE(saved.ok()) << saved.ToString();
   ASSERT_TRUE(service.CloseSession(*first).ok());
 
   auto resumed = service.CreateSession({"b", cfg, &sink});
   ASSERT_TRUE(resumed.ok());
-  const Status loaded = service.LoadCheckpoint(*resumed, path);
+  const Status loaded = service.LoadCheckpoint(*resumed, checkpoint);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   for (size_t i = cut; i < stream.size(); ++i) {
     service.Push(*resumed, stream[i].ts, stream[i].vec);
   }
   ExpectBitIdentical(sink.pairs(), ref_sink.pairs(), "resumed session");
-  std::remove(path.c_str());
 
   // An MB session checkpoints through its handle too, with the pairs still
   // pending in its windows: abandoned after the save (no flush), then
@@ -364,12 +363,13 @@ TEST(JoinServiceTest, CheckpointRoundTripThroughHandles) {
   for (size_t i = 0; i < cut; ++i) {
     service.Push(*mb_first, stream[i].ts, stream[i].vec);
   }
-  const Status mb_saved = service.SaveCheckpoint(*mb_first, path);
+  std::stringstream mb_checkpoint;
+  const Status mb_saved = service.SaveCheckpoint(*mb_first, mb_checkpoint);
   ASSERT_TRUE(mb_saved.ok()) << mb_saved.ToString();
   ASSERT_TRUE(service.AbandonSession(*mb_first).ok());
   auto mb_resumed = service.CreateSession({"mb-resumed", mb, &mb_sink});
   ASSERT_TRUE(mb_resumed.ok());
-  const Status mb_loaded = service.LoadCheckpoint(*mb_resumed, path);
+  const Status mb_loaded = service.LoadCheckpoint(*mb_resumed, mb_checkpoint);
   ASSERT_TRUE(mb_loaded.ok()) << mb_loaded.ToString();
   for (size_t i = cut; i < stream.size(); ++i) {
     service.Push(*mb_resumed, stream[i].ts, stream[i].vec);
@@ -379,7 +379,6 @@ TEST(JoinServiceTest, CheckpointRoundTripThroughHandles) {
   EXPECT_EQ(mb_sink.pairs().size(), mb_ref_sink.pairs().size());
   EXPECT_EQ(::sssj::testing::PairSet(mb_sink.pairs()),
             ::sssj::testing::PairSet(mb_ref_sink.pairs()));
-  std::remove(path.c_str());
 }
 
 TEST(JoinServiceTest, StatsAggregateAndSortByName) {

@@ -2,8 +2,14 @@
 // sessions running under a cap, per-session output stays identical to an
 // unbudgeted run, and an unmeetable budget degrades to kResourceExhausted
 // instead of unbounded growth.
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <stdlib.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +46,19 @@ Stream SessionStream(uint64_t seed) {
   return RandomStream(spec);
 }
 
+// The pairs of `stream` through an unbudgeted standalone engine; raises
+// *max_bytes to the engine's final MemoryBytes().
+std::vector<ResultPair> Unbudgeted(const Stream& stream, size_t* max_bytes) {
+  CollectorSink sink;
+  auto engine = SssjEngine::Make(BudgetedEngineConfig(), &sink);
+  EXPECT_TRUE(engine.ok());
+  for (const StreamItem& item : stream) {
+    EXPECT_TRUE((*engine)->Push(item.ts, item.vec).ok());
+  }
+  *max_bytes = std::max(*max_bytes, (*engine)->MemoryBytes());
+  return sink.pairs();
+}
+
 TEST(MemoryBudgetTest, SessionsKeepRunningUnderTightBudgetViaEviction) {
   constexpr int kSessions = 4;
   std::vector<Stream> streams;
@@ -51,14 +70,7 @@ TEST(MemoryBudgetTest, SessionsKeepRunningUnderTightBudgetViaEviction) {
   std::vector<std::vector<ResultPair>> expected;
   size_t max_engine_bytes = 0;
   for (int s = 0; s < kSessions; ++s) {
-    CollectorSink sink;
-    auto engine = SssjEngine::Make(BudgetedEngineConfig(), &sink);
-    ASSERT_TRUE(engine.ok());
-    for (const StreamItem& item : streams[s]) {
-      ASSERT_TRUE((*engine)->Push(item.ts, item.vec).ok());
-    }
-    max_engine_bytes = std::max(max_engine_bytes, (*engine)->MemoryBytes());
-    expected.push_back(sink.pairs());
+    expected.push_back(Unbudgeted(streams[s], &max_engine_bytes));
   }
 
   // Budget fits roughly two full sessions — far less than all four — so
@@ -207,15 +219,14 @@ TEST(MemoryBudgetTest, SaveCheckpointOnEvictedSessionReloadsFirst) {
   }
   ASSERT_GT(service.Stats().sessions_evicted, 0u);
 
-  const std::string path = ::testing::TempDir() + "evicted_save.ckpt";
-  ASSERT_TRUE(service.SaveCheckpoint(*a, path).ok());
+  std::stringstream checkpoint;
+  ASSERT_TRUE(service.SaveCheckpoint(*a, checkpoint).ok());
   // Restoring that checkpoint standalone yields session a's full state.
   CollectorSink probe_sink;
   auto probe = SssjEngine::Make(BudgetedEngineConfig(), &probe_sink);
   ASSERT_TRUE(probe.ok());
-  ASSERT_TRUE((*probe)->LoadCheckpoint(path).ok());
+  ASSERT_TRUE((*probe)->LoadCheckpoint(checkpoint).ok());
   EXPECT_EQ((*probe)->next_id(), stream.size());
-  std::remove(path.c_str());
 }
 
 // An MB-L2 session: evictable through the portable checkpoint, and its
@@ -409,6 +420,201 @@ TEST(MemoryBudgetTest, SessionCountersSurviveEvictionAndReload) {
     expect_counters(stream.size(), "after reload");
     EXPECT_GT(sink.pairs().size(), 0u);
   }
+}
+
+// A new, empty directory under the test temp dir.
+std::string FreshDir() {
+  std::string dir = ::testing::TempDir() + "sssj-budget-XXXXXX";
+  EXPECT_NE(::mkdtemp(dir.data()), nullptr);
+  return dir;
+}
+
+// The entries of `dir`, without "." and "..".
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> entries;
+  DIR* handle = ::opendir(dir.c_str());
+  EXPECT_NE(handle, nullptr) << dir;
+  if (handle == nullptr) return entries;
+  for (dirent* ent = ::readdir(handle); ent != nullptr;
+       ent = ::readdir(handle)) {
+    const std::string name = ent->d_name;
+    if (name != "." && name != "..") entries.push_back(name);
+  }
+  ::closedir(handle);
+  return entries;
+}
+
+// Two services on one spill dir, with the same session names and
+// different streams: each eviction writes its own file, so neither
+// service ever reloads the other's state, and no spill outlives the
+// service that wrote it.
+TEST(MemoryBudgetTest, ServicesSharingASpillDirKeepTheirOwnSpills) {
+  constexpr int kInstances = 2;
+  constexpr int kSessions = 4;
+  std::vector<Stream> streams;
+  std::vector<std::vector<ResultPair>> expected;
+  size_t max_engine_bytes = 0;
+  for (int k = 0; k < kInstances; ++k) {
+    for (int s = 0; s < kSessions; ++s) {
+      streams.push_back(SessionStream(1000 + 100 * k + s));
+      expected.push_back(Unbudgeted(streams.back(), &max_engine_bytes));
+    }
+  }
+  const std::string spill_dir = FreshDir();
+  {
+    // The budget of SessionsKeepRunningUnderTightBudgetViaEviction.
+    JoinServiceOptions options;
+    options.memory_budget_bytes = 2 * max_engine_bytes + (64u << 10);
+    options.spill_dir = spill_dir;
+    std::vector<std::unique_ptr<JoinService>> services;
+    std::vector<CollectorSink> sinks(kInstances * kSessions);
+    std::vector<JoinService::SessionHandle> handles;
+    for (int k = 0; k < kInstances; ++k) {
+      services.push_back(std::make_unique<JoinService>(options));
+      for (int s = 0; s < kSessions; ++s) {
+        auto handle = services[k]->CreateSession(
+            {"tenant-" + std::to_string(s), BudgetedEngineConfig(),
+             &sinks[k * kSessions + s]});
+        ASSERT_TRUE(handle.ok()) << handle.status().message();
+        handles.push_back(*handle);
+      }
+    }
+    // Each round, every session of instance 0 and then of instance 1
+    // pushes a chunk: the two evict and reload tenants of the same names
+    // in turn.
+    constexpr size_t kChunk = 50;
+    for (size_t base = 0; base < streams[0].size(); base += kChunk) {
+      for (int k = 0; k < kInstances; ++k) {
+        for (int s = 0; s < kSessions; ++s) {
+          const size_t i = static_cast<size_t>(k * kSessions + s);
+          const size_t end = std::min(base + kChunk, streams[i].size());
+          PushAll(*services[k], handles[i], streams[i].begin() + base,
+                  streams[i].begin() + end);
+          ASSERT_FALSE(::testing::Test::HasFatalFailure())
+              << "instance " << k << " session " << s;
+        }
+      }
+    }
+    bool spilled_at_exit = false;
+    for (int k = 0; k < kInstances; ++k) {
+      const ServiceStats stats = services[k]->Stats();
+      EXPECT_GT(stats.sessions_evicted, 0u) << "instance " << k;
+      EXPECT_GT(stats.session_reloads, 0u) << "instance " << k;
+      for (const ServiceStats::SessionEntry& entry : stats.sessions) {
+        spilled_at_exit = spilled_at_exit || entry.evicted;
+      }
+      for (int s = 0; s < kSessions; ++s) {
+        SCOPED_TRACE("instance " + std::to_string(k) + " session " +
+                     std::to_string(s));
+        const size_t i = static_cast<size_t>(k * kSessions + s);
+        ExpectSamePairs(sinks[i].pairs(), expected[i]);
+      }
+    }
+    // The services go away with sessions still evicted: their spills
+    // must go with them.
+    ASSERT_TRUE(spilled_at_exit);
+    EXPECT_FALSE(DirEntries(spill_dir).empty());
+  }
+  EXPECT_TRUE(DirEntries(spill_dir).empty());
+  ::rmdir(spill_dir.c_str());
+}
+
+// Session names are never part of a spill path: names with separators,
+// dot-dot, a newline, '=' and 300 bytes evict and reload with their
+// output bits intact, and every spill is a plain file directly in
+// spill_dir.
+TEST(MemoryBudgetTest, HostileSessionNamesNeverReachASpillPath) {
+  const std::vector<std::string> names = {"/", "..", "\n", "=",
+                                          std::string(300, 'x')};
+  std::vector<Stream> streams;
+  std::vector<std::vector<ResultPair>> expected;
+  size_t max_engine_bytes = 0;
+  for (size_t s = 0; s < names.size(); ++s) {
+    streams.push_back(SessionStream(4000 + s));
+    expected.push_back(Unbudgeted(streams.back(), &max_engine_bytes));
+  }
+  // spill_dir sits alone in a fresh parent, so a path that escaped it
+  // would show up there.
+  const std::string parent = FreshDir();
+  const std::string spill_dir = parent + "/spill";
+  ASSERT_EQ(::mkdir(spill_dir.c_str(), 0700), 0);
+  {
+    JoinServiceOptions options;
+    options.memory_budget_bytes = max_engine_bytes + (64u << 10);
+    options.spill_dir = spill_dir;
+    JoinService service(options);
+    std::vector<CollectorSink> sinks(names.size());
+    std::vector<JoinService::SessionHandle> handles;
+    for (size_t s = 0; s < names.size(); ++s) {
+      auto handle =
+          service.CreateSession({names[s], BudgetedEngineConfig(), &sinks[s]});
+      ASSERT_TRUE(handle.ok()) << handle.status().message();
+      handles.push_back(*handle);
+    }
+    std::set<std::string> ever_evicted;
+    constexpr size_t kChunk = 50;
+    for (size_t base = 0; base < streams[0].size(); base += kChunk) {
+      for (size_t s = 0; s < names.size(); ++s) {
+        const size_t end = std::min(base + kChunk, streams[s].size());
+        PushAll(service, handles[s], streams[s].begin() + base,
+                streams[s].begin() + end);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "session " << s;
+        size_t evicted = 0;
+        for (const ServiceStats::SessionEntry& entry :
+             service.Stats().sessions) {
+          if (!entry.evicted) continue;
+          ++evicted;
+          ever_evicted.insert(entry.name);
+        }
+        const std::vector<std::string> files = DirEntries(spill_dir);
+        EXPECT_EQ(files.size(), evicted);
+        for (const std::string& file : files) {
+          struct stat st;
+          ASSERT_EQ(::stat((spill_dir + "/" + file).c_str(), &st), 0) << file;
+          EXPECT_TRUE(S_ISREG(st.st_mode)) << file;
+        }
+        EXPECT_EQ(DirEntries(parent), std::vector<std::string>{"spill"});
+      }
+    }
+    EXPECT_EQ(ever_evicted.size(), names.size());
+    for (size_t s = 0; s < names.size(); ++s) {
+      SCOPED_TRACE("session " + std::to_string(s));
+      ASSERT_TRUE(service.CloseSession(handles[s]).ok());
+      ExpectSamePairs(sinks[s].pairs(), expected[s]);
+    }
+    EXPECT_TRUE(DirEntries(spill_dir).empty());
+  }
+  ::rmdir(spill_dir.c_str());
+  ::rmdir(parent.c_str());
+}
+
+// An eviction that cannot create its spill file leaves the victim
+// resident and intact: the push that needed the room is refused instead.
+TEST(MemoryBudgetTest, UncreatableSpillFileKeepsTheVictimResident) {
+  const Stream stream = SessionStream(13);
+  JoinServiceOptions options;
+  options.memory_budget_bytes = PeakBytes(BudgetedEngineConfig(), stream) + 1;
+  options.spill_dir = "/nonexistent/sssj/spill/dir";
+  JoinService service(options);
+  CollectorSink sink_a, sink_b;
+  auto a = service.CreateSession({"a", BudgetedEngineConfig(), &sink_a});
+  auto b = service.CreateSession({"b", BudgetedEngineConfig(), &sink_b});
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  PushAll(service, *a, stream.begin(), stream.end());
+  Status refused = Status::Ok();
+  for (const StreamItem& item : stream) {
+    refused = service.Push(*b, item.ts, item.vec);
+    if (!refused.ok()) break;
+  }
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted)
+      << refused.ToString();
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.sessions_evicted, 0u);
+  EXPECT_GT(stats.budget_rejections, 0u);
+  const auto a_stats = service.SessionStats(*a);
+  ASSERT_TRUE(a_stats.ok());
+  EXPECT_EQ(a_stats->vectors_processed, stream.size());
 }
 
 }  // namespace
