@@ -16,7 +16,8 @@
 #   3c. --threads=-3, --threads=4294967297, --async --queue-capacity=-1
 #      and --async --epoch-items=-1 must exit 2 naming the flag;
 #   4. sssj_cli on a directory must fail (a read error is not an empty
-#      stream);
+#      stream), and so must a run whose --output is /dev/full (the pair
+#      file was not written);
 #   5. tiered storage: at --lambda=0.001, --index=L2 and --index=INV with
 #      --tiered must write pair files byte-identical to the untiered
 #      runs, and --memory must show that something froze (the bytes
@@ -185,6 +186,20 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "sssj_cli --input=<a directory> exited 0:\n${err}")
 endif()
 message(STATUS "sssj_cli on a directory (exit ${rc}): ${err}")
+
+# /dev/full takes the open and refuses the write: the run must fail
+# naming --output, not report its pairs as written.
+if(EXISTS /dev/full)
+  execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --output=/dev/full
+                          --quiet
+                  RESULT_VARIABLE rc
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT err MATCHES "cannot write --output")
+    message(FATAL_ERROR "sssj_cli --output=/dev/full exited ${rc}:\n${err}")
+  endif()
+  message(STATUS "sssj_cli --output=/dev/full (exit ${rc}): ${err}")
+endif()
 
 # Tiered storage. At the lambda 0.01 used elsewhere in this script nothing on
 # this stream freezes; at 0.001 the lists grow long enough to.

@@ -478,5 +478,17 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(
                      s.entries_indexed - s.entries_pruned));
   }
+  if (out_file.is_open()) {
+    // close() runs the final flush, where a short pair file or a full
+    // disk shows; the run has not succeeded until its pairs are written.
+    out_file.close();
+    if (out_file.fail()) {
+      std::fprintf(stderr, "cannot write --output: %s\n",
+                   sssj::Status::IoError("write failure on " + output)
+                       .ToString()
+                       .c_str());
+      return 1;
+    }
+  }
   return 0;
 }

@@ -70,8 +70,8 @@ sssj::cluster::Reply Route(sssj::cluster::Supervisor* supervisor,
       cl::PushRequest req;
       reply.status = cl::DecodePush(payload, &req);
       if (!reply.status.ok()) return reply;
-      reply.status = supervisor->Push(req.name, req.ts, std::move(req.vec),
-                                      &reply.pairs);
+      reply.status =
+          supervisor->Push(req.name, req.ts, req.vec, &reply.pairs);
       if (reply.status.ok()) reply.accepted = 1;
       return reply;
     }
@@ -189,6 +189,8 @@ int main(int argc, char** argv) {
                options.num_workers, socket_path.c_str());
 
   bool shutdown = false;
+  std::string payload;
+  std::string reply_payload;
   while (!shutdown) {
     int conn_fd = -1;
     status = sssj::cluster::AcceptOne(listen_fd, &conn_fd);
@@ -199,14 +201,14 @@ int main(int argc, char** argv) {
     sssj::cluster::FrameChannel channel(conn_fd);
     while (!shutdown) {
       sssj::cluster::FrameType type;
-      std::string payload;
       status = channel.Recv(&type, &payload);
       if (!status.ok()) break;  // client went away; accept the next one
-      const sssj::cluster::Reply reply =
-          Route(&supervisor, type, payload, &shutdown);
-      status = channel.Send(sssj::cluster::FrameType::kReply,
-                            sssj::cluster::EncodeReply(reply));
+      sssj::cluster::EncodeReply(Route(&supervisor, type, payload, &shutdown),
+                                 &reply_payload);
+      status = channel.Send(sssj::cluster::FrameType::kReply, reply_payload);
       if (!status.ok()) break;
+      sssj::cluster::ReleaseIfLarge(&payload);
+      sssj::cluster::ReleaseIfLarge(&reply_payload);
     }
   }
   supervisor.Shutdown();

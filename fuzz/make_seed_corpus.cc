@@ -11,11 +11,15 @@
 //
 // Idempotent: output depends only on the library, so re-running after a
 // format change refreshes the corpus in place (commit the diff).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "cluster/wire.h"
 #include "core/engine.h"
@@ -242,6 +246,45 @@ int main(int argc, char** argv) {
     std::string frame;
     cl::EncodeFrame(cl::FrameType::kPush, push_bytes, &frame);
     if (!seed("frame.bin", 2, frame)) return 1;
+
+    // Selector 8: a frame stream cut into chunks, each a length byte and
+    // that many bytes, written into a socketpair one send each.
+    auto chunked = [](const std::string& stream,
+                      std::initializer_list<size_t> sizes) {
+      std::string out;
+      size_t pos = 0;
+      for (auto size = sizes.begin(); pos < stream.size();) {
+        const size_t len = std::min(stream.size() - pos, *size);
+        out.push_back(static_cast<char>(len));
+        out += stream.substr(pos, len);
+        pos += len;
+        if (std::next(size) != sizes.end()) ++size;
+      }
+      return out;
+    };
+    std::string hello_frame;
+    cl::EncodeFrame(cl::FrameType::kHello, cl::EncodeHello(cl::HelloPayload{}),
+                    &hello_frame);
+    std::string reply_frame;
+    cl::EncodeFrame(cl::FrameType::kReply, cl::EncodeReply(reply),
+                    &reply_frame);
+    std::string shutdown_frame;
+    cl::EncodeFrame(cl::FrameType::kShutdown, "", &shutdown_frame);
+    std::string bad_type = shutdown_frame;
+    bad_type[4] = '\x63';  // frame type 99
+    const std::string two = frame + reply_frame;
+    for (const auto& [name, bytes] :
+         {std::pair<const char*, std::string>{
+              "channel_bytewise.bin", chunked(hello_frame + frame, {1})},
+          {"channel_coalesced.bin", chunked(two + shutdown_frame, {255})},
+          {"channel_split_header.bin", chunked(two, {3, 2, 7})},
+          {"channel_empty_payload.bin",
+           chunked(shutdown_frame + shutdown_frame + hello_frame, {4, 9})},
+          {"channel_bad_type.bin", chunked(frame + bad_type, {50})},
+          {"channel_truncated.bin",
+           chunked(reply_frame.substr(0, reply_frame.size() - 5), {16})}}) {
+      if (!seed(name, 8, bytes)) return 1;
+    }
   }
 
   std::printf("seed corpus refreshed under %s\n", root.c_str());

@@ -133,7 +133,10 @@ Status WriteJsonFile(const JsonValue& value, const std::string& path) {
   }
   value.Dump(f);
   f << '\n';
-  if (!f.good()) {
+  // close() runs the final flush. A document smaller than the stream
+  // buffer reaches the file only there, so a full disk fails it there.
+  f.close();
+  if (f.fail()) {
     return Status::IoError("write failure on " + path);
   }
   return Status::Ok();

@@ -1,9 +1,11 @@
 #include "cluster/channel.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -16,21 +18,6 @@ namespace {
 
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
-}
-
-// Full write, EINTR-safe, SIGPIPE-free.
-Status WriteAll(int fd, const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n =
-        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("socket write");
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
 }
 
 // Full read; EOF mid-message (or at a frame boundary) is kIoError — the
@@ -71,6 +58,8 @@ void FrameChannel::Close() {
   }
 }
 
+// Full gathered write of the header and the payload in one sendmsg; a
+// short write resumes where it stopped. EINTR-safe, SIGPIPE-free.
 Status FrameChannel::Send(FrameType type, const std::string& payload) {
   if (fd_ < 0) return Status::IoError("channel is closed");
   if (payload.size() > kMaxFramePayload) {
@@ -79,27 +68,80 @@ Status FrameChannel::Send(FrameType type, const std::string& payload) {
         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
         "-byte cap");
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  EncodeFrame(type, payload, &frame);
-  return WriteAll(fd_, frame.data(), frame.size());
+  uint8_t header[kFrameHeaderSize];
+  EncodeFrameHeader(type, static_cast<uint32_t>(payload.size()), header);
+  iovec iov[2];
+  iov[0].iov_base = header;
+  iov[0].iov_len = sizeof(header);
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  for (;;) {
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("socket write");
+    }
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen == 0) return Status::Ok();
+    msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+    msg.msg_iov->iov_len -= sent;
+  }
+}
+
+Status FrameChannel::Fill() {
+  // new char[]: default-initialized, so a channel that never receives
+  // much never touches most of the buffer's pages.
+  if (buf_ == nullptr) buf_.reset(new char[kRecvBufferSize]);
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+  } else if (end_ == kRecvBufferSize) {
+    std::memmove(buf_.get(), buf_.get() + begin_, buffered());
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  for (;;) {
+    const ssize_t n =
+        ::recv(fd_, buf_.get() + end_, kRecvBufferSize - end_, 0);
+    if (n > 0) {
+      end_ += static_cast<size_t>(n);
+      return Status::Ok();
+    }
+    if (n == 0) return Status::IoError("peer closed the connection");
+    if (errno != EINTR) return Errno("socket read");
+  }
 }
 
 Status FrameChannel::Recv(FrameType* type, std::string* payload) {
   if (fd_ < 0) return Status::IoError("channel is closed");
-  uint8_t header_bytes[kFrameHeaderSize];
-  Status status =
-      ReadAll(fd_, reinterpret_cast<char*>(header_bytes), sizeof(header_bytes));
-  if (!status.ok()) return status;
+  while (buffered() < kFrameHeaderSize) {
+    Status status = Fill();
+    if (!status.ok()) return status;
+  }
   FrameHeader header;
   std::string error;
-  if (!DecodeFrameHeader(header_bytes, sizeof(header_bytes), &header,
-                         &error)) {
+  if (!DecodeFrameHeader(reinterpret_cast<const uint8_t*>(buf_.get()) + begin_,
+                         kFrameHeaderSize, &header, &error)) {
     return Status::DataLoss("bad frame header: " + error);
   }
+  begin_ += kFrameHeaderSize;
+  const size_t from_buffer =
+      std::min<size_t>(buffered(), header.payload_len);
   payload->resize(header.payload_len);
-  if (header.payload_len > 0) {
-    status = ReadAll(fd_, payload->data(), header.payload_len);
+  std::memcpy(payload->data(), buf_.get() + begin_, from_buffer);
+  begin_ += from_buffer;
+  if (from_buffer < header.payload_len) {
+    // The buffer is drained; the rest of the payload goes straight into
+    // the caller's string, and nothing past the frame is read.
+    Status status = ReadAll(fd_, payload->data() + from_buffer,
+                            header.payload_len - from_buffer);
     if (!status.ok()) return status;
   }
   *type = header.type;
@@ -111,14 +153,15 @@ Status FrameChannel::Call(FrameType type, const std::string& payload,
   Status status = Send(type, payload);
   if (!status.ok()) return status;
   FrameType reply_type;
-  std::string reply_payload;
-  status = Recv(&reply_type, &reply_payload);
+  status = Recv(&reply_type, &reply_payload_);
   if (!status.ok()) return status;
   if (reply_type != FrameType::kReply) {
     return Status::DataLoss(std::string("expected a kReply frame, got ") +
                             cluster::ToString(reply_type));
   }
-  return DecodeReply(reply_payload, reply);
+  status = DecodeReply(reply_payload_, reply);
+  ReleaseIfLarge(&reply_payload_);
+  return status;
 }
 
 Status ListenUnix(const std::string& path, int* listen_fd) {

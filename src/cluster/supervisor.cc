@@ -311,16 +311,13 @@ Status Supervisor::CreateSession(const std::string& name,
   return Status::Ok();
 }
 
-Status Supervisor::Push(const std::string& name, Timestamp ts, SparseVector vec,
+Status Supervisor::Push(const std::string& name, Timestamp ts,
+                        const SparseVector& vec,
                         std::vector<ResultPair>* pairs) {
   MutexLock lock(mu_);
   auto it = sessions_.find(name);
   if (it == sessions_.end()) return NoSession(name);
-  PushRequest req;
-  req.name = name;
-  req.ts = ts;
-  req.vec = std::move(vec);
-  std::string payload = EncodePush(req);
+  std::string payload = EncodePush(name, ts, vec);
   Reply reply;
   Status status =
       CallWorker(it->second.worker, FrameType::kPush, payload, &reply);
@@ -572,13 +569,12 @@ Status ClusterClient::CreateSession(const std::string& name,
 }
 
 Status ClusterClient::Push(const std::string& name, Timestamp ts,
-                           SparseVector vec, std::vector<ResultPair>* pairs) {
-  if (supervisor_ != nullptr) {
-    return supervisor_->Push(name, ts, std::move(vec), pairs);
-  }
+                           const SparseVector& vec,
+                           std::vector<ResultPair>* pairs) {
+  if (supervisor_ != nullptr) return supervisor_->Push(name, ts, vec, pairs);
   LocalSession* local = FindLocal(name);
   if (local == nullptr) return NoSession(name);
-  Status status = service_->Push(local->handle, ts, std::move(vec));
+  Status status = service_->Push(local->handle, ts, vec);
   DrainLocal(local->sink.get(), status.ok() ? pairs : nullptr);
   return status;
 }

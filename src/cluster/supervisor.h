@@ -8,8 +8,9 @@
 // by one slot moves only ~1/K of the sessions. Migrate() overrides the
 // home slot for one session: MigrateOut at the source (checkpoint +
 // destroy WITHOUT flush) and Restore at the destination move the
-// engine's portable SSSJENG3 bytes verbatim, so a migrated session's
-// output is bit-identical to one that never moved.
+// engine's portable SSSJENG3 bytes verbatim, so a migrated session emits
+// the pairs of one that never moved, with the guarantee a failover gives
+// (below): bit for bit, except STR-L2AP, which keeps the pair set.
 //
 // Failover: the supervisor keeps, per session, one restore point — a
 // zero-item SSSJENG3 seed — and a journal of the encoded mutating request
@@ -58,8 +59,9 @@
 //
 // A restore rebuilds STR-L2AP's max vector from the replayed items only,
 // which can move a prefix boundary and a score's summation order: the
-// pair set holds, not the bits. A Migrate moves the engine's own bytes
-// and is exact for every scheme.
+// pair set holds, not the bits. A Migrate is such a restore too: the
+// SSSJENG3 bytes hold the live items, not the max vector, so a migrated
+// STR-L2AP session keeps the pair set and its bits may differ.
 //
 // Fork model: workers are forked (no exec) with a socketpair as their
 // only link to the supervisor. Fork only happens while the supervisor
@@ -117,7 +119,7 @@ class Supervisor {
   // caused the engine to emit, in emission order, bit-exact.
   Status CreateSession(const std::string& name, const WireConfig& config)
       SSSJ_EXCLUDES(mu_);
-  Status Push(const std::string& name, Timestamp ts, SparseVector vec,
+  Status Push(const std::string& name, Timestamp ts, const SparseVector& vec,
               std::vector<ResultPair>* pairs) SSSJ_EXCLUDES(mu_);
   // Mirrors JoinService::PushBatch: per-item rejects, accepted count.
   StatusOr<BatchPushResult> PushBatch(const std::string& name,
@@ -133,8 +135,9 @@ class Supervisor {
       SSSJ_EXCLUDES(mu_);
 
   // Moves the session to worker slot `target` (checkpoint bytes travel
-  // verbatim; output is bit-identical to never migrating). The session's
-  // seed and journal stay as they were.
+  // verbatim; output is bit-identical to never migrating, except that
+  // STR-L2AP keeps only the pair set). The session's seed and journal
+  // stay as they were.
   Status Migrate(const std::string& name, int target) SSSJ_EXCLUDES(mu_);
 
   // The slot a session currently lives on (kNotFound if unknown).
@@ -246,7 +249,7 @@ class ClusterClient {
   ClusterClient& operator=(const ClusterClient&) = delete;
 
   Status CreateSession(const std::string& name, const WireConfig& config);
-  Status Push(const std::string& name, Timestamp ts, SparseVector vec,
+  Status Push(const std::string& name, Timestamp ts, const SparseVector& vec,
               std::vector<ResultPair>* pairs);
   StatusOr<BatchPushResult> PushBatch(const std::string& name,
                                       const Stream& batch,

@@ -1,9 +1,25 @@
 #include "cluster/wire.h"
 
 #include <cmath>
+#include <cstddef>
+#include <type_traits>
 
 namespace sssj {
 namespace cluster {
+
+// PutPairs/GetPairs move ResultPair arrays as raw blocks: the wire record
+// must be the struct's own bytes (on the little-endian hosts the whole
+// protocol assumes), with no padding.
+static_assert(std::is_trivially_copyable_v<ResultPair> &&
+                  std::is_standard_layout_v<ResultPair> &&
+                  sizeof(ResultPair) == kWirePairBytes &&
+                  offsetof(ResultPair, a) == 0 &&
+                  offsetof(ResultPair, b) == 8 &&
+                  offsetof(ResultPair, ta) == 16 &&
+                  offsetof(ResultPair, tb) == 24 &&
+                  offsetof(ResultPair, dot) == 32 &&
+                  offsetof(ResultPair, sim) == 40,
+              "ResultPair no longer matches its 48-byte wire record");
 
 const char* ToString(FrameType type) {
   switch (type) {
@@ -62,19 +78,28 @@ bool DecodeFrameHeader(const uint8_t* data, size_t size, FrameHeader* out,
   return true;
 }
 
+void EncodeFrameHeader(FrameType type, uint32_t payload_len, uint8_t* out) {
+  std::memcpy(out, &payload_len, sizeof(payload_len));
+  out[4] = static_cast<uint8_t>(type);
+}
+
 void EncodeFrame(FrameType type, const std::string& payload,
                  std::string* out) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-  out->push_back(static_cast<char>(type));
+  uint8_t header[kFrameHeaderSize];
+  EncodeFrameHeader(type, static_cast<uint32_t>(payload.size()), header);
+  out->append(reinterpret_cast<const char*>(header), sizeof(header));
   out->append(payload);
 }
 
 void WireWriter::PutVector(const SparseVector& vec) {
   PutU32(static_cast<uint32_t>(vec.nnz()));
+  const size_t at = buf_.size();
+  buf_.resize(at + vec.nnz() * kWireCoordBytes);
+  char* p = buf_.data() + at;
   for (const Coord& c : vec) {
-    PutU32(c.dim);
-    PutF64(c.value);
+    std::memcpy(p, &c.dim, sizeof(c.dim));
+    std::memcpy(p + sizeof(c.dim), &c.value, sizeof(c.value));
+    p += kWireCoordBytes;
   }
 }
 
@@ -83,13 +108,9 @@ void WireWriter::PutStatus(const Status& status) {
   PutString(status.message());
 }
 
-void WireWriter::PutPair(const ResultPair& pair) {
-  PutU64(pair.a);
-  PutU64(pair.b);
-  PutF64(pair.ta);
-  PutF64(pair.tb);
-  PutF64(pair.dot);
-  PutF64(pair.sim);
+void WireWriter::PutPairs(const std::vector<ResultPair>& pairs) {
+  PutU32(static_cast<uint32_t>(pairs.size()));
+  PutRaw(pairs.data(), pairs.size() * kWirePairBytes);
 }
 
 bool WireReader::GetString(std::string* s, uint32_t cap) {
@@ -107,28 +128,29 @@ bool WireReader::GetString(std::string* s, uint32_t cap) {
 bool WireReader::GetVector(SparseVector* vec) {
   uint32_t nnz = 0;
   if (!GetU32(&nnz)) return false;
-  // 12 bytes per coordinate must actually be present before any reserve.
-  if (nnz > kMaxWireNnz || size_ - pos_ < static_cast<size_t>(nnz) * 12) {
+  // The whole coordinate block must actually be present before any
+  // allocation.
+  const size_t bytes = static_cast<size_t>(nnz) * kWireCoordBytes;
+  if (nnz > kMaxWireNnz || size_ - pos_ < bytes) {
     failed_ = true;
     return false;
   }
-  std::vector<Coord> coords;
-  coords.reserve(nnz);
-  DimId prev_dim = 0;
-  for (uint32_t i = 0; i < nnz; ++i) {
-    Coord c;
-    if (!GetU32(&c.dim) || !GetF64(&c.value)) return false;
+  std::vector<Coord> coords(nnz);
+  const uint8_t* p = data_ + pos_;
+  for (uint32_t i = 0; i < nnz; ++i, p += kWireCoordBytes) {
+    Coord& c = coords[i];
+    std::memcpy(&c.dim, p, sizeof(c.dim));
+    std::memcpy(&c.value, p + sizeof(c.dim), sizeof(c.value));
     if (!std::isfinite(c.value) || !(c.value > 0.0) ||
-        (i > 0 && c.dim <= prev_dim)) {
+        (i > 0 && c.dim <= coords[i - 1].dim)) {
       failed_ = true;
       return false;
     }
-    prev_dim = c.dim;
-    coords.push_back(c);
   }
-  // Validated sorted/positive/finite above, so this is an identity
-  // reconstruction with recomputed stats (same as the checkpoint loader).
-  *vec = SparseVector::FromCoords(std::move(coords));
+  pos_ += bytes;
+  // Validated sorted/positive/finite above: adopt the coordinates as
+  // they are, with stats recomputed.
+  *vec = SparseVector::FromSortedCoords(std::move(coords));
   return true;
 }
 
@@ -144,9 +166,18 @@ bool WireReader::GetStatus(Status* status) {
   return true;
 }
 
-bool WireReader::GetPair(ResultPair* pair) {
-  return GetU64(&pair->a) && GetU64(&pair->b) && GetF64(&pair->ta) &&
-         GetF64(&pair->tb) && GetF64(&pair->dot) && GetF64(&pair->sim);
+bool WireReader::GetPairs(std::vector<ResultPair>* pairs) {
+  uint32_t count = 0;
+  if (!GetU32(&count)) return false;
+  const size_t bytes = static_cast<size_t>(count) * kWirePairBytes;
+  if (count > kMaxWirePairs || size_ - pos_ < bytes) {
+    failed_ = true;
+    return false;
+  }
+  pairs->resize(count);
+  if (count > 0) std::memcpy(pairs->data(), data_ + pos_, bytes);
+  pos_ += bytes;
+  return true;
 }
 
 EngineConfig WireConfig::ToEngineConfig() const {
@@ -204,6 +235,19 @@ bool GetConfig(WireReader* r, WireConfig* config) {
   return true;
 }
 
+// Exact encoded sizes, so each encoder allocates its payload once.
+constexpr size_t kConfigBytes = 19;  // 3 x u8 + 2 x f64
+
+size_t StringBytes(const std::string& s) { return 4 + s.size(); }
+
+size_t VectorBytes(const SparseVector& vec) {
+  return 4 + vec.nnz() * kWireCoordBytes;
+}
+
+size_t StatusBytes(const Status& status) {
+  return 1 + StringBytes(status.message());
+}
+
 Status Malformed(const char* what) {
   return Status::DataLoss(std::string("malformed ") + what + " payload");
 }
@@ -235,6 +279,7 @@ Status DecodeHello(const std::string& payload, HelloPayload* out) {
 
 std::string EncodeCreateSession(const CreateSessionRequest& req) {
   WireWriter w;
+  w.Reserve(StringBytes(req.name) + kConfigBytes);
   w.PutString(req.name);
   PutConfig(req.config, &w);
   return w.Take();
@@ -251,10 +296,16 @@ Status DecodeCreateSession(const std::string& payload,
 }
 
 std::string EncodePush(const PushRequest& req) {
+  return EncodePush(req.name, req.ts, req.vec);
+}
+
+std::string EncodePush(const std::string& name, Timestamp ts,
+                       const SparseVector& vec) {
   WireWriter w;
-  w.PutString(req.name);
-  w.PutF64(req.ts);
-  w.PutVector(req.vec);
+  w.Reserve(StringBytes(name) + 8 + VectorBytes(vec));
+  w.PutString(name);
+  w.PutF64(ts);
+  w.PutVector(vec);
   return w.Take();
 }
 
@@ -268,7 +319,10 @@ Status DecodePush(const std::string& payload, PushRequest* out) {
 }
 
 std::string EncodePushBatch(const PushBatchRequest& req) {
+  size_t bytes = StringBytes(req.name) + 4;
+  for (const auto& item : req.items) bytes += 8 + VectorBytes(item.second);
   WireWriter w;
+  w.Reserve(bytes);
   w.PutString(req.name);
   w.PutU32(static_cast<uint32_t>(req.items.size()));
   for (const auto& [ts, vec] : req.items) {
@@ -302,6 +356,7 @@ Status DecodePushBatch(const std::string& payload, PushBatchRequest* out) {
 
 std::string EncodeName(const NameRequest& req) {
   WireWriter w;
+  w.Reserve(StringBytes(req.name));
   w.PutString(req.name);
   return w.Take();
 }
@@ -316,12 +371,12 @@ Status DecodeName(const std::string& payload, NameRequest* out) {
 
 std::string EncodeRestore(const RestoreRequest& req) {
   WireWriter w;
+  w.Reserve(StringBytes(req.name) + kConfigBytes +
+            StringBytes(req.checkpoint));
   w.PutString(req.name);
   PutConfig(req.config, &w);
-  w.PutU32(static_cast<uint32_t>(req.checkpoint.size()));
-  std::string out = w.Take();
-  out.append(req.checkpoint);
-  return out;
+  w.PutString(req.checkpoint);
+  return w.Take();
 }
 
 Status DecodeRestore(const std::string& payload, RestoreRequest* out) {
@@ -335,7 +390,19 @@ Status DecodeRestore(const std::string& payload, RestoreRequest* out) {
 }
 
 std::string EncodeReply(const Reply& reply) {
-  WireWriter w;
+  std::string out;
+  EncodeReply(reply, &out);
+  return out;
+}
+
+void EncodeReply(const Reply& reply, std::string* out) {
+  size_t bytes = StatusBytes(reply.status) + 8 + 4 + 4 +
+                 reply.pairs.size() * kWirePairBytes + StringBytes(reply.blob);
+  for (const auto& reject : reply.rejects) {
+    bytes += 4 + StatusBytes(reject.second);
+  }
+  WireWriter w(std::move(*out));
+  w.Reserve(bytes);
   w.PutStatus(reply.status);
   w.PutU64(reply.accepted);
   w.PutU32(static_cast<uint32_t>(reply.rejects.size()));
@@ -343,13 +410,9 @@ std::string EncodeReply(const Reply& reply) {
     w.PutU32(index);
     w.PutStatus(status);
   }
-  w.PutU32(static_cast<uint32_t>(reply.pairs.size()));
-  for (const ResultPair& pair : reply.pairs) w.PutPair(pair);
-  std::string out = w.Take();
-  const uint32_t blob_len = static_cast<uint32_t>(reply.blob.size());
-  out.append(reinterpret_cast<const char*>(&blob_len), sizeof(blob_len));
-  out.append(reply.blob);
-  return out;
+  w.PutPairs(reply.pairs);
+  w.PutString(reply.blob);
+  *out = w.Take();
 }
 
 Status DecodeReply(const std::string& payload, Reply* out) {
@@ -372,25 +435,16 @@ Status DecodeReply(const std::string& payload, Reply* out) {
     if (!r.GetU32(&index) || !r.GetStatus(&status)) return Malformed("kReply");
     out->rejects.emplace_back(index, std::move(status));
   }
-  uint32_t pair_count = 0;
-  if (!r.GetU32(&pair_count)) return Malformed("kReply");
-  if (pair_count > kMaxWirePairs ||
-      r.remaining() < static_cast<size_t>(pair_count) * 48) {
+  if (!r.GetPairs(&out->pairs) ||
+      !r.GetString(&out->blob, kMaxFramePayload)) {
     return Malformed("kReply");
   }
-  out->pairs.clear();
-  out->pairs.reserve(pair_count);
-  for (uint32_t i = 0; i < pair_count; ++i) {
-    ResultPair pair;
-    if (!r.GetPair(&pair)) return Malformed("kReply");
-    out->pairs.push_back(pair);
-  }
-  if (!r.GetString(&out->blob, kMaxFramePayload)) return Malformed("kReply");
   return FinishDecode(r, "kReply");
 }
 
 std::string EncodeSessionStats(const SessionWireStats& stats) {
   WireWriter w;
+  w.Reserve(24);
   w.PutU64(stats.vectors_processed);
   w.PutU64(stats.pairs_emitted);
   w.PutU64(stats.memory_bytes);

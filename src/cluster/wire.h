@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -95,16 +96,36 @@ struct FrameHeader {
 bool DecodeFrameHeader(const uint8_t* data, size_t size, FrameHeader* out,
                        std::string* error);
 
+// The 5 header bytes of a frame of `payload_len` bytes, written to out.
+void EncodeFrameHeader(FrameType type, uint32_t payload_len, uint8_t* out);
+
 // payload_len | type prefix + payload, appended to *out.
 void EncodeFrame(FrameType type, const std::string& payload,
                  std::string* out);
 
 // ---- bounds-checked primitives ----
 
+// Fixed wire sizes of the two arrays a push round trip carries: a
+// coordinate is u32 dim | f64 value, a pair is ResultPair's six 8-byte
+// fields in declaration order.
+inline constexpr size_t kWireCoordBytes = 12;
+inline constexpr size_t kWirePairBytes = 48;
+
 // Append-only payload builder. All Put* are infallible (the caller caps
 // sizes before encoding); buffer() is the finished payload.
 class WireWriter {
  public:
+  WireWriter() = default;
+  // Writes into `buffer`'s storage, cleared first: a caller that encodes
+  // one payload after another keeps one allocation.
+  explicit WireWriter(std::string buffer) : buf_(std::move(buffer)) {
+    buf_.clear();
+  }
+
+  // Grows the buffer once for `bytes` more; the encoders size their
+  // payload before writing it.
+  void Reserve(size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutU16(uint16_t v) { PutRaw(&v, sizeof(v)); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
@@ -119,9 +140,11 @@ class WireWriter {
     PutU32(static_cast<uint32_t>(s.size()));
     buf_.append(s);
   }
+  // nnz, then the coordinates as one block of kWireCoordBytes records.
   void PutVector(const SparseVector& vec);
   void PutStatus(const Status& status);
-  void PutPair(const ResultPair& pair);
+  // Count, then the pairs as one block of kWirePairBytes records.
+  void PutPairs(const std::vector<ResultPair>& pairs);
 
   const std::string& buffer() const { return buf_; }
   std::string&& Take() { return std::move(buf_); }
@@ -158,10 +181,13 @@ class WireReader {
   // Rejects non-finite values, non-positive values, unsorted/duplicate
   // dims, and nnz beyond cap — the same domain the checkpoint loader
   // enforces, so a hostile frame cannot smuggle an invalid vector into
-  // the engine.
+  // the engine. One bounds check covers the whole coordinate block, and
+  // one pass validates it.
   bool GetVector(SparseVector* vec);
   bool GetStatus(Status* status);
-  bool GetPair(ResultPair* pair);
+  // Rejects a count beyond kMaxWirePairs or beyond the bytes present
+  // before it sizes *pairs.
+  bool GetPairs(std::vector<ResultPair>* pairs);
 
   bool failed() const { return failed_; }
   bool AtEnd() const { return pos_ == size_ && !failed_; }
@@ -256,14 +282,21 @@ struct SessionWireStats {
 };
 
 // ---- encoders (infallible given capped inputs) ----
+//
+// Each sizes its payload once before writing it. The overloads without
+// a request struct encode the same bytes from the caller's own objects:
+// a push straight from the pushed vector, a reply into a reused buffer.
 
 std::string EncodeHello(const HelloPayload& hello);
 std::string EncodeCreateSession(const CreateSessionRequest& req);
 std::string EncodePush(const PushRequest& req);
+std::string EncodePush(const std::string& name, Timestamp ts,
+                       const SparseVector& vec);
 std::string EncodePushBatch(const PushBatchRequest& req);
 std::string EncodeName(const NameRequest& req);
 std::string EncodeRestore(const RestoreRequest& req);
 std::string EncodeReply(const Reply& reply);
+void EncodeReply(const Reply& reply, std::string* out);
 std::string EncodeSessionStats(const SessionWireStats& stats);
 
 // ---- decoders (hostile-input validated; Status names every defect) ----

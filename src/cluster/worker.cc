@@ -25,16 +25,20 @@ Worker::Worker(const WorkerOptions& options)
     : service_(ForceSingleThread(options.service)) {}
 
 Status Worker::Serve(FrameChannel* channel) {
+  // One request and one reply buffer for the life of the loop.
+  std::string payload;
+  std::string reply_payload;
   for (;;) {
     FrameType type;
-    std::string payload;
     Status status = channel->Recv(&type, &payload);
     if (!status.ok()) return status;
     bool shutdown = false;
-    const Reply reply = Handle(type, payload, &shutdown);
-    status = channel->Send(FrameType::kReply, EncodeReply(reply));
+    EncodeReply(Handle(type, payload, &shutdown), &reply_payload);
+    status = channel->Send(FrameType::kReply, reply_payload);
     if (!status.ok()) return status;
     if (shutdown) return Status::Ok();
+    ReleaseIfLarge(&payload);
+    ReleaseIfLarge(&reply_payload);
   }
 }
 

@@ -428,11 +428,13 @@ Status JoinService::LoadCheckpoint(SessionHandle handle, std::istream& is) {
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  // The caller is replacing the session's state wholesale; the spilled
-  // copy is dead either way.
-  if (session->evicted) DropSpill(session.get());
+  // A refused load leaves the engine as it was, and an evicted session's
+  // state is still its spill; only a load that replaced the state makes
+  // the spilled copy dead.
   Status status = session->engine->LoadCheckpoint(is);
-  if (status.ok()) NoteActivity(session.get());
+  if (!status.ok()) return status;
+  if (session->evicted) DropSpill(session.get());
+  NoteActivity(session.get());
   return status;
 }
 

@@ -76,9 +76,9 @@ struct JoinServiceOptions {
   // lever. The directory must exist and be writable. Each eviction
   // creates its own file with mkstemp, so a session name never reaches a
   // path and services may share the directory. The reload, an
-  // AbandonSession or LoadCheckpoint of the session, or the service's
-  // destruction deletes the file: no spill outlives the service that
-  // wrote it.
+  // AbandonSession or accepted LoadCheckpoint of the session, or the
+  // service's destruction deletes the file: no spill outlives the
+  // service that wrote it.
   std::string spill_dir;
 };
 
@@ -194,7 +194,8 @@ class JoinService {
   Status Flush(SessionHandle handle);
   // The session's SSSJENG3 checkpoint, as SssjEngine writes and reads it
   // (the cluster layer ships it as migration frames). An evicted session
-  // reloads before a save; a load replaces its spilled state.
+  // reloads before a save; an accepted load replaces its spilled state,
+  // and a refused one leaves the session as it was, spill included.
   Status SaveCheckpoint(SessionHandle handle, std::ostream& os) const;
   Status LoadCheckpoint(SessionHandle handle, std::istream& is);
   // Live scheme migration on one session. Runs under the session lock

@@ -20,8 +20,12 @@ SparseVector SparseVector::FromCoords(std::vector<Coord> coords) {
       merged.push_back(c);
     }
   }
+  return FromSortedCoords(std::move(merged));
+}
+
+SparseVector SparseVector::FromSortedCoords(std::vector<Coord> coords) {
   SparseVector v;
-  v.coords_ = std::move(merged);
+  v.coords_ = std::move(coords);
   v.RecomputeStats();
   return v;
 }

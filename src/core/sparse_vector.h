@@ -30,6 +30,11 @@ class SparseVector {
   // non-positive values. The result is NOT normalized.
   static SparseVector FromCoords(std::vector<Coord> coords);
 
+  // Adopts coordinates the caller has already validated: dimensions
+  // strictly ascending, every value finite and > 0. The result equals
+  // FromCoords on such input, without its sort and copy.
+  static SparseVector FromSortedCoords(std::vector<Coord> coords);
+
   // FromCoords followed by Normalize().
   static SparseVector UnitFromCoords(std::vector<Coord> coords);
 

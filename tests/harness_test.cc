@@ -3,9 +3,13 @@
 #include "bench_common/harness.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
+#include "bench_common/bench_json.h"
 #include "bench_common/sweep.h"
 #include "tests/test_util.h"
 
@@ -95,6 +99,26 @@ TEST(TablePrinterTest, TsvOutputIsTabSeparated) {
   std::ostringstream os;
   t.Print(os);
   EXPECT_EQ(os.str(), "x\ty\n1\t2\n");
+}
+
+TEST(BenchJsonTest, WriteJsonFileWritesTheDocument) {
+  const std::string path = ::testing::TempDir() + "bench_json_test.json";
+  ASSERT_TRUE(
+      WriteJsonFile(JsonValue::Object().Set("rows", 3), path).ok());
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), JsonValue::Object().Set("rows", 3).ToString() + "\n");
+  std::remove(path.c_str());
+}
+
+TEST(BenchJsonTest, WriteJsonFileReportsAFullDisk) {
+  // A small document sits in the stream buffer until the final flush,
+  // which is where a full disk fails it.
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const Status status =
+      WriteJsonFile(JsonValue::Object().Set("rows", 3), "/dev/full");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
 }
 
 TEST(SweepTest, PaperGridsMatchEvaluationSection) {

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -368,6 +369,39 @@ TEST(MemoryBudgetTest, FlushOnEvictedSessionReloadsFirst) {
   PushAll(service, *victim, mid, stream.end());
   ASSERT_TRUE(service.CloseSession(*victim).ok());
   ExpectSamePairs(got.pairs(), want.pairs());
+}
+
+TEST(MemoryBudgetTest, RefusedLoadOnEvictedSessionKeepsItsState) {
+  // A refused LoadCheckpoint leaves an evicted session as it was: its
+  // state is still the spill, which the next push reloads, so the items
+  // pushed before the eviction keep pairing with the later ones.
+  const EngineConfig cfg = BudgetedEngineConfig();
+  const Stream stream = TwoSegmentStream(404);
+  constexpr size_t kBeforeEviction = 3;
+  const auto resume =
+      stream.begin() + static_cast<ptrdiff_t>(kBeforeEviction);
+  size_t unused_bytes = 0;
+  const std::vector<ResultPair> want = Unbudgeted(stream, &unused_bytes);
+  ASSERT_TRUE(std::any_of(want.begin(), want.end(), [](const ResultPair& p) {
+    return std::min(p.a, p.b) < kBeforeEviction;
+  })) << "no pair reaches back to the evicted items — the pin is vacuous";
+
+  const Stream other_stream = OtherStream();
+  JoinService service(OneSessionBudget(
+      BytesAfter(cfg, stream, kBeforeEviction), PeakBytes(cfg, other_stream)));
+  CollectorSink got, other_sink;
+  auto victim = service.CreateSession({"victim", cfg, &got});
+  auto other = service.CreateSession({"other", cfg, &other_sink});
+  ASSERT_TRUE(victim.ok());
+  ASSERT_TRUE(other.ok());
+  PushAll(service, *victim, stream.begin(), resume);
+  EvictByBudget(service, *other, other_stream);
+
+  std::istringstream garbage(std::string(16, '\x5a'));
+  EXPECT_EQ(service.LoadCheckpoint(*victim, garbage).code(),
+            StatusCode::kDataLoss);
+  PushAll(service, *victim, resume, stream.end());
+  ExpectSamePairs(got.pairs(), want);
 }
 
 TEST(MemoryBudgetTest, SessionCountersSurviveEvictionAndReload) {
