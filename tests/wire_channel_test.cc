@@ -174,15 +174,6 @@ TEST(WireChannelTest, EofMidPayloadIsIoError) {
   EXPECT_EQ(RecvCode(&pipe.reader, &payload), StatusCode::kIoError);
 }
 
-TEST(WireChannelTest, EofAtAFrameBoundaryIsIoError) {
-  Pipe pipe = MakePipe();
-  WriteBytes(pipe.writer, Frame(FrameType::kFlush, "last"));
-  ::close(pipe.writer);
-  ExpectFrame(&pipe.reader, FrameType::kFlush, "last");
-  std::string payload;
-  EXPECT_EQ(RecvCode(&pipe.reader, &payload), StatusCode::kIoError);
-}
-
 TEST(WireChannelTest, BadHeadersAreDataLossBeforeAnyPayloadAllocation) {
   uint8_t unknown_type[kFrameHeaderSize];
   EncodeFrameHeader(FrameType::kReply, 4, unknown_type);
