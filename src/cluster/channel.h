@@ -25,7 +25,8 @@
 // or mid-payload returns kIoError; a header with an unknown type or a
 // length over kMaxFramePayload returns kDataLoss before any payload
 // allocation. Either way the stream position is lost, so the channel is
-// good only for Close (the supervisor kills and replaces the worker).
+// good only for Close (on kIoError the supervisor kills and replaces the
+// worker).
 //
 // A channel is used by one thread at a time (the worker's serve loop,
 // the supervisor's request path); it does no locking of its own.
