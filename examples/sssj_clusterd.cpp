@@ -4,13 +4,16 @@
 //
 //   ./sssj_clusterd --workers=4 --socket=/tmp/sssj-cluster.sock
 //
-// Clients speak the same wire format a worker does; the router maps
-// each request to the session's home worker, journals acked mutations,
-// and on a worker crash restarts + restores it transparently — callers
-// just see their request take a little longer. One client connection is
-// served at a time; a disconnected client can reconnect and continue
-// (sessions live in the workers, not the connection). kShutdown stops
-// the fleet and exits.
+// It is the Supervisor behind the shared serve loop and dispatcher
+// (cluster/serve.h), the same ones a worker serves through, so clients
+// speak the worker's wire format and need no "cluster mode". Each request
+// goes to the session's home worker; acked mutations are journaled, and a
+// worker crash is restarted and restored transparently — callers just
+// see their request take a little longer. kRestore and kMigrateOut, the
+// supervisor's own machinery, are refused with kUnimplemented. One client
+// connection is served at a time; a disconnected client can reconnect and
+// continue (sessions live in the workers, not the connection). kShutdown
+// closes and unlinks the socket, stops the fleet and exits.
 //
 // The router pulls no checkpoints: a session's journal is trimmed at the
 // horizon τ (STR) or at two windows (MB), and a crashed worker's
@@ -18,13 +21,15 @@
 //
 // Exit status: 0 after kShutdown; 2 on a bad command line (an unknown
 // flag, a missing --socket, --workers not a positive integer), before
-// any worker is forked; 1 when the fleet or the listener cannot start.
+// any worker is forked; 1 when the fleet or the listener cannot start,
+// or a connection cannot be accepted.
 #include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "cluster/channel.h"
+#include "cluster/serve.h"
 #include "cluster/supervisor.h"
 #include "util/flags.h"
 
@@ -35,105 +40,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   *value = arg + len + 1;
   return true;
-}
-
-// Translates one client frame into the matching Supervisor call. The
-// router intentionally speaks the same protocol as a worker, so a
-// client needs no special "cluster mode" — only kRestore/kMigrateOut
-// (supervisor-internal machinery) are refused.
-sssj::cluster::Reply Route(sssj::cluster::Supervisor* supervisor,
-                           sssj::cluster::FrameType type,
-                           const std::string& payload, bool* shutdown) {
-  using sssj::Status;
-  namespace cl = sssj::cluster;
-  cl::Reply reply;
-  switch (type) {
-    case cl::FrameType::kHello: {
-      cl::HelloPayload hello;
-      reply.status = cl::DecodeHello(payload, &hello);
-      if (reply.status.ok() && hello.version != cl::kWireVersion) {
-        reply.status = Status::FailedPrecondition(
-            "wire protocol version mismatch: client speaks " +
-            std::to_string(hello.version));
-      }
-      reply.blob = cl::EncodeHello(cl::HelloPayload{});
-      return reply;
-    }
-    case cl::FrameType::kCreateSession: {
-      cl::CreateSessionRequest req;
-      reply.status = cl::DecodeCreateSession(payload, &req);
-      if (!reply.status.ok()) return reply;
-      reply.status = supervisor->CreateSession(req.name, req.config);
-      return reply;
-    }
-    case cl::FrameType::kPush: {
-      cl::PushRequest req;
-      reply.status = cl::DecodePush(payload, &req);
-      if (!reply.status.ok()) return reply;
-      reply.status =
-          supervisor->Push(req.name, req.ts, req.vec, &reply.pairs);
-      if (reply.status.ok()) reply.accepted = 1;
-      return reply;
-    }
-    case cl::FrameType::kPushBatch: {
-      cl::PushBatchRequest req;
-      reply.status = cl::DecodePushBatch(payload, &req);
-      if (!reply.status.ok()) return reply;
-      sssj::Stream batch;
-      batch.reserve(req.items.size());
-      for (auto& [ts, vec] : req.items) {
-        sssj::StreamItem item;
-        item.ts = ts;
-        item.vec = std::move(vec);
-        batch.push_back(std::move(item));
-      }
-      auto result = supervisor->PushBatch(req.name, batch, &reply.pairs);
-      if (!result.ok()) {
-        reply.status = result.status();
-        return reply;
-      }
-      reply.accepted = result->accepted;
-      for (const auto& reject : result->rejects) {
-        reply.rejects.emplace_back(static_cast<uint32_t>(reject.index),
-                                   reject.status);
-      }
-      return reply;
-    }
-    case cl::FrameType::kFlush: {
-      cl::NameRequest req;
-      reply.status = cl::DecodeName(payload, &req);
-      if (!reply.status.ok()) return reply;
-      reply.status = supervisor->Flush(req.name, &reply.pairs);
-      return reply;
-    }
-    case cl::FrameType::kCloseSession: {
-      cl::NameRequest req;
-      reply.status = cl::DecodeName(payload, &req);
-      if (!reply.status.ok()) return reply;
-      reply.status = supervisor->CloseSession(req.name, &reply.pairs);
-      return reply;
-    }
-    case cl::FrameType::kStats: {
-      cl::NameRequest req;
-      reply.status = cl::DecodeName(payload, &req);
-      if (!reply.status.ok()) return reply;
-      auto stats = supervisor->SessionStats(req.name);
-      if (!stats.ok()) {
-        reply.status = stats.status();
-        return reply;
-      }
-      reply.blob = cl::EncodeSessionStats(*stats);
-      return reply;
-    }
-    case cl::FrameType::kShutdown:
-      *shutdown = true;
-      return reply;
-    default:
-      reply.status = Status::Unimplemented(
-          std::string("the router does not accept ") + cl::ToString(type) +
-          " frames");
-      return reply;
-  }
 }
 
 }  // namespace
@@ -187,29 +93,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "sssj_clusterd: %d workers, serving on %s\n",
                options.num_workers, socket_path.c_str());
-
-  bool shutdown = false;
-  std::string payload;
-  std::string reply_payload;
-  while (!shutdown) {
-    int conn_fd = -1;
-    status = sssj::cluster::AcceptOne(listen_fd, &conn_fd);
-    if (!status.ok()) {
-      std::fprintf(stderr, "sssj_clusterd: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    sssj::cluster::FrameChannel channel(conn_fd);
-    while (!shutdown) {
-      sssj::cluster::FrameType type;
-      status = channel.Recv(&type, &payload);
-      if (!status.ok()) break;  // client went away; accept the next one
-      sssj::cluster::EncodeReply(Route(&supervisor, type, payload, &shutdown),
-                                 &reply_payload);
-      status = channel.Send(sssj::cluster::FrameType::kReply, reply_payload);
-      if (!status.ok()) break;
-      sssj::cluster::ReleaseIfLarge(&payload);
-      sssj::cluster::ReleaseIfLarge(&reply_payload);
-    }
+  status = sssj::cluster::ServeUnix(&supervisor, listen_fd, socket_path);
+  if (!status.ok()) {
+    std::fprintf(stderr, "sssj_clusterd: %s\n", status.ToString().c_str());
+    return 1;
   }
   supervisor.Shutdown();
   std::fprintf(stderr, "sssj_clusterd: shutdown\n");

@@ -3,12 +3,14 @@
 //   ./sssj_workerd --socket=/tmp/sssj-worker.sock [--spill-dir=DIR]
 //                  [--memory-budget-bytes=N]
 //
-// Runs one sssj::cluster::Worker (a JoinService behind the frame
-// protocol) serving whoever connects to the socket path: a router like
-// sssj_clusterd, or any client speaking the wire format. One connection
-// is served at a time; when a peer disconnects the worker keeps its
-// sessions and waits for the next connection, so a restarted router
-// re-adopts a live worker's state. A kShutdown frame exits cleanly.
+// Runs one sssj::cluster::Worker (a JoinService behind the typed session
+// API) through the shared serve loop and dispatcher (cluster/serve.h),
+// the same ones a forked worker serves through, for whoever connects to
+// the socket path: a router, or any client speaking the wire format. One
+// connection is served at a time; when a peer disconnects the worker
+// keeps its sessions and waits for the next connection, so a restarted
+// router re-adopts a live worker's state. A kShutdown frame closes and
+// unlinks the socket and exits cleanly.
 //
 // (The in-process Supervisor forks its own workers over socketpairs and
 // does not need this binary; sssj_workerd exists for deployments that
@@ -22,6 +24,7 @@
 #include <string>
 
 #include "cluster/channel.h"
+#include "cluster/serve.h"
 #include "cluster/worker.h"
 #include "util/flags.h"
 
@@ -77,19 +80,10 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "sssj_workerd: serving on %s\n", socket_path.c_str());
 
   sssj::cluster::Worker worker(options);
-  for (;;) {
-    int conn_fd = -1;
-    status = sssj::cluster::AcceptOne(listen_fd, &conn_fd);
-    if (!status.ok()) {
-      std::fprintf(stderr, "sssj_workerd: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    sssj::cluster::FrameChannel channel(conn_fd);
-    status = worker.Serve(&channel);
-    if (status.ok()) break;  // kShutdown — exit cleanly
-    // Peer disconnected: keep our sessions, await the next connection.
-    std::fprintf(stderr, "sssj_workerd: connection ended (%s); waiting\n",
-                 status.message().c_str());
+  status = sssj::cluster::ServeUnix(&worker, listen_fd, socket_path);
+  if (!status.ok()) {
+    std::fprintf(stderr, "sssj_workerd: %s\n", status.ToString().c_str());
+    return 1;
   }
   std::fprintf(stderr, "sssj_workerd: shutdown\n");
   return 0;

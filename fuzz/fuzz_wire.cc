@@ -156,8 +156,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
           [](const cl::PushRequest& req) { return cl::EncodePush(req); });
       break;
     case 3:
-      CheckDecoder<cl::PushBatchRequest>(payload, cl::DecodePushBatch,
-                                         cl::EncodePushBatch);
+      CheckDecoder<cl::PushBatchRequest>(
+          payload, cl::DecodePushBatch,
+          [](const cl::PushBatchRequest& req) {
+            return cl::EncodePushBatch(req);
+          });
       break;
     case 4:
       CheckDecoder<cl::NameRequest>(payload, cl::DecodeName, cl::EncodeName);

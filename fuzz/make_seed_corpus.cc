@@ -206,9 +206,7 @@ int main(int argc, char** argv) {
 
     cl::PushBatchRequest batch;
     batch.name = "session-a";
-    for (const sssj::StreamItem& item : SampleStream()) {
-      batch.items.emplace_back(item.ts, item.vec);
-    }
+    batch.items = SampleStream();
     if (!seed("push_batch.bin", 3, cl::EncodePushBatch(batch))) return 1;
 
     cl::NameRequest name_req;
@@ -224,7 +222,7 @@ int main(int argc, char** argv) {
     cl::Reply reply;
     reply.status = sssj::Status::InvalidArgument("example rejection");
     reply.accepted = 7;
-    reply.rejects.emplace_back(3, sssj::Status::OutOfRange("bad theta"));
+    reply.rejects.push_back({3, sssj::Status::OutOfRange("bad theta")});
     sssj::ResultPair pair;
     pair.a = 1;
     pair.b = 2;

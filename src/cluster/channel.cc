@@ -196,6 +196,11 @@ Status AcceptOne(int listen_fd, int* conn_fd) {
   }
 }
 
+void CloseListener(int listen_fd, const std::string& path) {
+  ::close(listen_fd);
+  ::unlink(path.c_str());
+}
+
 Status ConnectUnix(const std::string& path, int* fd, int timeout_ms) {
   sockaddr_un addr;
   Status status = FillSockaddr(path, &addr);

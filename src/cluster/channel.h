@@ -116,6 +116,9 @@ Status ListenUnix(const std::string& path, int* listen_fd);
 // Blocks for one connection; the caller owns *conn_fd.
 Status AcceptOne(int listen_fd, int* conn_fd);
 
+// Closes a ListenUnix socket and unlinks its path.
+void CloseListener(int listen_fd, const std::string& path);
+
 // Connects to `path`, retrying for up to `timeout_ms` while the server
 // is still binding (ECONNREFUSED / ENOENT).
 Status ConnectUnix(const std::string& path, int* fd, int timeout_ms = 2000);

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "cluster/serve.h"
 #include "cluster/worker.h"
 #include "core/similarity.h"
 #include "index/stream_index.h"
@@ -95,7 +96,7 @@ Status Supervisor::SpawnWorker(int slot) {
     {
       FrameChannel channel(fds[1]);
       Worker worker;
-      (void)worker.Serve(&channel);
+      (void)Serve(&worker, &channel);
     }
     // _exit, not exit: the child shares the parent's atexit state and
     // must not run its destructors/flushes.
@@ -175,7 +176,7 @@ Status Supervisor::ReplayAsBatches(FrameChannel* channel,
         PushRequest req;
         Status status = DecodePush(op->payload, &req);
         if (!status.ok()) return status;
-        batch.items.emplace_back(req.ts, std::move(req.vec));
+        batch.items.push_back({0, req.ts, std::move(req.vec)});
       } else if (op->type == FrameType::kPushBatch) {
         PushBatchRequest req;
         Status status = DecodePushBatch(op->payload, &req);
@@ -337,13 +338,7 @@ StatusOr<BatchPushResult> Supervisor::PushBatch(const std::string& name,
   MutexLock lock(mu_);
   auto it = sessions_.find(name);
   if (it == sessions_.end()) return NoSession(name);
-  PushBatchRequest req;
-  req.name = name;
-  req.items.reserve(batch.size());
-  for (const StreamItem& item : batch) {
-    req.items.emplace_back(item.ts, item.vec);
-  }
-  std::string payload = EncodePushBatch(req);
+  std::string payload = EncodePushBatch(name, batch);
   Reply reply;
   Status status =
       CallWorker(it->second.worker, FrameType::kPushBatch, payload, &reply);
@@ -354,16 +349,13 @@ StatusOr<BatchPushResult> Supervisor::PushBatch(const std::string& name,
   }
   BatchPushResult result;
   result.accepted = reply.accepted;
-  result.rejects.reserve(reply.rejects.size());
-  for (const auto& [index, reject_status] : reply.rejects) {
-    result.rejects.push_back({index, reject_status});
-  }
+  result.rejects = std::move(reply.rejects);
   // The newest accepted item is the last one the rejects (ascending by
   // index) do not name.
   Timestamp newest_ts = 0.0;
-  auto reject = reply.rejects.rbegin();
+  auto reject = result.rejects.rbegin();
   for (size_t i = batch.size(); i-- > 0;) {
-    if (reject != reply.rejects.rend() && reject->first == i) {
+    if (reject != result.rejects.rend() && reject->index == i) {
       ++reject;
       continue;
     }
@@ -373,7 +365,7 @@ StatusOr<BatchPushResult> Supervisor::PushBatch(const std::string& name,
   // Journal even a partially-rejected batch: the accepted items mutated
   // the engine, and a replay re-derives the same rejects.
   JournalOpLocked(&it->second, FrameType::kPushBatch, std::move(payload),
-                  reply.accepted, newest_ts);
+                  result.accepted, newest_ts);
   return result;
 }
 
@@ -529,54 +521,24 @@ StatusOr<pid_t> Supervisor::worker_pid(int slot) const {
 // ---- ClusterClient ----
 
 ClusterClient::ClusterClient(const JoinServiceOptions& options)
-    : service_(std::make_unique<JoinService>(options)) {}
+    : worker_(std::make_unique<Worker>(WorkerOptions{options})) {}
 
 ClusterClient::ClusterClient(Supervisor* supervisor)
     : supervisor_(supervisor) {}
 
 ClusterClient::~ClusterClient() = default;
 
-ClusterClient::LocalSession* ClusterClient::FindLocal(const std::string& name) {
-  auto it = locals_.find(name);
-  return it == locals_.end() ? nullptr : &it->second;
-}
-
-void ClusterClient::DrainLocal(CollectorSink* sink,
-                               std::vector<ResultPair>* pairs) {
-  if (pairs != nullptr) {
-    pairs->insert(pairs->end(), sink->pairs().begin(), sink->pairs().end());
-  }
-  sink->Clear();
-}
-
 Status ClusterClient::CreateSession(const std::string& name,
                                     const WireConfig& config) {
   if (supervisor_ != nullptr) return supervisor_->CreateSession(name, config);
-  if (FindLocal(name) != nullptr) {
-    return Status::AlreadyExists("a session named '" + name +
-                                 "' already exists");
-  }
-  LocalSession local;
-  local.sink = std::make_unique<CollectorSink>();
-  // The same config resolution a worker applies — the root of the
-  // in-process vs cluster bitwise equivalence.
-  StatusOr<JoinService::SessionHandle> handle = service_->CreateSession(
-      {name, config.ToEngineConfig(), local.sink.get()});
-  if (!handle.ok()) return handle.status();
-  local.handle = *handle;
-  locals_.emplace(name, std::move(local));
-  return Status::Ok();
+  return worker_->CreateSession(name, config);
 }
 
 Status ClusterClient::Push(const std::string& name, Timestamp ts,
                            const SparseVector& vec,
                            std::vector<ResultPair>* pairs) {
   if (supervisor_ != nullptr) return supervisor_->Push(name, ts, vec, pairs);
-  LocalSession* local = FindLocal(name);
-  if (local == nullptr) return NoSession(name);
-  Status status = service_->Push(local->handle, ts, vec);
-  DrainLocal(local->sink.get(), status.ok() ? pairs : nullptr);
-  return status;
+  return worker_->Push(name, ts, vec, pairs);
 }
 
 StatusOr<BatchPushResult> ClusterClient::PushBatch(
@@ -585,48 +547,25 @@ StatusOr<BatchPushResult> ClusterClient::PushBatch(
   if (supervisor_ != nullptr) {
     return supervisor_->PushBatch(name, batch, pairs);
   }
-  LocalSession* local = FindLocal(name);
-  if (local == nullptr) return NoSession(name);
-  StatusOr<BatchPushResult> result = service_->PushBatch(local->handle, batch);
-  DrainLocal(local->sink.get(), result.ok() ? pairs : nullptr);
-  return result;
+  return worker_->PushBatch(name, batch, pairs);
 }
 
 Status ClusterClient::Flush(const std::string& name,
                             std::vector<ResultPair>* pairs) {
   if (supervisor_ != nullptr) return supervisor_->Flush(name, pairs);
-  LocalSession* local = FindLocal(name);
-  if (local == nullptr) return NoSession(name);
-  Status status = service_->Flush(local->handle);
-  DrainLocal(local->sink.get(), status.ok() ? pairs : nullptr);
-  return status;
+  return worker_->Flush(name, pairs);
 }
 
 Status ClusterClient::CloseSession(const std::string& name,
                                    std::vector<ResultPair>* pairs) {
   if (supervisor_ != nullptr) return supervisor_->CloseSession(name, pairs);
-  auto it = locals_.find(name);
-  if (it == locals_.end()) return NoSession(name);
-  Status status = service_->CloseSession(it->second.handle);
-  DrainLocal(it->second.sink.get(), status.ok() ? pairs : nullptr);
-  locals_.erase(it);
-  return status;
+  return worker_->CloseSession(name, pairs);
 }
 
 StatusOr<SessionWireStats> ClusterClient::SessionStats(
     const std::string& name) {
   if (supervisor_ != nullptr) return supervisor_->SessionStats(name);
-  LocalSession* local = FindLocal(name);
-  if (local == nullptr) return NoSession(name);
-  StatusOr<RunStats> stats = service_->SessionStats(local->handle);
-  if (!stats.ok()) return stats.status();
-  StatusOr<size_t> memory = service_->SessionMemoryBytes(local->handle);
-  if (!memory.ok()) return memory.status();
-  SessionWireStats wire_stats;
-  wire_stats.vectors_processed = stats->vectors_processed;
-  wire_stats.pairs_emitted = stats->pairs_emitted;
-  wire_stats.memory_bytes = *memory;
-  return wire_stats;
+  return worker_->SessionStats(name);
 }
 
 }  // namespace cluster

@@ -3,6 +3,12 @@
 // worker death by restore and journal replay (what that guarantees, per
 // framework and scheme, is stated under Failover below).
 //
+// Its session API is the typed host API of cluster/serve.h, so
+// sssj_clusterd serves a Supervisor through the same dispatcher and
+// serve loop as a worker's. It has no Restore or MigrateOut of its own:
+// those frames move worker state, and the dispatcher refuses them from
+// a client.
+//
 // Placement: a session's home worker is RendezvousOwner(name, K) —
 // every router instance computes the same owner, and resizing the fleet
 // by one slot moves only ~1/K of the sessions. Migrate() overrides the
@@ -64,7 +70,8 @@
 // STR-L2AP session keeps the pair set and its bits may differ.
 //
 // Fork model: workers are forked (no exec) with a socketpair as their
-// only link to the supervisor. Fork only happens while the supervisor
+// only link to the supervisor; each serves a Worker over it with
+// cluster::Serve. Fork only happens while the supervisor
 // process is single-threaded — the library spawns no threads of its
 // own; callers embedding it in threaded programs should Start() before
 // spawning threads and serialize calls per Supervisor (every public
@@ -92,6 +99,8 @@
 namespace sssj {
 namespace cluster {
 
+class Worker;
+
 struct SupervisorOptions {
   // Worker fleet size; fixed for the supervisor's lifetime.
   int num_workers = 2;
@@ -112,7 +121,8 @@ class Supervisor {
   // to call twice; the destructor calls it.
   void Shutdown() SSSJ_EXCLUDES(mu_);
 
-  // ---- session API (addressed by name, like ClusterClient) ----
+  // ---- session API (addressed by name, like ClusterClient; the host
+  // API of cluster/serve.h) ----
   //
   // Each call forwards one frame to the session's worker. `pairs`
   // (where present, may be null) receives the pairs that THIS call
@@ -122,6 +132,7 @@ class Supervisor {
   Status Push(const std::string& name, Timestamp ts, const SparseVector& vec,
               std::vector<ResultPair>* pairs) SSSJ_EXCLUDES(mu_);
   // Mirrors JoinService::PushBatch: per-item rejects, accepted count.
+  // Encodes straight from `batch`.
   StatusOr<BatchPushResult> PushBatch(const std::string& name,
                                       const Stream& batch,
                                       std::vector<ResultPair>* pairs)
@@ -227,18 +238,20 @@ class Supervisor {
 // backend, so examples and benches target in-process or cluster
 // execution transparently:
 //
-//   ClusterClient local(JoinServiceOptions{});     // in-process engines
+//   ClusterClient local(JoinServiceOptions{});     // an in-process Worker
 //   ClusterClient remote(&supervisor);             // forked fleet
 //   client.CreateSession("news", config);
 //   client.Push("news", ts, vec, &pairs);          // same calls either way
 //
-// Both backends resolve configs through WireConfig::ToEngineConfig(),
-// so the in-process and cluster outputs are bit-identical for the same
-// stream — the equivalence the cluster tests pin.
+// The in-process backend is a Worker called through its typed API, never
+// through the codec, so the in-process-vs-fleet pins compare a path with
+// no wire against the wire. Both backends resolve configs through
+// WireConfig::ToEngineConfig(), so their outputs are bit-identical for
+// the same stream.
 class ClusterClient {
  public:
-  // In-process backend: a private JoinService, one CollectorSink per
-  // session, pairs drained per call exactly like a worker does.
+  // In-process backend: a private Worker over these options (num_threads
+  // forced to 1, as in every worker).
   explicit ClusterClient(const JoinServiceOptions& options);
   // Cluster backend: forwards to a Start()ed supervisor (borrowed; must
   // outlive the client).
@@ -259,17 +272,8 @@ class ClusterClient {
   StatusOr<SessionWireStats> SessionStats(const std::string& name);
 
  private:
-  struct LocalSession {
-    JoinService::SessionHandle handle;
-    std::unique_ptr<CollectorSink> sink;
-  };
-
-  LocalSession* FindLocal(const std::string& name);
-  static void DrainLocal(CollectorSink* sink, std::vector<ResultPair>* pairs);
-
-  Supervisor* supervisor_ = nullptr;               // cluster backend
-  std::unique_ptr<JoinService> service_;           // in-process backend
-  std::map<std::string, LocalSession> locals_;
+  Supervisor* supervisor_ = nullptr;  // cluster backend
+  std::unique_ptr<Worker> worker_;    // in-process backend
 };
 
 }  // namespace cluster

@@ -262,6 +262,21 @@ Status FinishDecode(const WireReader& reader, const char* what) {
 
 }  // namespace
 
+Status CheckHello(const HelloPayload& peer) {
+  if (peer.magic != kWireMagic) {
+    return Status::FailedPrecondition(
+        "wire magic mismatch: peer sent " + std::to_string(peer.magic) +
+        ", expected " + std::to_string(kWireMagic));
+  }
+  if (peer.version != kWireVersion) {
+    return Status::FailedPrecondition(
+        "wire protocol version mismatch: peer speaks version " +
+        std::to_string(peer.version) + ", expected " +
+        std::to_string(kWireVersion));
+  }
+  return Status::Ok();
+}
+
 std::string EncodeHello(const HelloPayload& hello) {
   WireWriter w;
   w.PutU32(hello.magic);
@@ -319,15 +334,19 @@ Status DecodePush(const std::string& payload, PushRequest* out) {
 }
 
 std::string EncodePushBatch(const PushBatchRequest& req) {
-  size_t bytes = StringBytes(req.name) + 4;
-  for (const auto& item : req.items) bytes += 8 + VectorBytes(item.second);
+  return EncodePushBatch(req.name, req.items);
+}
+
+std::string EncodePushBatch(const std::string& name, const Stream& items) {
+  size_t bytes = StringBytes(name) + 4;
+  for (const StreamItem& item : items) bytes += 8 + VectorBytes(item.vec);
   WireWriter w;
   w.Reserve(bytes);
-  w.PutString(req.name);
-  w.PutU32(static_cast<uint32_t>(req.items.size()));
-  for (const auto& [ts, vec] : req.items) {
-    w.PutF64(ts);
-    w.PutVector(vec);
+  w.PutString(name);
+  w.PutU32(static_cast<uint32_t>(items.size()));
+  for (const StreamItem& item : items) {
+    w.PutF64(item.ts);
+    w.PutVector(item.vec);
   }
   return w.Take();
 }
@@ -346,10 +365,10 @@ Status DecodePushBatch(const std::string& payload, PushBatchRequest* out) {
   out->items.clear();
   out->items.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    Timestamp ts = 0.0;
-    SparseVector vec;
-    if (!r.GetF64(&ts) || !r.GetVector(&vec)) return Malformed("kPushBatch");
-    out->items.emplace_back(ts, std::move(vec));
+    StreamItem& item = out->items.emplace_back();
+    if (!r.GetF64(&item.ts) || !r.GetVector(&item.vec)) {
+      return Malformed("kPushBatch");
+    }
   }
   return FinishDecode(r, "kPushBatch");
 }
@@ -398,17 +417,17 @@ std::string EncodeReply(const Reply& reply) {
 void EncodeReply(const Reply& reply, std::string* out) {
   size_t bytes = StatusBytes(reply.status) + 8 + 4 + 4 +
                  reply.pairs.size() * kWirePairBytes + StringBytes(reply.blob);
-  for (const auto& reject : reply.rejects) {
-    bytes += 4 + StatusBytes(reject.second);
+  for (const BatchPushResult::Reject& reject : reply.rejects) {
+    bytes += 4 + StatusBytes(reject.status);
   }
   WireWriter w(std::move(*out));
   w.Reserve(bytes);
   w.PutStatus(reply.status);
   w.PutU64(reply.accepted);
   w.PutU32(static_cast<uint32_t>(reply.rejects.size()));
-  for (const auto& [index, status] : reply.rejects) {
-    w.PutU32(index);
-    w.PutStatus(status);
+  for (const BatchPushResult::Reject& reject : reply.rejects) {
+    w.PutU32(static_cast<uint32_t>(reject.index));
+    w.PutStatus(reject.status);
   }
   w.PutPairs(reply.pairs);
   w.PutString(reply.blob);
@@ -433,7 +452,7 @@ Status DecodeReply(const std::string& payload, Reply* out) {
     uint32_t index = 0;
     Status status;
     if (!r.GetU32(&index) || !r.GetStatus(&status)) return Malformed("kReply");
-    out->rejects.emplace_back(index, std::move(status));
+    out->rejects.push_back({index, std::move(status)});
   }
   if (!r.GetPairs(&out->pairs) ||
       !r.GetString(&out->blob, kMaxFramePayload)) {

@@ -1,5 +1,5 @@
 // Cluster wire protocol — length-prefixed, versioned binary frames
-// between the supervisor/router and its worker processes.
+// between clients, the supervisor/router and its worker processes.
 //
 // Framing (all integers little-endian, doubles as IEEE-754 bit images):
 //
@@ -13,7 +13,10 @@
 // and unknown frame types are refused — the whole surface is driven by
 // fuzz/fuzz_wire.cc against adversarial bytes.
 //
-// Request frames (supervisor → worker), all carrying the session name:
+// Request frames (supervisor or client → worker or sssj_clusterd), all
+// but kHello and kShutdown carrying the session name. One dispatcher
+// (cluster/serve.h) answers them for every host; only a worker accepts
+// kRestore and kMigrateOut:
 //
 //   type            payload                          reply extras
 //   kHello          magic u32, version u16           version echoed in blob
@@ -26,12 +29,12 @@
 //                                                    session destroyed
 //   kCloseSession   name                             pairs from final flush
 //   kStats          name                             SessionWireStats in blob
-//   kShutdown       —                                — (worker exits after)
+//   kShutdown       —                                — (serve loop ends after)
 //
 // The single response frame type kReply carries a Status, the pairs the
 // request caused the engine to emit (bit-exact doubles — the cluster's
-// bitwise-equivalence pins hang on this), per-item reject statuses for
-// batches, and an opaque blob (checkpoint bytes, encoded stats). Moving
+// bitwise-equivalence pins hang on this), a batch's BatchPushResult
+// rejects, and an opaque blob (checkpoint bytes, encoded stats). Moving
 // session state always reuses the engine's portable SSSJENG3 checkpoint
 // verbatim: a migration is a save→transfer→load of bytes this protocol
 // never looks inside, and a crash-restore loads the supervisor's
@@ -233,6 +236,10 @@ struct HelloPayload {
   uint16_t version = kWireVersion;
 };
 
+// OK when the peer's Hello carries this build's magic and version, else
+// kFailedPrecondition naming the mismatch.
+Status CheckHello(const HelloPayload& peer);
+
 struct CreateSessionRequest {
   std::string name;
   WireConfig config;
@@ -246,9 +253,9 @@ struct PushRequest {
 
 struct PushBatchRequest {
   std::string name;
-  // (ts, vec) — ids are assigned worker-side, exactly like PushBatch on a
-  // local engine.
-  std::vector<std::pair<Timestamp, SparseVector>> items;
+  // Each item's ts and vec travel; ids do not (decoded items carry id 0):
+  // the engine assigns them, exactly like PushBatch on a local engine.
+  Stream items;
 };
 
 // Flush / MigrateOut / CloseSession / Stats all carry just the session
@@ -264,12 +271,13 @@ struct RestoreRequest {
 };
 
 // Worker → supervisor. `pairs` preserves the engine's emission order and
-// exact double bits; `rejects` mirrors BatchPushResult; `blob` carries
-// checkpoint bytes or an encoded SessionWireStats.
+// exact double bits; `rejects` are BatchPushResult's own (an index
+// travels as u32); `blob` carries checkpoint bytes or an encoded
+// SessionWireStats.
 struct Reply {
   Status status;
   uint64_t accepted = 0;
-  std::vector<std::pair<uint32_t, Status>> rejects;
+  std::vector<BatchPushResult::Reject> rejects;
   std::vector<ResultPair> pairs;
   std::string blob;
 };
@@ -285,7 +293,8 @@ struct SessionWireStats {
 //
 // Each sizes its payload once before writing it. The overloads without
 // a request struct encode the same bytes from the caller's own objects:
-// a push straight from the pushed vector, a reply into a reused buffer.
+// a push straight from the pushed vector, a batch from the pushed
+// stream, a reply into a reused buffer.
 
 std::string EncodeHello(const HelloPayload& hello);
 std::string EncodeCreateSession(const CreateSessionRequest& req);
@@ -293,6 +302,7 @@ std::string EncodePush(const PushRequest& req);
 std::string EncodePush(const std::string& name, Timestamp ts,
                        const SparseVector& vec);
 std::string EncodePushBatch(const PushBatchRequest& req);
+std::string EncodePushBatch(const std::string& name, const Stream& items);
 std::string EncodeName(const NameRequest& req);
 std::string EncodeRestore(const RestoreRequest& req);
 std::string EncodeReply(const Reply& reply);

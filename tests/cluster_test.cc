@@ -10,16 +10,21 @@
 // leaves partial state behind.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cluster/channel.h"
+#include "cluster/serve.h"
 #include "cluster/supervisor.h"
 #include "cluster/wire.h"
 #include "cluster/worker.h"
@@ -217,6 +222,210 @@ TEST(ClusterEquivalenceTest, SessionFootprintMatchesInProcessEngine) {
     ASSERT_TRUE(stats.ok());
     EXPECT_GT(stats->memory_bytes, 0u);
     EXPECT_EQ(stats->memory_bytes, (*engine)->MemoryBytes());
+  }
+}
+
+// ---- the router over a real socket ----
+
+// What one session returned to its caller in the router test.
+struct RouterOutcome {
+  std::vector<ResultPair> pairs;
+  BatchPushResult batch;
+  SessionWireStats stats;
+};
+
+// One STR-L2 and one MB-L2 session.
+std::vector<SessionSpec> RouterSessions() {
+  std::vector<SessionSpec> specs;
+  for (SessionSpec& spec : HeterogeneousSessions()) {
+    if (spec.name == "str-l2" || spec.name == "mb-l2") {
+      specs.push_back(std::move(spec));
+    }
+  }
+  return specs;
+}
+
+// The second half of the stream, with a copy of its first item whose
+// timestamp regresses inserted after it: one reject crosses the wire.
+Stream RouterBatch(const Stream& stream) {
+  Stream batch(stream.begin() + stream.size() / 2, stream.end());
+  StreamItem regressed = batch.front();
+  regressed.ts -= 1.0;
+  batch.insert(batch.begin() + 1, regressed);
+  return batch;
+}
+
+// The router test's calls through an in-process ClusterClient: the first
+// half of every stream pushed one item at a time, round-robin, then per
+// session the batch, Flush, Stats and CloseSession.
+std::map<std::string, RouterOutcome> RunRouterCallsInProcess(
+    const std::vector<SessionSpec>& specs) {
+  ClusterClient client{JoinServiceOptions{}};
+  std::map<std::string, RouterOutcome> out;
+  for (const SessionSpec& spec : specs) {
+    EXPECT_TRUE(client.CreateSession(spec.name, spec.config).ok());
+  }
+  for (size_t i = 0; i < specs.front().stream.size() / 2; ++i) {
+    for (const SessionSpec& spec : specs) {
+      const StreamItem& item = spec.stream[i];
+      EXPECT_TRUE(
+          client.Push(spec.name, item.ts, item.vec, &out[spec.name].pairs)
+              .ok());
+    }
+  }
+  for (const SessionSpec& spec : specs) {
+    RouterOutcome& o = out[spec.name];
+    auto batch = client.PushBatch(spec.name, RouterBatch(spec.stream), &o.pairs);
+    EXPECT_TRUE(batch.ok());
+    if (batch.ok()) o.batch = *batch;
+    EXPECT_TRUE(client.Flush(spec.name, &o.pairs).ok());
+    auto stats = client.SessionStats(spec.name);
+    EXPECT_TRUE(stats.ok());
+    if (stats.ok()) o.stats = *stats;
+    EXPECT_TRUE(client.CloseSession(spec.name, &o.pairs).ok());
+  }
+  return out;
+}
+
+// One request frame and its decoded reply; a transport failure is a test
+// failure and the reply's status.
+Reply Ask(FrameChannel* channel, FrameType type, const std::string& payload) {
+  Reply reply;
+  const Status status = channel->Call(type, payload, &reply);
+  EXPECT_TRUE(status.ok()) << ToString(type) << ": " << status.ToString();
+  if (!status.ok()) reply.status = status;
+  return reply;
+}
+
+// The same calls as frames over a connection to the router at `path`,
+// between a Hello exchange and a kShutdown. *shut_down is set once the
+// kShutdown reply arrives.
+void RunRouterCallsOverSocket(const std::string& path,
+                              const std::vector<SessionSpec>& specs,
+                              std::map<std::string, RouterOutcome>* out,
+                              bool* shut_down) {
+  int fd = -1;
+  ASSERT_TRUE(ConnectUnix(path, &fd).ok());
+  FrameChannel channel(fd);
+  const Reply hello =
+      Ask(&channel, FrameType::kHello, EncodeHello(HelloPayload{}));
+  ASSERT_TRUE(hello.status.ok()) << hello.status.ToString();
+  HelloPayload peer;
+  ASSERT_TRUE(DecodeHello(hello.blob, &peer).ok());
+  EXPECT_EQ(peer.version, kWireVersion);
+  HelloPayload foreign;
+  foreign.magic = 0xdeadbeef;
+  const Reply refused =
+      Ask(&channel, FrameType::kHello, EncodeHello(foreign));
+  EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status.message().find("wire magic mismatch"),
+            std::string::npos)
+      << refused.status.ToString();
+
+  for (const SessionSpec& spec : specs) {
+    const Reply created =
+        Ask(&channel, FrameType::kCreateSession,
+            EncodeCreateSession(CreateSessionRequest{spec.name, spec.config}));
+    ASSERT_TRUE(created.status.ok()) << created.status.ToString();
+  }
+  // The supervisor's own machinery is not a client request.
+  const Reply migrate_out = Ask(&channel, FrameType::kMigrateOut,
+                                EncodeName(NameRequest{specs.front().name}));
+  EXPECT_EQ(migrate_out.status.code(), StatusCode::kUnimplemented);
+  for (size_t i = 0; i < specs.front().stream.size() / 2; ++i) {
+    for (const SessionSpec& spec : specs) {
+      const StreamItem& item = spec.stream[i];
+      const Reply pushed = Ask(&channel, FrameType::kPush,
+                               EncodePush(spec.name, item.ts, item.vec));
+      ASSERT_TRUE(pushed.status.ok()) << pushed.status.ToString();
+      EXPECT_EQ(pushed.accepted, 1u);
+      std::vector<ResultPair>& pairs = (*out)[spec.name].pairs;
+      pairs.insert(pairs.end(), pushed.pairs.begin(), pushed.pairs.end());
+    }
+  }
+  for (const SessionSpec& spec : specs) {
+    RouterOutcome& o = (*out)[spec.name];
+    const NameRequest name{spec.name};
+    Reply reply = Ask(&channel, FrameType::kPushBatch,
+                      EncodePushBatch(spec.name, RouterBatch(spec.stream)));
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    o.batch.accepted = reply.accepted;
+    o.batch.rejects = std::move(reply.rejects);
+    o.pairs.insert(o.pairs.end(), reply.pairs.begin(), reply.pairs.end());
+    reply = Ask(&channel, FrameType::kFlush, EncodeName(name));
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    o.pairs.insert(o.pairs.end(), reply.pairs.begin(), reply.pairs.end());
+    reply = Ask(&channel, FrameType::kStats, EncodeName(name));
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    ASSERT_TRUE(DecodeSessionStats(reply.blob, &o.stats).ok());
+    reply = Ask(&channel, FrameType::kCloseSession, EncodeName(name));
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    o.pairs.insert(o.pairs.end(), reply.pairs.begin(), reply.pairs.end());
+  }
+  const Reply bye = Ask(&channel, FrameType::kShutdown, std::string());
+  EXPECT_TRUE(bye.status.ok()) << bye.status.ToString();
+  *shut_down = true;
+}
+
+// sssj_clusterd's request path: a supervisor behind the shared serve
+// loop on a Unix socket answers every client call as the in-process
+// client does, bit for bit, and a kShutdown ends the loop with its socket
+// file removed.
+TEST(ClusterRouterTest, SocketServesTheSessionApiLikeTheInProcessClient) {
+  // Fork the fleet before this test starts any thread.
+  SupervisorOptions options;
+  options.num_workers = 2;
+  Supervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+
+  const std::vector<SessionSpec> specs = RouterSessions();
+  ASSERT_EQ(specs.size(), 2u);
+  const auto in_process = RunRouterCallsInProcess(specs);
+
+  std::string dir = ::testing::TempDir() + "/sssj_router_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/router.sock";
+  int listen_fd = -1;
+  ASSERT_TRUE(ListenUnix(path, &listen_fd).ok());
+  Status served = Status::Internal("the serve loop did not return");
+  std::thread router(
+      [&] { served = ServeUnix(&supervisor, listen_fd, path); });
+
+  std::map<std::string, RouterOutcome> over_socket;
+  bool shut_down = false;
+  RunRouterCallsOverSocket(path, specs, &over_socket, &shut_down);
+  if (!shut_down) {
+    // The calls stopped early: end the loop so the router thread joins.
+    int fd = -1;
+    if (ConnectUnix(path, &fd).ok()) {
+      FrameChannel channel(fd);
+      Reply bye;
+      (void)channel.Call(FrameType::kShutdown, std::string(), &bye);
+    }
+  }
+  router.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();
+  EXPECT_NE(::access(path.c_str(), F_OK), 0) << "the socket file is left";
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);
+  supervisor.Shutdown();
+
+  for (const SessionSpec& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    const RouterOutcome& want = in_process.at(spec.name);
+    const RouterOutcome& got = over_socket[spec.name];
+    EXPECT_FALSE(want.pairs.empty()) << "the stream produced no pairs";
+    ExpectBitwiseEqual(got.pairs, want.pairs, spec.name);
+    EXPECT_EQ(got.batch.accepted, want.batch.accepted);
+    ASSERT_EQ(want.batch.rejects.size(), 1u);
+    ASSERT_EQ(got.batch.rejects.size(), 1u);
+    EXPECT_EQ(got.batch.rejects[0].index, want.batch.rejects[0].index);
+    EXPECT_EQ(got.batch.rejects[0].status.code(),
+              want.batch.rejects[0].status.code());
+    EXPECT_EQ(got.batch.rejects[0].status.message(),
+              want.batch.rejects[0].status.message());
+    EXPECT_EQ(got.stats.vectors_processed, want.stats.vectors_processed);
+    EXPECT_EQ(got.stats.pairs_emitted, want.stats.pairs_emitted);
+    EXPECT_EQ(got.stats.memory_bytes, want.stats.memory_bytes);
   }
 }
 
@@ -1104,6 +1313,15 @@ TEST(WorkerDispatchTest, HelloMismatchIsNamed) {
       worker.Handle(FrameType::kHello, EncodeHello(stale), &shutdown);
   EXPECT_EQ(reply.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(reply.status.message().find("version"), std::string::npos);
+  // A foreign magic at the current version is refused by name too.
+  HelloPayload foreign;
+  foreign.magic = 0xdeadbeef;
+  const Reply refused =
+      worker.Handle(FrameType::kHello, EncodeHello(foreign), &shutdown);
+  EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status.message().find("wire magic mismatch"),
+            std::string::npos)
+      << refused.status.ToString();
 }
 
 TEST(WorkerDispatchTest, UnknownSessionAndBadPayloadsAreClean) {

@@ -159,13 +159,13 @@ TEST(WirePayloadTest, PushRoundTripsBitExactly) {
 TEST(WirePayloadTest, PushBatchRoundTrips) {
   PushBatchRequest in;
   in.name = "batchy";
-  in.items.emplace_back(0.5, UnitVec({{1, 1.0}}));
-  in.items.emplace_back(1.5, UnitVec({{1, 1.0}, {4, 2.0}}));
+  in.items.push_back({0, 0.5, UnitVec({{1, 1.0}})});
+  in.items.push_back({0, 1.5, UnitVec({{1, 1.0}, {4, 2.0}})});
   PushBatchRequest out;
   ASSERT_TRUE(DecodePushBatch(EncodePushBatch(in), &out).ok());
   ASSERT_EQ(out.items.size(), 2u);
-  EXPECT_EQ(out.items[0].first, 0.5);
-  EXPECT_EQ(out.items[1].second.nnz(), 2u);
+  EXPECT_EQ(out.items[0].ts, 0.5);
+  EXPECT_EQ(out.items[1].vec.nnz(), 2u);
 }
 
 TEST(WirePayloadTest, RestoreCarriesOpaqueBlobVerbatim) {
@@ -184,8 +184,8 @@ TEST(WirePayloadTest, ReplyRoundTrips) {
   Reply in;
   in.status = Status::ResourceExhausted("over budget");
   in.accepted = 41;
-  in.rejects.emplace_back(3, Status::InvalidArgument("empty vector"));
-  in.rejects.emplace_back(17, Status::OutOfRange("time went backwards"));
+  in.rejects.push_back({3, Status::InvalidArgument("empty vector")});
+  in.rejects.push_back({17, Status::OutOfRange("time went backwards")});
   in.pairs.push_back(MakePair(1, 2));
   in.pairs.push_back(MakePair(9, 4));
   in.blob = std::string("\x01\x02\x00\x03", 4);
@@ -195,8 +195,8 @@ TEST(WirePayloadTest, ReplyRoundTrips) {
   EXPECT_EQ(out.status.message(), "over budget");
   EXPECT_EQ(out.accepted, 41u);
   ASSERT_EQ(out.rejects.size(), 2u);
-  EXPECT_EQ(out.rejects[0].first, 3u);
-  EXPECT_EQ(out.rejects[1].second.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(out.rejects[0].index, 3u);
+  EXPECT_EQ(out.rejects[1].status.code(), StatusCode::kOutOfRange);
   ASSERT_EQ(out.pairs.size(), 2u);
   EXPECT_EQ(out.pairs[1].a, 9u);
   EXPECT_EQ(out.pairs[0].sim, 0.8125);
