@@ -22,6 +22,10 @@
 #      --tiered must write pair files byte-identical to the untiered
 #      runs, and --memory must show that something froze (the bytes
 #      differ); --value-tier=bf16, an unknown flag, must exit 2;
+#   5a. dead posting lists are erased: on a 2,000-item Tweets-like
+#      stream (make_dataset --profile=Tweets --scale=0.25) at θ 0.7,
+#      λ 0.01, --memory must report at most half the bytes an index that
+#      never erases a list holds, for --index=L2, INV and L2AP;
 #   5b. the retired AUTO scheme: --index=AUTO must exit 1 naming AUTO (a
 #      bad --index), and --duel-epoch=2048 must exit 2 as an unknown flag;
 #   6. checkpoint round trip: the text file is split in two, and for
@@ -241,6 +245,28 @@ foreach(index L2 INV)
   endif()
   message(STATUS "tiered ${index}: same pairs, ${flat_bytes} -> "
                  "${tiered_bytes} bytes")
+endforeach()
+
+# Dead-list erasure. An index that never erased a list read 1,355,248
+# (L2), 1,406,240 (INV) and 1,413,008 (L2AP) bytes on this stream; each
+# must now hold at most half that, so erasure cannot be switched off
+# silently.
+set(tweets "${WORK_DIR}/tweets.txt")
+run_step(make_dataset_tweets "${MAKE_DATASET}" --profile=Tweets --scale=0.25
+         "--out=${tweets}")
+foreach(pair "L2:1355248" "INV:1406240" "L2AP:1413008")
+  string(REPLACE ":" ";" pair "${pair}")
+  list(GET pair 0 index)
+  list(GET pair 1 never_erased)
+  memory_bytes("sssj_cli ${index} Tweets-like" bytes "${SSSJ_CLI}"
+               "--input=${tweets}" --theta=0.7 --lambda=0.01 --quiet --memory
+               "--index=${index}" "--output=${WORK_DIR}/tweets-${index}.txt")
+  math(EXPR limit "${never_erased} / 2")
+  if(bytes GREATER limit)
+    message(FATAL_ERROR "${index}: ${bytes} bytes on the Tweets-like stream, "
+                        "over half of ${never_erased}: are dead lists erased?")
+  endif()
+  message(STATUS "dead lists ${index}: ${bytes} bytes (limit ${limit})")
 endforeach()
 
 execute_process(COMMAND "${SSSJ_CLI}" "--input=${text}" --value-tier=bf16

@@ -123,8 +123,8 @@ inline void L2ComputePrefixNorms(const SparseVector& v,
 //
 // Resolve: look up each list, locate its expired front run by one binary
 // search on the time-sorted `ts` column, and report it to `on_expired`.
-// The lists are independent, so their cache misses (hash bucket, node,
-// list header, front ts) overlap across the pass instead of each waiting
+// The lists are independent, so their cache misses (table slot, list
+// header, front ts) overlap across the pass instead of each waiting
 // behind the previous list's walk.
 //
 // Walk: each live run newest → oldest over raw per-column pointers,
@@ -157,8 +157,8 @@ void L2GenerateCandidates(const StreamItem& x, double theta,
       if (expired > 0) on_expired(*list, expired);
       // A truncating on_expired leaves the live run at [0, live); one
       // that leaves the list alone, at [expired, size). Either way it is
-      // the last `live` entries. Map nodes are stable, so `list` stays
-      // valid.
+      // the last `live` entries. Lookups and expiry create and erase no
+      // list, so `list` stays valid through the walk.
     }
     resolved[i] = L2ResolvedList{list, live};
   }

@@ -9,7 +9,9 @@
 // vector's last coordinate, with BoundAtLeast's slack absorbing the
 // rounding of its norm, so every live L2-family item has a residual record.
 // Lists are truncated lazily and still hold expired postings; the scan
-// skips them by OutsideHorizon, the test the indexes expire by.
+// skips them by OutsideHorizon, the test the indexes expire by, and skips
+// a whole list unread when its newest posting (the table slot's ts) is
+// outside the horizon.
 //
 // Kept out of the index .cc files on purpose: their scans inline the list
 // lookups they make, and extra call sites in the same file measurably slow
@@ -40,15 +42,17 @@ void CollectFromIndex(const PostingMap& lists, const ResidualStore* residuals,
                       Timestamp newest, double tau, Stream* out) {
   std::vector<LiveCoord> coords;
   FrozenColumns scratch;  // thaws one frozen block at a time
-  for (const auto& [dim, list] : lists) {
+  lists.ForEachList([&](DimId dim, Timestamp list_newest,
+                        const PostingList& list) {
+    if (OutsideHorizon(list_newest, newest, tau)) return;  // dead list
     list.ForSpansOldestFirst(
-        0, list.size(), &scratch, [&, dim = dim](const PostingSpan& sp) {
+        0, list.size(), &scratch, [&](const PostingSpan& sp) {
           for (size_t k = 0; k < sp.len; ++k) {
             if (OutsideHorizon(sp.ts[k], newest, tau)) continue;
             coords.push_back({sp.id[k], sp.ts[k], Coord{dim, sp.value[k]}});
           }
         });
-  }
+  });
   if (residuals != nullptr) {
     residuals->ForEachInOrder([&](VectorId id, const ResidualRecord& rec) {
       if (OutsideHorizon(rec.ts, newest, tau)) return;

@@ -1,6 +1,11 @@
 #include "index/posting_list.h"
 
+#include <utility>
+
 namespace sssj {
+
+static_assert(sizeof(void*) != 8 || sizeof(PostingList) == 32,
+              "a list header is the 24-byte buffer plus the tier pointer");
 
 size_t PostingList::LowerBoundTsSlow(Timestamp cutoff) const {
   size_t lo = 1;  // caller already probed the front entry
@@ -21,8 +26,8 @@ size_t PostingList::LowerBoundTsTiered(Timestamp cutoff) const {
   // the first block whose max_ts survives the cutoff. Whole expired
   // blocks are counted by header alone.
   size_t expired = 0;
-  size_t skip = first_skip_;
-  for (const FrozenBlock& blk : frozen_) {
+  size_t skip = tier_->first_skip;
+  for (const FrozenBlock& blk : tier_->frozen) {
     const size_t live = blk.count() - skip;
     if (blk.max_ts() < cutoff) {
       expired += live;
@@ -39,54 +44,60 @@ size_t PostingList::LowerBoundTsTiered(Timestamp cutoff) const {
 
 size_t PostingList::TruncateFront(size_t n, size_t* footprint) {
   FootprintScope scope(this, footprint);
+  if (tier_ == nullptr) {
+    store_.TruncateFront(n);
+    return n;
+  }
+  Tier& t = *tier_;
   size_t left = n;
   size_t drop = 0;
-  size_t skip = first_skip_;
-  while (left > 0 && drop < frozen_.size()) {
-    const size_t live = frozen_[drop].count() - skip;
+  size_t skip = t.first_skip;
+  while (left > 0 && drop < t.frozen.size()) {
+    const size_t live = t.frozen[drop].count() - skip;
     if (left >= live) {
       left -= live;
-      frozen_live_ -= live;
-      scope.Drop(frozen_[drop]);
+      t.frozen_live -= live;
+      scope.Drop(t.frozen[drop]);
       ++drop;
       skip = 0;
     } else {
       skip += left;
-      frozen_live_ -= left;
+      t.frozen_live -= left;
       left = 0;
     }
   }
   if (drop > 0) {
-    frozen_.erase(frozen_.begin(),
-                  frozen_.begin() + static_cast<ptrdiff_t>(drop));
+    t.frozen.erase(t.frozen.begin(),
+                   t.frozen.begin() + static_cast<ptrdiff_t>(drop));
   }
-  first_skip_ = frozen_.empty() ? 0 : skip;
+  t.first_skip = t.frozen.empty() ? 0 : skip;
   if (left > 0) store_.TruncateFront(left);
   // Consumed entries inside the straddling front block are dead bytes
   // until the block is rewritten. Rewrite once the block is half dead:
   // the live suffix shrinks geometrically across rewrites, so the cost
   // amortizes to O(1) per consumed entry, and no list ever retains more
   // dead frozen entries than live ones in its front block.
-  if (first_skip_ > 0 && first_skip_ * 2 >= frozen_.front().count()) {
+  if (t.first_skip > 0 && t.first_skip * 2 >= t.frozen.front().count()) {
     CompactFrontBlock(&scope);
   }
   return n;
 }
 
 void PostingList::CompactFrontBlock(FootprintScope* scope) {
-  FrozenBlock& blk = frozen_.front();
+  Tier& t = *tier_;
+  FrozenBlock& blk = t.frozen.front();
   scope->Drop(blk);
   FrozenColumns cols;
   blk.Thaw(&cols);
   FrozenSourceRun run;
-  run.id = cols.id.data() + first_skip_;
-  run.value = cols.value.data() + first_skip_;
-  run.prefix_norm = cols.prefix_norm.data() + first_skip_;
-  run.ts = cols.ts.data() + first_skip_;
-  run.len = blk.count() - first_skip_;
+  run.id = cols.id.data() + t.first_skip;
+  run.value = cols.value.data() + t.first_skip;
+  run.prefix_norm = cols.prefix_norm.data() + t.first_skip;
+  run.ts = cols.ts.data() + t.first_skip;
+  run.len = blk.count() - t.first_skip;
   blk = FrozenBlock::Freeze(&run, 1, blk.compressed());
   scope->Add(blk);
-  first_skip_ = 0;
+  t.first_skip = 0;
 }
 
 size_t PostingList::CompactExpiredTail(Timestamp cutoff) {
@@ -107,13 +118,14 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch,
                                    size_t* footprint) {
   FootprintScope scope(this, footprint);
   size_t removed = 0;
-  if (!frozen_.empty()) {
+  if (tier_ != nullptr && !tier_->frozen.empty()) {
+    Tier& t = *tier_;
     FrozenColumns local;
     FrozenColumns* cols = scratch != nullptr ? scratch : &local;
     std::vector<FrozenBlock> kept;
-    kept.reserve(frozen_.size());
-    size_t skip = first_skip_;
-    for (FrozenBlock& blk : frozen_) {
+    kept.reserve(t.frozen.size());
+    size_t skip = t.first_skip;
+    for (FrozenBlock& blk : t.frozen) {
       const size_t live = blk.count() - skip;
       if (skip == 0 && blk.min_ts() >= cutoff) {
         kept.push_back(std::move(blk));  // fully live
@@ -151,17 +163,17 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch,
       }
       skip = 0;
     }
-    frozen_ = std::move(kept);
-    first_skip_ = 0;
-    frozen_live_ -= removed;
+    t.frozen = std::move(kept);
+    t.first_skip = 0;
+    t.frozen_live -= removed;
   }
   return removed + CompactExpiredTail(cutoff);
 }
 
 PostingEntry PostingList::FrozenGet(size_t i) const {
-  size_t skip = first_skip_;
+  size_t skip = tier_->first_skip;
   size_t start = 0;
-  for (const FrozenBlock& blk : frozen_) {
+  for (const FrozenBlock& blk : tier_->frozen) {
     const size_t live = blk.count() - skip;
     if (i < start + live) {
       FrozenColumns cols;
@@ -186,12 +198,13 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
   // migrates the boundary block's form when a list's scan rate flips.
   // The thaw scratch is local — this runs once per cold_freeze_quantum
   // appends, and for raw blocks the thaw is a memcpy.
+  Tier& t = *tier_;
   while (n > 0) {
-    FrozenBlock* last = frozen_.empty() ? nullptr : &frozen_.back();
+    FrozenBlock* last = t.frozen.empty() ? nullptr : &t.frozen.back();
     // When the newest block is also the front block, its consumed prefix
-    // (first_skip_) is dead — the re-freeze below rewrites the block
+    // (first_skip) is dead — the re-freeze below rewrites the block
     // anyway, so dropping the prefix is free compaction.
-    const size_t drop = frozen_.size() == 1 ? first_skip_ : 0;
+    const size_t drop = t.frozen.size() == 1 ? t.first_skip : 0;
     const bool amend =
         last != nullptr && last->count() - drop < block_entries;
     if (!amend) {
@@ -224,8 +237,8 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
     scope->Drop(*last);
     *last = FrozenBlock::Freeze(&run, 1, compress);
     scope->Add(*last);
-    if (drop > 0) first_skip_ = 0;
-    frozen_live_ += take;
+    if (drop > 0) t.first_skip = 0;
+    t.frozen_live += take;
     store_.TruncateFront(take);
     n -= take;
   }
@@ -243,10 +256,127 @@ void PostingList::FreezeFront(size_t n, bool compress,
     runs[s].ts = store_.ColumnData<3>() + segs[s].phys;
     runs[s].len = segs[s].len;
   }
-  frozen_.push_back(FrozenBlock::Freeze(runs, nsegs, compress));
-  scope->Add(frozen_.back());
-  frozen_live_ += n;
+  tier_->frozen.push_back(FrozenBlock::Freeze(runs, nsegs, compress));
+  scope->Add(tier_->frozen.back());
+  tier_->frozen_live += n;
   store_.TruncateFront(n);
+}
+
+void PostingList::Release(Spare* spare) {
+  spare->block = store_.ReleaseBlock();
+  spare->tier = std::move(tier_);
+  if (spare->tier != nullptr) *spare->tier = TierState{};
+}
+
+void PostingList::Adopt(Spare&& spare) {
+  assert(store_.capacity() == 0 && tier_ == nullptr);
+  if (spare.block != nullptr) store_.AdoptBlock(std::move(spare.block));
+  tier_ = std::move(spare.tier);
+}
+
+PostingMap::Slot& PostingMap::FindOrCreate(DimId dim, Timestamp ts) {
+  size_t pos = kNoSlot;
+  if (!slots_.empty()) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Home(dim);
+    for (; slots_[i].list != kEmpty; i = (i + 1) & mask) {
+      if (slots_[i].dim == dim) return slots_[i];
+    }
+    // Keep the table at most half full.
+    if ((live_ + 1) * 2 <= slots_.size()) pos = i;
+  }
+  if (pos == kNoSlot) {
+    Rehash(slots_.empty() ? 16 : slots_.size() * 2);
+    const size_t mask = slots_.size() - 1;
+    for (pos = Home(dim); slots_[pos].list != kEmpty; pos = (pos + 1) & mask) {
+    }
+  }
+  uint32_t index;
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+  } else {
+    index = static_cast<uint32_t>(lists_.size());
+    lists_.emplace_back();
+  }
+  if (!spares_.empty()) {
+    // The spare's bytes move from the pool to the list: the total holds.
+    lists_[index].Adopt(std::move(spares_.back()));
+    spares_.pop_back();
+    ++recycled_;
+  }
+  slots_[pos] = Slot{dim, index, ts};
+  checks_.PushBack(dim, ts);
+  ++live_;
+  return slots_[pos];
+}
+
+size_t PostingMap::EraseSlot(size_t pos) {
+  const uint32_t index = slots_[pos].list;
+  PostingList& list = lists_[index];
+  const size_t postings = list.size();
+  payload_bytes_ -= list.memory_bytes() - sizeof(PostingList);
+  PostingList::Spare spare;
+  list.Release(&spare);
+  if (!spare.empty() && spares_.size() < kMaxSpares) {
+    payload_bytes_ += spare.bytes();
+    spares_.push_back(std::move(spare));
+  }
+  free_.push_back(index);
+  // Backward-shift deletion: pull each later slot of the probe run into
+  // the hole unless the hole lies before that slot's home.
+  const size_t mask = slots_.size() - 1;
+  size_t hole = pos;
+  for (size_t j = (pos + 1) & mask; slots_[j].list != kEmpty;
+       j = (j + 1) & mask) {
+    if (((j - Home(slots_[j].dim)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --live_;
+  ++erased_;
+  return postings;
+}
+
+void PostingMap::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - __builtin_ctzll(capacity);
+  const size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.list == kEmpty) continue;
+    size_t i = Home(slot.dim);
+    while (slots_[i].list != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+size_t PostingMap::EraseListsOlderThan(Timestamp cutoff) {
+  size_t postings = 0;
+  while (!checks_.empty() && checks_.Get<1>(0) < cutoff) {
+    const DimId dim = checks_.Get<0>(0);
+    checks_.TruncateFront(1);
+    const size_t pos = FindSlot(dim);  // every check has its list
+    if (slots_[pos].newest < cutoff) {
+      postings += EraseSlot(pos);
+    } else {
+      checks_.PushBack(dim, slots_[pos].newest);
+    }
+  }
+  return postings;
+}
+
+void PostingMap::Clear() { *this = PostingMap(); }
+
+size_t PostingMap::RecountMemoryBytes() const {
+  size_t bytes = FixedBytes();
+  for (const PostingList& list : lists_) {
+    bytes += list.memory_bytes() - sizeof(PostingList);
+  }
+  for (const PostingList::Spare& spare : spares_) bytes += spare.bytes();
+  return bytes;
 }
 
 }  // namespace sssj

@@ -27,13 +27,19 @@
 // Expiry drops whole frozen blocks by their max-ts header; only the
 // boundary block's ts stream is ever decoded. Both block forms read back
 // bit-identical doubles, so freezing never changes engine output.
+//
+// A list's header is 32 bytes: the 24-byte column buffer and one pointer
+// to its tiering state (frozen blocks, skip and live counts, classifier),
+// which only a list that ran MaybeFreeze with tiering enabled allocates.
+// An untiered list holds the pointer null and never reads it.
 #ifndef SSSJ_INDEX_POSTING_LIST_H_
 #define SSSJ_INDEX_POSTING_LIST_H_
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -68,36 +74,47 @@ struct PostingSpan {
   size_t len = 0;
 };
 
+// A tiered list's cold tier and classifier state (PostingList::tier_).
+struct TierState {
+  std::vector<FrozenBlock> frozen;  // cold tier, oldest block first
+  size_t first_skip = 0;            // expired entries at frozen[0]'s front
+  size_t frozen_live = 0;           // live entries across all frozen blocks
+  uint32_t appends_since_scan = 0;  // dormancy classifier state
+  uint32_t scan_gap_ewma = 0;       // EWMA arrivals between scans (ticked)
+  uint64_t last_scan_tick = 0;      // arrival counter at the last scan
+};
+
 class PostingList {
  public:
-  size_t size() const { return frozen_live_ + store_.size(); }
-  bool empty() const { return frozen_live_ == 0 && store_.empty(); }
+  size_t size() const { return frozen_live() + store_.size(); }
+  bool empty() const { return size() == 0; }
 
   // Per-column element access, logical index from the front (oldest).
   // Indices inside the frozen range decompress the containing block per
   // call — a test convenience, not a hot path.
   VectorId id(size_t i) const {
-    return i < frozen_live_ ? FrozenGet(i).id
-                            : store_.Get<0>(i - frozen_live_);
+    const size_t fl = frozen_live();
+    return i < fl ? FrozenGet(i).id : store_.Get<0>(i - fl);
   }
   double value(size_t i) const {
-    return i < frozen_live_ ? FrozenGet(i).value
-                            : store_.Get<1>(i - frozen_live_);
+    const size_t fl = frozen_live();
+    return i < fl ? FrozenGet(i).value : store_.Get<1>(i - fl);
   }
   double prefix_norm(size_t i) const {
-    return i < frozen_live_ ? FrozenGet(i).prefix_norm
-                            : store_.Get<2>(i - frozen_live_);
+    const size_t fl = frozen_live();
+    return i < fl ? FrozenGet(i).prefix_norm : store_.Get<2>(i - fl);
   }
   Timestamp ts(size_t i) const {
-    return i < frozen_live_ ? FrozenGet(i).ts
-                            : store_.Get<3>(i - frozen_live_);
+    const size_t fl = frozen_live();
+    return i < fl ? FrozenGet(i).ts : store_.Get<3>(i - fl);
   }
 
   // Materializes one posting as a row (a test convenience;
   // hot loops should use the span walks instead).
   PostingEntry Get(size_t i) const {
-    if (i < frozen_live_) return FrozenGet(i);
-    const size_t t = i - frozen_live_;
+    const size_t fl = frozen_live();
+    if (i < fl) return FrozenGet(i);
+    const size_t t = i - fl;
     return PostingEntry{store_.Get<0>(t), store_.Get<1>(t), store_.Get<2>(t),
                         store_.Get<3>(t)};
   }
@@ -110,7 +127,7 @@ class PostingList {
               size_t* footprint = nullptr) {
     const size_t before = store_.capacity_bytes();
     store_.PushBack(id, value, prefix_norm, ts);
-    ++appends_since_scan_;
+    if (tier_ != nullptr) ++tier_->appends_since_scan;
     if (footprint != nullptr) *footprint += store_.capacity_bytes() - before;
   }
   void Append(const PostingEntry& e) {
@@ -124,15 +141,17 @@ class PostingList {
   // scan-rate classifier: an EWMA of arrivals elapsed between
   // consecutive scans of this list.
   void NoteScanned(uint64_t tick = 0) {
-    appends_since_scan_ = 0;
+    if (tier_ == nullptr) return;  // the classifier only feeds freezing
+    Tier& t = *tier_;
+    t.appends_since_scan = 0;
     if (tick != 0) {
-      if (last_scan_tick_ != 0 && tick > last_scan_tick_) {
-        const uint64_t gap = tick - last_scan_tick_;
-        const uint64_t ew = (3ull * scan_gap_ewma_ + gap) / 4;
-        scan_gap_ewma_ = ew > UINT32_MAX ? UINT32_MAX
-                                         : static_cast<uint32_t>(ew);
+      if (t.last_scan_tick != 0 && tick > t.last_scan_tick) {
+        const uint64_t gap = tick - t.last_scan_tick;
+        const uint64_t ew = (3ull * t.scan_gap_ewma + gap) / 4;
+        t.scan_gap_ewma = ew > UINT32_MAX ? UINT32_MAX
+                                          : static_cast<uint32_t>(ew);
       }
-      last_scan_tick_ = tick;
+      t.last_scan_tick = tick;
     }
   }
 
@@ -153,14 +172,22 @@ class PostingList {
   //   read them directly (no thaw).
   //
   // No-op unless opts.enabled. Both forms read back the exact doubles,
-  // so freeze timing is unobservable in engine output.
+  // so freeze timing is unobservable in engine output. The first call
+  // allocates the tiering state; a list runs it after each append, so
+  // every append the list has taken counts as one since its last scan.
   void MaybeFreeze(const TieredStorageOptions& opts,
                    size_t* footprint = nullptr) {
     if (!opts.enabled || opts.block_entries == 0) return;
+    if (tier_ == nullptr) {
+      tier_ = std::make_unique<Tier>();
+      tier_->appends_since_scan = static_cast<uint32_t>(store_.size());
+      if (footprint != nullptr) *footprint += sizeof(Tier);
+    }
+    const Tier& t = *tier_;
     const bool compress =
-        appends_since_scan_ >= opts.dormant_after_appends ||
-        (scan_gap_ewma_ != 0 &&
-         size() <= static_cast<uint64_t>(scan_gap_ewma_) *
+        t.appends_since_scan >= opts.dormant_after_appends ||
+        (t.scan_gap_ewma != 0 &&
+         size() <= static_cast<uint64_t>(t.scan_gap_ewma) *
                        opts.cold_scan_budget);
     size_t quantum = opts.cold_freeze_quantum != 0 ? opts.cold_freeze_quantum
                                                    : opts.block_entries;
@@ -181,8 +208,10 @@ class PostingList {
     }
   }
 
-  size_t frozen_blocks() const { return frozen_.size(); }
-  size_t frozen_live_entries() const { return frozen_live_; }
+  size_t frozen_blocks() const {
+    return tier_ != nullptr ? tier_->frozen.size() : 0;
+  }
+  size_t frozen_live_entries() const { return frozen_live(); }
 
   // ---- iteration ----
 
@@ -199,7 +228,7 @@ class PostingList {
   template <typename Fn>
   void ForSpansNewestFirst(size_t begin, size_t end, FrozenColumns* scratch,
                            Fn&& fn) const {
-    const size_t fl = frozen_live_;
+    const size_t fl = frozen_live();
     if (end > fl) {  // hot tail first (newest)
       PostingSpan spans[2];
       const size_t n =
@@ -207,11 +236,12 @@ class PostingList {
       for (size_t s = n; s-- > 0;) fn(spans[s]);
     }
     if (begin < fl) {
+      const std::vector<FrozenBlock>& frozen = tier_->frozen;
       const size_t fend = end < fl ? end : fl;
       size_t block_end = fl;
-      for (size_t b = frozen_.size(); b-- > 0 && block_end > begin;) {
-        const size_t skip = b == 0 ? first_skip_ : 0;
-        const size_t live = frozen_[b].count() - skip;
+      for (size_t b = frozen.size(); b-- > 0 && block_end > begin;) {
+        const size_t skip = b == 0 ? tier_->first_skip : 0;
+        const size_t live = frozen[b].count() - skip;
         const size_t block_start = block_end - live;
         if (block_start < fend) {
           EmitFrozenSpan(b, skip, block_start,
@@ -227,13 +257,14 @@ class PostingList {
   template <typename Fn>
   void ForSpansOldestFirst(size_t begin, size_t end, FrozenColumns* scratch,
                            Fn&& fn) const {
-    const size_t fl = frozen_live_;
+    const size_t fl = frozen_live();
     if (begin < fl) {
+      const std::vector<FrozenBlock>& frozen = tier_->frozen;
       const size_t fend = end < fl ? end : fl;
       size_t block_start = 0;
-      size_t skip = first_skip_;
-      for (size_t b = 0; b < frozen_.size() && block_start < fend; ++b) {
-        const size_t live = frozen_[b].count() - skip;
+      size_t skip = tier_->first_skip;
+      for (size_t b = 0; b < frozen.size() && block_start < fend; ++b) {
+        const size_t live = frozen[b].count() - skip;
         const size_t block_end = block_start + live;
         if (block_end > begin) {
           EmitFrozenSpan(b, skip, block_start,
@@ -279,8 +310,9 @@ class PostingList {
   // runs. Returns the number of spans written. Ranges that may reach the
   // frozen tier must use the ForSpans* walks instead.
   size_t Spans(size_t begin, size_t end, PostingSpan out[2]) const {
-    assert(begin >= frozen_live_);
-    return TailSpans(begin - frozen_live_, end - frozen_live_, out);
+    const size_t fl = frozen_live();
+    assert(begin >= fl);
+    return TailSpans(begin - fl, end - fl, out);
   }
 
   // ---- expiry ----
@@ -293,7 +325,7 @@ class PostingList {
   // skipped whole by their max-ts header; only the boundary block's ts
   // stream is decoded.
   size_t LowerBoundTs(Timestamp cutoff) const {
-    if (frozen_live_ == 0) {
+    if (frozen_live() == 0) {
       if (store_.empty() || store_.Get<3>(0) >= cutoff) return 0;
       return LowerBoundTsSlow(cutoff);
     }
@@ -317,13 +349,25 @@ class PostingList {
 
   void Clear() {
     store_.Clear();
-    frozen_.clear();
-    first_skip_ = 0;
-    frozen_live_ = 0;
-    appends_since_scan_ = 0;
-    scan_gap_ewma_ = 0;
-    last_scan_tick_ = 0;
+    tier_.reset();
   }
+
+  // The storage an erased list leaves for the next one to adopt: its
+  // column block if it is at the initial capacity, and its tiering state,
+  // emptied. Either may be null.
+  struct Spare {
+    ColumnarBuffer<VectorId, double, double, Timestamp>::Block block;
+    std::unique_ptr<TierState> tier;
+
+    bool empty() const { return block == nullptr && tier == nullptr; }
+    size_t bytes() const;
+  };
+
+  // Empties the list, moving what it can reuse into `spare` and freeing
+  // the rest (larger blocks, frozen blocks). The list then owns nothing.
+  void Release(Spare* spare);
+  // Gives an empty list that owns nothing the storage of `spare`.
+  void Adopt(Spare&& spare);
 
   // True per-column footprint of the mutable tail's backing store, in
   // bytes (the pre-tiering meaning, kept for the buffer-level tests).
@@ -337,17 +381,28 @@ class PostingList {
   // `footprint`), and this is the oracle that total is tested against.
   size_t memory_bytes() const {
     size_t bytes = FixedBytes();
-    for (const FrozenBlock& blk : frozen_) bytes += PayloadBytes(blk);
+    if (tier_ != nullptr) {
+      for (const FrozenBlock& blk : tier_->frozen) bytes += PayloadBytes(blk);
+    }
     return bytes;
   }
 
  private:
   using ColumnStore = ColumnarBuffer<VectorId, double, double, Timestamp>;
+  using Tier = TierState;
 
-  // The O(1) part of memory_bytes(): object, tail capacity, block slots.
+  size_t frozen_live() const {
+    return tier_ != nullptr ? tier_->frozen_live : 0;
+  }
+
+  // The O(1) part of memory_bytes(): object, tail capacity, tiering state
+  // and its block slots.
   size_t FixedBytes() const {
-    return sizeof(PostingList) + store_.capacity_bytes() +
-           frozen_.capacity() * sizeof(FrozenBlock);
+    size_t bytes = sizeof(PostingList) + store_.capacity_bytes();
+    if (tier_ != nullptr) {
+      bytes += sizeof(Tier) + tier_->frozen.capacity() * sizeof(FrozenBlock);
+    }
+    return bytes;
   }
   // A frozen block's allocation beyond its slot in frozen_.
   static size_t PayloadBytes(const FrozenBlock& blk) {
@@ -405,7 +460,7 @@ class PostingList {
       out[s].value = store_.ColumnData<1>() + segs[s].phys;
       out[s].prefix_norm = store_.ColumnData<2>() + segs[s].phys;
       out[s].ts = store_.ColumnData<3>() + segs[s].phys;
-      out[s].begin = segs[s].begin + frozen_live_;
+      out[s].begin = segs[s].begin + frozen_live();
       out[s].len = segs[s].len;
     }
     return n;
@@ -419,7 +474,7 @@ class PostingList {
   void EmitFrozenSpan(size_t b, size_t skip, size_t block_start, size_t lo,
                       size_t hi, FrozenColumns* scratch, Fn&& fn) const {
     if (hi <= lo) return;
-    const FrozenBlock& blk = frozen_[b];
+    const FrozenBlock& blk = tier_->frozen[b];
     PostingSpan sp;
     if (!blk.compressed()) {
       sp.id = blk.raw_id() + skip + lo;
@@ -462,14 +517,14 @@ class PostingList {
     fn(sp);
   }
 
-  ColumnStore store_;               // hot mutable tail
-  std::vector<FrozenBlock> frozen_; // cold tier, oldest block first
-  size_t first_skip_ = 0;           // expired entries at frozen_[0]'s front
-  size_t frozen_live_ = 0;          // live entries across all frozen blocks
-  uint32_t appends_since_scan_ = 0; // dormancy classifier state
-  uint32_t scan_gap_ewma_ = 0;      // EWMA arrivals between scans (ticked)
-  uint64_t last_scan_tick_ = 0;     // arrival counter at the last scan
+  ColumnStore store_;            // hot mutable tail
+  std::unique_ptr<Tier> tier_;   // null until the list first freezes
 };
+
+inline size_t PostingList::Spare::bytes() const {
+  return (block != nullptr ? ColumnStore::kInitialCapacityBytes : 0) +
+         (tier != nullptr ? sizeof(TierState) : 0);
+}
 
 // Append-only SoA posting storage for the batch (MB) indexes: the same
 // four columns as PostingList without the circular machinery — a window
@@ -516,89 +571,133 @@ class BatchPostingList {
   std::vector<Timestamp> ts_;
 };
 
-// Allocated footprint of an unordered_map<DimId, PostingList> posting
-// container, including what the per-payload `capacity_bytes` view used
-// to miss: the PostingList object headers inside the map nodes, the
-// node-overhead of the chaining hash map (hash link + bucket chain
-// pointer per node, approximated at two pointers), and the bucket
-// array — capacity, not payload. A walk over every list: PostingMap
-// keeps the same number as a running total, and this is its oracle.
-template <typename Map>
-size_t PostingMapMemoryBytes(const Map& lists) {
-  size_t bytes = lists.bucket_count() * sizeof(void*);
-  for (const auto& [dim, list] : lists) {
-    // memory_bytes() already covers the PostingList object itself; add
-    // only the key (with pair padding) and the node-link overhead here.
-    bytes += sizeof(typename Map::value_type) - sizeof(PostingList) +
-             2 * sizeof(void*);
-    bytes += list.memory_bytes();
-  }
-  return bytes;
-}
-
-// The dim -> PostingList container of every stream index, with its
-// footprint kept as a running total: each list mutation goes through
-// here and hands the list the total to update, so MemoryBytes() is O(1)
-// and equals the PostingMapMemoryBytes walk byte for byte. Lists are
-// created on first append and never erased individually.
+// The dim -> PostingList table of every stream index. Open addressing
+// with linear probing over 16-byte slots, each holding a dim, the index
+// of its list in a dense array, and the newest ts among the list's
+// postings: a running max, since L2AP re-indexing appends postings with
+// old timestamps. Lists are created on first append.
+//
+// The slot ts lets an index drop a list without reading it.
+// EraseListsOlderThan(cutoff) erases every list whose newest posting is
+// older than `cutoff`. An index passes a cutoff at or below its own
+// expiry cutoff (stream_index.h, DeadListCutoff), so an erased list held
+// only postings that every later scan would skip, and erasing it changes
+// no pair and no checkpoint. Each list has one entry in a FIFO of
+// (dim, ts) checks, armed at its creation: a check whose ts falls below
+// the cutoff either erases the list or re-arms it at the list's newest
+// ts, so the work is O(1) per list per horizon, not a table sweep.
+// An erased list's column block (at the initial capacity) and tiering
+// state go to a pool of at most kMaxSpares spares that the next created
+// list adopts, so steady-state creation and erasure allocate nothing.
+//
+// The footprint is a running total: each list mutation goes through here
+// and hands the list the total to update, the table, arrays and FIFO are
+// read from their capacities, so MemoryBytes() is O(1) and equals the
+// RecountMemoryBytes() walk byte for byte.
 class PostingMap {
  public:
-  using Map = std::unordered_map<DimId, PostingList>;
+  // Spares kept for reuse; an erased list beyond this frees its storage.
+  static constexpr size_t kMaxSpares = 256;
 
   PostingList* Find(DimId dim) {
-    auto it = lists_.find(dim);
-    return it == lists_.end() ? nullptr : &it->second;
+    const size_t pos = FindSlot(dim);
+    return pos == kNoSlot ? nullptr : &lists_[slots_[pos].list];
   }
 
-  // dim's list, created empty on first use.
-  PostingList* FindOrCreate(DimId dim) {
-    auto [it, inserted] = lists_.try_emplace(dim);
-    if (inserted) bytes_ += kNodeBytes + it->second.memory_bytes();
-    return &it->second;
-  }
-
-  // Appends one posting to dim's list, then lets the list freeze per
-  // `tiered` (PostingList::MaybeFreeze).
+  // Appends one posting to dim's list (created on first use), then lets
+  // the list freeze per `tiered` (PostingList::MaybeFreeze).
   void Append(DimId dim, VectorId id, double value, double prefix_norm,
               Timestamp ts, const TieredStorageOptions& tiered) {
-    PostingList* list = FindOrCreate(dim);
-    list->Append(id, value, prefix_norm, ts, &bytes_);
-    list->MaybeFreeze(tiered, &bytes_);
+    Slot& slot = FindOrCreate(dim, ts);
+    if (ts > slot.newest) slot.newest = ts;
+    PostingList& list = lists_[slot.list];
+    list.Append(id, value, prefix_norm, ts, &payload_bytes_);
+    list.MaybeFreeze(tiered, &payload_bytes_);
   }
 
   // Expiry on a list of this map (from Find), with the total attached.
   size_t TruncateFront(PostingList* list, size_t n) {
-    return list->TruncateFront(n, &bytes_);
+    return list->TruncateFront(n, &payload_bytes_);
   }
   size_t CompactExpired(PostingList* list, Timestamp cutoff,
                         FrozenColumns* scratch) {
-    return list->CompactExpired(cutoff, scratch, &bytes_);
+    return list->CompactExpired(cutoff, scratch, &payload_bytes_);
   }
 
-  void Clear() {
-    lists_.clear();
-    bytes_ = 0;
+  // Erases every list whose newest posting is older than `cutoff`, at the
+  // latest once every list created or re-armed before it has been checked.
+  // Returns the postings the erased lists held. Cutoffs must not
+  // decrease from call to call.
+  size_t EraseListsOlderThan(Timestamp cutoff);
+
+  void Clear();
+
+  size_t size() const { return live_; }
+
+  // fn(dim, newest ts, list) for every list, in table order.
+  template <typename Fn>
+  void ForEachList(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.list != kEmpty) fn(slot.dim, slot.newest, lists_[slot.list]);
+    }
   }
 
-  size_t size() const { return lists_.size(); }
-  Map::const_iterator begin() const { return lists_.begin(); }
-  Map::const_iterator end() const { return lists_.end(); }
+  // Lists erased, and lists created on a spare, since construction or
+  // the last Clear.
+  uint64_t lists_erased() const { return erased_; }
+  uint64_t lists_recycled() const { return recycled_; }
+  size_t spares() const { return spares_.size(); }
 
-  // The bucket array is sized by the map itself, so it is read here
-  // rather than tracked; everything else is the running total.
-  size_t MemoryBytes() const {
-    return lists_.bucket_count() * sizeof(void*) + bytes_;
-  }
-  // Test oracle: the same number by walking every list.
-  size_t RecountMemoryBytes() const { return PostingMapMemoryBytes(lists_); }
+  size_t MemoryBytes() const { return FixedBytes() + payload_bytes_; }
+  // Test oracle: the same number by walking every list and spare.
+  size_t RecountMemoryBytes() const;
 
  private:
-  // Per-node overhead the walk adds on top of each list's memory_bytes().
-  static constexpr size_t kNodeBytes =
-      sizeof(Map::value_type) - sizeof(PostingList) + 2 * sizeof(void*);
+  struct Slot {
+    DimId dim = 0;
+    uint32_t list = kEmpty;  // index into lists_; kEmpty marks a free slot
+    Timestamp newest = 0.0;
+  };
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  static constexpr size_t kNoSlot = SIZE_MAX;
 
-  Map lists_;
-  size_t bytes_ = 0;  // node overhead + memory_bytes() over every list
+  size_t Home(DimId dim) const {
+    return static_cast<size_t>((dim * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  // dim's slot, or kNoSlot.
+  size_t FindSlot(DimId dim) const {
+    if (live_ == 0) return kNoSlot;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(dim);; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.list == kEmpty) return kNoSlot;
+      if (slot.dim == dim) return i;
+    }
+  }
+  Slot& FindOrCreate(DimId dim, Timestamp ts);
+  // Erases the list in slot `pos`; returns the postings it held.
+  size_t EraseSlot(size_t pos);
+  void Rehash(size_t capacity);
+  // Table, header array, free-index stack, spare vector and FIFO.
+  size_t FixedBytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           lists_.capacity() * sizeof(PostingList) +
+           free_.capacity() * sizeof(uint32_t) +
+           spares_.capacity() * sizeof(PostingList::Spare) +
+           checks_.capacity_bytes();
+  }
+
+  std::vector<Slot> slots_;         // power-of-two size, or empty
+  int shift_ = 64;                  // 64 - log2(slots_.size())
+  std::vector<PostingList> lists_;  // dense; indices in free_ are unused
+  std::vector<uint32_t> free_;      // unused indices of lists_
+  std::vector<PostingList::Spare> spares_;
+  ColumnarBuffer<DimId, Timestamp> checks_;  // FIFO: one (dim, ts) per list
+  size_t live_ = 0;                 // lists in the table
+  // What the lists own beyond their headers, plus the spares' storage.
+  size_t payload_bytes_ = 0;
+  uint64_t erased_ = 0;
+  uint64_t recycled_ = 0;
 };
 
 }  // namespace sssj

@@ -21,10 +21,26 @@ void ResidualStore::UpdatePrefix(VectorId id, size_t keep, double q) {
 
 void ResidualStore::ExpireOlderThan(Timestamp cutoff) {
   while (!map_.empty() && map_.front().second.ts < cutoff) {
-    bytes_ -= RecordBytes(map_.front().second);
+    const auto& [id, rec] = map_.front();
+    bytes_ -= RecordBytes(rec);
+    if (track_prefix_dims_) DropExpiredPrefixDims(id, rec.prefix);
     map_.pop_front();
   }
-  // prefix_dims_ entries pointing at dropped ids are cleaned lazily.
+}
+
+void ResidualStore::DropExpiredPrefixDims(VectorId id,
+                                          const SparseVector& prefix) {
+  // Ids join a dim's entry in insertion order, and records expire in
+  // that order, so an entry whose newest id is expiring lists only
+  // expired ids. Other stale ids are cleaned lazily, when the dim is
+  // next visited (ForEachWithPrefixDim).
+  for (const Coord& c : prefix) {
+    auto it = prefix_dims_.find(c.dim);
+    if (it != prefix_dims_.end() && it->second.back() <= id) {
+      bytes_ -= PrefixDimBytes(it->second);
+      prefix_dims_.erase(it);
+    }
+  }
 }
 
 void ResidualStore::Clear() {

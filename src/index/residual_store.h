@@ -15,7 +15,8 @@
 // index over the *prefix* dimensions, so that a max-vector update in
 // dimension j can locate exactly the residuals that may need re-indexing
 // (§5.3 "we can keep an inverted index of R to avoid scanning every
-// vector"). Entries in that inverted index are cleaned lazily.
+// vector"). Entries in that inverted index are cleaned lazily, except
+// that a dim whose every id expired is dropped with its newest record.
 //
 // Records are read-only outside the store: every change goes through a
 // store method, which keeps ApproxBytes() as a running total.
@@ -61,7 +62,8 @@ class ResidualStore {
   // inverted-index entries lazily. No-op for an unknown id.
   void UpdatePrefix(VectorId id, size_t keep, double q);
 
-  // Drops all records with ts < cutoff (amortized O(1) per drop).
+  // Drops all records with ts < cutoff (amortized O(1) per drop, plus a
+  // lookup per prefix coordinate when prefix dims are tracked).
   void ExpireOlderThan(Timestamp cutoff);
 
   // Iterates over the ids whose stored prefix (still) contains `dim`,
@@ -107,6 +109,9 @@ class ResidualStore {
 
  private:
   void RegisterPrefixDims(VectorId id, const SparseVector& prefix);
+  // Drops the prefix-dim entries of an expiring record's dims that list
+  // no newer id.
+  void DropExpiredPrefixDims(VectorId id, const SparseVector& prefix);
 
   // What one record / one prefix-dim entry adds to ApproxBytes().
   static size_t RecordBytes(const ResidualRecord& rec) {

@@ -20,6 +20,27 @@ inline bool OutsideHorizon(Timestamp ts, Timestamp newest, double tau) {
   return ts < newest - tau;
 }
 
+// How long an STR index keeps a posting list after the list's newest
+// posting fell OutsideHorizon, in horizons τ. At the start of each
+// arrival every list whose newest posting is older than DeadListCutoff
+// is erased (PostingMap::EraseListsOlderThan). A lag would spare the
+// lists of dims that recur soon after, which are otherwise erased and
+// re-created; on the measured grid (lags 0, 1, 2 and 3 τ, in
+// CHANGES.md) erasing at once held the fewest bytes and was no slower,
+// since a re-created list takes a recycled block.
+inline constexpr double kDeadListLagHorizons = 0.0;
+
+// The erase cutoff at arrival `newest`. It is never above newest − τ,
+// the cutoff every scan expires by, so an erased list held only postings
+// that no later scan would read: erasing changes no output. (The lag
+// test keeps 0 · ∞ from turning the cutoff into a NaN when τ = ∞.)
+inline Timestamp DeadListCutoff(Timestamp newest, double tau) {
+  const double lag = kDeadListLagHorizons * tau;
+  return (lag > 0.0 ? newest - lag : newest) - tau;
+}
+
+class PostingMap;
+
 class StreamIndex {
  public:
   virtual ~StreamIndex() = default;
@@ -55,6 +76,10 @@ class StreamIndex {
   // lists (and, for the L2 family, the residual store), shared by every
   // index in index/live_items.cc.
   virtual void CollectLiveItems(Timestamp newest, Stream* out) const = 0;
+
+  // The index's posting lists, for tests that watch lists being erased
+  // and recycled.
+  virtual const PostingMap& posting_lists() const = 0;
 
   RunStats& stats() { return stats_; }
   const RunStats& stats() const { return stats_; }

@@ -9,6 +9,7 @@ namespace sssj {
 void StreamInvIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   const Timestamp cutoff = x.ts - tau_;
   ++stats_.vectors_processed;
+  NotePruned(lists_.EraseListsOlderThan(DeadListCutoff(x.ts, tau_)));
 
   // Candidate generation with lazy time filtering: lists are time-sorted,
   // so the expired prefix is found by binary search on the ts column and

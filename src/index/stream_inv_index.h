@@ -52,6 +52,7 @@ class StreamInvIndex : public StreamIndex {
     return lists_.RecountMemoryBytes();
   }
   void CollectLiveItems(Timestamp newest, Stream* out) const override;
+  const PostingMap& posting_lists() const override { return lists_; }
 
  private:
   double theta_;

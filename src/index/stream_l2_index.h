@@ -67,6 +67,7 @@ class StreamL2Index : public StreamIndex {
     return residuals_.RecountApproxBytes() + lists_.RecountMemoryBytes();
   }
   void CollectLiveItems(Timestamp newest, Stream* out) const override;
+  const PostingMap& posting_lists() const override { return lists_; }
 
   size_t residual_count() const { return residuals_.size(); }
 
@@ -102,6 +103,7 @@ void StreamL2Index::ProcessUnder(const Decay& decay_fn, const StreamItem& x,
   const Timestamp cutoff = x.ts - tau_;
   ++stats_.vectors_processed;
   residuals_.ExpireOlderThan(cutoff);
+  NotePruned(lists_.EraseListsOlderThan(DeadListCutoff(x.ts, tau_)));
   if (v.empty()) return;
 
   L2ComputePrefixNorms(v, &prefix_norms_);

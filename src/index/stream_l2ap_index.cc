@@ -11,6 +11,7 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   const ExponentialDecay decay_fn{params_.lambda};
   ++stats_.vectors_processed;
   residuals_.ExpireOlderThan(cutoff);
+  NotePruned(lists_.EraseListsOlderThan(DeadListCutoff(x.ts, params_.tau)));
   if (v.empty()) return;
 
   // ---- Max-vector maintenance + re-indexing (must precede CG) ----

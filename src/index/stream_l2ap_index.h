@@ -82,6 +82,7 @@ class StreamL2apIndex : public StreamIndex {
     return residuals_.RecountApproxBytes() + lists_.RecountMemoryBytes();
   }
   void CollectLiveItems(Timestamp newest, Stream* out) const override;
+  const PostingMap& posting_lists() const override { return lists_; }
 
   size_t residual_count() const { return residuals_.size(); }
 

@@ -26,12 +26,18 @@
 // constructed buffer owns NO allocation (empty lists are free), the first
 // PushBack allocates kInitialCapacity = 4 slots per column, and growth
 // doubles from there. Clear() releases the block entirely.
+//
+// The header is 24 bytes: the block pointer and 32-bit capacity, head
+// and size. Column offsets are not stored; they follow from the
+// capacity. An initial-capacity block can be handed from one buffer to
+// another (ReleaseBlock / AdoptBlock), so a pool of them lets short
+// lists come and go without touching the allocator.
 #ifndef SSSJ_UTIL_COLUMNAR_BUFFER_H_
 #define SSSJ_UTIL_COLUMNAR_BUFFER_H_
 
-#include <array>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <tuple>
@@ -48,6 +54,8 @@ class ColumnarBuffer {
 
  public:
   static constexpr size_t kNumColumns = sizeof...(Ts);
+  static constexpr uint32_t kInitialCapacity = 4;
+  static constexpr size_t kRowBytes = (sizeof(Ts) + ... + 0);
 
   template <size_t I>
   using ColumnType = std::tuple_element_t<I, std::tuple<Ts...>>;
@@ -59,6 +67,9 @@ class ColumnarBuffer {
     size_t begin = 0;
     size_t len = 0;
   };
+
+  // A block of kInitialCapacity slots, as ReleaseBlock hands it out.
+  using Block = std::unique_ptr<unsigned char[]>;
 
   ColumnarBuffer() = default;  // lazy: no block until the first PushBack
 
@@ -72,7 +83,6 @@ class ColumnarBuffer {
   // with a null block but nonzero size.
   ColumnarBuffer(ColumnarBuffer&& other) noexcept
       : block_(std::move(other.block_)),
-        offsets_(other.offsets_),
         capacity_(other.capacity_),
         head_(other.head_),
         size_(other.size_) {
@@ -81,7 +91,6 @@ class ColumnarBuffer {
   ColumnarBuffer& operator=(ColumnarBuffer&& other) noexcept {
     if (this != &other) {
       block_ = std::move(other.block_);
-      offsets_ = other.offsets_;
       capacity_ = other.capacity_;
       head_ = other.head_;
       size_ = other.size_;
@@ -111,11 +120,13 @@ class ColumnarBuffer {
   // Clear (any of which may rebuild the storage).
   template <size_t I>
   const ColumnType<I>* ColumnData() const {
-    return reinterpret_cast<const ColumnType<I>*>(block_.get() + offsets_[I]);
+    return reinterpret_cast<const ColumnType<I>*>(block_.get() +
+                                                  ColumnOffset(I, capacity_));
   }
 
   void PushBack(Ts... values) {
     if (size_ == capacity_) {
+      assert(capacity_ <= UINT32_MAX / 2);
       Rebuild(capacity_ == 0 ? kInitialCapacity : capacity_ * 2);
     }
     const size_t slot = Mask(head_ + size_);
@@ -126,15 +137,15 @@ class ColumnarBuffer {
   // Drops the `n` oldest elements. O(1) plus a possible shrink rebuild.
   void TruncateFront(size_t n) {
     assert(n <= size_);
-    head_ = Mask(head_ + n);
-    size_ -= n;
+    head_ = static_cast<uint32_t>(Mask(head_ + n));
+    size_ -= static_cast<uint32_t>(n);
     MaybeShrink();
   }
 
   // Drops the `n` newest elements (used by in-place compaction).
   void TruncateBack(size_t n) {
     assert(n <= size_);
-    size_ -= n;
+    size_ -= static_cast<uint32_t>(n);
     MaybeShrink();
   }
 
@@ -164,18 +175,37 @@ class ColumnarBuffer {
   }
 
   // Memory footprint of the backing store across all columns, in bytes.
-  size_t capacity_bytes() const {
-    return capacity_ * (sizeof(Ts) + ... + 0);
+  size_t capacity_bytes() const { return capacity_ * kRowBytes; }
+
+  // What capacity_bytes() reads for a buffer holding a pooled block.
+  static constexpr size_t kInitialCapacityBytes = kInitialCapacity * kRowBytes;
+
+  // Empties the buffer. Returns its block when it has the initial
+  // capacity, for AdoptBlock to reuse; frees any other block.
+  Block ReleaseBlock() {
+    Block out;
+    if (capacity_ == kInitialCapacity) out = std::move(block_);
+    ResetToEmpty();
+    return out;
+  }
+
+  // Gives an empty buffer that owns no block a released one: it then
+  // holds kInitialCapacity slots and no elements.
+  void AdoptBlock(Block block) {
+    assert(capacity_ == 0 && block != nullptr);
+    block_ = std::move(block);
+    capacity_ = kInitialCapacity;
+    head_ = 0;
+    size_ = 0;
   }
 
  private:
-  static constexpr size_t kInitialCapacity = 4;
-
   size_t Mask(size_t i) const { return i & (capacity_ - 1); }
 
   template <size_t I>
   ColumnType<I>* MutableColumnData() {
-    return reinterpret_cast<ColumnType<I>*>(block_.get() + offsets_[I]);
+    return reinterpret_cast<ColumnType<I>*>(block_.get() +
+                                            ColumnOffset(I, capacity_));
   }
 
   template <size_t... Is>
@@ -196,33 +226,23 @@ class ColumnarBuffer {
 
   void ResetToEmpty() {
     block_.reset();
-    offsets_ = {};
     capacity_ = 0;
     head_ = 0;
     size_ = 0;
   }
 
-  // Column offsets within a block of the given capacity, plus the total
-  // block size (last array slot).
-  static std::array<size_t, kNumColumns + 1> LayoutFor(size_t capacity) {
-    std::array<size_t, kNumColumns + 1> offsets{};
-    const size_t sizes[] = {sizeof(Ts)...};
-    const size_t aligns[] = {alignof(Ts)...};
+  // Byte offset of column `col` in a block of `capacity` slots; col ==
+  // kNumColumns gives the block size. Constant-folds for a fixed column.
+  static constexpr size_t ColumnOffset(size_t col, size_t capacity) {
+    constexpr size_t sizes[] = {sizeof(Ts)...};
+    constexpr size_t aligns[] = {alignof(Ts)...};
     size_t off = 0;
-    for (size_t i = 0; i < kNumColumns; ++i) {
-      off = (off + aligns[i] - 1) & ~(aligns[i] - 1);
-      offsets[i] = off;
+    for (size_t i = 0; i < col; ++i) {
       off += capacity * sizes[i];
+      const size_t next = i + 1 < kNumColumns ? aligns[i + 1] : 1;
+      off = (off + next - 1) & ~(next - 1);
     }
-    offsets[kNumColumns] = off;
-    return offsets;
-  }
-
-  // Replaces the block with a fresh (uninitialized) one of `capacity`.
-  void Allocate(size_t capacity) {
-    offsets_ = LayoutFor(capacity);
-    block_ = std::make_unique<unsigned char[]>(offsets_[kNumColumns]);
-    capacity_ = capacity;
+    return off;
   }
 
   // Re-homes the live range to the front of a block of `new_capacity`;
@@ -230,12 +250,12 @@ class ColumnarBuffer {
   void Rebuild(size_t new_capacity) {
     Segment segs[2];
     const size_t n = Segments(0, size_, segs);
-    const auto new_offsets = LayoutFor(new_capacity);
-    auto new_block = std::make_unique<unsigned char[]>(new_offsets[kNumColumns]);
+    auto new_block = std::make_unique<unsigned char[]>(
+        ColumnOffset(kNumColumns, new_capacity));
     const size_t sizes[] = {sizeof(Ts)...};
     for (size_t col = 0; col < kNumColumns; ++col) {
-      unsigned char* dst = new_block.get() + new_offsets[col];
-      const unsigned char* src = block_.get() + offsets_[col];
+      unsigned char* dst = new_block.get() + ColumnOffset(col, new_capacity);
+      const unsigned char* src = block_.get() + ColumnOffset(col, capacity_);
       for (size_t s = 0; s < n; ++s) {
         std::memcpy(dst, src + segs[s].phys * sizes[col],
                     segs[s].len * sizes[col]);
@@ -243,8 +263,7 @@ class ColumnarBuffer {
       }
     }
     block_ = std::move(new_block);
-    offsets_ = new_offsets;
-    capacity_ = new_capacity;
+    capacity_ = static_cast<uint32_t>(new_capacity);
     head_ = 0;
   }
 
@@ -253,19 +272,18 @@ class ColumnarBuffer {
       ResetToEmpty();
       return;
     }
-    offsets_ = other.offsets_;
-    block_ = std::make_unique<unsigned char[]>(offsets_[kNumColumns]);
-    std::memcpy(block_.get(), other.block_.get(), offsets_[kNumColumns]);
+    const size_t bytes = ColumnOffset(kNumColumns, other.capacity_);
+    block_ = std::make_unique<unsigned char[]>(bytes);
+    std::memcpy(block_.get(), other.block_.get(), bytes);
     capacity_ = other.capacity_;
     head_ = other.head_;
     size_ = other.size_;
   }
 
   std::unique_ptr<unsigned char[]> block_;
-  std::array<size_t, kNumColumns + 1> offsets_{};
-  size_t capacity_ = 0;
-  size_t head_ = 0;
-  size_t size_ = 0;
+  uint32_t capacity_ = 0;
+  uint32_t head_ = 0;
+  uint32_t size_ = 0;
 };
 
 }  // namespace sssj

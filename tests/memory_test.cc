@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
@@ -19,6 +18,7 @@
 #include "index/residual_store.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
+#include "index/stream_index.h"
 #include "index/stream_l2ap_index.h"
 #include "tests/test_util.h"
 
@@ -124,21 +124,44 @@ TEST(MemoryTest, PostingListCountsAllocatedCapacityNotJustSize) {
   EXPECT_GE(list.memory_bytes(), sizeof(PostingList));
 }
 
-TEST(MemoryTest, PostingMapCountsNodeAndBucketOverhead) {
-  // An unordered_map of 200 near-empty lists costs far more than the sum
-  // of the lists alone: each node carries the key, hash link, and heap
-  // header, and the bucket array is resident too.
-  std::unordered_map<DimId, PostingList> map;
+TEST(MemoryTest, PostingMapCountsSlotsHeadersAndSpares) {
+  // 200 one-posting lists cost more than their column blocks: the table
+  // (kept at most half full) and the list headers are resident too. Once
+  // erased, each list leaves its block to the spare pool, and the next
+  // 200 lists take them back: the footprint returns to the same bytes.
+  PostingMap map;
+  const TieredStorageOptions untiered;
+  for (DimId d = 0; d < 200; ++d) map.Append(d, d, 1.0, 1.0, 0.0, untiered);
+  ASSERT_EQ(map.size(), 200u);
   size_t lists_only = 0;
-  for (DimId d = 0; d < 200; ++d) {
-    map[d].Append(d, 1.0, 1.0, 0.0);
-  }
-  for (const auto& [dim, list] : map) lists_only += list.memory_bytes();
-  const size_t total = PostingMapMemoryBytes(map);
-  EXPECT_GT(total, lists_only);
-  // At minimum: one pointer per bucket plus a node header per entry.
-  EXPECT_GE(total - lists_only,
-            map.bucket_count() * sizeof(void*) + map.size() * 2 * sizeof(void*));
+  map.ForEachList([&](DimId, Timestamp, const PostingList& list) {
+    lists_only += list.capacity_bytes();
+  });
+  const size_t full = map.MemoryBytes();
+  EXPECT_EQ(full, map.RecountMemoryBytes());
+  EXPECT_GE(full - lists_only, 2 * 200 * 16 + 200 * sizeof(PostingList));
+
+  EXPECT_EQ(map.EraseListsOlderThan(1.0), 200u);  // returns the postings
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.lists_erased(), 200u);
+  EXPECT_EQ(map.spares(), 200u);
+  EXPECT_EQ(map.MemoryBytes(), map.RecountMemoryBytes());
+  EXPECT_EQ(map.Find(7), nullptr);
+
+  for (DimId d = 200; d < 400; ++d) map.Append(d, d, 1.0, 1.0, 2.0, untiered);
+  EXPECT_EQ(map.lists_recycled(), 200u);
+  EXPECT_EQ(map.spares(), 0u);
+  EXPECT_EQ(map.MemoryBytes(), map.RecountMemoryBytes());
+  ASSERT_NE(map.Find(399), nullptr);
+  EXPECT_EQ(map.Find(399)->size(), 1u);
+
+  // A second cycle reuses the same slots, headers and spares.
+  const size_t steady = map.MemoryBytes();
+  EXPECT_EQ(map.EraseListsOlderThan(3.0), 200u);
+  for (DimId d = 400; d < 600; ++d) map.Append(d, d, 1.0, 1.0, 4.0, untiered);
+  EXPECT_EQ(map.lists_recycled(), 400u);
+  EXPECT_EQ(map.MemoryBytes(), steady);
+  EXPECT_EQ(map.MemoryBytes(), map.RecountMemoryBytes());
 }
 
 TEST(MemoryTest, FrozenColdListUsesFarLessMemoryThanFlat) {
@@ -233,15 +256,42 @@ TieredStorageOptions StorageOptions(Storage storage) {
 constexpr double kTheta = 0.5;
 constexpr double kLambda = 0.05;
 
+// Then the dims move on: after kOracleFirstPhase items the stream jumps
+// past the dead-list lag and continues on 12 new dims, so an STR index
+// erases every list of the first phase. Every 4th first-phase item also
+// carries a dim of its own, whose one-posting list leaves its block to
+// the spare pool, and the second phase's lists are built on them.
+constexpr size_t kOracleFirstPhase = 240;
+
 Stream OracleStream(uint64_t seed) {
   RandomStreamSpec spec;
-  spec.n = 360;
+  spec.n = kOracleFirstPhase;
   spec.dims = 12;
   spec.min_nnz = 2;
   spec.max_nnz = 7;
   spec.max_gap = 0.5;
   spec.seed = seed;
-  return RandomStream(spec);
+  Stream stream;
+  for (StreamItem item : RandomStream(spec)) {
+    std::vector<Coord> coords(item.vec.begin(), item.vec.end());
+    if (item.id % 4 == 0) {
+      coords.push_back(Coord{static_cast<DimId>(100 + item.id), 0.3});
+    }
+    stream.push_back(Item(item.id, item.ts, UnitVec(std::move(coords))));
+  }
+  DecayParams params;
+  EXPECT_TRUE(DecayParams::Make(kTheta, kLambda, &params));
+  const Timestamp jump =
+      stream.back().ts + (1.0 + kDeadListLagHorizons) * params.tau + 1.0;
+  spec.n = 2 * kOracleFirstPhase;
+  spec.seed = seed + 1;
+  for (StreamItem item : RandomStream(spec)) {
+    std::vector<Coord> coords(item.vec.begin(), item.vec.end());
+    for (Coord& c : coords) c.dim += spec.dims;
+    stream.push_back(Item(stream.size(), jump + item.ts,
+                          SparseVector::FromCoords(std::move(coords))));
+  }
+  return stream;
 }
 
 TEST(MemoryOracleTest, ResidualStoreTotalMatchesWalk) {
@@ -284,8 +334,10 @@ TEST(MemoryOracleTest, ResidualStoreTotalMatchesWalk) {
 TEST(MemoryOracleTest, PostingMapTotalMatchesWalkThroughFreezeAndExpiry) {
   // Drives every list mutator directly: appends that grow the circular
   // tail, freezes (new blocks and amends), front truncation that drops
-  // whole blocks and compacts a half-dead front block, and forward
-  // compaction over straddling blocks.
+  // whole blocks and compacts a half-dead front block, forward
+  // compaction over straddling blocks, and the erasure of lists whose
+  // dims stop recurring (each step also gets a one-off dim), with their
+  // storage recycled into the lists created after them.
   const TieredStorageOptions tiered = StorageOptions(Storage::kTieredExact);
   PostingMap sorted;    // time-sorted lists: TruncateFront expiry
   PostingMap unsorted;  // out-of-order lists: CompactExpired expiry
@@ -297,12 +349,16 @@ TEST(MemoryOracleTest, PostingMapTotalMatchesWalkThroughFreezeAndExpiry) {
   };
   for (uint64_t i = 1; i <= 2000; ++i) {
     const DimId dim = static_cast<DimId>(i % 3);
+    const DimId once = static_cast<DimId>(100 + i);
     const double ts = static_cast<double>(i);
     sorted.Append(dim, i, 0.25 + 0.001 * static_cast<double>(i % 97), 0.5,
                   ts, tiered);
+    sorted.Append(once, i, 0.5, 0.5, ts, tiered);
     // Every 7th posting carries an old timestamp, as L2AP re-indexing
     // appends do.
     unsorted.Append(dim, i, 0.5, 0.25, i % 7 == 0 ? ts - 150.0 : ts, tiered);
+    unsorted.Append(once, i, 0.5, 0.25, i % 7 == 0 ? ts - 150.0 : ts,
+                    tiered);
     check(i);
     if (i % 11 == 0) {
       PostingList* list = sorted.Find(dim);
@@ -314,11 +370,26 @@ TEST(MemoryOracleTest, PostingMapTotalMatchesWalkThroughFreezeAndExpiry) {
       unsorted.CompactExpired(unsorted.Find(dim), ts - 100.0, &scratch);
       check(i);
     }
+    if (i % 5 == 0) {
+      sorted.EraseListsOlderThan(ts - 200.0);
+      unsorted.EraseListsOlderThan(ts - 200.0);
+      check(i);
+    }
   }
   EXPECT_GT(max_blocks, 1u) << "the stream never froze";
+  for (PostingMap* map : {&sorted, &unsorted}) {
+    // The one-off lists older than the cutoff are gone; the three
+    // recurring ones and the recent one-off ones remain.
+    EXPECT_GT(map->lists_erased(), 1500u);
+    EXPECT_GT(map->lists_recycled(), 1500u);
+    EXPECT_LT(map->size(), 300u);
+    EXPECT_NE(map->Find(0), nullptr);
+    EXPECT_EQ(map->Find(150), nullptr);
+  }
   sorted.Clear();
   unsorted.Clear();
   check(0);
+  EXPECT_EQ(sorted.MemoryBytes(), 0u);
 }
 
 // Every StreamIndex, built against one storage mode.
@@ -381,6 +452,8 @@ TEST_P(IndexMemoryOracleTest, CounterEqualsWalkAfterEveryArrival) {
     // The stream exercised the paths the totals must follow.
     EXPECT_GT(index->stats().entries_pruned, 0u);
     EXPECT_GT(sink.count(), 0u);
+    EXPECT_GT(index->posting_lists().lists_erased(), 0u);
+    EXPECT_GT(index->posting_lists().lists_recycled(), 0u);
     if (std::string(variant.name) == "L2AP" ||
         std::string(variant.name) == "AP") {
       EXPECT_GT(index->stats().reindexed_coords, 0u);
@@ -389,6 +462,47 @@ TEST_P(IndexMemoryOracleTest, CounterEqualsWalkAfterEveryArrival) {
     EXPECT_EQ(index->MemoryBytes(), index->RecountMemoryBytes());
   }
 }
+
+// A stream whose dims never recur: item i arrives at ts i with three dims
+// of its own. A list dies one horizon after its only posting, so once the
+// first lists pass the dead-list lag each arrival erases about as many
+// lists as it creates, and no index keeps growing.
+class NeverRecurringDimsTest : public ::testing::TestWithParam<Storage> {};
+
+TEST_P(NeverRecurringDimsTest, FootprintStopsGrowing) {
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(kTheta, kLambda, &params));
+  const TieredStorageOptions tiered = StorageOptions(GetParam());
+  for (const IndexVariant& variant : IndexVariants()) {
+    SCOPED_TRACE(variant.name);
+    std::unique_ptr<StreamIndex> index = variant.make(params, tiered);
+    CountingSink sink;
+    size_t bytes_at_half = 0;
+    size_t entries_at_half = 0;
+    for (uint32_t i = 0; i < 4000; ++i) {
+      const DimId d = 3 * i;
+      index->ProcessArrival(
+          Item(i, i, UnitVec({{d, 1.0}, {d + 1, 2.0}, {d + 2, 3.0}})), &sink);
+      if (i + 1 == 2000) {
+        bytes_at_half = index->MemoryBytes();
+        entries_at_half = index->live_posting_entries();
+      }
+    }
+    EXPECT_LE(index->MemoryBytes(), bytes_at_half);
+    EXPECT_LE(index->live_posting_entries(), entries_at_half);
+    EXPECT_EQ(index->MemoryBytes(), index->RecountMemoryBytes());
+    EXPECT_GT(index->posting_lists().lists_recycled(), 3000u);
+    EXPECT_EQ(sink.count(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Storages, NeverRecurringDimsTest,
+    ::testing::Values(Storage::kUntiered, Storage::kTieredExact,
+                      Storage::kTieredRaw),
+    [](const ::testing::TestParamInfo<Storage>& info) {
+      return std::string(StorageName(info.param));
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Storages, IndexMemoryOracleTest,
@@ -446,16 +560,23 @@ TEST_P(EngineMemoryOracleTest, CounterEqualsWalkThroughEngineSurface) {
 
   const Stream stream = OracleStream(29);
   const size_t third = stream.size() / 3;
+  ASSERT_EQ(third, kOracleFirstPhase);
   for (size_t i = 0; i < third; ++i) {
     ASSERT_TRUE(engine->Push(stream[i].ts, stream[i].vec).ok());
     check("push " + std::to_string(i));
   }
+  const uint64_t first_phase_postings = engine->stats().entries_indexed;
   for (size_t i = third; i < 2 * third; i += 16) {
     const size_t end = std::min(i + 16, 2 * third);
     const Stream batch(stream.begin() + static_cast<ptrdiff_t>(i),
                        stream.begin() + static_cast<ptrdiff_t>(end));
     EXPECT_EQ(engine->PushBatch(batch).accepted, batch.size());
     check("batch at " + std::to_string(i));
+  }
+  if (variant.framework == Framework::kStreaming) {
+    // No scan reads the first phase's dims again, so only erasing their
+    // lists can prune the postings still in them at the jump.
+    EXPECT_GE(engine->stats().entries_pruned, first_phase_postings);
   }
 
   // Evict + reload, exactly as JoinService does it: checkpoint to a file,

@@ -6,6 +6,9 @@
 #include <memory>
 #include <tuple>
 
+#include "core/brute_force.h"
+#include "core/decay.h"
+#include "index/posting_list.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
@@ -272,6 +275,62 @@ TEST(StreamIndexTest, ZeroHorizonPairsOnlyTies) {
     const auto got = PairSet(sink.pairs());
     EXPECT_TRUE(got.count({0, 1})) << index->name();
     EXPECT_EQ(got.size(), 1u) << index->name();
+  }
+}
+
+// Every τ a vector on dim 5 arrives, exactly τ after the last one, and
+// between two of them seven fillers arrive on three dims of their own,
+// whose lists die and are erased. τ = 8 keeps every timestamp exact.
+Stream HorizonRecurrenceStream(Timestamp tau) {
+  Stream stream;
+  for (int k = 0; k <= 12; ++k) {
+    const Timestamp t = k * tau;
+    stream.push_back(Item(stream.size(), t, UnitVec({{5, 1.0}})));
+    for (int j = 1; j < 8; ++j) {
+      const DimId d = static_cast<DimId>(1000 + 3 * stream.size());
+      stream.push_back(Item(stream.size(), t + j * tau / 8,
+                            UnitVec({{d, 1.0}, {d + 1, 1.0}, {d + 2, 1.0}})));
+    }
+  }
+  return stream;
+}
+
+// A dim that recurs at exactly newest − τ sits on the horizon, which
+// OutsideHorizon keeps, so the dead-list erasure must keep its list
+// while the fillers' lists around it are erased. Under a sliding window
+// the boundary pair has sim = dot = 1 and must be emitted; under the
+// exponential decay it sits on θ, so the check there is that every
+// boundary posting is still scanned and the pairs equal the oracle's.
+TEST(StreamIndexTest, DimRecurringOnTheHorizonStillPairs) {
+  const double theta = 0.5;
+  const Timestamp tau = 8.0;
+  const Stream stream = HorizonRecurrenceStream(tau);
+
+  const DecayFunction window = DecayFunction::SlidingWindow(tau);
+  CollectorSink oracle;
+  BruteForceDecayJoin(stream, theta, window, &oracle);
+  ASSERT_EQ(oracle.pairs().size(), 12u);
+  StreamInvIndex inv(theta, window);
+  StreamL2Index l2(theta, window);
+  for (StreamIndex* index : std::vector<StreamIndex*>{&inv, &l2}) {
+    CollectorSink sink;
+    for (const StreamItem& item : stream) index->ProcessArrival(item, &sink);
+    EXPECT_EQ(PairSet(sink.pairs()), PairSet(oracle.pairs())) << index->name();
+    EXPECT_GT(index->posting_lists().lists_erased(), 0u) << index->name();
+  }
+
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::FromApplicationSpec(theta, tau, &params));
+  ASSERT_EQ(params.tau, tau);
+  const auto expected = PairSet(BruteForceStreamJoinSorted(stream, params));
+  for (Scheme s : {Scheme::kInv, Scheme::kL2, Scheme::kL2ap}) {
+    auto index = Make(s, params);
+    CollectorSink sink;
+    for (const StreamItem& item : stream) index->ProcessArrival(item, &sink);
+    EXPECT_EQ(PairSet(sink.pairs()), expected) << index->name();
+    // Each dim-5 arrival scans the one posting τ before it.
+    EXPECT_EQ(index->stats().entries_traversed, 12u) << index->name();
+    EXPECT_GT(index->posting_lists().lists_erased(), 0u) << index->name();
   }
 }
 
